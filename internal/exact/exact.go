@@ -4,18 +4,20 @@
 // ground truth for validating the heuristics and the Theorem 1 reduction,
 // and as the optimum column in small-instance experiments.
 //
-// All four solvers (sequential and parallel, both problem shapes) run on
-// one flat-core branch-and-bound engine: the instance is compiled once
-// into CSR index/offset arrays with bitset pin sets (internal/exact/
-// flatcore), and the node loop walks those flat arrays with zero per-node
-// heap allocation. The engine prunes with a bound hierarchy — per node the
-// incumbent, average-load, max-element, and min-load bounds (integer
-// arithmetic only); at the root and at subproblem expansions the strong
-// bin-packing and matching/max-flow bounds from internal/lb — plus
-// processor-symmetry dedup and task-dominance rules compiled into the flat
-// shape. Searches are exact whenever they return without ErrLimit;
-// instances beyond ~30 tasks should use the heuristics and the LowerBound
-// instead.
+// All four solvers (sequential and parallel, both problem classes) run on
+// one flat-core branch-and-bound kernel behind one driver. A SINGLEPROC
+// graph is solved as its singleton-hyperedge MULTIPROC form
+// (hypergraph.FromGraph), with schedules translated back to task →
+// processor. The instance is compiled once into CSR index/offset arrays
+// with bitset pin sets (internal/exact/flatcore), and the node loop walks
+// those flat arrays with zero per-node heap allocation. The engine prunes
+// with a bound hierarchy — per node the incumbent, average-load,
+// max-element, and min-load bounds (integer arithmetic only); at the root
+// and at subproblem expansions the strong bin-packing and
+// matching/max-flow bounds from internal/lb — plus processor-symmetry
+// dedup and task-dominance rules compiled into the flat shape. Searches
+// are exact whenever they return without ErrLimit; instances beyond ~30
+// tasks should use the heuristics and the LowerBound instead.
 package exact
 
 import (
@@ -214,24 +216,11 @@ func (o Options) workers() int {
 // uninterrupted DFS with no suspension or requeueing.
 const seqChunk = int64(1) << 62
 
-// seedSP picks the incumbent a SINGLEPROC search starts from: the greedy
-// schedule, or Options.InitialIncumbent when it validates against the
-// instance and carries a strictly better makespan. The returned bool
-// reports whether the warm start was adopted.
-func (o Options) seedSP(g *bipartite.Graph, inc core.Assignment, m0 int64) (core.Assignment, int64, bool) {
-	w := core.Assignment(o.InitialIncumbent)
-	if w == nil || core.ValidateAssignment(g, w) != nil {
-		return inc, m0, false
-	}
-	mw := core.Makespan(g, w)
-	if mw >= m0 {
-		return inc, m0, false
-	}
-	return w, mw, true
-}
-
-// seedMP is seedSP for MULTIPROC instances (task → hyperedge encoding).
-func (o Options) seedMP(h *hypergraph.Hypergraph, inc core.HyperAssignment, m0 int64) (core.HyperAssignment, int64, bool) {
+// seed picks the incumbent a search starts from: the greedy schedule, or
+// Options.InitialIncumbent when it validates against the instance and
+// carries a strictly better makespan. The returned bool reports whether
+// the warm start was adopted.
+func (o Options) seed(h *hypergraph.Hypergraph, inc core.HyperAssignment, m0 int64) (core.HyperAssignment, int64, bool) {
 	w := core.HyperAssignment(o.InitialIncumbent)
 	if w == nil || core.ValidateHyperAssignment(h, w) != nil {
 		return inc, m0, false
@@ -259,6 +248,58 @@ func SolveSingleProc(g *bipartite.Graph, opts Options) (core.Assignment, int64, 
 // compiled flat shape, same bound hierarchy and prunes, one worker, no
 // pool. Node counts are therefore deterministic.
 func SolveSingleProcCtx(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
+	return solveSingle(ctx, g, opts, 1)
+}
+
+// SolveSingleProcPar is SolveSingleProc on the parallel work-stealing
+// branch-and-bound engine.
+func SolveSingleProcPar(g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
+	return SolveSingleProcParCtx(context.Background(), g, opts)
+}
+
+// SolveSingleProcParCtx computes an optimal SINGLEPROC schedule on the
+// parallel engine: the search tree is split at a shallow frontier across
+// Options.Workers work-stealing workers sharing one incumbent bound and
+// one node budget. The error contract matches SolveSingleProcCtx: on
+// budget exhaustion or cancellation the best incumbent found by any worker
+// is returned alongside ErrLimit / ErrCancelled. The optimal makespan is
+// deterministic; which optimal schedule is returned may vary across runs
+// when several exist.
+func SolveSingleProcParCtx(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
+	return solveSingle(ctx, g, opts, opts.workers())
+}
+
+// SolveMultiProc computes an optimal MULTIPROC schedule by branch and
+// bound.
+func SolveMultiProc(h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
+	return SolveMultiProcCtx(context.Background(), h, opts)
+}
+
+// SolveMultiProcCtx is SolveMultiProc with cooperative cancellation; see
+// SolveSingleProcCtx for the engine and error contract.
+func SolveMultiProcCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
+	return solve(ctx, h, opts, 1)
+}
+
+// SolveMultiProcPar is SolveMultiProc on the parallel work-stealing
+// branch-and-bound engine.
+func SolveMultiProcPar(h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
+	return SolveMultiProcParCtx(context.Background(), h, opts)
+}
+
+// SolveMultiProcParCtx computes an optimal MULTIPROC schedule on the
+// parallel engine; see SolveSingleProcParCtx for the concurrency and
+// error contract.
+func SolveMultiProcParCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
+	return solve(ctx, h, opts, opts.workers())
+}
+
+// solveSingle runs a SINGLEPROC instance through solve in singleton form
+// (hypergraph.FromGraph). Hyperedge k is g's edge k, so warm starts,
+// observations and the result translate between the processor and edge
+// encodings through g's rows, and callers only ever see task → processor
+// assignments.
+func solveSingle(ctx context.Context, g *bipartite.Graph, opts Options, workers int) (core.Assignment, int64, error) {
 	n, p := g.NLeft, g.NRight
 	if p == 0 && n > 0 {
 		return nil, 0, fmt.Errorf("exact: no processors")
@@ -271,50 +312,48 @@ func SolveSingleProcCtx(ctx context.Context, g *bipartite.Graph, opts Options) (
 	if n == 0 {
 		return core.Assignment{}, 0, nil
 	}
-
-	compileStart := time.Now()
-	pr := flatcore.CompileSP(g)
-	compileSpan(opts.Trace, compileStart, pr.BoundsWall)
-	gs := opts.Trace.StartChild("greedy")
-	inc := core.SortedGreedy(g, core.GreedyOptions{})
-	m0 := core.Makespan(g, inc)
-	gs.SetAttr("makespan", m0)
-	var warm bool
-	if inc, m0, warm = opts.seedSP(g, inc, m0); warm {
-		gs.SetAttr("warm_start", m0)
+	opts.InitialIncumbent = edgesOf(g, opts.InitialIncumbent)
+	if obs := opts.Observer; obs != nil {
+		opts.Observer = func(m int64, a []int32) { obs(m, procsOf(g, a)) }
 	}
-	gs.End()
-	sh := newParShared(inc, m0, opts.maxNodes(), 1)
-	sh.rootLB = pr.Bounds.Root()
-	sh.obsFn = opts.Observer
-	sh.setProgress(opts.Progress, opts.ProgressInterval)
-	sh.closeIfOptimal()
-	sh.observe() // the initial greedy incumbent
-	ss := startSearchSpan(opts.Trace, sh)
-	if !sh.closed.Load() {
-		release := watchCancel(ctx, sh)
-		s := newSPState(pr, sh)
-		s.chunkLimit = seqChunk
-		tk := &ticker{sh: sh}
-		s.run(nil, tk)
-		tk.flush()
-		release()
-	}
-	sh.observe() // flush the final incumbent to the observer
-	sh.progressFinal()
-	finishSearch(opts, ss, sh, pr.Bounds, 1, 0)
-	return append(core.Assignment(nil), sh.bestA...), sh.bestM, sh.err(ctx)
+	a, m, err := solve(ctx, hypergraph.FromGraph(g), opts, workers)
+	return procsOf(g, a), m, err
 }
 
-// SolveMultiProc computes an optimal MULTIPROC schedule by branch and
-// bound.
-func SolveMultiProc(h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
-	return SolveMultiProcCtx(context.Background(), h, opts)
+// edgesOf translates a task → processor schedule of g into the edge
+// encoding of FromGraph(g). A schedule that is invalid for g translates
+// to nil, which solve ignores like any invalid warm start.
+func edgesOf(g *bipartite.Graph, a []int32) []int32 {
+	if a == nil || core.ValidateAssignment(g, a) != nil {
+		return nil
+	}
+	edges := make([]int32, len(a))
+	for t, proc := range a {
+		for e := g.Ptr[t]; e < g.Ptr[t+1]; e++ {
+			if g.Adj[e] == proc {
+				edges[t] = e
+				break
+			}
+		}
+	}
+	return edges
 }
 
-// SolveMultiProcCtx is SolveMultiProc with cooperative cancellation; see
-// SolveSingleProcCtx for the engine and error contract.
-func SolveMultiProcCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
+// procsOf rewrites an edge-encoded schedule of FromGraph(g) in place into
+// g's task → processor encoding.
+func procsOf(g *bipartite.Graph, a []int32) core.Assignment {
+	for t, e := range a {
+		a[t] = g.Adj[e]
+	}
+	return core.Assignment(a)
+}
+
+// solve is the one branch-and-bound driver behind all four entry points.
+// It compiles h, seeds the incumbent (greedy, or a better warm start),
+// closes at the root when the incumbent meets the strongest root bound,
+// and otherwise searches: one uninterrupted DFS when workers == 1, the
+// work-stealing pool over a shallow frontier otherwise.
+func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options, workers int) (core.HyperAssignment, int64, error) {
 	n, p := h.NTasks, h.NProcs
 	if n == 0 {
 		return core.HyperAssignment{}, 0, nil
@@ -336,29 +375,43 @@ func SolveMultiProcCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Optio
 	m0 := core.HyperMakespan(h, inc)
 	gs.SetAttr("makespan", m0)
 	var warm bool
-	if inc, m0, warm = opts.seedMP(h, inc, m0); warm {
+	if inc, m0, warm = opts.seed(h, inc, m0); warm {
 		gs.SetAttr("warm_start", m0)
 	}
 	gs.End()
-	sh := newParShared(inc, m0, opts.maxNodes(), 1)
+	sh := newParShared(inc, m0, opts.maxNodes(), workers)
 	sh.rootLB = pr.Bounds.Root()
 	sh.obsFn = opts.Observer
 	sh.setProgress(opts.Progress, opts.ProgressInterval)
 	sh.closeIfOptimal()
 	sh.observe() // the initial greedy incumbent
 	ss := startSearchSpan(opts.Trace, sh)
+	var frontier [][]int32
 	if !sh.closed.Load() {
 		release := watchCancel(ctx, sh)
-		s := newMPState(pr, sh)
-		s.chunkLimit = seqChunk
+		defer release()
 		tk := &ticker{sh: sh}
-		s.run(nil, tk)
-		tk.flush()
+		if workers == 1 {
+			// One worker gains nothing from frontier splitting: it runs one
+			// uninterrupted DFS, so node counts are deterministic and a
+			// warm start prunes a superset of what the cold search prunes.
+			s := newSearchState(pr, sh)
+			s.chunkLimit = seqChunk
+			s.run(nil, tk)
+			tk.flush()
+		} else {
+			var fdepth int
+			frontier, fdepth = genFrontier(newSearchState(pr, sh), tk, workers*splitFactor)
+			tk.flush()
+			if len(frontier) > 0 && !sh.stop.Load() {
+				runPool(sh, pr, frontier, workers, fdepth)
+			}
+		}
 		release()
 	}
 	sh.observe() // flush the final incumbent to the observer
 	sh.progressFinal()
-	finishSearch(opts, ss, sh, pr.Bounds, 1, 0)
+	finishSearch(opts, ss, sh, pr.Bounds, workers, int64(len(frontier))+sh.splits.Load())
 	return append(core.HyperAssignment(nil), sh.bestA...), sh.bestM, sh.err(ctx)
 }
 

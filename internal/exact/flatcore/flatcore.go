@@ -1,30 +1,33 @@
 // Package flatcore compiles problem instances into flat, allocation-free
-// search shapes for the exact branch-and-bound engines.
+// search shapes for the exact branch-and-bound engine.
 //
-// The engines' node loops used to traverse bipartite.Graph /
-// hypergraph.Hypergraph through per-task slices-of-slices and map-based
-// symmetry tables. This package replaces that with one compile step per
-// solve producing CSR-style index/offset arrays (every per-position child
-// list is a range of one flat array), uint64-word bitsets for pin sets,
-// and sorted-slice grouping for the symmetry machinery — no maps anywhere.
-// After compilation a search node touches only flat int32/int64 arrays,
-// so the hot loop does zero heap allocations and walks memory linearly.
+// There is one shape, MP, and one compiler, CompileMP. A SINGLEPROC
+// instance is the MULTIPROC special case whose every hyperedge has one
+// pin (Sec. II-B of the paper), so it compiles from
+// hypergraph.FromGraph; the shape marks that case Single, and the node
+// loop takes a one-pin fast path on it instead of walking pin lists.
+//
+// Compilation produces CSR-style index/offset arrays (every per-position
+// child list is a range of one flat array), uint64-word bitsets for pin
+// sets, and sorted-slice grouping for the symmetry machinery — no maps
+// anywhere. After compilation a search node touches only flat
+// int32/int64 arrays, so the hot loop does zero heap allocations and
+// walks memory linearly.
 //
 // A compiled shape also carries the instance's root bound set (Bounds):
 // the classic average-load and max-element bounds plus the two strong
 // bounds from internal/lb — the bin-packing bound on the
 // identical-machines relaxation and the matching/max-flow bound. The
-// engines use the strongest of the four to terminate the moment an
+// engine uses the strongest of the four to terminate the moment an
 // incumbent meets it, and the bound that closed the gap names the
 // certificate witness.
 //
 // Two structural prunes are compiled in as well:
 //
-//   - processor symmetry (carried over from the old engine, now
-//     sort-based): Sig groups processors whose transposition is a
-//     verified automorphism, and ChildClass marks statically
-//     interchangeable children of each position;
-//   - task dominance (new): EqPrev marks positions whose task has an
+//   - processor symmetry (sort-based): Sig groups processors whose
+//     transposition is a verified automorphism, and ChildClass marks
+//     statically interchangeable children of each position;
+//   - task dominance: EqPrev marks positions whose task has an
 //     identical child list to the previous position's task. Two such
 //     tasks are interchangeable — swapping their choices yields the same
 //     load vector — so the engine only explores branches where the later
@@ -38,9 +41,9 @@
 package flatcore
 
 const (
-	// SymProcCap / SymEdgeCap gate the MULTIPROC symmetry detection: the
-	// pairwise transposition verification is quadratic in group size, so
-	// it only runs at exact-solver instance scales.
+	// SymProcCap / SymEdgeCap gate the symmetry detection on multi-pin
+	// shapes: the pairwise transposition verification is quadratic in
+	// group size there, so it only runs at exact-solver instance scales.
 	SymProcCap = 512
 	SymEdgeCap = 8192
 	// MatchCap gates the matching/max-flow root bound and the

@@ -40,45 +40,9 @@ func randHyper(rng *rand.Rand, n, p, deg, maxSize int, wmax int64) *hypergraph.H
 	return b.MustBuild()
 }
 
-// bruteSP explores every assignment of the compiled shape below a given
+// brute explores every assignment of the compiled shape below a given
 // prefix of child ordinals and returns the best completion makespan.
-func bruteSP(pr *SP, prefix []int32) int64 {
-	loads := make([]int64, pr.P)
-	var cur int64
-	for d, ord := range prefix {
-		k := int(pr.ChildPtr[d]) + int(ord)
-		loads[pr.ChildProc[k]] += pr.ChildWt[k]
-		if loads[pr.ChildProc[k]] > cur {
-			cur = loads[pr.ChildProc[k]]
-		}
-	}
-	best := int64(1) << 62
-	var rec func(i int, curMax int64)
-	rec = func(i int, curMax int64) {
-		if curMax >= best {
-			return
-		}
-		if i == pr.N {
-			best = curMax
-			return
-		}
-		for k := int(pr.ChildPtr[i]); k < int(pr.ChildPtr[i+1]); k++ {
-			proc, wt := pr.ChildProc[k], pr.ChildWt[k]
-			loads[proc] += wt
-			nm := curMax
-			if loads[proc] > nm {
-				nm = loads[proc]
-			}
-			rec(i+1, nm)
-			loads[proc] -= wt
-		}
-	}
-	rec(len(prefix), cur)
-	return best
-}
-
-// bruteMP is bruteSP for a compiled MULTIPROC shape.
-func bruteMP(pr *MP, prefix []int32) int64 {
+func brute(pr *MP, prefix []int32) int64 {
 	loads := make([]int64, pr.P)
 	var cur int64
 	apply := func(k int, curMax int64) int64 {
@@ -120,85 +84,91 @@ func bruteMP(pr *MP, prefix []int32) int64 {
 	return best
 }
 
-// TestCompileSPInvariants: CSR structure, sort order, suffix bounds,
-// EqPrev correctness, and the root bound sandwich on random instances.
+// blockHyper builds an instance with guaranteed processor symmetry: the
+// processors split into two blocks, and each task runs on one block with
+// one weight per configuration size — every single processor of the
+// block, and (with maxSize 2) every pair within it. Any transposition
+// inside a block is an automorphism.
+func blockHyper(rng *rand.Rand, n, p, maxSize int) *hypergraph.Hypergraph {
+	cut := 1 + rng.Intn(p-1)
+	b := hypergraph.NewBuilder(n, p)
+	for t := 0; t < n; t++ {
+		lo, hi := 0, cut
+		if rng.Intn(2) == 1 {
+			lo, hi = cut, p
+		}
+		w1, w2 := 1+rng.Int63n(20), 1+rng.Int63n(20)
+		for u := lo; u < hi; u++ {
+			b.AddEdge(t, []int{u}, w1)
+			for v := u + 1; maxSize > 1 && v < hi; v++ {
+				b.AddEdge(t, []int{u, v}, w2)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// singletonInputs lifts random SINGLEPROC graphs into singleton form:
+// the SINGLEPROC instances the one compiler must handle.
+func singletonInputs(rng *rand.Rand, trials int, n func() int, p func() int, deg int, wmax int64) []*hypergraph.Hypergraph {
+	out := make([]*hypergraph.Hypergraph, trials)
+	for i := range out {
+		out[i] = hypergraph.FromGraph(randGraph(rng, n(), p(), deg, wmax))
+	}
+	return out
+}
+
+// TestCompileMPInvariants checks the compiled invariants on random
+// multi-pin hypergraphs.
+func TestCompileMPInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var inputs []*hypergraph.Hypergraph
+	for trial := 0; trial < 60; trial++ {
+		inputs = append(inputs, randHyper(rng, 3+rng.Intn(6), 2+rng.Intn(3), 3, 2, 20))
+	}
+	checkCompileInvariants(t, inputs)
+}
+
+// TestCompileSPInvariants checks the same invariants on random
+// SINGLEPROC graphs in singleton form.
 func TestCompileSPInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 60; trial++ {
-		g := randGraph(rng, 3+rng.Intn(7), 2+rng.Intn(3), 3, 20)
-		pr := CompileSP(g)
-		if pr.N != g.NLeft || pr.P != g.NRight {
+	checkCompileInvariants(t, singletonInputs(rng, 60,
+		func() int { return 3 + rng.Intn(7) }, func() int { return 2 + rng.Intn(3) }, 3, 20))
+}
+
+// checkCompileInvariants: CSR structure, sort order, pin bitsets and
+// ChildPin, suffix bounds, EqPrev correctness, and the root bound
+// sandwich of CompileMP on each input.
+func checkCompileInvariants(t *testing.T, inputs []*hypergraph.Hypergraph) {
+	t.Helper()
+	for trial, h := range inputs {
+		pr := CompileMP(h)
+		if pr.N != h.NTasks || pr.P != h.NProcs {
 			t.Fatal("dims")
+		}
+		_, maxSize := h.MinMaxEdgeSize()
+		if pr.MaxSize != maxSize || pr.Single != (maxSize == 1) {
+			t.Fatalf("trial %d: MaxSize %d Single %v, want %d", trial, pr.MaxSize, pr.Single, maxSize)
 		}
 		seen := make([]bool, pr.N)
 		for i := 0; i < pr.N; i++ {
 			tsk := int(pr.Order[i])
 			seen[tsk] = true
 			base, end := int(pr.ChildPtr[i]), int(pr.ChildPtr[i+1])
-			if end-base != g.Degree(tsk) {
-				t.Fatalf("trial %d: position %d child count %d ≠ degree %d", trial, i, end-base, g.Degree(tsk))
-			}
-			for k := base + 1; k < end; k++ {
-				if pr.ChildWt[k] < pr.ChildWt[k-1] {
-					t.Fatalf("trial %d: children not weight-sorted at position %d", trial, i)
-				}
-			}
-			if pr.EqPrev[i] {
-				pb, pe := int(pr.ChildPtr[i-1]), int(pr.ChildPtr[i])
-				if pe-pb != end-base {
-					t.Fatalf("trial %d: EqPrev with unequal degrees", trial)
-				}
-				for k := 0; k < end-base; k++ {
-					if pr.ChildProc[pb+k] != pr.ChildProc[base+k] || pr.ChildWt[pb+k] != pr.ChildWt[base+k] {
-						t.Fatalf("trial %d: EqPrev with differing child lists", trial)
-					}
-				}
-			}
-		}
-		for _, s := range seen {
-			if !s {
-				t.Fatalf("trial %d: Order is not a permutation", trial)
-			}
-		}
-		// Suffix arrays.
-		var sum int64
-		for i := pr.N - 1; i >= 0; i-- {
-			sum += pr.ChildWt[pr.ChildPtr[i]]
-			if pr.SuffixAvg[i] != sum {
-				t.Fatalf("trial %d: SuffixAvg[%d] = %d, want %d", trial, i, pr.SuffixAvg[i], sum)
-			}
-		}
-		// Bound sandwich: every root bound is ≤ the optimum, and Root()
-		// is at least the classic bounds.
-		opt := bruteSP(pr, nil)
-		for _, b := range []int64{pr.Bounds.Avg, pr.Bounds.MaxElem, pr.Bounds.Pack, pr.Bounds.Match} {
-			if b > opt {
-				t.Fatalf("trial %d: root bound %d exceeds optimum %d (%+v)", trial, b, opt, pr.Bounds)
-			}
-		}
-		if pr.Bounds.Root() < pr.Bounds.Avg || pr.Bounds.Root() < pr.Bounds.MaxElem {
-			t.Fatalf("trial %d: Root() below a component", trial)
-		}
-	}
-}
-
-// TestCompileMPInvariants: same structural checks for the hypergraph
-// shape, plus pin bitsets matching the pin lists.
-func TestCompileMPInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 60; trial++ {
-		h := randHyper(rng, 3+rng.Intn(6), 2+rng.Intn(3), 3, 2, 20)
-		pr := CompileMP(h)
-		for i := 0; i < pr.N; i++ {
-			tsk := int(pr.Order[i])
-			base, end := int(pr.ChildPtr[i]), int(pr.ChildPtr[i+1])
 			if end-base != h.TaskDegree(tsk) {
 				t.Fatalf("trial %d: position %d child count mismatch", trial, i)
 			}
 			for k := base; k < end; k++ {
 				e := pr.ChildEdge[k]
+				if h.Owner[e] != int32(tsk) {
+					t.Fatalf("trial %d: child edge %d not owned by task %d", trial, e, tsk)
+				}
 				if pr.ChildWt[k] != h.Weight[e] || pr.ChildCost[k] != h.Weight[e]*int64(h.EdgeSize(e)) {
 					t.Fatalf("trial %d: child weight/cost mismatch", trial)
+				}
+				if pr.ChildPin[k] != h.EdgeProcs(e)[0] {
+					t.Fatalf("trial %d: ChildPin[%d] = %d, want first pin of edge %d", trial, k, pr.ChildPin[k], e)
 				}
 				if k > base && pr.ChildCost[k] < pr.ChildCost[k-1] {
 					t.Fatalf("trial %d: children not cost-sorted", trial)
@@ -223,6 +193,9 @@ func TestCompileMPInvariants(t *testing.T) {
 			}
 			if pr.EqPrev[i] {
 				pb := int(pr.ChildPtr[i-1])
+				if int(pr.ChildPtr[i])-pb != end-base {
+					t.Fatalf("trial %d: EqPrev with unequal degrees", trial)
+				}
 				for k := 0; k < end-base; k++ {
 					ea, eb := pr.ChildEdge[pb+k], pr.ChildEdge[base+k]
 					if h.Weight[ea] != h.Weight[eb] {
@@ -236,68 +209,81 @@ func TestCompileMPInvariants(t *testing.T) {
 				}
 			}
 		}
-		opt := bruteMP(pr, nil)
+		for _, s := range seen {
+			if !s {
+				t.Fatalf("trial %d: Order is not a permutation", trial)
+			}
+		}
+		var sum, mx int64
+		for i := pr.N - 1; i >= 0; i-- {
+			sum += pr.ChildCost[pr.ChildPtr[i]]
+			mx = max(mx, pr.MinW[i])
+			if pr.SuffixAvg[i] != sum || pr.SuffixMax[i] != mx {
+				t.Fatalf("trial %d: suffix bounds at %d = (%d, %d), want (%d, %d)", trial, i, pr.SuffixAvg[i], pr.SuffixMax[i], sum, mx)
+			}
+		}
+		// Bound sandwich: every root bound is ≤ the optimum, and Root()
+		// is at least each component.
+		opt := brute(pr, nil)
 		for _, b := range []int64{pr.Bounds.Avg, pr.Bounds.MaxElem, pr.Bounds.Pack, pr.Bounds.Match} {
 			if b > opt {
 				t.Fatalf("trial %d: root bound %d exceeds optimum %d (%+v)", trial, b, opt, pr.Bounds)
+			}
+			if pr.Bounds.Root() < b {
+				t.Fatalf("trial %d: Root() below a component", trial)
 			}
 		}
 	}
 }
 
-// TestSPSigRows: processors sharing a signature must have identical
-// (task, weight) incidence rows — the definition of the automorphism.
-func TestSPSigRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		// Low weight spread so identical rows actually occur.
-		g := randGraph(rng, 4+rng.Intn(5), 2+rng.Intn(3), 3, 2)
-		pr := CompileSP(g)
-		if pr.Sig == nil {
-			continue
-		}
-		for a := 0; a < pr.P; a++ {
-			for b := a + 1; b < pr.P; b++ {
-				if pr.Sig[a] < 0 || pr.Sig[a] != pr.Sig[b] {
-					continue
-				}
-				for tsk := 0; tsk < g.NLeft; tsk++ {
-					var wa, wb int64 = -1, -1
-					row := g.Neighbors(tsk)
-					w := g.Weights(tsk)
-					for k, proc := range row {
-						wt := int64(1)
-						if w != nil {
-							wt = w[k]
-						}
-						if int(proc) == a {
-							wa = wt
-						}
-						if int(proc) == b {
-							wb = wt
-						}
-					}
-					if wa != wb {
-						t.Fatalf("trial %d: procs %d,%d share sig but task %d weights differ (%d vs %d)", trial, a, b, tsk, wa, wb)
-					}
-				}
-			}
-		}
+// TestSingleTieBreak pins the branch-order tie-break between tasks whose
+// configuration lists differ only in the processors they name: ascending
+// processor order on a singleton shape, descending on a multi-pin one.
+// The recorded sp-restricted and mp-random node counts each depend on
+// their own rule.
+func TestSingleTieBreak(t *testing.T) {
+	b := hypergraph.NewBuilder(2, 3)
+	b.AddEdge(0, []int{1}, 5)
+	b.AddEdge(1, []int{0}, 5)
+	if got := CompileMP(b.MustBuild()).Order; got[0] != 1 {
+		t.Fatalf("singleton shape: order %v, want the task on processor 0 first", got)
+	}
+	b = hypergraph.NewBuilder(3, 3)
+	b.AddEdge(0, []int{1}, 5)
+	b.AddEdge(1, []int{0}, 5)
+	b.AddEdge(2, []int{0, 2}, 9)
+	// Task 2 (cost 18) leads; tasks 0 and 1 tie on content.
+	if got := CompileMP(b.MustBuild()).Order; got[1] != 0 || got[2] != 1 {
+		t.Fatalf("multi-pin shape: order %v, want the task on processor 1 first", got)
 	}
 }
 
 // TestMPSigAutomorphism: for every pair of processors sharing a
 // signature, transposing them must map the edge multiset onto itself —
-// checked directly against the hypergraph.
+// checked directly against the hypergraph. SINGLEPROC graphs in singleton
+// form are checked the other way too: processors with identical (task,
+// weight) rows must share a signature, because swapping them is an
+// automorphism the search should exploit.
 func TestMPSigAutomorphism(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	checked := 0
+	var inputs []*hypergraph.Hypergraph
 	for trial := 0; trial < 60; trial++ {
-		h := randHyper(rng, 4+rng.Intn(5), 2+rng.Intn(3), 2, 2, 2)
+		inputs = append(inputs, randHyper(rng, 4+rng.Intn(5), 2+rng.Intn(3), 2, 2, 2))
+		inputs = append(inputs, blockHyper(rng, 3+rng.Intn(4), 2+rng.Intn(4), 1+trial%2))
+	}
+	// Every processor has the same incidence profile, but only (0 2) and
+	// (1 3) are automorphisms: task 0 runs on {0,2} or on {1,3}.
+	cb := hypergraph.NewBuilder(1, 4)
+	cb.AddEdge(0, []int{0, 2}, 1)
+	cb.AddEdge(0, []int{1, 3}, 1)
+	inputs = append(inputs, cb.MustBuild())
+	// Low weight spread so identical rows actually occur.
+	srng := rand.New(rand.NewSource(3))
+	inputs = append(inputs, singletonInputs(srng, 40,
+		func() int { return 4 + srng.Intn(5) }, func() int { return 2 + srng.Intn(3) }, 3, 2)...)
+	checked := 0
+	for trial, h := range inputs {
 		pr := CompileMP(h)
-		if pr.Sig == nil {
-			continue
-		}
 		type key struct {
 			owner int32
 			w     int64
@@ -322,7 +308,8 @@ func TestMPSigAutomorphism(t *testing.T) {
 		ident := multiset(func(u int32) int32 { return u })
 		for a := int32(0); a < int32(pr.P); a++ {
 			for b := a + 1; b < int32(pr.P); b++ {
-				if pr.Sig[a] < 0 || pr.Sig[a] != pr.Sig[b] {
+				shared := pr.Sig != nil && pr.Sig[a] >= 0 && pr.Sig[a] == pr.Sig[b]
+				if !shared && !pr.Single {
 					continue
 				}
 				swapped := multiset(func(u int32) int32 {
@@ -334,75 +321,64 @@ func TestMPSigAutomorphism(t *testing.T) {
 					}
 					return u
 				})
-				if len(swapped) != len(ident) {
+				auto := len(swapped) == len(ident)
+				for k, c := range ident {
+					auto = auto && swapped[k] == c
+				}
+				if shared && !auto {
 					t.Fatalf("trial %d: swap (%d %d) changes edge multiset", trial, a, b)
 				}
-				for k, c := range ident {
-					if swapped[k] != c {
-						t.Fatalf("trial %d: swap (%d %d) changes edge multiset at %+v", trial, a, b, k)
-					}
+				if pr.Single && auto && !shared {
+					t.Fatalf("trial %d: procs %d,%d have identical rows but no shared signature", trial, a, b)
 				}
-				checked++
+				if shared {
+					checked++
+				}
 			}
 		}
 	}
 	if checked == 0 {
-		t.Skip("no symmetric pairs generated")
+		t.Fatal("no symmetric pairs generated")
 	}
+	t.Logf("%d symmetric pairs verified", checked)
 }
 
 // TestCompletePruneSound: whenever CompletePrune fires at a random
 // interior node, brute-force completion confirms the subtree really
-// cannot beat the incumbent bound.
+// cannot beat the incumbent bound — on SINGLEPROC graphs in singleton
+// form and on multi-pin hypergraphs alike.
 func TestCompletePruneSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fired := 0
 	for trial := 0; trial < 80; trial++ {
-		g := randGraph(rng, 4+rng.Intn(5), 2+rng.Intn(3), 3, 20)
-		pr := CompileSP(g)
-		from := rng.Intn(pr.N)
-		prefix := make([]int32, from)
-		loads := make([]int64, pr.P)
-		for d := 0; d < from; d++ {
-			deg := int(pr.ChildPtr[d+1] - pr.ChildPtr[d])
-			ord := int32(rng.Intn(deg))
-			prefix[d] = ord
-			k := int(pr.ChildPtr[d]) + int(ord)
-			loads[pr.ChildProc[k]] += pr.ChildWt[k]
-		}
-		opt := bruteSP(pr, prefix)
-		// A prune at best = opt must never fire (opt-1 < opt is sound to
-		// rule out... the completion achieving opt must remain); a prune
-		// at best = opt is claiming nothing < opt exists — true. At
-		// best = opt+1 the claim "nothing < opt+1" is false.
-		if pr.CompletePrune(loads, from, opt) {
-			fired++
-		}
-		if pr.CompletePrune(loads, from, opt+1) {
-			t.Fatalf("trial %d: SP CompletePrune fired although completion %d < best %d exists", trial, opt, opt+1)
-		}
-
-		h := randHyper(rng, 4+rng.Intn(4), 2+rng.Intn(3), 2, 2, 15)
-		mpr := CompileMP(h)
-		mfrom := rng.Intn(mpr.N)
-		mprefix := make([]int32, mfrom)
-		mloads := make([]int64, mpr.P)
-		for d := 0; d < mfrom; d++ {
-			deg := int(mpr.ChildPtr[d+1] - mpr.ChildPtr[d])
-			ord := int32(rng.Intn(deg))
-			mprefix[d] = ord
-			k := int(mpr.ChildPtr[d]) + int(ord)
-			e, w := mpr.ChildEdge[k], mpr.ChildWt[k]
-			for _, u := range mpr.Pins[mpr.PinPtr[e]:mpr.PinPtr[e+1]] {
-				mloads[u] += w
+		for _, h := range []*hypergraph.Hypergraph{
+			hypergraph.FromGraph(randGraph(rng, 4+rng.Intn(5), 2+rng.Intn(3), 3, 20)),
+			randHyper(rng, 4+rng.Intn(4), 2+rng.Intn(3), 2, 2, 15),
+		} {
+			pr := CompileMP(h)
+			from := rng.Intn(pr.N)
+			prefix := make([]int32, from)
+			loads := make([]int64, pr.P)
+			for d := 0; d < from; d++ {
+				deg := int(pr.ChildPtr[d+1] - pr.ChildPtr[d])
+				ord := int32(rng.Intn(deg))
+				prefix[d] = ord
+				k := int(pr.ChildPtr[d]) + int(ord)
+				e, w := pr.ChildEdge[k], pr.ChildWt[k]
+				for _, u := range pr.Pins[pr.PinPtr[e]:pr.PinPtr[e+1]] {
+					loads[u] += w
+				}
 			}
-		}
-		mopt := bruteMP(mpr, mprefix)
-		if mpr.CompletePrune(mloads, mfrom, mopt) {
-			fired++
-		}
-		if mpr.CompletePrune(mloads, mfrom, mopt+1) {
-			t.Fatalf("trial %d: MP CompletePrune fired although completion %d < best %d exists", trial, mopt, mopt+1)
+			opt := brute(pr, prefix)
+			// A prune at best = opt claims only that nothing below opt
+			// exists — true, so it may fire. At best = opt+1 the claim
+			// "nothing below opt+1" is false: the prune must not fire.
+			if pr.CompletePrune(loads, from, opt) {
+				fired++
+			}
+			if pr.CompletePrune(loads, from, opt+1) {
+				t.Fatalf("trial %d (Single=%v): CompletePrune fired although completion %d < best %d exists", trial, pr.Single, opt, opt+1)
+			}
 		}
 	}
 	t.Logf("prune fired on %d exact-threshold probes", fired)

@@ -9,15 +9,19 @@ import (
 	"semimatch/internal/lb"
 )
 
-// MP is the compiled shape of one MULTIPROC search: flat CSR child
-// arrays over hyperedge configurations, pin bitsets, branch order,
-// suffix bounds, symmetry/dominance tables, and the root bound set.
-// Immutable after CompileMP; shared read-only by all workers. Every task
-// must have at least one configuration (the engines validate first).
+// MP is the compiled shape of one search: flat CSR child arrays over
+// hyperedge configurations, pin bitsets, branch order, suffix bounds,
+// symmetry/dominance tables, and the root bound set. A SINGLEPROC
+// instance compiles through hypergraph.FromGraph as the singleton-
+// hyperedge case (Single). Immutable after CompileMP; shared read-only
+// by all workers. Every task must have at least one configuration (the
+// engines validate first).
 type MP struct {
 	N, P int
-	// Order is the branch order: position → task (fewest configurations
-	// first, ties by child-list content, then task id).
+	// Order is the branch order: position → task. Tasks with fewest
+	// configurations come first; ties are broken by child-list content so
+	// interchangeable tasks sit adjacent (EqPrev needs that), then by task
+	// id for determinism.
 	Order []int32
 	// ChildPtr/ChildEdge are the CSR child arrays: position i's candidate
 	// configurations are ChildEdge[ChildPtr[i]:ChildPtr[i+1]], sorted
@@ -28,6 +32,10 @@ type MP struct {
 	ChildEdge []int32
 	ChildWt   []int64
 	ChildCost []int64
+	// ChildPin, parallel to ChildEdge, is the first pin of each child's
+	// edge — its only pin when the edge is a singleton, which lets the
+	// Single node loop skip the ChildEdge→PinPtr→Pins indirection.
+	ChildPin []int32
 	// PinPtr/Pins is the pin CSR (shared with the hypergraph — pins are
 	// sorted and unique per edge). PinBits packs each edge's pin set into
 	// PinWords uint64 words: edge e's words are
@@ -51,12 +59,16 @@ type MP struct {
 	// prunes branches where position i picks a smaller ordinal than i-1.
 	EqPrev []bool
 	// MinW[i] is the cheapest configuration weight of position i (the
-	// completion prune's demand); SuffixAvg/SuffixMax as in SP but with
-	// costs (average-load) and weights (max-element).
+	// completion prune's demand). SuffixAvg[i] = Σ_{j≥i} cheapest cost of
+	// position j (average-load numerator); SuffixMax[i] = max_{j≥i} MinW[j]
+	// (max-element).
 	MinW      []int64
 	SuffixAvg []int64
 	SuffixMax []int64
-	MaxSize   int
+	// MaxSize is the largest pin count of any configuration; Single
+	// (MaxSize == 1) marks a SINGLEPROC instance in singleton form.
+	MaxSize int
+	Single  bool
 	// Bounds is the root lower-bound set; BoundsWall is how long it took
 	// to compute inside CompileMP (the "root-bounds" trace span).
 	Bounds     Bounds
@@ -131,9 +143,14 @@ func CompileMP(h *hypergraph.Hypergraph) *MP {
 	// cmpTasks: 0 means the two tasks' configuration lists are identical
 	// as (weight, pin set) sequences — the tasks are interchangeable.
 	// Within equal degree, heavier configuration lists come first
-	// (LPT-style, mirroring CompileSP): the content comparison is negated
-	// for ordering, which still leaves identical lists adjacent for
-	// EqPrev detection.
+	// (LPT-style): the content comparison is negated for ordering, which
+	// still leaves identical lists adjacent for EqPrev detection. On a
+	// singleton shape, lists that differ only in which processors they
+	// name keep ascending processor order instead: multi-pin and singleton
+	// trees each explore fewer nodes under their own tie-break (the
+	// recorded sp-restricted and mp-random counts pin both).
+	_, pr.MaxSize = h.MinMaxEdgeSize()
+	pr.Single = pr.MaxSize == 1
 	cmpTasks := func(a, b int32) int {
 		ea, eb := chEdge[a], chEdge[b]
 		if len(ea) != len(eb) {
@@ -141,6 +158,9 @@ func CompileMP(h *hypergraph.Hypergraph) *MP {
 		}
 		for k := range ea {
 			if c := cmpContent(ea[k], eb[k]); c != 0 {
+				if pr.Single && h.Weight[ea[k]] == h.Weight[eb[k]] {
+					return c // same weight, different processor
+				}
 				return -c
 			}
 		}
@@ -169,6 +189,7 @@ func CompileMP(h *hypergraph.Hypergraph) *MP {
 	pr.ChildEdge = make([]int32, total)
 	pr.ChildWt = make([]int64, total)
 	pr.ChildCost = make([]int64, total)
+	pr.ChildPin = make([]int32, total)
 	pr.MinW = make([]int64, n)
 	for i, t := range pr.Order {
 		base := int(pr.ChildPtr[i])
@@ -177,6 +198,7 @@ func CompileMP(h *hypergraph.Hypergraph) *MP {
 			pr.ChildEdge[base+k] = e
 			pr.ChildWt[base+k] = h.Weight[e]
 			pr.ChildCost[base+k] = cost[e]
+			pr.ChildPin[base+k] = h.Pins[h.PinPtr[e]]
 			if w := h.Weight[e]; minW < 0 || w < minW {
 				minW = w
 			}
@@ -195,7 +217,6 @@ func CompileMP(h *hypergraph.Hypergraph) *MP {
 		}
 	}
 
-	_, pr.MaxSize = h.MinMaxEdgeSize()
 	pr.Sig = mpProcSig(h, pr.PinWords, pr.PinBits)
 	if pr.Sig != nil {
 		pr.ChildClass = mpChildClasses(pr, h)
@@ -224,11 +245,15 @@ func CompileMP(h *hypergraph.Hypergraph) *MP {
 // pairs come from a cheap incidence invariant, then each pair is
 // verified by mapping every incident hyperedge through the swap and
 // looking the image up in the edge multiset (sorted-run binary search —
-// no maps). Returns nil when no group has two members or the instance
-// exceeds the detection gates.
+// no maps). Returns nil when no group has two members or a multi-pin
+// instance exceeds the detection gates. Singleton shapes are never gated:
+// there equal candidate profiles are identical (task, weight) rows, so
+// every verification succeeds against the first representative and the
+// grouping stays near-linear.
 func mpProcSig(h *hypergraph.Hypergraph, pinWords int, pinBits []uint64) []int32 {
 	p, ne := h.NProcs, h.NumEdges()
-	if p < 2 || p > SymProcCap || ne > SymEdgeCap {
+	_, maxSize := h.MinMaxEdgeSize()
+	if p < 2 || (maxSize > 1 && (p > SymProcCap || ne > SymEdgeCap)) {
 		return nil
 	}
 
@@ -360,7 +385,6 @@ func mpProcSig(h *hypergraph.Hypergraph, pinWords int, pinBits []uint64) []int32
 		return -1
 	}
 
-	_, maxSize := h.MinMaxEdgeSize()
 	swapped := make([]int32, maxSize)
 	// verify checks that the transposition (a b) maps the edge multiset
 	// onto itself. Because a transposition is an involution, it suffices

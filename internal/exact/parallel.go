@@ -1,20 +1,22 @@
 // Parallel branch-and-bound engine.
 //
-// One engine drives all four solvers. An instance is compiled once into
-// its flat search shape (internal/exact/flatcore): CSR child arrays,
-// bitset pin sets, suffix bounds, and symmetry/dominance tables. The
-// sequential solvers in exact.go run the same state machine on one
-// goroutine with an unbounded chunk; the engine here splits the tree at a
-// shallow frontier into independent subproblems (prefixes of branching
-// choices), feeds them to a work-stealing worker pool — each worker owns a
-// deque and a private loads/cur state, steals from a random victim when
-// its deque runs dry, and re-splits stolen subproblems one level so scarce
-// work keeps spreading — and shares the incumbent across workers through
-// an atomic best bound, so any worker's improvement immediately tightens
-// every other worker's pruning. Cancellation and the node budget fold into
-// one shared atomic stopper: the budget is claimed in blocks to keep the
-// hot path off the contended counter, and a watcher goroutine flips the
-// stop flag when the context ends.
+// One engine drives all four solvers through one driver (solve, in
+// exact.go). An instance is compiled once into its flat search shape
+// (internal/exact/flatcore): CSR child arrays, bitset pin sets, suffix
+// bounds, and symmetry/dominance tables; a SINGLEPROC graph compiles as
+// its singleton-hyperedge form. A one-worker solve runs the search state
+// machine on one goroutine with an unbounded chunk; with more workers the
+// engine here splits the tree at a shallow frontier into independent
+// subproblems (prefixes of branching choices), feeds them to a
+// work-stealing worker pool — each worker owns a deque and a private
+// search state, steals from a random victim when its deque runs dry, and
+// re-splits stolen subproblems one level so scarce work keeps spreading —
+// and shares the incumbent across workers through an atomic best bound,
+// so any worker's improvement immediately tightens every other worker's
+// pruning. Cancellation and the node budget fold into one shared atomic
+// stopper: the budget is claimed in blocks to keep the hot path off the
+// contended counter, and a watcher goroutine flips the stop flag when the
+// context ends.
 //
 // The prune hierarchy, cheapest first:
 //
@@ -48,10 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"semimatch/internal/bipartite"
-	"semimatch/internal/core"
 	"semimatch/internal/exact/flatcore"
-	"semimatch/internal/hypergraph"
 	"semimatch/internal/telemetry"
 )
 
@@ -428,27 +427,9 @@ func (x *xorshift) next() uint64 {
 	return uint64(v)
 }
 
-// parSearcher abstracts the two problem shapes (SINGLEPROC bipartite,
-// MULTIPROC hypergraph) for the pool skeleton. Implementations carry the
-// worker-local mutable state; the pool creates one per worker. Dispatch is
-// per subproblem, never per node.
-type parSearcher interface {
-	// run replays prefix and explores its subtree for up to the state's
-	// chunk limit. A nil return means the subtree is exhausted (or the
-	// search stopped); otherwise it returns continuation prefixes covering
-	// exactly the unexplored remainder, for requeueing.
-	run(prefix []int32, tk *ticker) [][]int32
-	// expand replays prefix and returns its surviving child choices
-	// (ordinals into the node's ordered child list), or nil when the node
-	// is pruned or complete. Accounts one node on tk.
-	expand(prefix []int32, tk *ticker) []int32
-	// depth returns the tree depth (number of tasks).
-	depth() int
-}
-
 // runPool drives the work-stealing pool over an initial frontier and
 // blocks until the search is exhausted or stopped.
-func runPool(sh *parShared, newSearcher func() parSearcher, frontier [][]int32, workers, frontierDepth int) {
+func runPool(sh *parShared, pr *flatcore.MP, frontier [][]int32, workers, frontierDepth int) {
 	sh.pending.Store(int64(len(frontier)))
 	sh.frontierN.Store(int64(len(frontier)))
 	for i, p := range frontier {
@@ -460,7 +441,7 @@ func runPool(sh *parShared, newSearcher func() parSearcher, frontier [][]int32, 
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			s := newSearcher()
+			s := newSearchState(pr, sh)
 			tk := &ticker{sh: sh}
 			defer tk.flush()
 			rng := xorshift(0x9E3779B97F4A7C15 ^ uint64(id+1)*0xBF58476D1CE4E5B9)
@@ -493,7 +474,7 @@ func runPool(sh *parShared, newSearcher func() parSearcher, frontier [][]int32, 
 					// Work was scarce enough that somebody had to steal:
 					// re-split the stolen subtree one level so the spare
 					// parts are themselves stealable.
-					if len(sp) < splitCap && len(sp) < s.depth()-1 {
+					if len(sp) < splitCap && len(sp) < pr.N-1 {
 						kids := s.expand(sp, tk)
 						sh.pending.Add(int64(len(kids)) - 1)
 						if len(kids) == 0 {
@@ -546,10 +527,10 @@ func stealSweep(sh *parShared, id int, rng *xorshift) ([]int32, bool) {
 // finish right here). Complete prefixes are offered as incumbents by
 // expand's caller (run handles them), so the returned frontier holds only
 // interior nodes. Returns the frontier and its maximum depth.
-func genFrontier(s parSearcher, tk *ticker, target int) ([][]int32, int) {
+func genFrontier(s *searchState, tk *ticker, target int) ([][]int32, int) {
 	queue := [][]int32{{}}
 	head := 0
-	n := s.depth()
+	n := s.pr.N
 	for head < len(queue) && len(queue)-head < target {
 		if tk.sh.stop.Load() {
 			break
@@ -602,371 +583,30 @@ func watchCancel(ctx context.Context, sh *parShared) (release func()) {
 	return func() { once.Do(func() { close(quit) }); wg.Wait() }
 }
 
-// --- SINGLEPROC ---
-
-// spState is one worker's mutable SINGLEPROC search state over the shared
+// searchState is one worker's mutable search state over the shared
 // compiled shape. Everything the hot loop touches is a flat array sized at
-// construction; node expansion allocates nothing.
-type spState struct {
-	pr    *flatcore.SP
-	sh    *parShared
-	loads []int64
-	cur   []int32
-	total int64
-	// chosen[i] is the child ordinal applied at position i (replayed
-	// prefix or live DFS); the dominance rule reads chosen[i-1].
-	chosen []int32
-	// ords/entry are the explicit DFS stack scratch: the child ordinal
-	// applied at each depth, and the partial makespan at each node entry.
-	ords  []int32
-	entry []int64
-	// chunkLimit bounds one run() call's node count (chunkNodes in the
-	// pool; effectively unbounded for the sequential solvers).
-	chunkLimit int64
-}
-
-func newSPState(pr *flatcore.SP, sh *parShared) *spState {
-	// cur needs no initialization: every position is written by replay or
-	// the DFS before a complete assignment is offered.
-	return &spState{
-		pr:         pr,
-		sh:         sh,
-		loads:      make([]int64, pr.P),
-		cur:        make([]int32, pr.N),
-		chosen:     make([]int32, pr.N),
-		ords:       make([]int32, pr.N),
-		entry:      make([]int64, pr.N+1),
-		chunkLimit: chunkNodes,
-	}
-}
-
-func (s *spState) depth() int { return s.pr.N }
-
-// replay rebuilds loads/cur/chosen/total from a choice prefix and returns
-// the partial makespan.
-func (s *spState) replay(prefix []int32) int64 {
-	for i := range s.loads {
-		s.loads[i] = 0
-	}
-	s.total = 0
-	var curMax int64
-	pr := s.pr
-	for d, ord := range prefix {
-		k := int(pr.ChildPtr[d]) + int(ord)
-		proc, wt := pr.ChildProc[k], pr.ChildWt[k]
-		s.loads[proc] += wt
-		s.total += wt
-		if s.loads[proc] > curMax {
-			curMax = s.loads[proc]
-		}
-		s.cur[pr.Order[d]] = proc
-		s.chosen[d] = ord
-	}
-	return curMax
-}
-
-// dupSibling reports whether the child at flat index base+k is symmetric
-// to an earlier sibling: same weight onto an interchangeable processor
-// carrying the same load. The earlier sibling's subtree is isomorphic, so
-// this one is redundant. Equality is transitive, so checking against all
-// earlier siblings (explored or themselves skipped) is sound.
-func (s *spState) dupSibling(base, k int) bool {
-	pr := s.pr
-	c := pr.ChildClass[base+k]
-	if c < 0 {
-		return false
-	}
-	lk := s.loads[pr.ChildProc[base+k]]
-	for k2 := 0; k2 < k; k2++ {
-		if pr.ChildClass[base+k2] == c && s.loads[pr.ChildProc[base+k2]] == lk {
-			return true
-		}
-	}
-	return false
-}
-
-// bound reports whether position i's subtree can still beat the incumbent:
-// partial makespan, average-load on the remainder, max-element, and (on
-// few-processor instances) the min-load refinement — the heaviest
-// remaining placement must land on top of at least the lightest load.
-func (s *spState) bound(i int, curMax int64) bool {
-	best := s.sh.best.Load()
-	if curMax >= best {
-		return false
-	}
-	pr := s.pr
-	if (s.total+pr.SuffixAvg[i]+int64(pr.P)-1)/int64(pr.P) >= best {
-		return false
-	}
-	if pr.SuffixMax[i] >= best {
-		return false
-	}
-	if pr.MinLoadScan {
-		minLoad := s.loads[0]
-		for _, l := range s.loads[1:] {
-			if l < minLoad {
-				minLoad = l
-			}
-		}
-		if minLoad+pr.SuffixMax[i] >= best {
-			return false
-		}
-	}
-	return true
-}
-
-// nextChild returns the first surviving child ordinal ≥ from at position
-// i (symmetry duplicates skipped, dominance floor applied), or -1.
-func (s *spState) nextChild(i, from int) int {
-	pr := s.pr
-	if pr.EqPrev[i] {
-		// Interchangeable with the previous task: only branch with a child
-		// ordinal ≥ its choice (the lex-min representative of the orbit).
-		if mo := int(s.chosen[i-1]); from < mo {
-			from = mo
-		}
-	}
-	base, end := int(pr.ChildPtr[i]), int(pr.ChildPtr[i+1])
-	for k := from; k < end-base; k++ {
-		if pr.ChildClass != nil && s.dupSibling(base, k) {
-			continue
-		}
-		return k
-	}
-	return -1
-}
-
-func (s *spState) expand(prefix []int32, tk *ticker) []int32 {
-	curMax := s.replay(prefix)
-	i := len(prefix)
-	if tk.node() {
-		return nil
-	}
-	if i == s.pr.N {
-		s.sh.offer(curMax, s.cur)
-		return nil
-	}
-	if !s.bound(i, curMax) {
-		return nil
-	}
-	// Expansions are rare (frontier generation and steal re-splits), so
-	// the strong completion prune is worth a max-flow here: can every
-	// remaining task still route its cheapest placement under best-1?
-	if s.pr.UseFlow && s.pr.CompletePrune(s.loads, i, s.sh.best.Load()) {
-		return nil
-	}
-	var out []int32
-	for k := s.nextChild(i, 0); k >= 0; k = s.nextChild(i, k+1) {
-		out = append(out, int32(k))
-	}
-	return out
-}
-
-// run explores prefix's subtree for up to chunkLimit nodes with an
-// explicit-stack DFS. On chunk exhaustion it suspends: the unexplored
-// remainder — the current node plus every untried sibling on the path —
-// is serialized into continuation prefixes and returned for requeueing.
-func (s *spState) run(prefix []int32, tk *ticker) [][]int32 {
-	pr := s.pr
-	base := len(prefix)
-	entry := s.entry[:pr.N-base+1]
-	ords := s.ords[:max(pr.N-base, 0)]
-	entry[0] = s.replay(prefix)
-	chunk := s.chunkLimit
-	depth := 0
-	descend := true
-	for {
-		if descend {
-			if tk.node() {
-				return nil // stopped; loads are rebuilt by the next replay
-			}
-			chunk--
-			i := base + depth
-			if i == pr.N {
-				s.sh.offer(entry[depth], s.cur)
-				descend = false
-				continue
-			}
-			if !s.bound(i, entry[depth]) {
-				descend = false
-				continue
-			}
-			if chunk <= 0 {
-				return s.suspend(prefix, ords[:depth])
-			}
-			k := s.nextChild(i, 0)
-			if k < 0 {
-				descend = false
-				continue
-			}
-			ords[depth] = int32(k)
-			entry[depth+1] = s.apply(i, k, entry[depth])
-			depth++
-			continue
-		}
-		if depth == 0 {
-			return nil
-		}
-		depth--
-		i := base + depth
-		k := int(ords[depth])
-		s.undo(i, k)
-		if k = s.nextChild(i, k+1); k < 0 {
-			continue
-		}
-		ords[depth] = int32(k)
-		entry[depth+1] = s.apply(i, k, entry[depth])
-		depth++
-		descend = true
-	}
-}
-
-// apply places child k of position i and returns the new partial
-// makespan.
-func (s *spState) apply(i, k int, curMax int64) int64 {
-	pr := s.pr
-	kk := int(pr.ChildPtr[i]) + k
-	proc, wt := pr.ChildProc[kk], pr.ChildWt[kk]
-	s.loads[proc] += wt
-	s.total += wt
-	s.cur[pr.Order[i]] = proc
-	s.chosen[i] = int32(k)
-	if s.loads[proc] > curMax {
-		return s.loads[proc]
-	}
-	return curMax
-}
-
-func (s *spState) undo(i, k int) {
-	pr := s.pr
-	kk := int(pr.ChildPtr[i]) + k
-	s.loads[pr.ChildProc[kk]] -= pr.ChildWt[kk]
-	s.total -= pr.ChildWt[kk]
-}
-
-// suspend serializes the unexplored remainder of a chunked-out dive: the
-// current node itself, plus — unwinding the applied path — every untried
-// sibling at each level, symmetry-filtered under the loads of its own
-// level.
-func (s *spState) suspend(prefix []int32, ords []int32) [][]int32 {
-	conts := [][]int32{concatPrefix(prefix, ords)}
-	for d := len(ords) - 1; d >= 0; d-- {
-		i := len(prefix) + d
-		k := int(ords[d])
-		s.undo(i, k)
-		for k = s.nextChild(i, k+1); k >= 0; k = s.nextChild(i, k+1) {
-			c := concatPrefix(prefix, ords[:d])
-			conts = append(conts, append(c, int32(k)))
-		}
-	}
-	return conts
-}
-
-func concatPrefix(prefix, ords []int32) []int32 {
-	out := make([]int32, 0, len(prefix)+len(ords)+1)
-	out = append(out, prefix...)
-	return append(out, ords...)
-}
-
-// SolveSingleProcPar is SolveSingleProc on the parallel work-stealing
-// branch-and-bound engine.
-func SolveSingleProcPar(g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	return SolveSingleProcParCtx(context.Background(), g, opts)
-}
-
-// SolveSingleProcParCtx computes an optimal SINGLEPROC schedule on the
-// parallel engine: the search tree is split at a shallow frontier across
-// Options.Workers work-stealing workers sharing one incumbent bound and
-// one node budget. The error contract matches SolveSingleProcCtx: on
-// budget exhaustion or cancellation the best incumbent found by any worker
-// is returned alongside ErrLimit / ErrCancelled. The optimal makespan is
-// deterministic; which optimal schedule is returned may vary across runs
-// when several exist.
-func SolveSingleProcParCtx(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	n, p := g.NLeft, g.NRight
-	if p == 0 && n > 0 {
-		return nil, 0, fmt.Errorf("exact: no processors")
-	}
-	for t := 0; t < n; t++ {
-		if g.Degree(t) == 0 {
-			return nil, 0, fmt.Errorf("exact: task %d has no eligible processor", t)
-		}
-	}
-	if n == 0 {
-		return core.Assignment{}, 0, nil
-	}
-
-	compileStart := time.Now()
-	pr := flatcore.CompileSP(g)
-	compileSpan(opts.Trace, compileStart, pr.BoundsWall)
-	gs := opts.Trace.StartChild("greedy")
-	inc := core.SortedGreedy(g, core.GreedyOptions{})
-	m0 := core.Makespan(g, inc)
-	gs.SetAttr("makespan", m0)
-	var warm bool
-	if inc, m0, warm = opts.seedSP(g, inc, m0); warm {
-		gs.SetAttr("warm_start", m0)
-	}
-	gs.End()
-	workers := opts.workers()
-	sh := newParShared(inc, m0, opts.maxNodes(), workers)
-	sh.rootLB = pr.Bounds.Root()
-	sh.obsFn = opts.Observer
-	sh.setProgress(opts.Progress, opts.ProgressInterval)
-	sh.closeIfOptimal()
-	sh.observe() // the initial greedy incumbent
-	ss := startSearchSpan(opts.Trace, sh)
-	var frontier [][]int32
-	if !sh.closed.Load() {
-		release := watchCancel(ctx, sh)
-		defer release()
-		if workers == 1 {
-			// One worker gains nothing from frontier splitting; run the same
-			// uninterrupted DFS as the sequential solver so node counts — and
-			// the warm-start pruning guarantee — coincide with it.
-			s := newSPState(pr, sh)
-			s.chunkLimit = seqChunk
-			tk := &ticker{sh: sh}
-			s.run(nil, tk)
-			tk.flush()
-		} else {
-			root := newSPState(pr, sh)
-			tk := &ticker{sh: sh}
-			var fdepth int
-			frontier, fdepth = genFrontier(root, tk, workers*splitFactor)
-			tk.flush()
-			if len(frontier) > 0 && !sh.stop.Load() {
-				runPool(sh, func() parSearcher { return newSPState(pr, sh) }, frontier, workers, fdepth)
-			}
-		}
-		release()
-	}
-	sh.observe() // flush the final incumbent to the observer
-	sh.progressFinal()
-	finishSearch(opts, ss, sh, pr.Bounds, workers, int64(len(frontier))+sh.splits.Load())
-	return append(core.Assignment(nil), sh.bestA...), sh.bestM, sh.err(ctx)
-}
-
-// --- MULTIPROC ---
-
-// mpState is one worker's mutable MULTIPROC search state over the shared
-// compiled shape.
-type mpState struct {
+// construction; node expansion allocates nothing. On a Single shape
+// (SINGLEPROC in singleton form) the node loop reads each child's one pin
+// from ChildPin instead of walking its pin list.
+type searchState struct {
 	pr    *flatcore.MP
 	sh    *parShared
 	loads []int64
-	cur   []int32
 	total int64
-	// chosen[i] is the child ordinal applied at position i; the dominance
-	// rule reads chosen[i-1].
+	// chosen[i] is the child ordinal applied at position i (replayed
+	// prefix or live DFS); the dominance rule reads chosen[i-1], and offer
+	// turns the full vector into a schedule.
 	chosen []int32
+	// cur is offer's scratch for the task → hyperedge schedule.
+	cur []int32
 	// ords/entry are the explicit DFS stack scratch: the child ordinal
 	// applied at each depth, and the partial makespan at each node entry.
 	ords  []int32
 	entry []int64
 	// scratch pair buffers for the symmetry comparison.
 	pairA, pairB []symPair
-	// chunkLimit mirrors spState.chunkLimit.
+	// chunkLimit bounds one run() call's node count (chunkNodes in the
+	// pool; effectively unbounded for a one-worker search).
 	chunkLimit int64
 }
 
@@ -975,8 +615,8 @@ type symPair struct {
 	load int64
 }
 
-func newMPState(pr *flatcore.MP, sh *parShared) *mpState {
-	return &mpState{
+func newSearchState(pr *flatcore.MP, sh *parShared) *searchState {
+	return &searchState{
 		pr:         pr,
 		sh:         sh,
 		loads:      make([]int64, pr.P),
@@ -990,27 +630,16 @@ func newMPState(pr *flatcore.MP, sh *parShared) *mpState {
 	}
 }
 
-func (s *mpState) depth() int { return s.pr.N }
-
-func (s *mpState) replay(prefix []int32) int64 {
+// replay rebuilds loads/chosen/total from a choice prefix and returns
+// the partial makespan.
+func (s *searchState) replay(prefix []int32) int64 {
 	for i := range s.loads {
 		s.loads[i] = 0
 	}
 	s.total = 0
 	var curMax int64
-	pr := s.pr
 	for d, ord := range prefix {
-		k := int(pr.ChildPtr[d]) + int(ord)
-		e, w := pr.ChildEdge[k], pr.ChildWt[k]
-		for _, u := range pr.Pins[pr.PinPtr[e]:pr.PinPtr[e+1]] {
-			s.loads[u] += w
-			if s.loads[u] > curMax {
-				curMax = s.loads[u]
-			}
-		}
-		s.total += pr.ChildCost[k]
-		s.cur[pr.Order[d]] = e
-		s.chosen[d] = ord
+		curMax = s.apply(d, int(ord), curMax)
 	}
 	return curMax
 }
@@ -1020,7 +649,7 @@ func (s *mpState) replay(prefix []int32) int64 {
 // identity (encoded disjointly as ^proc), so equality of two multisets
 // certifies an automorphism mapping one edge to the other while fixing
 // every current load.
-func (s *mpState) fillPairs(dst []symPair, e int32) []symPair {
+func (s *searchState) fillPairs(dst []symPair, e int32) []symPair {
 	dst = dst[:0]
 	pr := s.pr
 	for _, u := range pr.Pins[pr.PinPtr[e]:pr.PinPtr[e+1]] {
@@ -1040,33 +669,19 @@ func (s *mpState) fillPairs(dst []symPair, e int32) []symPair {
 	return dst
 }
 
-// dupSibling reports whether the child at flat index base+k is symmetric
-// to an earlier sibling edge: statically interchangeable (same ChildClass)
-// and an automorphism maps one pin set to the other preserving current
-// loads. Identical pin bitsets short-circuit the multiset comparison:
-// same class means same weight, so equal pin sets are literal duplicate
-// configurations.
-func (s *mpState) dupSibling(base, k int) bool {
+// dupEdge reports whether the child at flat index base+k, of static
+// symmetry class c, is symmetric to an earlier sibling: an automorphism
+// maps one pin set to the other preserving current loads. The earlier
+// sibling's subtree is isomorphic, so this one is redundant; equality is
+// transitive, so checking against all earlier siblings (explored or
+// themselves skipped) is sound. Identical pin bitsets short-circuit the
+// multiset comparison: same class means same weight, so equal pin sets
+// are literal duplicate configurations.
+func (s *searchState) dupEdge(base, k int, c int16) bool {
 	pr := s.pr
-	c := pr.ChildClass[base+k]
-	if c < 0 {
-		return false
-	}
 	e := pr.ChildEdge[base+k]
-	pins := pr.Pins[pr.PinPtr[e]:pr.PinPtr[e+1]]
-	if len(pins) == 1 {
-		// Singleton fast path (identical-machines shape): the dynamic
-		// condition degenerates to one load compare.
-		lk := s.loads[pins[0]]
-		for k2 := 0; k2 < k; k2++ {
-			if pr.ChildClass[base+k2] == c {
-				e2 := pr.ChildEdge[base+k2]
-				if s.loads[pr.Pins[pr.PinPtr[e2]]] == lk {
-					return true
-				}
-			}
-		}
-		return false
+	if pr.PinPtr[e+1]-pr.PinPtr[e] == 1 {
+		return s.dupPin(base, k, c)
 	}
 	words := pr.PinBits[int(e)*pr.PinWords : (int(e)+1)*pr.PinWords]
 	var filledA bool
@@ -1097,8 +712,25 @@ func (s *mpState) dupSibling(base, k int) bool {
 	return false
 }
 
-// bound mirrors spState.bound.
-func (s *mpState) bound(i int, curMax int64) bool {
+// dupPin is dupEdge for a singleton child: a same-class sibling is a
+// singleton of the same weight on an interchangeable processor, so the
+// dynamic condition degenerates to one load compare.
+func (s *searchState) dupPin(base, k int, c int16) bool {
+	pr := s.pr
+	lk := s.loads[pr.ChildPin[base+k]]
+	for k2 := 0; k2 < k; k2++ {
+		if pr.ChildClass[base+k2] == c && s.loads[pr.ChildPin[base+k2]] == lk {
+			return true
+		}
+	}
+	return false
+}
+
+// bound reports whether position i's subtree can still beat the incumbent:
+// partial makespan, average-load on the remainder, max-element, and (on
+// few-processor instances) the min-load refinement — the heaviest
+// remaining placement must land on top of at least the lightest load.
+func (s *searchState) bound(i int, curMax int64) bool {
 	best := s.sh.best.Load()
 	if curMax >= best {
 		return false
@@ -1124,19 +756,25 @@ func (s *mpState) bound(i int, curMax int64) bool {
 	return true
 }
 
-func (s *mpState) expand(prefix []int32, tk *ticker) []int32 {
+// expand replays prefix and returns its surviving child choices
+// (ordinals into the node's ordered child list), or nil when the node is
+// pruned or complete. Accounts one node on tk.
+func (s *searchState) expand(prefix []int32, tk *ticker) []int32 {
 	curMax := s.replay(prefix)
 	i := len(prefix)
 	if tk.node() {
 		return nil
 	}
 	if i == s.pr.N {
-		s.sh.offer(curMax, s.cur)
+		s.offer(curMax)
 		return nil
 	}
 	if !s.bound(i, curMax) {
 		return nil
 	}
+	// Expansions are rare (frontier generation and steal re-splits), so
+	// the strong completion prune is worth a max-flow here: can every
+	// remaining task still route its cheapest placement under best-1?
 	if s.pr.UseFlow && s.pr.CompletePrune(s.loads, i, s.sh.best.Load()) {
 		return nil
 	}
@@ -1149,43 +787,63 @@ func (s *mpState) expand(prefix []int32, tk *ticker) []int32 {
 
 // nextChild returns the first surviving child ordinal ≥ from at position
 // i (symmetry duplicates skipped, dominance floor applied), or -1.
-func (s *mpState) nextChild(i, from int) int {
+func (s *searchState) nextChild(i, from int) int {
 	pr := s.pr
 	if pr.EqPrev[i] {
+		// Interchangeable with the previous task: only branch with a child
+		// ordinal ≥ its choice (the lex-min representative of the orbit).
 		if mo := int(s.chosen[i-1]); from < mo {
 			from = mo
 		}
 	}
 	base, end := int(pr.ChildPtr[i]), int(pr.ChildPtr[i+1])
 	for k := from; k < end-base; k++ {
-		if pr.ChildClass != nil && s.dupSibling(base, k) {
-			continue
+		if pr.ChildClass == nil {
+			return k
 		}
-		return k
+		// Skip children symmetric to an earlier sibling; the one-pin
+		// check inlines here on a Single shape.
+		switch c := pr.ChildClass[base+k]; {
+		case c < 0:
+			return k
+		case pr.Single:
+			if !s.dupPin(base, k, c) {
+				return k
+			}
+		default:
+			if !s.dupEdge(base, k, c) {
+				return k
+			}
+		}
 	}
 	return -1
 }
 
 // run explores prefix's subtree for up to chunkLimit nodes with an
-// explicit-stack DFS; see spState.run for the suspension contract.
-func (s *mpState) run(prefix []int32, tk *ticker) [][]int32 {
+// explicit-stack DFS. A nil return means the subtree is exhausted (or the
+// search stopped). On chunk exhaustion it suspends: the unexplored
+// remainder — the current node plus every untried sibling on the path —
+// is serialized into continuation prefixes and returned for requeueing.
+func (s *searchState) run(prefix []int32, tk *ticker) [][]int32 {
 	pr := s.pr
 	base := len(prefix)
 	entry := s.entry[:pr.N-base+1]
 	ords := s.ords[:max(pr.N-base, 0)]
 	entry[0] = s.replay(prefix)
 	chunk := s.chunkLimit
+	single := pr.Single
 	depth := 0
 	descend := true
 	for {
+		var i, k int
 		if descend {
 			if tk.node() {
 				return nil // stopped; loads are rebuilt by the next replay
 			}
 			chunk--
-			i := base + depth
+			i = base + depth
 			if i == pr.N {
-				s.sh.offer(entry[depth], s.cur)
+				s.offer(entry[depth])
 				descend = false
 				continue
 			}
@@ -1196,52 +854,80 @@ func (s *mpState) run(prefix []int32, tk *ticker) [][]int32 {
 			if chunk <= 0 {
 				return s.suspend(prefix, ords[:depth])
 			}
-			k := s.nextChild(i, 0)
-			if k < 0 {
+			if k = s.nextChild(i, 0); k < 0 {
 				descend = false
 				continue
 			}
-			ords[depth] = int32(k)
-			entry[depth+1] = s.apply(i, k, entry[depth])
-			depth++
-			continue
-		}
-		if depth == 0 {
-			return nil
-		}
-		depth--
-		i := base + depth
-		k := int(ords[depth])
-		s.undo(i, k)
-		if k = s.nextChild(i, k+1); k < 0 {
-			continue
+		} else {
+			if depth == 0 {
+				return nil
+			}
+			depth--
+			i = base + depth
+			k = int(ords[depth])
+			if single {
+				s.undoPin(i, k)
+			} else {
+				s.undo(i, k)
+			}
+			if k = s.nextChild(i, k+1); k < 0 {
+				continue
+			}
+			descend = true
 		}
 		ords[depth] = int32(k)
-		entry[depth+1] = s.apply(i, k, entry[depth])
+		// A Single shape takes the one-pin variants: no pin-list walk.
+		if single {
+			entry[depth+1] = s.applyPin(i, k, entry[depth])
+		} else {
+			entry[depth+1] = s.apply(i, k, entry[depth])
+		}
 		depth++
-		descend = true
 	}
 }
 
 // apply places child k of position i and returns the new partial
 // makespan.
-func (s *mpState) apply(i, k int, curMax int64) int64 {
+func (s *searchState) apply(i, k int, curMax int64) int64 {
 	pr := s.pr
 	kk := int(pr.ChildPtr[i]) + k
 	e, w := pr.ChildEdge[kk], pr.ChildWt[kk]
 	for _, u := range pr.Pins[pr.PinPtr[e]:pr.PinPtr[e+1]] {
 		s.loads[u] += w
-		if s.loads[u] > curMax {
-			curMax = s.loads[u]
-		}
+		curMax = max(curMax, s.loads[u])
 	}
 	s.total += pr.ChildCost[kk]
-	s.cur[pr.Order[i]] = e
 	s.chosen[i] = int32(k)
 	return curMax
 }
 
-func (s *mpState) undo(i, k int) {
+// applyPin is apply on a Single shape: the child's one pin is ChildPin.
+func (s *searchState) applyPin(i, k int, curMax int64) int64 {
+	pr := s.pr
+	kk := int(pr.ChildPtr[i]) + k
+	u, w := pr.ChildPin[kk], pr.ChildWt[kk]
+	s.loads[u] += w
+	s.total += w
+	s.chosen[i] = int32(k)
+	return max(curMax, s.loads[u])
+}
+
+// offer publishes the complete assignment the DFS holds, with makespan m,
+// when it beats the incumbent. The schedule is materialized from chosen
+// only then, which keeps the per-node apply free of it.
+func (s *searchState) offer(m int64) {
+	if m >= s.sh.best.Load() {
+		return
+	}
+	pr := s.pr
+	for i, k := range s.chosen {
+		s.cur[pr.Order[i]] = pr.ChildEdge[int(pr.ChildPtr[i])+int(k)]
+	}
+	s.sh.offer(m, s.cur)
+}
+
+// undo reverts apply(i, k).
+func (s *searchState) undo(i, k int) {
 	pr := s.pr
 	kk := int(pr.ChildPtr[i]) + k
 	e, w := pr.ChildEdge[kk], pr.ChildWt[kk]
@@ -1251,9 +937,19 @@ func (s *mpState) undo(i, k int) {
 	s.total -= pr.ChildCost[kk]
 }
 
-// suspend serializes the unexplored remainder of a chunked-out dive; see
-// spState.suspend.
-func (s *mpState) suspend(prefix []int32, ords []int32) [][]int32 {
+// undoPin reverts applyPin(i, k).
+func (s *searchState) undoPin(i, k int) {
+	pr := s.pr
+	kk := int(pr.ChildPtr[i]) + k
+	s.loads[pr.ChildPin[kk]] -= pr.ChildWt[kk]
+	s.total -= pr.ChildWt[kk]
+}
+
+// suspend serializes the unexplored remainder of a chunked-out dive: the
+// current node itself, plus — unwinding the applied path — every untried
+// sibling at each level, symmetry-filtered under the loads of its own
+// level.
+func (s *searchState) suspend(prefix []int32, ords []int32) [][]int32 {
 	conts := [][]int32{concatPrefix(prefix, ords)}
 	for d := len(ords) - 1; d >= 0; d-- {
 		i := len(prefix) + d
@@ -1267,74 +963,8 @@ func (s *mpState) suspend(prefix []int32, ords []int32) [][]int32 {
 	return conts
 }
 
-// SolveMultiProcPar is SolveMultiProc on the parallel work-stealing
-// branch-and-bound engine.
-func SolveMultiProcPar(h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
-	return SolveMultiProcParCtx(context.Background(), h, opts)
-}
-
-// SolveMultiProcParCtx computes an optimal MULTIPROC schedule on the
-// parallel engine; see SolveSingleProcParCtx for the concurrency and
-// error contract.
-func SolveMultiProcParCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
-	n, p := h.NTasks, h.NProcs
-	if n == 0 {
-		return core.HyperAssignment{}, 0, nil
-	}
-	if p == 0 {
-		return nil, 0, fmt.Errorf("exact: no processors")
-	}
-	for t := 0; t < n; t++ {
-		if h.TaskDegree(t) == 0 {
-			return nil, 0, fmt.Errorf("exact: task %d has no configuration", t)
-		}
-	}
-
-	compileStart := time.Now()
-	pr := flatcore.CompileMP(h)
-	compileSpan(opts.Trace, compileStart, pr.BoundsWall)
-	gs := opts.Trace.StartChild("greedy")
-	inc := core.SortedGreedyHyp(h, core.HyperOptions{})
-	m0 := core.HyperMakespan(h, inc)
-	gs.SetAttr("makespan", m0)
-	var warm bool
-	if inc, m0, warm = opts.seedMP(h, inc, m0); warm {
-		gs.SetAttr("warm_start", m0)
-	}
-	gs.End()
-	workers := opts.workers()
-	sh := newParShared(inc, m0, opts.maxNodes(), workers)
-	sh.rootLB = pr.Bounds.Root()
-	sh.obsFn = opts.Observer
-	sh.setProgress(opts.Progress, opts.ProgressInterval)
-	sh.closeIfOptimal()
-	sh.observe() // the initial greedy incumbent
-	ss := startSearchSpan(opts.Trace, sh)
-	var frontier [][]int32
-	if !sh.closed.Load() {
-		release := watchCancel(ctx, sh)
-		defer release()
-		if workers == 1 {
-			// See SolveSingleProcParCtx: one worker runs the sequential DFS.
-			s := newMPState(pr, sh)
-			s.chunkLimit = seqChunk
-			tk := &ticker{sh: sh}
-			s.run(nil, tk)
-			tk.flush()
-		} else {
-			root := newMPState(pr, sh)
-			tk := &ticker{sh: sh}
-			var fdepth int
-			frontier, fdepth = genFrontier(root, tk, workers*splitFactor)
-			tk.flush()
-			if len(frontier) > 0 && !sh.stop.Load() {
-				runPool(sh, func() parSearcher { return newMPState(pr, sh) }, frontier, workers, fdepth)
-			}
-		}
-		release()
-	}
-	sh.observe() // flush the final incumbent to the observer
-	sh.progressFinal()
-	finishSearch(opts, ss, sh, pr.Bounds, workers, int64(len(frontier))+sh.splits.Load())
-	return append(core.HyperAssignment(nil), sh.bestA...), sh.bestM, sh.err(ctx)
+func concatPrefix(prefix, ords []int32) []int32 {
+	out := make([]int32, 0, len(prefix)+len(ords)+1)
+	out = append(out, prefix...)
+	return append(out, ords...)
 }

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"semimatch/internal/bipartite"
 )
 
 // Hypergraph is an immutable MULTIPROC instance. Construct with a Builder.
@@ -211,6 +213,42 @@ func (h *Hypergraph) ToBipartite() (nTasks, nProcs int, edges [][3]int64, err er
 		edges = append(edges, [3]int64{int64(h.Owner[e]), int64(procs[0]), h.Weight[e]})
 	}
 	return h.NTasks, h.NProcs, edges, nil
+}
+
+// FromGraph lifts a SINGLEPROC instance into MULTIPROC form (Sec. II-B):
+// edge k of g, in row order, becomes hyperedge k with the single pin
+// g.Adj[k]. Hyperedge ids are therefore task-grouped exactly like g's
+// rows, so edge k ↔ hyperedge k translates assignments in O(1) each way.
+// The result shares g's Ptr and Adj arrays; g must not be mutated while
+// it is in use. A task with no eligible processor yields a hypergraph
+// that fails Validate.
+func FromGraph(g *bipartite.Graph) *Hypergraph {
+	m := g.NumEdges()
+	h := &Hypergraph{
+		NTasks:  g.NLeft,
+		NProcs:  g.NRight,
+		TaskPtr: g.Ptr,
+		Edges:   make([]int32, m),
+		PinPtr:  make([]int32, m+1),
+		Pins:    g.Adj,
+		Owner:   make([]int32, m),
+		Weight:  make([]int64, m),
+		unit:    true,
+	}
+	for e := range h.Edges {
+		h.Edges[e] = int32(e)
+		h.PinPtr[e+1] = int32(e + 1)
+		h.Weight[e] = g.EdgeWeight(int32(e))
+		if h.Weight[e] != 1 {
+			h.unit = false
+		}
+	}
+	for t := 0; t < g.NLeft; t++ {
+		for e := g.Ptr[t]; e < g.Ptr[t+1]; e++ {
+			h.Owner[e] = int32(t)
+		}
+	}
+	return h
 }
 
 // Builder accumulates hyperedges and produces a Hypergraph. Hyperedges are

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"semimatch/internal/bipartite"
 )
 
 // fig2 builds the hypergraph of Fig. 2 in the paper:
@@ -207,6 +209,47 @@ func TestToBipartite(t *testing.T) {
 
 	if _, _, _, err := fig2(t).ToBipartite(); err == nil {
 		t.Fatal("Fig. 2 has multi-processor hyperedges; projection must fail")
+	}
+}
+
+// TestFromGraph: the singleton lift validates, keeps g's edge order as
+// hyperedge ids (edge k ↔ hyperedge k), carries the weights and the unit
+// flag, and round-trips through ToBipartite.
+func TestFromGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		n, p := 1+rng.Intn(8), 1+rng.Intn(5)
+		unit := trial%2 == 0
+		gb := bipartite.NewBuilder(n, p)
+		for task := 0; task < n; task++ {
+			for _, proc := range rng.Perm(p)[:1+rng.Intn(p)] {
+				w := int64(1)
+				if !unit {
+					w = 1 + rng.Int63n(9)
+				}
+				gb.AddWeightedEdge(task, proc, w)
+			}
+		}
+		g := gb.MustBuild()
+		h := FromGraph(g)
+		if err := h.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if h.Unit() != g.Unit() {
+			t.Fatalf("trial %d: unit flag %v, graph unit %v", trial, h.Unit(), g.Unit())
+		}
+		for task := 0; task < n; task++ {
+			for k := g.Ptr[task]; k < g.Ptr[task+1]; k++ {
+				if h.Owner[k] != int32(task) || h.EdgeSize(k) != 1 ||
+					h.EdgeProcs(k)[0] != g.Adj[k] || h.Weight[k] != g.EdgeWeight(k) {
+					t.Fatalf("trial %d: hyperedge %d does not mirror edge %d", trial, k, k)
+				}
+			}
+		}
+		nT, nP, edges, err := h.ToBipartite()
+		if err != nil || nT != n || nP != p || len(edges) != g.NumEdges() {
+			t.Fatalf("trial %d: round trip: %d %d %d %v", trial, nT, nP, len(edges), err)
+		}
 	}
 }
 
