@@ -36,11 +36,12 @@
 //
 // # POST /solve
 //
-// The request body is an instance in either of two formats:
+// The request body is an instance in either of two formats, the same two
+// cmd/semisolve reads (sched.ParseInstance decodes both):
 //
 //   - the internal/encode text format ("bipartite ..." or "hypergraph
-//     ...", the format cmd/semigen writes and cmd/semisolve reads);
-//   - the cmd/semisched JSON instance schema (detected by a leading '{'):
+//     ...", the format cmd/semigen writes);
+//   - the internal/sched JSON instance schema (detected by a leading '{'):
 //     {"processors": [...], "tasks": [{"name": ..., "configs":
 //     [{"procs": [...], "time": ...}]}]}, converted to its hypergraph
 //     form.

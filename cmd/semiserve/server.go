@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"semimatch/internal/cluster"
-	"semimatch/internal/encode"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/registry"
 	"semimatch/internal/sched"
@@ -294,7 +292,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	instance, fromJSON, err := parseInstance(body)
+	instance, fromJSON, err := sched.ParseInstance(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -366,38 +364,6 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// parseInstance decodes a request body: the encode text formats
-// ("bipartite ..." / "hypergraph ...") or the cmd/semisched JSON instance
-// schema (detected by a leading '{'), which is converted to its
-// hypergraph form.
-func parseInstance(body []byte) (instance any, fromJSON bool, err error) {
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) == 0 {
-		return nil, false, errors.New("empty request body")
-	}
-	if trimmed[0] == '{' {
-		in, err := sched.ReadInstanceJSON(bytes.NewReader(trimmed))
-		if err != nil {
-			return nil, true, err
-		}
-		h, err := in.Hypergraph()
-		if err != nil {
-			return nil, true, err
-		}
-		return h, true, nil
-	}
-	kind, err := encode.DetectKind(body)
-	if err != nil {
-		return nil, false, err
-	}
-	if kind == "bipartite" {
-		g, err := encode.ReadBipartite(bytes.NewReader(body))
-		return g, false, err
-	}
-	h, err := encode.ReadHypergraph(bytes.NewReader(body))
-	return h, false, err
 }
 
 func (s *server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {

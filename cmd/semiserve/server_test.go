@@ -226,7 +226,7 @@ func TestSolveHTTPInflightCap(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSolveJSONInstance: the cmd/semisched JSON schema is accepted and
+// TestSolveJSONInstance: the sched JSON instance schema is accepted and
 // the response carries per-task configuration indices.
 func TestSolveJSONInstance(t *testing.T) {
 	ts, _ := startServer(t, service.Options{})

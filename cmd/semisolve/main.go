@@ -1,9 +1,15 @@
-// Command semisolve reads an instance file (bipartite or hypergraph,
-// auto-detected) and schedules it through the unified solve API: the
-// decoded instance becomes a solve.Problem, and one Run answers both
-// encodings. By default the auto policy runs (heuristic race, then an
-// exact attempt when the instance is small enough); -alg names any
-// registry solver instead, resolved in the detected instance's class.
+// Command semisolve reads an instance file and schedules it through the
+// unified solve API. The file is either encode text format (bipartite or
+// hypergraph, auto-detected) or the sched JSON instance schema (named
+// processors and tasks, detected by a leading '{'); the decoded instance
+// becomes a solve.Problem, and one Run answers every encoding. By default
+// the auto policy runs (heuristic race, then an exact attempt when the
+// instance is small enough); -alg names any registry solver instead,
+// resolved in the detected instance's class.
+//
+// For a JSON instance, -json prints the named schedule as JSON instead of
+// the summary, and -gantt prints its validated timeline as a Gantt chart
+// to stderr.
 //
 // Usage:
 //
@@ -11,6 +17,7 @@
 //	semisolve -list-algorithms -json   # NDJSON SolverRecord per line
 //	semisolve instance.txt             # auto policy
 //	semisolve -alg evg instance.txt
+//	semisolve -alg evg -refine -json -gantt instance.json  # named schedule
 //	semisolve -alg bnb-par -progress hard.txt   # watch incumbents tighten
 //	semisolve -trace spans.ndjson instance.txt  # record the solve's span tree
 //	semisolve -trace - instance.txt    # span tree to stderr, NDJSON to stdout
@@ -28,8 +35,8 @@ import (
 	"os"
 
 	"semimatch/internal/core"
-	"semimatch/internal/encode"
 	"semimatch/internal/registry"
+	"semimatch/internal/sched"
 	"semimatch/internal/solve"
 	"semimatch/internal/telemetry"
 )
@@ -37,7 +44,8 @@ import (
 func main() {
 	alg := flag.String("alg", "", "algorithm name or alias (see -list-algorithms); empty runs the auto policy")
 	list := flag.Bool("list-algorithms", false, "print the solver catalog and exit")
-	jsonOut := flag.Bool("json", false, "with -list-algorithms, emit the catalog as NDJSON (one record per solver)")
+	jsonOut := flag.Bool("json", false, "with -list-algorithms, emit the catalog as NDJSON (one record per solver); with a JSON instance, print the named schedule as JSON")
+	gantt := flag.Bool("gantt", false, "with a JSON instance, print the schedule's timeline as a Gantt chart to stderr")
 	showLoads := flag.Bool("show-loads", false, "print the per-processor loads")
 	doRefine := flag.Bool("refine", false, "post-process hypergraph schedules with local search")
 	progress := flag.Bool("progress", false, "print incumbent improvements and periodic search-progress snapshots to stderr while the solve runs")
@@ -63,16 +71,23 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: semisolve [-alg name] [-progress] [-verify] [-fingerprint] [-show-loads] [-session script] [-list-algorithms] <instance-file>")
+		fmt.Fprintln(os.Stderr, "usage: semisolve [-alg name] [-refine] [-json] [-gantt] [-progress] [-verify] [-fingerprint] [-show-loads] [-session script] [-list-algorithms] <instance-file>")
 		os.Exit(2)
 	}
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fail(err)
 	}
-	problem, err := readProblem(data)
+	instance, fromJSON, err := sched.ParseInstance(data)
 	if err != nil {
 		fail(err)
+	}
+	problem, err := solve.NewProblem(instance)
+	if err != nil {
+		fail(err)
+	}
+	if (*jsonOut || *gantt) && !fromJSON {
+		fail(errors.New("-json and -gantt print a named schedule and need a JSON instance"))
 	}
 	if *fingerprint {
 		fp, err := problem.Fingerprint()
@@ -130,22 +145,28 @@ func main() {
 	if err := validate(problem, rep.Assignment); err != nil {
 		fail(err)
 	}
-
-	fmt.Println("instance:", describe(problem))
-	fmt.Printf("algorithm: %s (%.3fs)\n", rep.Solver, rep.Elapsed.Seconds())
-	fmt.Printf("makespan: %d (%s), lower bound: %d, ratio: %.3f\n",
-		rep.Makespan, rep.Status, rep.LowerBound, ratio(rep.Makespan, rep.LowerBound))
-	if *doVerify {
-		if verifyErr != nil {
-			fmt.Printf("certificate: REJECTED: %v\n", verifyErr)
-		} else if c := rep.Certificate; c != nil {
-			fmt.Printf("certificate: %s (witness: %s, fingerprint %.12s…)\n",
-				rep.Trust, c.Witness.Kind, c.Fingerprint)
+	if *jsonOut || *gantt {
+		if err := writeNamed(data, problem, rep, *doRefine, *jsonOut, *gantt); err != nil {
+			fail(err)
 		}
 	}
-	if *showLoads {
-		for p, l := range rep.Loads {
-			fmt.Printf("P%-5d %d\n", p, l)
+	if !*jsonOut {
+		fmt.Println("instance:", describe(problem))
+		fmt.Printf("algorithm: %s (%.3fs)\n", rep.Solver, rep.Elapsed.Seconds())
+		fmt.Printf("makespan: %d (%s), lower bound: %d, ratio: %.3f\n",
+			rep.Makespan, rep.Status, rep.LowerBound, ratio(rep.Makespan, rep.LowerBound))
+		if *doVerify {
+			if verifyErr != nil {
+				fmt.Printf("certificate: REJECTED: %v\n", verifyErr)
+			} else if c := rep.Certificate; c != nil {
+				fmt.Printf("certificate: %s (witness: %s, fingerprint %.12s…)\n",
+					rep.Trust, c.Witness.Kind, c.Fingerprint)
+			}
+		}
+		if *showLoads {
+			for p, l := range rep.Loads {
+				fmt.Printf("P%-5d %d\n", p, l)
+			}
 		}
 	}
 	if *tracePath != "" {
@@ -184,24 +205,38 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// readProblem decodes either text encoding into a solve.Problem.
-func readProblem(data []byte) (solve.Problem, error) {
-	kind, err := encode.DetectKind(data)
+// writeNamed renders rep as a schedule of the JSON instance in data:
+// with jsonOut the named schedule goes to stdout as JSON, with gantt its
+// timeline (validated against the schedule) goes to stderr.
+func writeNamed(data []byte, p solve.Problem, rep *solve.Report, refined, jsonOut, gantt bool) error {
+	// ParseInstance keeps only the hypergraph form; the names come from a
+	// second decode of the same bytes.
+	in, err := sched.ReadInstanceJSON(bytes.NewReader(data))
 	if err != nil {
-		return solve.Problem{}, err
+		return err
 	}
-	if kind == "bipartite" {
-		g, err := encode.ReadBipartite(bytes.NewReader(data))
-		if err != nil {
-			return solve.Problem{}, err
+	s, err := in.ScheduleOf(p.Hypergraph(), core.HyperAssignment(rep.Assignment))
+	if err != nil {
+		return err
+	}
+	s.Optimal = rep.Status == solve.StatusOptimal
+	if jsonOut {
+		label := rep.Solver
+		if refined {
+			label += "+refine"
 		}
-		return solve.Bipartite(g), nil
+		if err := s.WriteJSON(os.Stdout, label); err != nil {
+			return err
+		}
 	}
-	h, err := encode.ReadHypergraph(bytes.NewReader(data))
-	if err != nil {
-		return solve.Problem{}, err
+	if gantt {
+		tl := s.Simulate()
+		if err := tl.Validate(s); err != nil {
+			return err
+		}
+		tl.Gantt(os.Stderr, s)
 	}
-	return solve.Hyper(h), nil
+	return nil
 }
 
 func describe(p solve.Problem) string {

@@ -1,16 +1,18 @@
 package semimatch_test
 
 // The API-compatibility golden suite of the Problem → Run → Report
-// redesign: every pre-redesign public entry point must keep compiling,
-// keep working, and produce the same makespans as the unified Run on
-// seeded instances. If an intentional API change breaks this suite,
-// update it together with docs/api-surface.txt (the CI surface guard).
+// redesign: the surviving flat entry points must keep compiling, keep
+// working, and produce the same makespans as the unified Run on seeded
+// instances. The pre-Run wrappers (the eight exact entry points,
+// Portfolio, Refine, SolveBatch) are gone; the makespans they returned on
+// these seeds are pinned below as Run/SolveProblems goldens. If an
+// intentional API change breaks this suite, update it together with
+// docs/api-surface.txt (the CI surface guard).
 
 import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"semimatch"
 )
@@ -93,9 +95,12 @@ func TestCompatSingleProcHeuristics(t *testing.T) {
 	}
 }
 
-// TestCompatSingleProcExact: ExactUnit, Harvey and the branch-and-bound
-// pair agree with each other and with Run on unit instances.
+// TestCompatSingleProcExact: ExactUnit and Harvey agree with Run on unit
+// instances, and the branch-and-bound pair keeps the optima the removed
+// SolveSingleProc/SolveSingleProcPar entry points returned.
 func TestCompatSingleProcExact(t *testing.T) {
+	// Optimal weighted makespans of seededWeightedGraph(seed, 12, 4).
+	bnbWant := []int64{25, 12, 9}
 	for seed := int64(0); seed < 3; seed++ {
 		g := seededGraph(t, seed)
 		p := semimatch.GraphProblem(g)
@@ -110,31 +115,21 @@ func TestCompatSingleProcExact(t *testing.T) {
 			t.Fatalf("seed %d Harvey: %d, want %d", seed, got, opt)
 		}
 
-		// Weighted branch and bound, sequential and parallel, old and new.
-		w := seededWeightedGraph(seed, 12, 4)
-		pw := semimatch.GraphProblem(w)
-		_, m1, err := semimatch.SolveSingleProc(w, semimatch.BnBOptions{})
-		if err != nil {
-			t.Fatal(err)
+		// Weighted branch and bound, sequential and parallel.
+		pw := semimatch.GraphProblem(seededWeightedGraph(seed, 12, 4))
+		if got := runMakespan(t, pw, "BnB-SP"); got != bnbWant[seed] {
+			t.Fatalf("seed %d BnB-SP: %d, want %d", seed, got, bnbWant[seed])
 		}
-		_, m2, err := semimatch.SolveSingleProcPar(w, semimatch.BnBOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m1 != m2 {
-			t.Fatalf("seed %d: sequential %d vs parallel %d", seed, m1, m2)
-		}
-		if got := runMakespan(t, pw, "BnB-SP"); got != m1 {
-			t.Fatalf("seed %d BnB-SP: flat %d, Run %d", seed, m1, got)
-		}
-		if got := runMakespan(t, pw, "bnb-par", semimatch.WithWorkers(2)); got != m1 {
-			t.Fatalf("seed %d BnB-SP-Par via Run: want %d", seed, m1)
+		if got := runMakespan(t, pw, "bnb-par", semimatch.WithWorkers(2)); got != bnbWant[seed] {
+			t.Fatalf("seed %d BnB-SP-Par: %d, want %d", seed, got, bnbWant[seed])
 		}
 	}
 }
 
-// TestCompatMultiProc: the flat hypergraph heuristics, the exact pair
-// and the exact-arithmetic ablations agree with Run.
+// TestCompatMultiProc: the flat hypergraph heuristics and the
+// exact-arithmetic ablations agree with Run, and the branch-and-bound
+// pair keeps the optima the removed SolveMultiProc/SolveMultiProcPar
+// entry points returned.
 func TestCompatMultiProc(t *testing.T) {
 	type entry struct {
 		name string
@@ -146,6 +141,8 @@ func TestCompatMultiProc(t *testing.T) {
 		{"EGH", semimatch.ExpectedGreedyHyp},
 		{"EVG", semimatch.ExpectedVectorGreedyHyp},
 	}
+	// Optimal makespans of seededHyper(seed+10, 12).
+	bnbWant := []int64{16, 16, 11}
 	for seed := int64(0); seed < 3; seed++ {
 		h := seededHyper(t, seed, 40)
 		p := semimatch.HypergraphProblem(h)
@@ -161,73 +158,58 @@ func TestCompatMultiProc(t *testing.T) {
 			t.Fatalf("seed %d EGH-X mismatch", seed)
 		}
 
-		small := seededHyper(t, seed+10, 12)
-		ps := semimatch.HypergraphProblem(small)
-		_, m1, err := semimatch.SolveMultiProc(small, semimatch.BnBOptions{})
-		if err != nil {
-			t.Fatal(err)
+		ps := semimatch.HypergraphProblem(seededHyper(t, seed+10, 12))
+		if got := runMakespan(t, ps, "BnB-MP"); got != bnbWant[seed] {
+			t.Fatalf("seed %d BnB-MP: %d, want %d", seed, got, bnbWant[seed])
 		}
-		_, m2, err := semimatch.SolveMultiProcPar(small, semimatch.BnBOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m1 != m2 {
-			t.Fatalf("seed %d: sequential %d vs parallel %d", seed, m1, m2)
-		}
-		if got := runMakespan(t, ps, "BnB-MP"); got != m1 {
-			t.Fatalf("seed %d BnB-MP: flat %d, Run %d", seed, m1, got)
+		if got := runMakespan(t, ps, "bnb-par", semimatch.WithWorkers(2)); got != bnbWant[seed] {
+			t.Fatalf("seed %d BnB-MP-Par: %d, want %d", seed, got, bnbWant[seed])
 		}
 	}
 }
 
-// TestCompatPortfolio: the flat Portfolio and Run's auto policy with the
-// exact stage disabled are the same race, same winner, same makespan.
+// TestCompatPortfolio: Run's auto policy with the exact stage disabled is
+// the refined heuristic race the removed Portfolio ran: same winner, same
+// makespan on every seed.
 func TestCompatPortfolio(t *testing.T) {
+	want := []struct {
+		makespan int64
+		winner   string
+	}{{30, "VGH"}, {31, "VGH"}, {35, "EVG"}}
 	for seed := int64(0); seed < 3; seed++ {
 		h := seededHyper(t, seed, 30)
-		res, err := semimatch.Portfolio(h, semimatch.PortfolioOptions{Refine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		rep, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
 			semimatch.WithRefine(), semimatch.WithExactLimit(-1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Makespan != res.Makespan || rep.Solver != res.Winner {
-			t.Fatalf("seed %d: Portfolio (%d, %s) vs Run (%d, %s)",
-				seed, res.Makespan, res.Winner, rep.Makespan, rep.Solver)
+		if w := want[seed]; rep.Makespan != w.makespan || rep.Solver != w.winner {
+			t.Fatalf("seed %d: Run (%d, %s), want (%d, %s)",
+				seed, rep.Makespan, rep.Solver, w.makespan, w.winner)
 		}
 	}
 }
 
-// TestCompatSolveBatch: the deprecated hypergraph-only SolveBatch and the
-// class-generic SolveProblems report identical makespans, sources and
-// optimality on the same instances.
+// TestCompatSolveBatch: SolveProblems reports the makespans and
+// optimality the removed hypergraph-only SolveBatch returned on the same
+// instances.
 func TestCompatSolveBatch(t *testing.T) {
-	var instances []*semimatch.Hypergraph
+	want := []int64{18, 14, 14, 14, 17, 15, 18, 17}
 	var problems []semimatch.Problem
 	for seed := int64(0); seed < 8; seed++ {
-		h := seededHyper(t, seed+20, 8+int(seed))
-		instances = append(instances, h)
-		problems = append(problems, semimatch.HypergraphProblem(h))
-	}
-	old, err := semimatch.SolveBatch(context.Background(), instances, semimatch.BatchOptions{Refine: true})
-	if err != nil {
-		t.Fatal(err)
+		problems = append(problems, semimatch.HypergraphProblem(seededHyper(t, seed+20, 8+int(seed))))
 	}
 	outs, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range old {
-		if old[i].Err != nil || outs[i].Err != nil {
-			t.Fatalf("instance %d: %v / %v", i, old[i].Err, outs[i].Err)
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("instance %d: %v", i, o.Err)
 		}
-		rep := outs[i].Report
-		if old[i].Makespan != rep.Makespan || old[i].Optimal != rep.Optimal() {
-			t.Fatalf("instance %d: SolveBatch (%d, %v) vs SolveProblems (%d, %v)",
-				i, old[i].Makespan, old[i].Optimal, rep.Makespan, rep.Optimal())
+		if rep := o.Report; rep.Makespan != want[i] || !rep.Optimal() {
+			t.Fatalf("instance %d: SolveProblems (%d, optimal %v), want (%d, optimal)",
+				i, rep.Makespan, rep.Optimal(), want[i])
 		}
 	}
 }
@@ -291,62 +273,52 @@ func TestCompatServiceAndFingerprint(t *testing.T) {
 // flags the doc diff).
 func TestCompatSymbolLedger(t *testing.T) {
 	var (
-		_ semimatch.Solver           //nolint
-		_ semimatch.SolverOptions    //nolint
-		_ semimatch.SolverClass      //nolint
-		_ semimatch.SolverKind       //nolint
-		_ semimatch.SolverCost       //nolint
-		_ semimatch.Graph            //nolint
-		_ semimatch.GraphBuilder     //nolint
-		_ semimatch.Hypergraph       //nolint
-		_ semimatch.Assignment       //nolint
-		_ semimatch.HyperAssignment  //nolint
-		_ semimatch.GreedyOptions    //nolint
-		_ semimatch.HyperOptions     //nolint
-		_ semimatch.ExactOptions     //nolint
-		_ semimatch.RefineOptions    //nolint
-		_ semimatch.RefineResult     //nolint
-		_ semimatch.PortfolioOptions //nolint
-		_ semimatch.PortfolioResult  //nolint
-		_ semimatch.OnlineScheduler  //nolint
-		_ semimatch.BatchOptions     //nolint
-		_ semimatch.BatchRunner      //nolint
-		_ semimatch.BnBOptions       //nolint
-		_ semimatch.BnBStats         //nolint
-		_ semimatch.Generator        //nolint
-		_ semimatch.WeightScheme     //nolint
-		_ semimatch.HyperParams      //nolint
-		_ semimatch.X3C              //nolint
-		_ semimatch.Config           //nolint
-		_ semimatch.Task             //nolint
-		_ semimatch.Instance         //nolint
-		_ semimatch.Schedule         //nolint
-		_ semimatch.Timeline         //nolint
-		_ semimatch.Algorithm        //nolint
-		_ semimatch.Service          //nolint
-		_ semimatch.ServiceOptions   //nolint
-		_ semimatch.ServiceResult    //nolint
-		_ semimatch.ServiceStats     //nolint
-		_ semimatch.Certificate      //nolint
-		_ semimatch.CertWitness      //nolint
-		_ semimatch.WitnessKind      //nolint
-		_ semimatch.TrustTier        //nolint
+		_ semimatch.Solver          //nolint
+		_ semimatch.SolverOptions   //nolint
+		_ semimatch.SolverClass     //nolint
+		_ semimatch.SolverKind      //nolint
+		_ semimatch.SolverCost      //nolint
+		_ semimatch.Graph           //nolint
+		_ semimatch.GraphBuilder    //nolint
+		_ semimatch.Hypergraph      //nolint
+		_ semimatch.Assignment      //nolint
+		_ semimatch.HyperAssignment //nolint
+		_ semimatch.GreedyOptions   //nolint
+		_ semimatch.HyperOptions    //nolint
+		_ semimatch.ExactOptions    //nolint
+		_ semimatch.OnlineScheduler //nolint
+		_ semimatch.BatchOptions    //nolint
+		_ semimatch.BatchRunner     //nolint
+		_ semimatch.BnBOptions      //nolint
+		_ semimatch.BnBStats        //nolint
+		_ semimatch.Generator       //nolint
+		_ semimatch.WeightScheme    //nolint
+		_ semimatch.HyperParams     //nolint
+		_ semimatch.X3C             //nolint
+		_ semimatch.Config          //nolint
+		_ semimatch.Task            //nolint
+		_ semimatch.Instance        //nolint
+		_ semimatch.Schedule        //nolint
+		_ semimatch.Timeline        //nolint
+		_ semimatch.Algorithm       //nolint
+		_ semimatch.Service         //nolint
+		_ semimatch.ServiceOptions  //nolint
+		_ semimatch.ServiceResult   //nolint
+		_ semimatch.ServiceStats    //nolint
+		_ semimatch.Certificate     //nolint
+		_ semimatch.CertWitness     //nolint
+		_ semimatch.WitnessKind     //nolint
+		_ semimatch.TrustTier       //nolint
 	)
 	var _ = []any{
 		semimatch.Solvers, semimatch.LookupSolver, semimatch.LookupClassSolver,
 		semimatch.NewGraphBuilder, semimatch.NewHypergraphBuilder,
 		semimatch.LowerBoundSingle, semimatch.LowerBound,
 		semimatch.ExactUnit, semimatch.HarveyOptimal,
-		semimatch.Refine, semimatch.RefineCtx,
-		semimatch.Portfolio, semimatch.PortfolioCtx,
 		semimatch.NewOnlineScheduler, semimatch.OnlineReplay, semimatch.OnlineCompetitiveRatio,
 		semimatch.Loads, semimatch.Makespan, semimatch.ValidateAssignment,
 		semimatch.HyperLoads, semimatch.HyperMakespan, semimatch.ValidateHyperAssignment,
-		semimatch.SolveSingleProc, semimatch.SolveMultiProc,
-		semimatch.SolveSingleProcCtx, semimatch.SolveMultiProcCtx,
-		semimatch.SolveSingleProcPar, semimatch.SolveMultiProcPar,
-		semimatch.SolveSingleProcParCtx, semimatch.SolveMultiProcParCtx,
-		semimatch.NewBatchRunner, semimatch.SolveBatch, semimatch.SolveProblems,
+		semimatch.NewBatchRunner, semimatch.SolveProblems,
 		semimatch.GenerateBipartite, semimatch.GenerateHypergraph,
 		semimatch.Fig1, semimatch.Chain, semimatch.ChainPlus, semimatch.ExpectedTrap,
 		semimatch.NewInstance, semimatch.Solve, semimatch.SolveByName,
@@ -373,7 +345,6 @@ func TestCompatSymbolLedger(t *testing.T) {
 		semimatch.WitnessPacking, semimatch.WitnessMatching,
 		semimatch.TierHeuristic, semimatch.TierAttested, semimatch.TierVerified,
 	}
-	_ = time.Second // keep the import for future timing assertions
 }
 
 // TestCompatCertificates: the proof-carrying surface exposed at the

@@ -76,21 +76,20 @@
 //	})
 //	// outcomes[i].Report.Makespan, .Status, outcomes[i].Err ...
 //
-// SolveBatch is the deprecated hypergraph-only wrapper over the same
-// runner.
-//
 // # Direct algorithm access
 //
 // The paper's algorithms remain addressable directly: the exact
 // SINGLEPROC-UNIT solver (ExactUnit, deadline search over capacitated
 // matchings; HarveyOptimal as an independent baseline), the greedy
 // heuristics basic/sorted/double-sorted/expected (bipartite) and
-// SGH/VGH/EGH/EVG (hypergraph), the Eq. (1) lower bound, branch-and-bound
-// exact solvers for small NP-hard instances — sequential and
-// work-stealing parallel — the paper's random instance generators and
-// worst-case families, and a scheduling front end (named tasks and
-// processors, Gantt charts). These are thin wrappers over the same
-// machinery Run dispatches to.
+// SGH/VGH/EGH/EVG (hypergraph), the Eq. (1) lower bound, the paper's
+// random instance generators and worst-case families, and a scheduling
+// front end (named tasks and processors, Gantt charts). The
+// branch-and-bound solvers for small NP-hard instances, sequential and
+// work-stealing parallel, are reached through Run with WithAlgorithm
+// ("BnB-SP", "BnB-MP", "bnb-par", ...), as are the heuristic portfolio
+// (the auto policy with WithExactLimit(-1)) and local-search refinement
+// (WithRefine).
 //
 // # Solver discovery
 //

@@ -39,8 +39,7 @@ func ExampleRun() {
 	// MULTIPROC: makespan 3 (optimal)
 }
 
-// SolveProblems batches both encodings through one worker pool — the
-// class-generic successor of the hypergraph-only SolveBatch.
+// SolveProblems batches both encodings through one worker pool.
 func ExampleSolveProblems() {
 	b := semimatch.NewGraphBuilder(2, 2)
 	b.AddEdge(0, 0)
@@ -138,9 +137,10 @@ func ExampleChain() {
 	// optimal: 1
 }
 
-// Portfolio runs all four hypergraph heuristics concurrently and returns
-// the best result; with Refine it post-processes each with local search.
-func ExamplePortfolio() {
+// The heuristic portfolio: the auto policy with its exact stage switched
+// off races all four hypergraph heuristics concurrently and returns the
+// best result; WithRefine post-processes each with local search.
+func ExampleRun_portfolio() {
 	b := semimatch.NewHypergraphBuilder(3, 2)
 	b.AddEdge(0, []int{0}, 5)
 	b.AddEdge(0, []int{1}, 5)
@@ -148,32 +148,33 @@ func ExamplePortfolio() {
 	b.AddEdge(2, []int{1}, 2)
 	h, _ := b.Build()
 
-	res, _ := semimatch.Portfolio(h, semimatch.PortfolioOptions{Refine: true})
-	fmt.Println("makespan:", res.Makespan)
+	rep, _ := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
+		semimatch.WithRefine(), semimatch.WithExactLimit(-1))
+	fmt.Println("makespan:", rep.Makespan)
 	// Output:
 	// makespan: 7
 }
 
-// SolveBatch shards many instances across all cores: each one gets the
+// SolveProblems shards many instances across all cores: each one gets the
 // portfolio, plus a branch-and-bound optimality proof when it is small
 // enough, under a common context that can carry a deadline.
-func ExampleSolveBatch() {
-	var instances []*semimatch.Hypergraph
+func ExampleSolveProblems_refine() {
+	var problems []semimatch.Problem
 	for i := 0; i < 3; i++ {
 		b := semimatch.NewHypergraphBuilder(2, 2)
 		b.AddEdge(0, []int{0}, int64(4+i))
 		b.AddEdge(0, []int{1}, int64(4+i))
 		b.AddEdge(1, []int{0}, 2)
 		h, _ := b.Build()
-		instances = append(instances, h)
+		problems = append(problems, semimatch.HypergraphProblem(h))
 	}
 
-	results, err := semimatch.SolveBatch(context.Background(), instances, semimatch.BatchOptions{Refine: true})
+	outcomes, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{Refine: true})
 	if err != nil {
 		panic(err)
 	}
-	for i, r := range results {
-		fmt.Printf("instance %d: makespan %d, optimal %v\n", i, r.Makespan, r.Optimal)
+	for i, o := range outcomes {
+		fmt.Printf("instance %d: makespan %d, optimal %v\n", i, o.Report.Makespan, o.Report.Optimal())
 	}
 	// Output:
 	// instance 0: makespan 4, optimal true

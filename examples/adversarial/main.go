@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -45,13 +46,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, opt, err := semimatch.SolveMultiProc(h, semimatch.BnBOptions{})
+		rep, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
+			semimatch.WithAlgorithm("BnB-MP"))
 		if err != nil {
 			log.Fatal(err)
 		}
+		if rep.Status != semimatch.StatusOptimal {
+			log.Fatalf("branch and bound stopped short of a proof (%s)", rep.Status)
+		}
 		_, hasCover := exact.SolveX3C(x)
 		fmt.Printf("  planted-cover=%-5v → X3C solvable=%-5v, optimal makespan=%d (1 ⇔ cover)\n",
-			planted, hasCover, opt)
+			planted, hasCover, rep.Makespan)
 	}
 }
 

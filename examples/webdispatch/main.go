@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -80,12 +81,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, optW, err := semimatch.SolveSingleProc(wg, semimatch.BnBOptions{MaxNodes: 2_000_000})
-	if err != nil && err != semimatch.ErrLimit {
+	rep, err := semimatch.Run(context.Background(), semimatch.GraphProblem(wg),
+		semimatch.WithAlgorithm("BnB-SP"), semimatch.WithNodeBudget(2_000_000))
+	if err != nil {
 		log.Fatal(err)
 	}
+	optW := rep.Makespan
 	status := "optimal"
-	if err == semimatch.ErrLimit {
+	if rep.Status == semimatch.StatusTruncated {
 		status = "best found within node budget"
 	}
 	gm := semimatch.Makespan(wg, semimatch.SortedGreedy(wg, semimatch.GreedyOptions{}))

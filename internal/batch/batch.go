@@ -33,8 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"semimatch/internal/core"
-	"semimatch/internal/hypergraph"
 	"semimatch/internal/registry"
 	"semimatch/internal/solve"
 )
@@ -106,33 +104,9 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
-// Result is the legacy hypergraph-only outcome shape of Runner.Run,
-// derived from an Outcome.
-//
-// Deprecated: use RunProblems and Outcome, which cover both problem
-// classes and carry the full solve Report.
-type Result struct {
-	// Assignment is the best schedule found; nil only when Err is set and
-	// no stage produced a schedule.
-	Assignment core.HyperAssignment
-	Makespan   int64
-	// Source names what produced the schedule: a portfolio member
-	// ("SGH", ...), the exact solver's registry name ("BnB-MP", proven
-	// optimal), or that name suffixed "-incumbent" (a budget- or
-	// deadline-truncated run that still beat the portfolio).
-	Source string
-	// Optimal reports that the exact stage proved this schedule optimal.
-	Optimal bool
-	// Err is this instance's failure, if any; other instances are
-	// unaffected.
-	Err error
-	// Elapsed is the wall-clock time spent on this instance.
-	Elapsed time.Duration
-}
-
-// SourceLabel renders a Report's provenance in the legacy Result
-// vocabulary: the producing solver's canonical name, suffixed
-// "-incumbent" when the schedule came from a truncated exact search.
+// SourceLabel renders a Report's provenance: the producing solver's
+// canonical name, suffixed "-incumbent" when the schedule came from a
+// truncated exact search.
 func SourceLabel(rep *solve.Report) string {
 	if rep == nil {
 		return ""
@@ -143,18 +117,6 @@ func SourceLabel(rep *solve.Report) string {
 		}
 	}
 	return rep.Solver
-}
-
-// legacy converts an Outcome to the deprecated Result shape.
-func (o Outcome) legacy() Result {
-	res := Result{Err: o.Err, Elapsed: o.Elapsed}
-	if rep := o.Report; rep != nil {
-		res.Assignment = core.HyperAssignment(rep.Assignment)
-		res.Makespan = rep.Makespan
-		res.Source = SourceLabel(rep)
-		res.Optimal = rep.Status == solve.StatusOptimal
-	}
-	return res
 }
 
 // Runner is a reusable batch solver.
@@ -242,29 +204,6 @@ func (r *Runner) RunProblemsWith(ctx context.Context, problems []solve.Problem, 
 		}
 	}
 	return outs, err
-}
-
-// Run solves many MULTIPROC instances; it is RunProblems restricted to
-// hypergraphs, kept for callers of the pre-unification API.
-//
-// Deprecated: Run accepts only hypergraphs. Use RunProblems, which takes
-// []solve.Problem and batches both problem classes.
-func (r *Runner) Run(ctx context.Context, instances []*hypergraph.Hypergraph) ([]Result, error) {
-	problems := make([]solve.Problem, len(instances))
-	for i, h := range instances {
-		if h != nil {
-			problems[i] = solve.Hyper(h)
-		}
-	}
-	outs, err := r.RunProblems(ctx, problems)
-	if outs == nil {
-		return nil, err
-	}
-	results := make([]Result, len(outs))
-	for i, out := range outs {
-		results[i] = out.legacy()
-	}
-	return results, err
 }
 
 // solveOne applies the per-instance policy (solve.RunOptions). It never

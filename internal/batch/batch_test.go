@@ -66,10 +66,22 @@ func mixedBatch(n int) []*hypergraph.Hypergraph {
 	return out
 }
 
+// hyperProblems wraps hypergraph instances as Problems; a nil instance
+// becomes the empty Problem.
+func hyperProblems(instances []*hypergraph.Hypergraph) []solve.Problem {
+	problems := make([]solve.Problem, len(instances))
+	for i, h := range instances {
+		if h != nil {
+			problems[i] = solve.Hyper(h)
+		}
+	}
+	return problems
+}
+
 func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 	instances := mixedBatch(100)
-	r1, err1 := New(Options{Workers: 1, Refine: true}).Run(context.Background(), instances)
-	rN, errN := New(Options{Workers: runtime.GOMAXPROCS(0), Refine: true}).Run(context.Background(), instances)
+	r1, err1 := New(Options{Workers: 1, Refine: true}).RunProblems(context.Background(), hyperProblems(instances))
+	rN, errN := New(Options{Workers: runtime.GOMAXPROCS(0), Refine: true}).RunProblems(context.Background(), hyperProblems(instances))
 	if err1 != nil || errN != nil {
 		t.Fatal(err1, errN)
 	}
@@ -80,16 +92,17 @@ func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 		if r1[i].Err != nil || rN[i].Err != nil {
 			t.Fatalf("instance %d: unexpected errors %v, %v", i, r1[i].Err, rN[i].Err)
 		}
-		if r1[i].Makespan != rN[i].Makespan || r1[i].Source != rN[i].Source || r1[i].Optimal != rN[i].Optimal {
-			t.Fatalf("instance %d: Workers=1 %+v vs Workers=N %+v", i, r1[i], rN[i])
+		a, b := r1[i].Report, rN[i].Report
+		if a.Makespan != b.Makespan || SourceLabel(a) != SourceLabel(b) || a.Optimal() != b.Optimal() {
+			t.Fatalf("instance %d: Workers=1 %+v vs Workers=N %+v", i, a, b)
 		}
-		if !reflect.DeepEqual(r1[i].Assignment, rN[i].Assignment) {
+		if !reflect.DeepEqual(a.Assignment, b.Assignment) {
 			t.Fatalf("instance %d: assignments differ across worker counts", i)
 		}
-		if err := core.ValidateHyperAssignment(instances[i], r1[i].Assignment); err != nil {
+		if err := core.ValidateHyperAssignment(instances[i], a.Assignment); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		if core.HyperMakespan(instances[i], r1[i].Assignment) != r1[i].Makespan {
+		if core.HyperMakespan(instances[i], a.Assignment) != a.Makespan {
 			t.Fatalf("instance %d: reported makespan mismatch", i)
 		}
 	}
@@ -111,7 +124,7 @@ func TestBatchCancelMidBatchStopsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results, err := r.Run(ctx, instances)
+	results, err := r.RunProblems(ctx, hyperProblems(instances))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -129,7 +142,7 @@ func TestBatchCancelMidBatchStopsPromptly(t *testing.T) {
 			failed++
 		default:
 			// An in-flight instance keeps its best schedule so far.
-			if err := core.ValidateHyperAssignment(instances[i], res.Assignment); err != nil {
+			if err := core.ValidateHyperAssignment(instances[i], res.Report.Assignment); err != nil {
 				t.Fatalf("instance %d: %v", i, err)
 			}
 			valid++
@@ -152,7 +165,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 	// contain the panic to this instance.
 	broken := &hypergraph.Hypergraph{NTasks: 4, NProcs: 2}
 	instances := []*hypergraph.Hypergraph{good1, nil, good2, broken}
-	results, err := New(Options{Workers: 2}).Run(context.Background(), instances)
+	results, err := New(Options{Workers: 2}).RunProblems(context.Background(), hyperProblems(instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +179,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 		if results[i].Err != nil {
 			t.Fatalf("sibling %d poisoned: %v", i, results[i].Err)
 		}
-		if err := core.ValidateHyperAssignment(instances[i], results[i].Assignment); err != nil {
+		if err := core.ValidateHyperAssignment(instances[i], results[i].Report.Assignment); err != nil {
 			t.Fatalf("sibling %d: %v", i, err)
 		}
 	}
@@ -174,7 +187,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 
 func TestBatchUnknownAlgorithmFailsFast(t *testing.T) {
 	instances := mixedBatch(3)
-	results, err := New(Options{Algorithms: []string{"nope"}}).Run(context.Background(), instances)
+	results, err := New(Options{Algorithms: []string{"nope"}}).RunProblems(context.Background(), hyperProblems(instances))
 	if err == nil || results != nil {
 		t.Fatalf("want upfront config error, got results=%v err=%v", results, err)
 	}
@@ -186,11 +199,11 @@ func TestBatchExactStageProvesOptimality(t *testing.T) {
 	for i := range instances {
 		instances[i] = randomHyper(rng, 2+rng.Intn(10), 2+rng.Intn(3), 3, 3, 6)
 	}
-	withExact, err := New(Options{Refine: true}).Run(context.Background(), instances)
+	withExact, err := New(Options{Refine: true}).RunProblems(context.Background(), hyperProblems(instances))
 	if err != nil {
 		t.Fatal(err)
 	}
-	heuristicOnly, err := New(Options{Refine: true, ExactTaskLimit: -1}).Run(context.Background(), instances)
+	heuristicOnly, err := New(Options{Refine: true, ExactTaskLimit: -1}).RunProblems(context.Background(), hyperProblems(instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +212,14 @@ func TestBatchExactStageProvesOptimality(t *testing.T) {
 		if withExact[i].Err != nil || heuristicOnly[i].Err != nil {
 			t.Fatalf("instance %d: %v / %v", i, withExact[i].Err, heuristicOnly[i].Err)
 		}
-		if withExact[i].Optimal {
+		ex, heur := withExact[i].Report, heuristicOnly[i].Report
+		if ex.Optimal() {
 			optimal++
-			if heuristicOnly[i].Makespan < withExact[i].Makespan {
+			if heur.Makespan < ex.Makespan {
 				t.Fatalf("instance %d: heuristic %d beat proven optimum %d",
-					i, heuristicOnly[i].Makespan, withExact[i].Makespan)
+					i, heur.Makespan, ex.Makespan)
 			}
-			if heuristicOnly[i].Optimal {
+			if heur.Optimal() {
 				t.Fatalf("instance %d: heuristic-only run must not claim optimality", i)
 			}
 		}
@@ -221,18 +235,18 @@ func TestBatchInstanceTimeoutFallsBackToHeuristic(t *testing.T) {
 	instances := []*hypergraph.Hypergraph{hardHyper(7)}
 	r := New(Options{ExactTaskLimit: 64, ExactNodes: 1 << 60, InstanceTimeout: 20 * time.Millisecond})
 	start := time.Now()
-	results, err := r.Run(context.Background(), instances)
+	results, err := r.RunProblems(context.Background(), hyperProblems(instances))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("timeout not honored: %v", elapsed)
 	}
-	res := results[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	if results[0].Err != nil {
+		t.Fatal(results[0].Err)
 	}
-	if res.Optimal {
+	res := results[0].Report
+	if res.Optimal() {
 		t.Fatal("a timed-out search must not claim optimality")
 	}
 	if err := core.ValidateHyperAssignment(instances[0], res.Assignment); err != nil {
@@ -258,9 +272,8 @@ func randomGraph(rng *rand.Rand, nTasks, nProcs, maxDeg int, maxW int64) *bipart
 }
 
 // TestBatchSingleProcProblems: SINGLEPROC batching through the
-// class-generic runner — the workload the hypergraph-only SolveBatch
-// could never serve. Unit instances get the polynomial ExactUnit proof,
-// small weighted ones the branch-and-bound attempt.
+// class-generic runner. Unit instances get the polynomial ExactUnit
+// proof, small weighted ones the branch-and-bound attempt.
 func TestBatchSingleProcProblems(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var problems []solve.Problem
@@ -291,7 +304,7 @@ func TestBatchSingleProcProblems(t *testing.T) {
 		if rep.Optimal() {
 			optimal++
 			// Cross-check a proven optimum against the sequential solver.
-			if _, want, err := exact.SolveSingleProc(g, exact.Options{}); err != nil {
+			if _, want, err := exact.SolveSingleProc(context.Background(), g, exact.Options{Workers: 1}); err != nil {
 				t.Fatal(err)
 			} else if rep.Makespan != want {
 				t.Fatalf("problem %d: claimed optimum %d, true optimum %d", i, rep.Makespan, want)

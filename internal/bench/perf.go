@@ -321,8 +321,7 @@ func RunPerf(ctx context.Context, o PerfOptions) (*PerfReport, error) {
 			measure := func(sol *registry.Solver, workers int) (PerfCase, error) {
 				var st exact.SearchStats
 				opts := registry.Options{
-					BnB:     exact.Options{MaxNodes: o.maxNodes(), Stats: &st},
-					Workers: workers,
+					BnB: exact.Options{MaxNodes: o.maxNodes(), Stats: &st, Workers: workers},
 				}
 				var tr *telemetry.Span
 				if o.Trace {

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -41,9 +42,9 @@ func BenchmarkBnBSP(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error
 					if workers == 0 {
-						_, _, err = SolveSingleProc(g, Options{})
+						_, _, err = SolveSingleProc(context.Background(), g, Options{Workers: 1})
 					} else {
-						_, _, err = SolveSingleProcPar(g, Options{Workers: workers})
+						_, _, err = SolveSingleProc(context.Background(), g, Options{Workers: workers})
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -77,9 +78,9 @@ func BenchmarkBnBMP(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error
 					if workers == 0 {
-						_, _, err = SolveMultiProc(h, Options{})
+						_, _, err = SolveMultiProc(context.Background(), h, Options{Workers: 1})
 					} else {
-						_, _, err = SolveMultiProcPar(h, Options{Workers: workers})
+						_, _, err = SolveMultiProc(context.Background(), h, Options{Workers: workers})
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -107,7 +108,7 @@ func BenchmarkBnBPerNodeAllocs(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
 			var st SearchStats
-			if _, _, err := SolveSingleProc(g, Options{Stats: &st}); err != nil {
+			if _, _, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &st}); err != nil {
 				b.Fatal(err)
 			}
 			nodes += st.Nodes
@@ -127,7 +128,7 @@ func BenchmarkBnBPerNodeAllocs(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
 			var st SearchStats
-			if _, _, err := SolveMultiProc(h, Options{Stats: &st}); err != nil {
+			if _, _, err := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: &st}); err != nil {
 				b.Fatal(err)
 			}
 			nodes += st.Nodes

@@ -4,7 +4,7 @@
 // ground truth for validating the heuristics and the Theorem 1 reduction,
 // and as the optimum column in small-instance experiments.
 //
-// All four solvers (sequential and parallel, both problem classes) run on
+// Both solvers (one per problem class, each sequential or parallel) run on
 // one flat-core branch-and-bound kernel behind one driver. A SINGLEPROC
 // graph is solved as its singleton-hyperedge MULTIPROC form
 // (hypergraph.FromGraph), with schedules translated back to task →
@@ -51,11 +51,11 @@ var ErrCancelled = errors.New("exact: cancelled")
 type Options struct {
 	// MaxNodes caps the number of search-tree nodes. 0 means the default
 	// (20 million), which solves typical 25-task instances in well under a
-	// second. For the parallel solvers the budget is shared across all
-	// workers.
+	// second. A parallel search shares the budget across all workers.
 	MaxNodes int64
-	// Workers bounds the parallel solvers' worker pool; 0 means
-	// GOMAXPROCS. The sequential solvers ignore it.
+	// Workers selects the engine: 1 runs the sequential DFS, any other
+	// value the work-stealing pool with that many workers (0 means
+	// GOMAXPROCS).
 	Workers int
 	// InitialIncumbent, when non-nil, warm-starts the search with a known
 	// feasible schedule in the instance's own encoding (task → processor
@@ -106,15 +106,15 @@ type SearchStats struct {
 	// Nodes is the number of search-tree nodes expanded (all workers).
 	Nodes int64
 	// Workers is the worker-pool size the search ran with (1 for the
-	// sequential solvers).
+	// sequential DFS).
 	Workers int
 	// Subproblems counts independent subproblems executed by the
 	// work-stealing pool: the shallow-frontier split plus any re-splits of
-	// stolen work. Zero for the sequential solvers, and zero for any solve
+	// stolen work. Zero for the sequential DFS, and zero for any solve
 	// closed at the root by a bound before the pool spun up.
 	Subproblems int64
 	// Steals counts subproblems a worker took from another worker's deque.
-	// Zero for the sequential solvers.
+	// Zero for the sequential DFS.
 	Steals int64
 	// Bound is the strongest instance-level lower bound the search derived
 	// at the root: the max of the average-load, max-element, bin-packing,
@@ -235,63 +235,26 @@ func (o Options) seed(h *hypergraph.Hypergraph, inc core.HyperAssignment, m0 int
 // SolveSingleProc computes an optimal SINGLEPROC schedule (weighted or
 // unit) by branch and bound. Tasks with empty eligibility sets yield an
 // error.
-func SolveSingleProc(g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	return SolveSingleProcCtx(context.Background(), g, opts)
-}
-
-// SolveSingleProcCtx is SolveSingleProc with cooperative cancellation: the
-// search polls ctx alongside the MaxNodes budget and, when ctx is
-// cancelled, returns the incumbent with an error wrapping ErrCancelled and
-// ctx.Err().
 //
-// The sequential solver is the parallel engine run single-threaded: same
-// compiled flat shape, same bound hierarchy and prunes, one worker, no
-// pool. Node counts are therefore deterministic.
-func SolveSingleProcCtx(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	return solveSingle(ctx, g, opts, 1)
-}
-
-// SolveSingleProcPar is SolveSingleProc on the parallel work-stealing
-// branch-and-bound engine.
-func SolveSingleProcPar(g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	return SolveSingleProcParCtx(context.Background(), g, opts)
-}
-
-// SolveSingleProcParCtx computes an optimal SINGLEPROC schedule on the
-// parallel engine: the search tree is split at a shallow frontier across
-// Options.Workers work-stealing workers sharing one incumbent bound and
-// one node budget. The error contract matches SolveSingleProcCtx: on
-// budget exhaustion or cancellation the best incumbent found by any worker
-// is returned alongside ErrLimit / ErrCancelled. The optimal makespan is
-// deterministic; which optimal schedule is returned may vary across runs
-// when several exist.
-func SolveSingleProcParCtx(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	return solveSingle(ctx, g, opts, opts.workers())
+// opts.Workers selects the engine. Workers == 1 runs one uninterrupted
+// sequential DFS, so node counts are deterministic. Any other value
+// splits the search tree at a shallow frontier across that many
+// work-stealing workers (0 means GOMAXPROCS) sharing one incumbent bound
+// and one node budget; the optimal makespan is deterministic, but which
+// optimal schedule is returned may vary across runs when several exist.
+//
+// The search polls ctx alongside the MaxNodes budget. On budget
+// exhaustion or cancellation it returns the incumbent (the best schedule
+// found so far) with an error wrapping ErrLimit, or ErrCancelled and
+// ctx.Err().
+func SolveSingleProc(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
+	return solveSingle(ctx, g, opts)
 }
 
 // SolveMultiProc computes an optimal MULTIPROC schedule by branch and
-// bound.
-func SolveMultiProc(h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
-	return SolveMultiProcCtx(context.Background(), h, opts)
-}
-
-// SolveMultiProcCtx is SolveMultiProc with cooperative cancellation; see
-// SolveSingleProcCtx for the engine and error contract.
-func SolveMultiProcCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
-	return solve(ctx, h, opts, 1)
-}
-
-// SolveMultiProcPar is SolveMultiProc on the parallel work-stealing
-// branch-and-bound engine.
-func SolveMultiProcPar(h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
-	return SolveMultiProcParCtx(context.Background(), h, opts)
-}
-
-// SolveMultiProcParCtx computes an optimal MULTIPROC schedule on the
-// parallel engine; see SolveSingleProcParCtx for the concurrency and
-// error contract.
-func SolveMultiProcParCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
-	return solve(ctx, h, opts, opts.workers())
+// bound; see SolveSingleProc for the engine choice and error contract.
+func SolveMultiProc(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
+	return solve(ctx, h, opts)
 }
 
 // solveSingle runs a SINGLEPROC instance through solve in singleton form
@@ -299,7 +262,7 @@ func SolveMultiProcParCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Op
 // observations and the result translate between the processor and edge
 // encodings through g's rows, and callers only ever see task → processor
 // assignments.
-func solveSingle(ctx context.Context, g *bipartite.Graph, opts Options, workers int) (core.Assignment, int64, error) {
+func solveSingle(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
 	n, p := g.NLeft, g.NRight
 	if p == 0 && n > 0 {
 		return nil, 0, fmt.Errorf("exact: no processors")
@@ -316,7 +279,7 @@ func solveSingle(ctx context.Context, g *bipartite.Graph, opts Options, workers 
 	if obs := opts.Observer; obs != nil {
 		opts.Observer = func(m int64, a []int32) { obs(m, procsOf(g, a)) }
 	}
-	a, m, err := solve(ctx, hypergraph.FromGraph(g), opts, workers)
+	a, m, err := solve(ctx, hypergraph.FromGraph(g), opts)
 	return procsOf(g, a), m, err
 }
 
@@ -348,13 +311,13 @@ func procsOf(g *bipartite.Graph, a []int32) core.Assignment {
 	return core.Assignment(a)
 }
 
-// solve is the one branch-and-bound driver behind all four entry points.
+// solve is the one branch-and-bound driver behind both entry points.
 // It compiles h, seeds the incumbent (greedy, or a better warm start),
 // closes at the root when the incumbent meets the strongest root bound,
-// and otherwise searches: one uninterrupted DFS when workers == 1, the
+// and otherwise searches: one uninterrupted DFS when opts.Workers is 1, the
 // work-stealing pool over a shallow frontier otherwise.
-func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options, workers int) (core.HyperAssignment, int64, error) {
-	n, p := h.NTasks, h.NProcs
+func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
+	n, p, workers := h.NTasks, h.NProcs, opts.workers()
 	if n == 0 {
 		return core.HyperAssignment{}, 0, nil
 	}

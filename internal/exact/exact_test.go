@@ -65,7 +65,7 @@ func TestSolveSingleProcUnitMatchesPolynomialExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		g := randomUnitGraph(rng, 1+rng.Intn(15), 1+rng.Intn(6), 4)
-		a, m, err := SolveSingleProc(g, Options{})
+		a, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestSolveSingleProcWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		g := randomWeightedGraph(rng, 1+rng.Intn(7), 1+rng.Intn(4), 3, 9)
-		_, m, err := SolveSingleProc(g, Options{})
+		_, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +140,11 @@ func TestSolveSingleProcErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SolveSingleProc(g, Options{}); err == nil {
+	if _, _, err := SolveSingleProc(context.Background(), g, Options{Workers: 1}); err == nil {
 		t.Fatal("isolated task accepted")
 	}
 	empty, _ := bipartite.NewFromAdjacency(0, nil)
-	if _, m, err := SolveSingleProc(empty, Options{}); err != nil || m != 0 {
+	if _, m, err := SolveSingleProc(context.Background(), empty, Options{Workers: 1}); err != nil || m != 0 {
 		t.Fatalf("empty: m=%d err=%v", m, err)
 	}
 }
@@ -156,7 +156,7 @@ func TestSolveSingleProcNodeLimit(t *testing.T) {
 	for seed := int64(3); seed < 23; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomWeightedGraph(rng, 20, 4, 4, 50)
-		_, m, err := SolveSingleProc(g, Options{MaxNodes: 5})
+		_, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, MaxNodes: 5})
 		if err == nil {
 			continue // proven optimal at the root; try another instance
 		}
@@ -176,7 +176,7 @@ func TestSolveMultiProcAgainstEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 60; trial++ {
 		h := randomHyper(rng, 1+rng.Intn(6), 1+rng.Intn(4), 3, 3, 6)
-		a, m, err := SolveMultiProc(h, Options{})
+		a, m, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestSolveMultiProcSandwich(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHyper(rng, 1+rng.Intn(10), 1+rng.Intn(5), 3, 3, 5)
-		_, opt, err := SolveMultiProc(h, Options{})
+		_, opt, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
 		if err != nil {
 			return false
 		}
@@ -292,7 +292,7 @@ func TestTheorem1Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, opt, err := SolveMultiProc(h, Options{})
+		_, opt, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestSolveMultiProcCtxCancelStopsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	a, m, err := SolveMultiProcCtx(ctx, h, Options{MaxNodes: 1 << 60})
+	a, m, err := SolveMultiProc(ctx, h, Options{Workers: 1, MaxNodes: 1 << 60})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
@@ -371,7 +371,7 @@ func TestSolveSingleProcCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	a, m, err := SolveSingleProcCtx(ctx, g, Options{MaxNodes: 1 << 60})
+	a, m, err := SolveSingleProc(ctx, g, Options{Workers: 1, MaxNodes: 1 << 60})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCancelled wrapping DeadlineExceeded", err)
@@ -387,13 +387,19 @@ func TestSolveSingleProcCtxDeadline(t *testing.T) {
 	}
 }
 
+// TestSolveCtxBackgroundMatchesPlain: a live, never-cancelled context
+// (which starts the cancellation watcher) changes neither the optimum nor
+// the node count of a Background solve.
 func TestSolveCtxBackgroundMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	h := randomHyper(rng, 8, 4, 3, 3, 6)
-	_, m1, err1 := SolveMultiProc(h, Options{})
-	_, m2, err2 := SolveMultiProcCtx(context.Background(), h, Options{})
-	if err1 != nil || err2 != nil || m1 != m2 {
-		t.Fatalf("plain (%d, %v) vs ctx (%d, %v)", m1, err1, m2, err2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var st1, st2 SearchStats
+	_, m1, err1 := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: &st1})
+	_, m2, err2 := SolveMultiProc(ctx, h, Options{Workers: 1, Stats: &st2})
+	if err1 != nil || err2 != nil || m1 != m2 || st1.Nodes != st2.Nodes {
+		t.Fatalf("plain (%d, %v, %d nodes) vs ctx (%d, %v, %d nodes)", m1, err1, st1.Nodes, m2, err2, st2.Nodes)
 	}
 }
 
@@ -402,7 +408,7 @@ func BenchmarkSolveMultiProc12Tasks(b *testing.B) {
 	h := randomHyper(rng, 12, 6, 3, 3, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveMultiProc(h, Options{}); err != nil {
+		if _, _, err := SolveMultiProc(context.Background(), h, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,13 +70,13 @@ func fuzzInstance(data []byte) (inst any, n, p int, opt int64) {
 }
 
 // FuzzEngines differentially tests the branch-and-bound engines against
-// brute force on tiny instances of both classes: the sequential solver
-// and the parallel one at 1–4 workers, cold, warm-started from an
-// optimum, and warm-started from a decoded (usually invalid) schedule.
-// Every returned schedule must be optimal, pass cert.Verify against the
-// original instance, and end the observed incumbent trajectory; a
-// one-worker parallel solve must match the sequential node count, and a
-// valid warm start must not expand more nodes than the cold search.
+// brute force on tiny instances of both classes: the sequential DFS
+// (Workers: 1) and the parallel pool at 2–4 workers, cold, warm-started
+// from an optimum, and warm-started from a decoded (usually invalid)
+// schedule. Every returned schedule must be optimal, pass cert.Verify
+// against the original instance, and end the observed incumbent
+// trajectory; a valid warm start must not expand more nodes than the
+// cold search, and an invalid one must not change it.
 //
 //	go test -run '^$' -fuzz '^FuzzEngines$' -fuzztime 30s ./internal/exact/
 func FuzzEngines(f *testing.F) {
@@ -89,19 +90,11 @@ func FuzzEngines(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst, n, p, opt := fuzzInstance(data)
 		solve := func(workers int, opts Options) ([]int32, int64, error) {
-			g, single := inst.(*bipartite.Graph)
-			switch {
-			case single && workers == 0:
-				return SolveSingleProc(g, opts)
-			case single:
-				opts.Workers = workers
-				return SolveSingleProcPar(g, opts)
-			case workers == 0:
-				return SolveMultiProc(inst.(*hypergraph.Hypergraph), opts)
-			default:
-				opts.Workers = workers
-				return SolveMultiProcPar(inst.(*hypergraph.Hypergraph), opts)
+			opts.Workers = workers
+			if g, single := inst.(*bipartite.Graph); single {
+				return SolveSingleProc(context.Background(), g, opts)
 			}
+			return SolveMultiProc(context.Background(), inst.(*hypergraph.Hypergraph), opts)
 		}
 		check := func(label string, workers int, warm []int32) SearchStats {
 			var st SearchStats
@@ -132,18 +125,15 @@ func FuzzEngines(f *testing.F) {
 			return st
 		}
 
-		cold := check("cold", 0, nil)
-		if one := check("cold", 1, nil); one.Nodes != cold.Nodes {
-			t.Fatalf("one-worker parallel expanded %d nodes, sequential %d", one.Nodes, cold.Nodes)
-		}
+		cold := check("cold", 1, nil)
 		var best []int32
 		switch v := inst.(type) {
 		case *bipartite.Graph:
-			best, _, _ = SolveSingleProc(v, Options{})
+			best, _, _ = SolveSingleProc(context.Background(), v, Options{Workers: 1})
 		case *hypergraph.Hypergraph:
-			best, _, _ = SolveMultiProc(v, Options{})
+			best, _, _ = SolveMultiProc(context.Background(), v, Options{Workers: 1})
 		}
-		if warm := check("warm", 0, best); warm.Nodes > cold.Nodes {
+		if warm := check("warm", 1, best); warm.Nodes > cold.Nodes {
 			t.Fatalf("warm start expanded %d nodes, cold %d", warm.Nodes, cold.Nodes)
 		}
 		// A schedule decoded from the input's tail: wrong length, out of
@@ -153,7 +143,7 @@ func FuzzEngines(f *testing.F) {
 		for t := range junk {
 			junk[t] = int32(b.next()%(p+3)) - 1
 		}
-		for workers := 0; workers <= 4; workers++ {
+		for workers := 1; workers <= 4; workers++ {
 			check("warm", workers, best)
 			check("junk", workers, junk)
 			if workers > 1 {
@@ -161,7 +151,7 @@ func FuzzEngines(f *testing.F) {
 			}
 		}
 		if valid := isValid(inst, junk); !valid {
-			if st := check("junk", 0, junk); st.Nodes != cold.Nodes {
+			if st := check("junk", 1, junk); st.Nodes != cold.Nodes {
 				t.Fatalf("invalid warm start changed the search: %d nodes, cold %d", st.Nodes, cold.Nodes)
 			}
 		}

@@ -1,6 +1,6 @@
 // Parallel branch-and-bound engine.
 //
-// One engine drives all four solvers through one driver (solve, in
+// One engine drives both solvers through one driver (solve, in
 // exact.go). An instance is compiled once into its flat search shape
 // (internal/exact/flatcore): CSR child arrays, bitset pin sets, suffix
 // bounds, and symmetry/dominance tables; a SINGLEPROC graph compiles as

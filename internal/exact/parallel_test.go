@@ -26,11 +26,11 @@ func TestParSingleProcMatchesSequentialGrid(t *testing.T) {
 			} else {
 				g = randomWeightedGraph(rng, 1+rng.Intn(12), 1+rng.Intn(5), 4, 9)
 			}
-			_, want, err := SolveSingleProc(g, Options{})
+			_, want, err := SolveSingleProc(context.Background(), g, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, got, err := SolveSingleProcPar(g, Options{Workers: workers})
+			a, got, err := SolveSingleProc(context.Background(), g, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d trial=%d: %v", workers, trial, err)
 			}
@@ -56,11 +56,11 @@ func TestParMultiProcMatchesSequentialGrid(t *testing.T) {
 				maxW = 8
 			}
 			h := randomHyper(rng, 1+rng.Intn(11), 1+rng.Intn(5), 3, 3, maxW)
-			_, want, err := SolveMultiProc(h, Options{})
+			_, want, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, got, err := SolveMultiProcPar(h, Options{Workers: workers})
+			a, got, err := SolveMultiProc(context.Background(), h, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d trial=%d: %v", workers, trial, err)
 			}
@@ -93,11 +93,11 @@ func TestParSymmetricProcessors(t *testing.T) {
 			}
 		}
 		g := b.MustBuild()
-		_, want, err := SolveSingleProc(g, Options{})
+		_, want, err := SolveSingleProc(context.Background(), g, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := SolveSingleProcPar(g, Options{Workers: 4})
+		_, got, err := SolveSingleProc(context.Background(), g, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +118,11 @@ func TestParSymmetricProcessors(t *testing.T) {
 			}
 		}
 		h := hb.MustBuild()
-		_, want, err := SolveMultiProc(h, Options{})
+		_, want, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := SolveMultiProcPar(h, Options{Workers: 4})
+		_, got, err := SolveMultiProc(context.Background(), h, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,14 +139,14 @@ func TestParTightBudgetConsistentErrLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	gSP := randomWeightedGraph(rng, 26, 6, 5, 50)
 	gMP := randomHyper(rng, 26, 6, 4, 3, 50)
-	opts := Options{MaxNodes: 48}
+	opts := Options{MaxNodes: 48, Workers: 1}
 
-	_, mSeq, errSeq := SolveSingleProc(gSP, opts)
+	_, mSeq, errSeq := SolveSingleProc(context.Background(), gSP, opts)
 	if !errors.Is(errSeq, ErrLimit) {
 		t.Fatalf("sequential SP: want ErrLimit, got %v", errSeq)
 	}
 	for _, workers := range []int{1, 4} {
-		a, m, err := SolveSingleProcPar(gSP, Options{MaxNodes: 48, Workers: workers})
+		a, m, err := SolveSingleProc(context.Background(), gSP, Options{MaxNodes: 48, Workers: workers})
 		if !errors.Is(err, ErrLimit) {
 			t.Fatalf("parallel SP workers=%d: want ErrLimit, got %v", workers, err)
 		}
@@ -159,12 +159,12 @@ func TestParTightBudgetConsistentErrLimit(t *testing.T) {
 	}
 	_ = mSeq
 
-	_, _, errSeqMP := SolveMultiProc(gMP, opts)
+	_, _, errSeqMP := SolveMultiProc(context.Background(), gMP, opts)
 	if !errors.Is(errSeqMP, ErrLimit) {
 		t.Fatalf("sequential MP: want ErrLimit, got %v", errSeqMP)
 	}
 	for _, workers := range []int{1, 4} {
-		a, m, err := SolveMultiProcPar(gMP, Options{MaxNodes: 48, Workers: workers})
+		a, m, err := SolveMultiProc(context.Background(), gMP, Options{MaxNodes: 48, Workers: workers})
 		if !errors.Is(err, ErrLimit) {
 			t.Fatalf("parallel MP workers=%d: want ErrLimit, got %v", workers, err)
 		}
@@ -185,18 +185,18 @@ func TestParSmallBudgetNotStranded(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	h := randomHyper(rng, 10, 4, 3, 3, 7)
 	var st SearchStats
-	if _, _, err := SolveMultiProcPar(h, Options{Workers: 4, Stats: &st}); err != nil {
+	if _, _, err := SolveMultiProc(context.Background(), h, Options{Workers: 4, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	budget := 4*st.Nodes + 256 // generous headroom over the engine's own need
-	a, m, err := SolveMultiProcPar(h, Options{MaxNodes: budget, Workers: 4})
+	a, m, err := SolveMultiProc(context.Background(), h, Options{MaxNodes: budget, Workers: 4})
 	if err != nil {
 		t.Fatalf("budget %d (engine needs ~%d nodes) still tripped: %v", budget, st.Nodes, err)
 	}
 	if vErr := core.ValidateHyperAssignment(h, a); vErr != nil {
 		t.Fatal(vErr)
 	}
-	_, want, err := SolveMultiProc(h, Options{})
+	_, want, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestParCancelledContext(t *testing.T) {
 	h := randomHyper(rng, 24, 6, 4, 3, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, m, err := SolveMultiProcParCtx(ctx, h, Options{Workers: 4})
+	a, m, err := SolveMultiProc(ctx, h, Options{Workers: 4})
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCancelled wrapping context.Canceled, got %v", err)
 	}
@@ -225,19 +225,19 @@ func TestParCancelledContext(t *testing.T) {
 func TestParTrivialInstances(t *testing.T) {
 	// Zero tasks.
 	g := bipartite.NewBuilder(0, 3).MustBuild()
-	if a, m, err := SolveSingleProcPar(g, Options{}); err != nil || m != 0 || len(a) != 0 {
+	if a, m, err := SolveSingleProc(context.Background(), g, Options{}); err != nil || m != 0 || len(a) != 0 {
 		t.Fatalf("empty SP: got (%v, %d, %v)", a, m, err)
 	}
 	// No processors.
 	gBad := bipartite.NewBuilder(2, 0)
-	if _, _, err := SolveSingleProcPar(gBad.MustBuild(), Options{}); err == nil {
+	if _, _, err := SolveSingleProc(context.Background(), gBad.MustBuild(), Options{}); err == nil {
 		t.Fatal("no processors: want error")
 	}
 	// Single task.
 	b := bipartite.NewBuilder(1, 2)
 	b.AddWeightedEdge(0, 0, 7)
 	b.AddWeightedEdge(0, 1, 3)
-	_, m, err := SolveSingleProcPar(b.MustBuild(), Options{Workers: 4})
+	_, m, err := SolveSingleProc(context.Background(), b.MustBuild(), Options{Workers: 4})
 	if err != nil || m != 3 {
 		t.Fatalf("single task: got (%d, %v), want (3, nil)", m, err)
 	}
@@ -247,13 +247,13 @@ func TestParStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := randomHyper(rng, 14, 5, 3, 3, 9)
 	var seqStats, parStats SearchStats
-	if _, _, err := SolveMultiProc(h, Options{Stats: &seqStats}); err != nil {
+	if _, _, err := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: &seqStats}); err != nil {
 		t.Fatal(err)
 	}
 	if seqStats.Nodes <= 0 || seqStats.Workers != 1 {
 		t.Fatalf("sequential stats not populated: %+v", seqStats)
 	}
-	if _, _, err := SolveMultiProcPar(h, Options{Workers: 4, Stats: &parStats}); err != nil {
+	if _, _, err := SolveMultiProc(context.Background(), h, Options{Workers: 4, Stats: &parStats}); err != nil {
 		t.Fatal(err)
 	}
 	if parStats.Nodes <= 0 || parStats.Workers != 4 || parStats.Subproblems <= 0 {
@@ -267,13 +267,13 @@ func TestParStatsPopulated(t *testing.T) {
 func TestParRaceStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	h := randomHyper(rng, 18, 5, 3, 3, 12)
-	_, want, err := SolveMultiProc(h, Options{})
+	_, want, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
 		var st SearchStats
-		_, got, err := SolveMultiProcPar(h, Options{Workers: 8, Stats: &st})
+		_, got, err := SolveMultiProc(context.Background(), h, Options{Workers: 8, Stats: &st})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,14 +37,14 @@ func TestSingleProcObserverEncoding(t *testing.T) {
 	adopted := 0
 	for trial := 0; trial < 30; trial++ {
 		g := randomWeightedGraph(rng, 8+rng.Intn(6), 2+rng.Intn(3), 3, 40)
-		opt, mOpt, err := SolveSingleProc(g, Options{})
+		opt, mOpt, err := SolveSingleProc(context.Background(), g, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		greedyM := core.Makespan(g, core.SortedGreedy(g, core.GreedyOptions{}))
 		for _, workers := range []int{1, 3} {
 			var seen []int64
-			a, m, err := SolveSingleProcPar(g, Options{
+			a, m, err := SolveSingleProc(context.Background(), g, Options{
 				Workers:          workers,
 				InitialIncumbent: opt,
 				Observer: func(m int64, a []int32) {
@@ -88,7 +89,7 @@ func TestSingleProcEdgeEncodedWarmStartIgnored(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := randomWeightedGraph(rng, 8+rng.Intn(6), 2+rng.Intn(3), 3, 40)
 		var cold SearchStats
-		opt, mCold, err := SolveSingleProc(g, Options{Stats: &cold})
+		opt, mCold, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &cold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestSingleProcEdgeEncodedWarmStartIgnored(t *testing.T) {
 		}
 		checked++
 		var st SearchStats
-		if _, m, err := SolveSingleProc(g, Options{Stats: &st, InitialIncumbent: edges}); err != nil || m != mCold || st.Nodes != cold.Nodes {
+		if _, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &st, InitialIncumbent: edges}); err != nil || m != mCold || st.Nodes != cold.Nodes {
 			t.Fatalf("trial %d: edge-encoded warm start perturbed the search: makespan %d/%d nodes %d/%d err %v",
 				trial, m, mCold, st.Nodes, cold.Nodes, err)
 		}

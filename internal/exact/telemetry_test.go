@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,12 +18,13 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := randomWeightedGraph(rng, 14, 4, 4, 30)
 		var plain, traced SearchStats
-		_, mPlain, err := SolveSingleProc(g, Options{Stats: &plain})
+		_, mPlain, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &plain})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := telemetry.StartSpan("solve")
-		_, mTraced, err := SolveSingleProc(g, Options{
+		_, mTraced, err := SolveSingleProc(context.Background(), g, Options{
+			Workers:          1,
 			Stats:            &traced,
 			Trace:            tr,
 			Progress:         func(telemetry.SearchProgress) {},
@@ -45,11 +47,12 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		h := randomHyper(rng, 11, 4, 3, 3, 25)
 		var plain, traced SearchStats
-		_, mPlain, err := SolveMultiProc(h, Options{Stats: &plain})
+		_, mPlain, err := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: &plain})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, mTraced, err := SolveMultiProc(h, Options{
+		_, mTraced, err := SolveMultiProc(context.Background(), h, Options{
+			Workers:          1,
 			Stats:            &traced,
 			Trace:            telemetry.StartSpan("solve"),
 			Progress:         func(telemetry.SearchProgress) {},
@@ -73,7 +76,7 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 	g := randomWeightedGraph(rng, 16, 4, 4, 40)
 	tr := telemetry.StartSpan("exact")
 	var stats SearchStats
-	if _, _, err := SolveSingleProc(g, Options{Stats: &stats, Trace: tr}); err != nil {
+	if _, _, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &stats, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	tr.End()
@@ -121,7 +124,7 @@ func TestProgressSnapshots(t *testing.T) {
 	var mu sync.Mutex
 	var snaps []telemetry.SearchProgress
 	var stats SearchStats
-	_, m, err := SolveMultiProcPar(h, Options{
+	_, m, err := SolveMultiProc(context.Background(), h, Options{
 		Workers: 4,
 		Stats:   &stats,
 		Progress: func(p telemetry.SearchProgress) {

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestWarmStartSingleProcNeverWorse(t *testing.T) {
 		g := randomWeightedGraph(rng, 6+rng.Intn(10), 2+rng.Intn(4), 3, 20)
 
 		var cold SearchStats
-		aCold, mCold, err := SolveSingleProc(g, Options{Stats: &cold})
+		aCold, mCold, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &cold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +29,8 @@ func TestWarmStartSingleProcNeverWorse(t *testing.T) {
 		// Warm-start from the cold optimum itself: the tightest possible
 		// incumbent. Same makespan must come back with no more nodes.
 		var warm SearchStats
-		aWarm, mWarm, err := SolveSingleProc(g, Options{
+		aWarm, mWarm, err := SolveSingleProc(context.Background(), g, Options{
+			Workers:          1,
 			Stats:            &warm,
 			InitialIncumbent: aCold,
 		})
@@ -53,13 +55,14 @@ func TestWarmStartMultiProcNeverWorse(t *testing.T) {
 		h := randomHyper(rng, 5+rng.Intn(8), 2+rng.Intn(4), 3, 3, 12)
 
 		var cold SearchStats
-		aCold, mCold, err := SolveMultiProc(h, Options{Stats: &cold})
+		aCold, mCold, err := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: &cold})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		var warm SearchStats
-		aWarm, mWarm, err := SolveMultiProc(h, Options{
+		aWarm, mWarm, err := SolveMultiProc(context.Background(), h, Options{
+			Workers:          1,
 			Stats:            &warm,
 			InitialIncumbent: aCold,
 		})
@@ -85,7 +88,7 @@ func TestWarmStartInvalidIgnored(t *testing.T) {
 	g := randomWeightedGraph(rng, 10, 3, 3, 20)
 
 	var cold SearchStats
-	_, mCold, err := SolveSingleProc(g, Options{Stats: &cold})
+	_, mCold, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &cold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestWarmStartInvalidIgnored(t *testing.T) {
 	}
 	for i, w := range bad {
 		var st SearchStats
-		_, m, err := SolveSingleProc(g, Options{Stats: &st, InitialIncumbent: w})
+		_, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &st, InitialIncumbent: w})
 		if err != nil {
 			t.Fatalf("bad warm start %d: %v", i, err)
 		}
@@ -131,11 +134,11 @@ func TestWarmStartParallelCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
 		g := randomWeightedGraph(rng, 8+rng.Intn(8), 2+rng.Intn(4), 3, 20)
-		aCold, mCold, err := SolveSingleProcPar(g, Options{Workers: 4})
+		aCold, mCold, err := SolveSingleProc(context.Background(), g, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aWarm, mWarm, err := SolveSingleProcPar(g, Options{Workers: 4, InitialIncumbent: aCold})
+		aWarm, mWarm, err := SolveSingleProc(context.Background(), g, Options{Workers: 4, InitialIncumbent: aCold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +150,11 @@ func TestWarmStartParallelCorrect(t *testing.T) {
 		}
 
 		h := randomHyper(rng, 5+rng.Intn(6), 2+rng.Intn(3), 3, 3, 12)
-		hCold, hmCold, err := SolveMultiProcPar(h, Options{Workers: 4})
+		hCold, hmCold, err := SolveMultiProc(context.Background(), h, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, hmWarm, err := SolveMultiProcPar(h, Options{Workers: 4, InitialIncumbent: hCold})
+		_, hmWarm, err := SolveMultiProc(context.Background(), h, Options{Workers: 4, InitialIncumbent: hCold})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,19 +44,19 @@ func TestSearchStatsWitness(t *testing.T) {
 		}
 		runs := []run{
 			{"sp-seq", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveSingleProc(g, Options{Stats: st})
+				_, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: st})
 				return m, err
 			}, g},
 			{"sp-par", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveSingleProcPar(g, Options{Stats: st, Workers: 2})
+				_, m, err := SolveSingleProc(context.Background(), g, Options{Stats: st, Workers: 2})
 				return m, err
 			}, g},
 			{"mp-seq", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveMultiProc(h, Options{Stats: st})
+				_, m, err := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: st})
 				return m, err
 			}, h},
 			{"mp-par", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveMultiProcPar(h, Options{Stats: st, Workers: 2})
+				_, m, err := SolveMultiProc(context.Background(), h, Options{Stats: st, Workers: 2})
 				return m, err
 			}, h},
 		}
@@ -117,7 +117,7 @@ func TestSearchStatsWitnessTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomWeightedGraph(rng, 18, 4, 4, 50)
 	var st SearchStats
-	a, m, err := SolveSingleProcCtx(context.Background(), g, Options{MaxNodes: 5, Stats: &st})
+	a, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, MaxNodes: 5, Stats: &st})
 	if err == nil {
 		t.Skip("instance solved within 5 nodes; cannot exercise truncation")
 	}

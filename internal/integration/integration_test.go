@@ -6,6 +6,7 @@ package integration
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,9 +20,9 @@ import (
 	"semimatch/internal/gen"
 	"semimatch/internal/matching"
 	"semimatch/internal/online"
-	"semimatch/internal/portfolio"
 	"semimatch/internal/refine"
 	"semimatch/internal/sched"
+	"semimatch/internal/solve"
 )
 
 // TestHypergraphPipeline: generator → text format → every heuristic →
@@ -65,7 +66,7 @@ func TestHypergraphPipeline(t *testing.T) {
 			if m < lb {
 				t.Fatalf("%s/%s: %d below LB %d", weights, name, m, lb)
 			}
-			r := refine.Refine(h2, a, refine.Options{})
+			r := refine.RefineCtx(context.Background(), h2, a, refine.Options{})
 			if r.After > m {
 				t.Fatalf("%s/%s: refinement worsened %d → %d", weights, name, m, r.After)
 			}
@@ -73,8 +74,9 @@ func TestHypergraphPipeline(t *testing.T) {
 				best = r.After
 			}
 		}
-		// The refined portfolio ties or beats the best individual run.
-		res, err := portfolio.Solve(h2, portfolio.Options{Refine: true})
+		// The refined portfolio (the auto policy's race, exact stage
+		// off) ties or beats the best individual run.
+		res, err := solve.Run(context.Background(), solve.Hyper(h2), solve.WithRefine(), solve.WithExactLimit(-1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +168,14 @@ func TestTheorem1EndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, opt, err := exact.SolveMultiProc(h2, exact.Options{})
+		rep, err := solve.Run(context.Background(), solve.Hyper(h2), solve.WithAlgorithm("BnB-MP"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if rep.Status != solve.StatusOptimal {
+			t.Fatalf("trial %d: branch and bound stopped short of a proof (%s)", trial, rep.Status)
+		}
+		opt := rep.Makespan
 		_, hasCover := exact.SolveX3C(x)
 		if hasCover != (opt == 1) {
 			t.Fatalf("trial %d: cover=%v optimal=%d", trial, hasCover, opt)
@@ -182,7 +188,7 @@ func TestTheorem1EndToEnd(t *testing.T) {
 }
 
 // TestSchedulerRoundTrip: named instance → JSON → hypergraph → portfolio →
-// named schedule → simulation — the cmd/semisched path as a library call.
+// named schedule → simulation — semisolve's JSON path as a library call.
 func TestSchedulerRoundTrip(t *testing.T) {
 	in := sched.NewInstance("a", "b", "c")
 	rng := rand.New(rand.NewSource(23))

@@ -6,7 +6,7 @@
 // fan-out uses the cores a single greedy leaves idle.
 //
 // Optionally every candidate is post-processed with local search
-// (refine.Refine) before judging, which only ever improves results.
+// (refine.RefineCtx) before judging, which only ever improves results.
 //
 // SolveCtx races the members against a context: when the deadline expires
 // the portfolio stops waiting and judges whichever candidates have
@@ -25,6 +25,7 @@ import (
 	"runtime"
 
 	"semimatch/internal/core"
+	"semimatch/internal/exact"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/loadvec"
 	"semimatch/internal/refine"
@@ -35,7 +36,7 @@ import (
 type Options struct {
 	// Algorithms restricts the portfolio; nil means the registry's default
 	// MULTIPROC heuristic lineup. Names resolve through the solver
-	// registry (aliases work); unknown names make Solve return an error.
+	// registry (aliases work); unknown names make SolveCtx return an error.
 	Algorithms []string
 	// Refine post-processes every candidate with local search.
 	Refine bool
@@ -78,7 +79,7 @@ func run(ctx context.Context, sol *registry.Solver, h *hypergraph.Hypergraph, do
 	// Members already race on their own goroutines, so a parallel member
 	// gets one internal worker: the portfolio's concurrency budget is
 	// spent across members, not inside one.
-	a, err := sol.SolveHyper(ctx, h, registry.Options{Workers: 1})
+	a, err := sol.SolveHyper(ctx, h, registry.Options{BnB: exact.Options{Workers: 1}})
 	if err != nil {
 		// An exact member that runs out of budget still hands back its
 		// incumbent — a valid schedule, just not provably optimal — and a
@@ -113,29 +114,17 @@ func resolve(algs []string) ([]string, []*registry.Solver, error) {
 	return names, solvers, nil
 }
 
-// ValidateAlgorithms rejects unknown member names up front so a bad
-// Options value is an error, not a crash deep inside a worker goroutine.
-// An empty list is valid and means the full default portfolio.
-func ValidateAlgorithms(algs []string) error {
-	_, _, err := resolve(algs)
-	return err
-}
-
-// Solve runs the portfolio on h and returns the best schedule. Ties are
+// SolveCtx runs the portfolio on h and returns the best schedule. Ties are
 // broken lexicographically by full descending load vector first (a
 // schedule with the same makespan but better-balanced tail wins), then by
 // portfolio order. Unknown algorithm names in opts yield an error.
-func Solve(h *hypergraph.Hypergraph, opts Options) (Result, error) {
-	return SolveCtx(context.Background(), h, opts)
-}
-
-// SolveCtx is Solve racing a context: members run concurrently and, if ctx
-// is cancelled or its deadline expires before all of them finish, the best
-// candidate finished so far is returned with Result.Incomplete set. Queued
-// members never start after cancellation and the refinement stage observes
-// ctx; a heuristic already in flight runs to completion in the background
-// (the greedies themselves are not interruptible) but its result is simply
-// discarded. Only when the context expires before any member has produced
+//
+// Members run concurrently and, if ctx is cancelled or its deadline
+// expires before all of them finish, the best candidate finished so far
+// is returned with Result.Incomplete set. Queued members never start
+// after cancellation and the refinement stage observes ctx; a heuristic
+// already in flight runs to completion in the background (the greedies
+// themselves are not interruptible) but its result is simply discarded. Only when the context expires before any member has produced
 // a candidate does SolveCtx give up and return ctx's error.
 func SolveCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	algs, solvers, err := resolve(opts.Algorithms)

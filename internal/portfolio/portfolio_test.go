@@ -37,7 +37,7 @@ func TestPortfolioAtLeastAsGoodAsEveryMember(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHyper(rng, 1+rng.Intn(40), 2+rng.Intn(8), 4, 4, 9)
-		res, err := Solve(h, Options{})
+		res, err := SolveCtx(context.Background(), h, Options{})
 		if err != nil {
 			return false
 		}
@@ -62,8 +62,8 @@ func TestPortfolioAtLeastAsGoodAsEveryMember(t *testing.T) {
 func TestPortfolioDeterministicAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := randomHyper(rng, 50, 8, 4, 4, 9)
-	r1, err1 := Solve(h, Options{Workers: 1})
-	r4, err4 := Solve(h, Options{Workers: 4})
+	r1, err1 := SolveCtx(context.Background(), h, Options{Workers: 1})
+	r4, err4 := SolveCtx(context.Background(), h, Options{Workers: 4})
 	if err1 != nil || err4 != nil {
 		t.Fatal(err1, err4)
 	}
@@ -76,11 +76,11 @@ func TestPortfolioRefineNeverHurts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		h := randomHyper(rng, 40, 6, 4, 3, 9)
-		plain, err := Solve(h, Options{})
+		plain, err := SolveCtx(context.Background(), h, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refined, err := Solve(h, Options{Refine: true})
+		refined, err := SolveCtx(context.Background(), h, Options{Refine: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestPortfolioRefineNeverHurts(t *testing.T) {
 func TestPortfolioSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := randomHyper(rng, 30, 6, 3, 3, 5)
-	res, err := Solve(h, Options{Algorithms: []string{"SGH"}})
+	res, err := SolveCtx(context.Background(), h, Options{Algorithms: []string{"SGH"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPortfolioTieBreaksByOrder(t *testing.T) {
 	b.AddEdge(0, []int{0}, 3)
 	b.AddEdge(1, []int{1}, 3)
 	h := b.MustBuild()
-	res, err := Solve(h, Options{})
+	res, err := SolveCtx(context.Background(), h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkPortfolio(b *testing.B) {
 	h := randomHyper(rng, 5120, 256, 5, 10, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(h, Options{}); err != nil {
+		if _, err := SolveCtx(context.Background(), h, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkPortfolio(b *testing.B) {
 func TestPortfolioUnknownAlgorithmIsError(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	h := randomHyper(rng, 10, 4, 3, 3, 5)
-	_, err := Solve(h, Options{Algorithms: []string{"SGH", "bogus"}})
+	_, err := SolveCtx(context.Background(), h, Options{Algorithms: []string{"SGH", "bogus"}})
 	if err == nil {
 		t.Fatal("unknown algorithm must be an error, not a panic")
 	}
@@ -222,7 +222,7 @@ func TestExactMemberKeepsIncumbent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(h, Options{Algorithms: []string{"SGH", "exact"}})
+	res, err := SolveCtx(context.Background(), h, Options{Algorithms: []string{"SGH", "exact"}})
 	if err != nil {
 		t.Fatalf("portfolio must keep the exact incumbent: %v", err)
 	}

@@ -46,16 +46,10 @@ type Result struct {
 // context polls.
 const ctxCheckInterval = 64
 
-// Refine improves the assignment a on h by single-task moves. The input
-// assignment is not modified.
-func Refine(h *hypergraph.Hypergraph, a core.HyperAssignment, opts Options) Result {
-	return RefineCtx(context.Background(), h, a, opts)
-}
-
-// RefineCtx is Refine with cooperative cancellation: the local search
-// polls ctx as it scans the task list and stops early when ctx is
-// cancelled, returning the best assignment found so far with Interrupted
-// set. Every intermediate state is a valid schedule no worse than the
+// RefineCtx improves the assignment a on h by single-task moves. The
+// input assignment is not modified. The local search polls ctx as it
+// scans the task list and stops early when ctx is cancelled, returning
+// the best assignment found so far with Interrupted set. Every intermediate state is a valid schedule no worse than the
 // input, so an interrupted result is safe to use.
 func RefineCtx(ctx context.Context, h *hypergraph.Hypergraph, a core.HyperAssignment, opts Options) Result {
 	cur := append(core.HyperAssignment(nil), a...)

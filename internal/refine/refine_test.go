@@ -35,7 +35,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHyper(rng, 1+rng.Intn(30), 1+rng.Intn(8), 4, 4, 9)
 		a := core.SortedGreedyHyp(h, core.HyperOptions{})
-		res := Refine(h, a, Options{})
+		res := RefineCtx(context.Background(), h, a, Options{})
 		if core.ValidateHyperAssignment(h, res.Assignment) != nil {
 			return false
 		}
@@ -57,7 +57,7 @@ func TestRefineDoesNotMutateInput(t *testing.T) {
 	h := randomHyper(rng, 20, 5, 3, 3, 5)
 	a := core.SortedGreedyHyp(h, core.HyperOptions{})
 	snapshot := append(core.HyperAssignment(nil), a...)
-	Refine(h, a, Options{})
+	RefineCtx(context.Background(), h, a, Options{})
 	for i := range a {
 		if a[i] != snapshot[i] {
 			t.Fatal("input assignment mutated")
@@ -71,8 +71,8 @@ func TestRefineReachesLocalOptimum(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		h := randomHyper(rng, 1+rng.Intn(25), 2+rng.Intn(6), 4, 3, 7)
 		a := core.SortedGreedyHyp(h, core.HyperOptions{})
-		r1 := Refine(h, a, Options{})
-		r2 := Refine(h, r1.Assignment, Options{})
+		r1 := RefineCtx(context.Background(), h, a, Options{})
+		r2 := RefineCtx(context.Background(), h, r1.Assignment, Options{})
 		if r2.Moves != 0 {
 			t.Fatalf("trial %d: second refinement made %d moves", trial, r2.Moves)
 		}
@@ -90,7 +90,7 @@ func TestRefineFindsObviousMove(t *testing.T) {
 	if core.HyperMakespan(h, a) != 10 {
 		t.Fatalf("setup: greedy should fall into the trap, got %d", core.HyperMakespan(h, a))
 	}
-	res := Refine(h, a, Options{})
+	res := RefineCtx(context.Background(), h, a, Options{})
 	if res.After != 1 || res.Moves != 1 {
 		t.Fatalf("after=%d moves=%d, want 1 and 1", res.After, res.Moves)
 	}
@@ -100,7 +100,7 @@ func TestRefineRespectsMaxRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	h := randomHyper(rng, 40, 4, 4, 3, 9)
 	a := core.SortedGreedyHyp(h, core.HyperOptions{})
-	res := Refine(h, a, Options{MaxRounds: 1})
+	res := RefineCtx(context.Background(), h, a, Options{MaxRounds: 1})
 	if res.Rounds != 1 {
 		t.Fatalf("rounds = %d", res.Rounds)
 	}
@@ -112,7 +112,7 @@ func TestRefineSingleConfigTasksUntouched(t *testing.T) {
 	b.AddEdge(1, []int{0}, 5)
 	h := b.MustBuild()
 	a := core.SortedGreedyHyp(h, core.HyperOptions{})
-	res := Refine(h, a, Options{})
+	res := RefineCtx(context.Background(), h, a, Options{})
 	if res.Moves != 0 || res.After != 10 {
 		t.Fatalf("forced tasks must stay: moves=%d after=%d", res.Moves, res.After)
 	}
@@ -126,8 +126,8 @@ func TestRefineClosesGapTowardOptimal(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		h := randomHyper(rng, 1+rng.Intn(9), 2+rng.Intn(4), 3, 3, 9)
 		a := core.SortedGreedyHyp(h, core.HyperOptions{})
-		res := Refine(h, a, Options{})
-		_, opt, err := exact.SolveMultiProc(h, exact.Options{})
+		res := RefineCtx(context.Background(), h, a, Options{})
+		_, opt, err := exact.SolveMultiProc(context.Background(), h, exact.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func BenchmarkRefineAfterSGH(b *testing.B) {
 	a := core.SortedGreedyHyp(h, core.HyperOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Refine(h, a, Options{})
+		RefineCtx(context.Background(), h, a, Options{})
 	}
 }
 
@@ -170,12 +170,16 @@ func TestRefineCtxCancelledStopsEarly(t *testing.T) {
 	}
 }
 
+// TestRefineCtxBackgroundMatchesPlain: polling a live, never-cancelled
+// context changes nothing against a Background run.
 func TestRefineCtxBackgroundMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	h := randomHyper(rng, 80, 8, 4, 3, 9)
 	a := core.SortedGreedyHyp(h, core.HyperOptions{})
-	plain := Refine(h, a, Options{})
-	withCtx := RefineCtx(context.Background(), h, a, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plain := RefineCtx(context.Background(), h, a, Options{})
+	withCtx := RefineCtx(ctx, h, a, Options{})
 	if plain.After != withCtx.After || plain.Moves != withCtx.Moves || withCtx.Interrupted {
 		t.Fatalf("plain %+v vs ctx %+v", plain, withCtx)
 	}

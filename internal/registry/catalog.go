@@ -78,7 +78,8 @@ func init() {
 		Aliases: []string{"bnb"}, ParallelAlt: "BnB-SP-Par",
 		Summary: "branch-and-bound for weighted SINGLEPROC (budgeted; returns incumbent on timeout)",
 		SolveSingle: func(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, error) {
-			a, _, err := exact.SolveSingleProcCtx(ctx, g, opts.BnB)
+			opts.BnB.Workers = 1
+			a, _, err := exact.SolveSingleProc(ctx, g, opts.BnB)
 			return a, err
 		},
 	})
@@ -87,7 +88,7 @@ func init() {
 		Aliases: []string{"bnb-par"},
 		Summary: "work-stealing parallel branch-and-bound for weighted SINGLEPROC (Workers≈GOMAXPROCS; shared incumbent, symmetry breaking)",
 		SolveSingle: func(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, error) {
-			a, _, err := exact.SolveSingleProcParCtx(ctx, g, opts.bnb())
+			a, _, err := exact.SolveSingleProc(ctx, g, opts.BnB)
 			return a, err
 		},
 	})
@@ -155,7 +156,8 @@ func init() {
 		Aliases: []string{"bnb", "exact"}, ParallelAlt: "BnB-MP-Par",
 		Summary: "branch-and-bound for MULTIPROC (budgeted; returns incumbent on timeout)",
 		SolveHyper: func(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, error) {
-			a, _, err := exact.SolveMultiProcCtx(ctx, h, opts.BnB)
+			opts.BnB.Workers = 1
+			a, _, err := exact.SolveMultiProc(ctx, h, opts.BnB)
 			return a, err
 		},
 	})
@@ -164,7 +166,7 @@ func init() {
 		Aliases: []string{"bnb-par", "exact-par"},
 		Summary: "work-stealing parallel branch-and-bound for MULTIPROC (Workers≈GOMAXPROCS; shared incumbent, symmetry breaking)",
 		SolveHyper: func(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, error) {
-			a, _, err := exact.SolveMultiProcParCtx(ctx, h, opts.bnb())
+			a, _, err := exact.SolveMultiProc(ctx, h, opts.BnB)
 			return a, err
 		},
 	})

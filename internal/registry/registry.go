@@ -114,22 +114,10 @@ type Options struct {
 	Hyper core.HyperOptions
 	// Exact configures the polynomial SINGLEPROC-UNIT solver.
 	Exact core.ExactOptions
-	// BnB bounds the branch-and-bound searches.
+	// BnB bounds the branch-and-bound searches. BnB.Workers sizes the
+	// worker pool of the parallel solvers (BnB-SP-Par, BnB-MP-Par; 0 means
+	// GOMAXPROCS); the sequential BnB-SP and BnB-MP always run one worker.
 	BnB exact.Options
-	// Workers bounds the worker pool of parallel solvers (BnB-SP-Par,
-	// BnB-MP-Par); 0 means GOMAXPROCS. Non-zero overrides BnB.Workers.
-	// Solvers without internal parallelism ignore it.
-	Workers int
-}
-
-// bnb resolves the branch-and-bound options with the Workers override
-// applied.
-func (o Options) bnb() exact.Options {
-	b := o.BnB
-	if o.Workers != 0 {
-		b.Workers = o.Workers
-	}
-	return b
 }
 
 // Solver is one self-describing catalog entry. Exactly one of SolveSingle
@@ -151,8 +139,8 @@ type Solver struct {
 	// excluded from default portfolios and benchmark tables but still
 	// addressable by name.
 	Aux bool
-	// Parallel marks solvers that scale with Options.Workers (an internal
-	// worker pool).
+	// Parallel marks solvers that scale with Options.BnB.Workers (an
+	// internal worker pool).
 	Parallel bool
 	// ParallelAlt names this solver's parallel counterpart in the same
 	// class, when one is registered; policy layers use it via Preferred

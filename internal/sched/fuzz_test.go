@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The JSON instance parser consumes untrusted files (cmd/semisched reads
-// arbitrary paths); mirroring internal/encode's fuzz tests, assert that it
+// The JSON instance parser consumes untrusted input (semiserve request
+// bodies, files semisolve reads); mirroring internal/encode's fuzz tests, assert that it
 // never panics and that anything it accepts survives a write/read round
 // trip unchanged.
 

@@ -1,14 +1,18 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+
+	"semimatch/internal/encode"
 )
 
 // The JSON shape is the natural external form of an Instance: processor
-// names plus tasks with their configurations. It is the format
-// cmd/semisched consumes.
+// names plus tasks with their configurations. semisolve and semiserve
+// accept it alongside the encode text formats (see ParseInstance).
 //
 //	{
 //	  "processors": ["cpu0", "cpu1", "gpu"],
@@ -89,6 +93,39 @@ func ReadInstanceJSON(r io.Reader) (*Instance, error) {
 		return nil, err
 	}
 	return in, nil
+}
+
+// ParseInstance decodes an instance file or request body: the encode
+// text formats ("bipartite ..." / "hypergraph ...") or the JSON instance
+// schema above (detected by a leading '{'), which is converted to its
+// hypergraph form. semiserve and semisolve both read their input through
+// it.
+func ParseInstance(body []byte) (instance any, fromJSON bool, err error) {
+	trimmed := bytes.TrimLeft(body, " \t\r\n")
+	if len(trimmed) == 0 {
+		return nil, false, errors.New("empty request body")
+	}
+	if trimmed[0] == '{' {
+		in, err := ReadInstanceJSON(bytes.NewReader(trimmed))
+		if err != nil {
+			return nil, true, err
+		}
+		h, err := in.Hypergraph()
+		if err != nil {
+			return nil, true, err
+		}
+		return h, true, nil
+	}
+	kind, err := encode.DetectKind(body)
+	if err != nil {
+		return nil, false, err
+	}
+	if kind == "bipartite" {
+		g, err := encode.ReadBipartite(bytes.NewReader(body))
+		return g, false, err
+	}
+	h, err := encode.ReadHypergraph(bytes.NewReader(body))
+	return h, false, err
 }
 
 // scheduleJSON is the external form of a solved schedule.

@@ -141,15 +141,25 @@ func SolveByName(in *Instance, name string) (*Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", sol.Name, err)
 	}
-	optimal := sol.Optimal()
+	s, err := in.ScheduleOf(h, a)
+	if err != nil {
+		return nil, err
+	}
+	s.Optimal = sol.Optimal()
+	return s, nil
+}
+
+// ScheduleOf maps a task → hyperedge assignment of h, the instance's
+// Hypergraph(), back to the named form: Choice[t] is the index of a[t]
+// among task t's configurations. The assignment is validated first.
+func (in *Instance) ScheduleOf(h *hypergraph.Hypergraph, a core.HyperAssignment) (*Schedule, error) {
 	if err := core.ValidateHyperAssignment(h, a); err != nil {
 		return nil, fmt.Errorf("sched: internal error: %w", err)
 	}
-	s := &Schedule{Instance: in, Choice: make([]int, len(in.Tasks)), Optimal: optimal}
-	for t := 0; t < len(in.Tasks); t++ {
-		edges := h.TaskEdges(t)
+	s := &Schedule{Instance: in, Choice: make([]int, len(in.Tasks))}
+	for t := range in.Tasks {
 		found := -1
-		for j, e := range edges {
+		for j, e := range h.TaskEdges(t) {
 			if e == a[t] {
 				found = j
 				break

@@ -376,7 +376,8 @@ func runNamed(ctx context.Context, p Problem, o Options, obs *obsState) (*Report
 		return nil, fmt.Errorf("solve: %w", err)
 	}
 	rep := &Report{Solver: sol.Name}
-	ropts := registry.Options{Workers: o.Workers}
+	var ropts registry.Options
+	ropts.BnB.Workers = o.Workers
 	ropts.BnB.MaxNodes = o.NodeBudget
 	ropts.BnB.InitialIncumbent = o.InitialIncumbent
 	ropts.BnB.Stats = &rep.Stats
@@ -514,8 +515,8 @@ func runAutoHyper(ctx context.Context, p Problem, o Options, obs *obsState) (*Re
 			Trace:            exactSpan,
 			Progress:         o.Progress,
 			ProgressInterval: o.ProgressInterval,
+			Workers:          o.exactWorkers(),
 		},
-		Workers: o.exactWorkers(),
 	}
 	if obs.active() {
 		ropts.BnB.Observer = obs.exactFn(exSol.Name)
@@ -558,7 +559,7 @@ func runAutoSingle(ctx context.Context, p Problem, o Options, obs *obsState) (*R
 			truncated = found
 			break
 		}
-		a, err := sol.SolveSingle(ctx, g, registry.Options{Workers: 1})
+		a, err := sol.SolveSingle(ctx, g, registry.Options{BnB: exact.Options{Workers: 1}})
 		if err != nil && (a == nil || !registry.IncumbentError(err)) {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("solve: %s: %w", names[i], err)
@@ -626,8 +627,8 @@ func runAutoSingle(ctx context.Context, p Problem, o Options, obs *obsState) (*R
 			Trace:            exactSpan,
 			Progress:         o.Progress,
 			ProgressInterval: o.ProgressInterval,
+			Workers:          o.exactWorkers(),
 		},
-		Workers: o.exactWorkers(),
 	}
 	if obs.active() {
 		ropts.BnB.Observer = obs.exactFn(exSol.Name)

@@ -151,7 +151,7 @@ func TestRunNamedEverySolver(t *testing.T) {
 func TestRunAutoProvesOptimality(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		h := randomHyper(seed, 10, 3, 3, 2, 7)
-		_, want, err := exact.SolveMultiProc(h, exact.Options{})
+		_, want, err := exact.SolveMultiProc(context.Background(), h, exact.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestRunAutoProvesOptimality(t *testing.T) {
 		}
 
 		g := weightedGraph(seed, 10, 4, 3, 9)
-		_, wantSP, err := exact.SolveSingleProc(g, exact.Options{})
+		_, wantSP, err := exact.SolveSingleProc(context.Background(), g, exact.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

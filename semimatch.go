@@ -15,8 +15,6 @@ import (
 	"semimatch/internal/gen"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/online"
-	"semimatch/internal/portfolio"
-	"semimatch/internal/refine"
 	"semimatch/internal/registry"
 	"semimatch/internal/sched"
 	"semimatch/internal/service"
@@ -198,7 +196,7 @@ func CertBounds(instance any) (avg, maxElem int64, err error) { return cert.Boun
 // Solver is one self-describing entry of the solver registry: name,
 // aliases, problem class, kind, cost class and a context-aware solve
 // function. Every algorithm in this package is registered exactly once,
-// and all dispatch layers (Portfolio, the bench harness, Solve, SolveBatch
+// and all dispatch layers (Run, SolveProblems, the bench harness, Solve
 // and the CLIs) resolve algorithms through the registry.
 type Solver = registry.Solver
 
@@ -339,37 +337,6 @@ var (
 // LowerBound is the Eq. (1) load-balance lower bound for MULTIPROC.
 var LowerBound = core.LowerBound
 
-// Refine post-processes a MULTIPROC assignment with single-task local
-// search; it never increases the makespan.
-var Refine = refine.Refine
-
-// RefineCtx is Refine with cooperative cancellation: it stops at the next
-// context poll and returns the (valid, never worse) assignment found so
-// far with Interrupted set.
-var RefineCtx = refine.RefineCtx
-
-// RefineOptions bounds the local search.
-type RefineOptions = refine.Options
-
-// RefineResult reports the refinement outcome.
-type RefineResult = refine.Result
-
-// Portfolio runs several heuristics concurrently (optionally refined) and
-// returns the best schedule — the practical entry point when no single
-// heuristic dominates. Unknown algorithm names yield an error.
-var Portfolio = portfolio.Solve
-
-// PortfolioCtx is Portfolio racing a context: if the deadline expires
-// before every member finishes, the best candidate finished so far is
-// returned with Incomplete set.
-var PortfolioCtx = portfolio.SolveCtx
-
-// PortfolioOptions configures Portfolio.
-type PortfolioOptions = portfolio.Options
-
-// PortfolioResult is the winning schedule plus the league table.
-type PortfolioResult = portfolio.Result
-
 // --- Online scheduling (machine-eligibility arrivals) ---
 
 // OnlineScheduler assigns arriving tasks immediately to the least-loaded
@@ -397,43 +364,18 @@ var (
 	ValidateHyperAssignment = core.ValidateHyperAssignment
 )
 
-// Exact branch-and-bound solvers for small NP-hard instances.
-var (
-	SolveSingleProc = exact.SolveSingleProc
-	SolveMultiProc  = exact.SolveMultiProc
-)
-
-// Context-aware variants: the search polls the context alongside the node
-// budget and, on cancellation, returns its incumbent (the best schedule
-// found so far) with an error wrapping ErrCancelled and ctx.Err().
-var (
-	SolveSingleProcCtx = exact.SolveSingleProcCtx
-	SolveMultiProcCtx  = exact.SolveMultiProcCtx
-)
-
-// Parallel work-stealing branch-and-bound: the search tree is split at a
-// shallow frontier across BnBOptions.Workers workers (default GOMAXPROCS)
-// that share one incumbent bound and one node budget, with stronger
-// prunes (cheapest-cost child ordering, a max-element lower bound,
-// symmetry breaking over interchangeable processors). Same error and
-// incumbent contract as the sequential solvers; the optimal makespan is
-// deterministic, the returned schedule may differ across runs when
-// several optima exist. Registered as BnB-SP-Par / BnB-MP-Par.
-var (
-	SolveSingleProcPar    = exact.SolveSingleProcPar
-	SolveMultiProcPar     = exact.SolveMultiProcPar
-	SolveSingleProcParCtx = exact.SolveSingleProcParCtx
-	SolveMultiProcParCtx  = exact.SolveMultiProcParCtx
-)
-
-// BnBOptions bounds the branch-and-bound search.
+// BnBOptions bounds the branch-and-bound search of the BnB-SP/BnB-MP
+// solvers and their -Par counterparts (SolverOptions.BnB); Run fills it
+// from its options.
 type BnBOptions = exact.Options
 
-// BnBStats reports how much work a branch-and-bound search did (set
-// BnBOptions.Stats to collect it).
+// BnBStats reports how much work a branch-and-bound search did
+// (Report.Stats, or BnBOptions.Stats when calling a Solver directly).
 type BnBStats = exact.SearchStats
 
-// ErrLimit reports an exhausted branch-and-bound node budget.
+// ErrLimit reports an exhausted branch-and-bound node budget; a Solver
+// returns it alongside its incumbent, which Run reports as
+// StatusTruncated.
 var ErrLimit = exact.ErrLimit
 
 // ErrCancelled reports a context cancelled mid-search; the accompanying
@@ -442,21 +384,15 @@ var ErrCancelled = exact.ErrCancelled
 
 // --- Batch solving ---
 
-// BatchOptions configures SolveProblems and SolveBatch.
+// BatchOptions configures SolveProblems.
 type BatchOptions = batch.Options
-
-// BatchResult is the per-instance outcome of SolveBatch.
-//
-// Deprecated: use SolveProblems and BatchOutcome, which cover both
-// problem classes and carry the full Report.
-type BatchResult = batch.Result
 
 // BatchOutcome is the per-problem outcome of SolveProblems: the unified
 // Report, or that problem's failure.
 type BatchOutcome = batch.Outcome
 
-// BatchRunner is a reusable batch solver (SolveProblems and SolveBatch
-// create one per call).
+// BatchRunner is a reusable batch solver (SolveProblems creates one per
+// call).
 type BatchRunner = batch.Runner
 
 // NewBatchRunner returns a reusable batch solver.
@@ -473,17 +409,6 @@ func NewBatchRunner(opts BatchOptions) *BatchRunner { return batch.New(opts) }
 // promptly, returning partial results alongside the context's error.
 func SolveProblems(ctx context.Context, problems []Problem, opts BatchOptions) ([]BatchOutcome, error) {
 	return batch.New(opts).RunProblems(ctx, problems)
-}
-
-// SolveBatch solves many MULTIPROC instances; it is SolveProblems
-// restricted to hypergraphs, kept as a thin wrapper for callers of the
-// pre-unification API.
-//
-// Deprecated: SolveBatch accepts only hypergraphs, so SINGLEPROC
-// workloads cannot use the batch pipeline through it. Use SolveProblems
-// with []Problem, which batches both encodings.
-func SolveBatch(ctx context.Context, instances []*Hypergraph, opts BatchOptions) ([]BatchResult, error) {
-	return batch.New(opts).Run(ctx, instances)
 }
 
 // --- Generators (Sec. V-A) ---

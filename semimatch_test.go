@@ -68,11 +68,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if m := semimatch.HyperMakespan(h, ha); m < lb {
 		t.Fatalf("makespan %d below lower bound %d", m, lb)
 	}
-	_, optH, err := semimatch.SolveMultiProc(h, semimatch.BnBOptions{})
+	exactRep, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
+		semimatch.WithAlgorithm("BnB-MP"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if optH < lb {
+	if optH := exactRep.Makespan; exactRep.Status != semimatch.StatusOptimal || optH < lb {
 		t.Fatalf("optimal %d below LB %d", optH, lb)
 	}
 
@@ -137,8 +138,10 @@ func TestExtensionsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Portfolio beats or ties every member, and refinement never hurts.
-	res, err := semimatch.Portfolio(h, semimatch.PortfolioOptions{Refine: true})
+	// The refined heuristic race (the auto policy with its exact stage
+	// off) beats or ties every member, and refinement never hurts.
+	res, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
+		semimatch.WithRefine(), semimatch.WithExactLimit(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +152,14 @@ func TestExtensionsThroughFacade(t *testing.T) {
 	if res.Makespan > sgh {
 		t.Fatalf("portfolio %d worse than SGH %d", res.Makespan, sgh)
 	}
-	// Standalone refinement.
-	a := semimatch.SortedGreedyHyp(h, semimatch.HyperOptions{})
-	r := semimatch.Refine(h, a, semimatch.RefineOptions{})
-	if r.After > r.Before {
-		t.Fatalf("refine worsened: %d → %d", r.Before, r.After)
+	// Refinement of one named heuristic.
+	r, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
+		semimatch.WithAlgorithm("SGH"), semimatch.WithRefine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Makespan > sgh {
+		t.Fatalf("refine worsened: %d → %d", sgh, r.Makespan)
 	}
 	// Exact-arithmetic variant.
 	ax, err := semimatch.ExpectedVectorGreedyHypExact(h)
@@ -199,20 +205,22 @@ func TestAdversarialThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, m, err := semimatch.SolveMultiProc(h, semimatch.BnBOptions{})
+	rep, err := semimatch.Run(context.Background(), semimatch.HypergraphProblem(h),
+		semimatch.WithAlgorithm("BnB-MP"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != 1 {
-		t.Fatalf("trivial X3C optimal = %d", m)
+	if rep.Status != semimatch.StatusOptimal || rep.Makespan != 1 {
+		t.Fatalf("trivial X3C optimal = %d (%s)", rep.Makespan, rep.Status)
 	}
 }
 
 // TestBatchAndContextFacade exercises the context-aware entry points
-// through the public API: SolveBatch over a generated workload, and a
-// cancelled branch-and-bound returning its incumbent with ErrCancelled.
+// through the public API: SolveProblems over a generated workload, and a
+// cancelled branch-and-bound returning its incumbent as StatusTruncated.
 func TestBatchAndContextFacade(t *testing.T) {
 	var instances []*semimatch.Hypergraph
+	var problems []semimatch.Problem
 	for seed := int64(1); seed <= 8; seed++ {
 		h, err := semimatch.GenerateHypergraph(semimatch.HyperParams{
 			Gen: semimatch.FewgManyg, N: 60, P: 8, Dv: 3, Dh: 4, G: 4,
@@ -222,15 +230,17 @@ func TestBatchAndContextFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 		instances = append(instances, h)
+		problems = append(problems, semimatch.HypergraphProblem(h))
 	}
-	results, err := semimatch.SolveBatch(context.Background(), instances, semimatch.BatchOptions{Refine: true})
+	outcomes, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("instance %d: %v", i, r.Err)
+	for i, o := range outcomes {
+		if o.Err != nil {
+			t.Fatalf("instance %d: %v", i, o.Err)
 		}
+		r := o.Report
 		if err := semimatch.ValidateHyperAssignment(instances[i], r.Assignment); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -239,21 +249,24 @@ func TestBatchAndContextFacade(t *testing.T) {
 		}
 	}
 
-	// A cancelled context surfaces ErrCancelled but still yields a valid
+	// A cancelled context truncates the search but still yields a valid
 	// incumbent schedule.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, m, err := semimatch.SolveMultiProcCtx(ctx, instances[0], semimatch.BnBOptions{})
-	if err == nil {
-		t.Skip("solved before the first context poll")
-	}
-	if !errors.Is(err, semimatch.ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if err := semimatch.ValidateHyperAssignment(instances[0], a); err != nil {
+	rep, err := semimatch.Run(ctx, problems[0], semimatch.WithAlgorithm("BnB-MP"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if semimatch.HyperMakespan(instances[0], a) != m {
+	if rep.Status == semimatch.StatusOptimal {
+		t.Skip("solved before the first context poll")
+	}
+	if rep.Status != semimatch.StatusTruncated {
+		t.Fatalf("status = %s, want truncated", rep.Status)
+	}
+	if err := semimatch.ValidateHyperAssignment(instances[0], rep.Assignment); err != nil {
+		t.Fatal(err)
+	}
+	if semimatch.HyperMakespan(instances[0], rep.Assignment) != rep.Makespan {
 		t.Fatal("incumbent makespan mismatch")
 	}
 }
