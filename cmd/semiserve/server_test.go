@@ -281,6 +281,9 @@ func TestSolveBadRequests(t *testing.T) {
 		{"unknown alg", "/solve?alg=nope", tinyHyper, http.StatusBadRequest},
 		{"bad deadline", "/solve?deadline=-3x", tinyHyper, http.StatusBadRequest},
 		{"wrong class alg", "/solve?alg=basic", tinyHyper, http.StatusBadRequest},
+		// Headers declaring 2^26 tasks for a one-edge body.
+		{"hostile hypergraph header", "/solve", "hypergraph 67108864 1 1\n0 1 1 0\n", http.StatusBadRequest},
+		{"hostile bipartite header", "/solve", "bipartite 67108864 1 unit\n0 0\n", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code, _, raw := postSolve(t, ts.URL+c.url, c.body)

@@ -18,16 +18,18 @@ package encode
 //     all ones is dropped so the instance is recognized as unit.
 //
 // The fingerprint is the SHA-256 of the canonical text encoding (the
-// WriteBipartite / WriteHypergraph output, which is deterministic), hex
+// AppendBipartite / AppendHypergraph output, which is deterministic), hex
 // encoded. The textual header ("bipartite" / "hypergraph") keeps the two
-// instance kinds from ever colliding.
+// instance kinds from ever colliding. Disk-cache entries and fleet routing
+// are keyed by the fingerprint, so the text encoding must not change by a
+// single byte (fingerprint_test.go pins known values).
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
 
 	"semimatch/internal/bipartite"
 	"semimatch/internal/hypergraph"
@@ -40,34 +42,26 @@ import (
 // maps back to h as original[t] = e with perm[e] = canonical[t].
 // Canonicalizing a canonical instance is the identity.
 func CanonicalHypergraph(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []int32, error) {
+	if err := h.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("encode: canonicalize hypergraph: %w", err)
+	}
 	m := h.NumEdges()
 	order := make([]int32, 0, m) // canonical id -> original edge id
 	for t := 0; t < h.NTasks; t++ {
-		edges := h.TaskEdges(t)
 		start := len(order)
-		order = append(order, edges...)
-		row := order[start:]
-		sort.SliceStable(row, func(i, j int) bool {
-			a, b := row[i], row[j]
-			if h.Weight[a] != h.Weight[b] {
-				return h.Weight[a] < h.Weight[b]
+		order = append(order, h.TaskEdges(t)...)
+		slices.SortStableFunc(order[start:], func(a, b int32) int {
+			if c := cmp.Compare(h.Weight[a], h.Weight[b]); c != 0 {
+				return c
 			}
-			return slices.Compare(h.EdgeProcs(a), h.EdgeProcs(b)) < 0
+			return slices.Compare(h.EdgeProcs(a), h.EdgeProcs(b))
 		})
-	}
-	b := hypergraph.NewBuilder(h.NTasks, h.NProcs)
-	for _, e := range order {
-		b.AddEdge32(h.Owner[e], h.EdgeProcs(e), h.Weight[e])
-	}
-	canon, err := b.Build()
-	if err != nil {
-		return nil, nil, fmt.Errorf("encode: canonicalize hypergraph: %w", err)
 	}
 	perm := make([]int32, m)
 	for canonID, origID := range order {
 		perm[origID] = int32(canonID)
 	}
-	return canon, perm, nil
+	return h.PermuteEdges(order), perm, nil
 }
 
 // CanonicalBipartite returns the canonical form of g: rows sorted by
@@ -102,7 +96,7 @@ func FingerprintHypergraph(h *hypergraph.Hypergraph) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return FingerprintCanonicalHypergraph(canon)
+	return FingerprintCanonicalHypergraph(canon), nil
 }
 
 // FingerprintCanonicalHypergraph hashes an instance that is already in
@@ -111,12 +105,10 @@ func FingerprintHypergraph(h *hypergraph.Hypergraph) (string, error) {
 // hot path that canonicalize once and need both the form and the hash.
 // Passing a non-canonical instance yields a hash that will not match its
 // isomorphs.
-func FingerprintCanonicalHypergraph(canon *hypergraph.Hypergraph) (string, error) {
-	hash := sha256.New()
-	if err := WriteHypergraph(hash, canon); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(hash.Sum(nil)), nil
+func FingerprintCanonicalHypergraph(canon *hypergraph.Hypergraph) string {
+	// Room for short numbers, so the text is written without regrowing.
+	buf := make([]byte, 0, 32+12*canon.NumEdges()+4*canon.NumPins())
+	return hexSum(AppendHypergraph(buf, canon))
 }
 
 // FingerprintBipartite is FingerprintHypergraph for bipartite instances.
@@ -125,15 +117,18 @@ func FingerprintBipartite(g *bipartite.Graph) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return FingerprintCanonicalBipartite(canon)
+	return FingerprintCanonicalBipartite(canon), nil
 }
 
 // FingerprintCanonicalBipartite is FingerprintCanonicalHypergraph for
 // bipartite instances already in canonical form.
-func FingerprintCanonicalBipartite(canon *bipartite.Graph) (string, error) {
-	hash := sha256.New()
-	if err := WriteBipartite(hash, canon); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(hash.Sum(nil)), nil
+func FingerprintCanonicalBipartite(canon *bipartite.Graph) string {
+	buf := make([]byte, 0, 32+12*canon.NumEdges())
+	return hexSum(AppendBipartite(buf, canon))
+}
+
+// hexSum returns the hex-encoded SHA-256 of text.
+func hexSum(text []byte) string {
+	sum := sha256.Sum256(text)
+	return hex.EncodeToString(sum[:])
 }

@@ -137,18 +137,23 @@ func TestHeaderAllocationBomb(t *testing.T) {
 	}
 }
 
+// TestDetectKind: Parse picks the parser from the header's first word.
 func TestDetectKind(t *testing.T) {
-	if k, err := DetectKind([]byte("# c\nbipartite 1 1 unit\n")); err != nil || k != "bipartite" {
-		t.Fatalf("k=%q err=%v", k, err)
+	if v, err := Parse([]byte("# c\nbipartite 1 1 unit\n0 0\n")); err != nil {
+		t.Fatal(err)
+	} else if _, ok := v.(*bipartite.Graph); !ok {
+		t.Fatalf("bipartite body parsed as %T", v)
 	}
-	if k, err := DetectKind([]byte("hypergraph 1 1 0\n")); err != nil || k != "hypergraph" {
-		t.Fatalf("k=%q err=%v", k, err)
+	if v, err := Parse([]byte("hypergraph 1 1 1\n0 1 1 0\n")); err != nil {
+		t.Fatal(err)
+	} else if _, ok := v.(*hypergraph.Hypergraph); !ok {
+		t.Fatalf("hypergraph body parsed as %T", v)
 	}
-	if _, err := DetectKind([]byte("")); err == nil {
+	if _, err := Parse([]byte("")); err == nil {
 		t.Fatal("empty accepted")
 	}
-	if _, err := DetectKind([]byte("nonsense\n")); err == nil {
-		t.Fatal("nonsense accepted")
+	if _, err := Parse([]byte("nonsense\n")); err == nil || !strings.Contains(err.Error(), "unknown format") {
+		t.Fatalf("nonsense: err = %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"semimatch/internal/bipartite"
 )
@@ -251,6 +251,45 @@ func FromGraph(g *bipartite.Graph) *Hypergraph {
 	return h
 }
 
+// PermuteEdges returns a copy of h whose hyperedge i is h's hyperedge
+// order[i]. order must be a permutation of the hyperedge ids that keeps
+// every hyperedge inside its task's block (positions TaskPtr[t] to
+// TaskPtr[t+1]-1 hold task t's hyperedges), so the copy has h's TaskPtr,
+// identity Edges, and is exactly what a Builder fed the hyperedges in
+// that order would build. PermuteEdges panics if an entry of order lies
+// outside its task's block.
+func (h *Hypergraph) PermuteEdges(order []int32) *Hypergraph {
+	m := h.NumEdges()
+	if len(order) != m {
+		panic(fmt.Sprintf("hypergraph: PermuteEdges: %d ids for %d hyperedges", len(order), m))
+	}
+	c := &Hypergraph{
+		NTasks:  h.NTasks,
+		NProcs:  h.NProcs,
+		TaskPtr: append([]int32(nil), h.TaskPtr...),
+		Edges:   make([]int32, m),
+		PinPtr:  make([]int32, m+1),
+		Pins:    make([]int32, 0, len(h.Pins)),
+		Owner:   make([]int32, m),
+		Weight:  make([]int64, m),
+		unit:    h.unit,
+	}
+	for t := int32(0); int(t) < h.NTasks; t++ {
+		for i := h.TaskPtr[t]; i < h.TaskPtr[t+1]; i++ {
+			e := order[i]
+			if h.Owner[e] != t {
+				panic(fmt.Sprintf("hypergraph: PermuteEdges: hyperedge %d of task %d placed in task %d's block", e, h.Owner[e], t))
+			}
+			c.Edges[i] = i
+			c.Owner[i] = t
+			c.Weight[i] = h.Weight[e]
+			c.Pins = append(c.Pins, h.EdgeProcs(e)...)
+			c.PinPtr[i+1] = int32(len(c.Pins))
+		}
+	}
+	return c
+}
+
 // Builder accumulates hyperedges and produces a Hypergraph. Hyperedges are
 // numbered in the order AddEdge is called within each task; Build groups
 // them by task, renumbering so that hyperedge ids are contiguous per task
@@ -259,8 +298,11 @@ func FromGraph(g *bipartite.Graph) *Hypergraph {
 type Builder struct {
 	nTasks, nProcs int
 	owners         []int32
-	procSets       [][]int32
 	weights        []int64
+	// The processor sets, concatenated in insertion order: set i is
+	// pins[pinEnd[i-1]:pinEnd[i]] (from 0 for i = 0).
+	pins   []int32
+	pinEnd []int32
 }
 
 // NewBuilder returns a Builder for nTasks tasks and nProcs processors.
@@ -271,20 +313,32 @@ func NewBuilder(nTasks, nProcs int) *Builder {
 // AddEdge records a configuration for task t: it may run on all processors
 // in procs (each receiving weight w). The procs slice is copied.
 func (b *Builder) AddEdge(t int, procs []int, w int64) {
-	ps := make([]int32, len(procs))
-	for i, p := range procs {
-		ps[i] = int32(p)
+	for _, p := range procs {
+		b.pins = append(b.pins, int32(p))
 	}
-	b.owners = append(b.owners, int32(t))
-	b.procSets = append(b.procSets, ps)
-	b.weights = append(b.weights, w)
+	b.addEdge(int32(t), w)
 }
 
 // AddEdge32 is AddEdge for an []int32 processor list (copied).
 func (b *Builder) AddEdge32(t int32, procs []int32, w int64) {
+	b.pins = append(b.pins, procs...)
+	b.addEdge(t, w)
+}
+
+// addEdge closes the processor set just appended to b.pins.
+func (b *Builder) addEdge(t int32, w int64) {
 	b.owners = append(b.owners, t)
-	b.procSets = append(b.procSets, append([]int32(nil), procs...))
 	b.weights = append(b.weights, w)
+	b.pinEnd = append(b.pinEnd, int32(len(b.pins)))
+}
+
+// procSet returns the processor set of the old-th recorded hyperedge.
+func (b *Builder) procSet(old int) []int32 {
+	start := int32(0)
+	if old > 0 {
+		start = b.pinEnd[old-1]
+	}
+	return b.pins[start:b.pinEnd[old]]
 }
 
 // NumEdges returns the number of hyperedges recorded so far.
@@ -329,7 +383,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		if b.weights[old] != 1 {
 			h.unit = false
 		}
-		sizes[e] = int32(len(b.procSets[old]))
+		sizes[e] = int32(len(b.procSet(old)))
 	}
 	for e := int32(0); int(e) < m; e++ {
 		h.Edges[e] = e // identity: edges are grouped by task already
@@ -341,13 +395,13 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	h.Pins = make([]int32, h.PinPtr[m])
 	for old := 0; old < m; old++ {
 		e := perm[old]
-		procs := b.procSets[old]
+		procs := b.procSet(old)
 		if len(procs) == 0 {
 			return nil, fmt.Errorf("hypergraph: empty processor set on a configuration of task %d", b.owners[old])
 		}
 		dst := h.Pins[h.PinPtr[e]:h.PinPtr[e+1]]
 		copy(dst, procs)
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+		slices.Sort(dst)
 		for i, u := range dst {
 			if u < 0 || int(u) >= b.nProcs {
 				return nil, fmt.Errorf("hypergraph: processor %d out of range [0,%d)", u, b.nProcs)

@@ -116,16 +116,8 @@ func ParseInstance(body []byte) (instance any, fromJSON bool, err error) {
 		}
 		return h, true, nil
 	}
-	kind, err := encode.DetectKind(body)
-	if err != nil {
-		return nil, false, err
-	}
-	if kind == "bipartite" {
-		g, err := encode.ReadBipartite(bytes.NewReader(body))
-		return g, false, err
-	}
-	h, err := encode.ReadHypergraph(bytes.NewReader(body))
-	return h, false, err
+	instance, err = encode.Parse(body)
+	return instance, false, err
 }
 
 // scheduleJSON is the external form of a solved schedule.

@@ -668,10 +668,7 @@ func (s *Service) newRequest(instance any, algorithm string) (*request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 		}
-		fp, err := encode.FingerprintCanonicalHypergraph(canon)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
-		}
+		fp := encode.FingerprintCanonicalHypergraph(canon)
 		inv := make([]int32, len(perm))
 		for orig, c := range perm {
 			inv[c] = int32(orig)
@@ -686,10 +683,7 @@ func (s *Service) newRequest(instance any, algorithm string) (*request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 		}
-		fp, err := encode.FingerprintCanonicalBipartite(canon)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
-		}
+		fp := encode.FingerprintCanonicalBipartite(canon)
 		req.kind, req.class = "bipartite", registry.SingleProc
 		req.g, req.fp = canon, fp
 	default:
