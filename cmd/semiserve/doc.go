@@ -23,7 +23,7 @@
 //	semiserve -cache-dir /var/cache/semimatch  # durable cache tier
 //	semiserve -deadline 2s             # default per-request budget
 //	semiserve -http-inflight 32 -max-body 4194304  # tighter memory bounds
-//	semiserve -refine                  # local search on auto-policy schedules
+//	semiserve -refine                  # local search on every MULTIPROC schedule
 //	semiserve -log-level debug         # structured access logs (off silences them)
 //	semiserve -ledger solves.jsonl     # append one solve-ledger record per solve
 //	semiserve -trace traces.ndjson     # NDJSON request-span trees ("-" = stderr)
@@ -49,10 +49,9 @@
 // Query parameters:
 //
 //	alg       algorithm name or alias from the solver registry (see GET
-//	          /algorithms); empty selects the auto policy — the batch
-//	          pipeline (portfolio, then exact branch-and-bound when small
-//	          enough) for hypergraphs, ExactUnit/expected for bipartite
-//	          instances.
+//	          /algorithms); empty selects the auto policy semisolve runs
+//	          for either class: a heuristic race, then ExactUnit or a
+//	          budgeted branch-and-bound when the instance allows it.
 //	deadline  per-request budget as a Go duration ("500ms", "5s"),
 //	          capped by -max-deadline; without it the server's -deadline
 //	          default applies. When the budget expires mid-solve the

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"semimatch/internal/batch"
 	"semimatch/internal/cluster"
 	"semimatch/internal/service"
 )
@@ -26,7 +25,7 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", time.Minute, "cap on the per-request ?deadline= override (0 = no cap)")
 	maxInflight := flag.Int("http-inflight", 64, "max concurrent /solve requests, parsing included (0 = unlimited)")
 	maxBody := flag.Int64("max-body", 0, "max /solve request body in bytes (0 = 16MiB; worst-case buffered memory is this times -http-inflight)")
-	doRefine := flag.Bool("refine", false, "post-process auto-policy schedules with local search")
+	doRefine := flag.Bool("refine", false, "post-process every MULTIPROC schedule (auto and named) with local search")
 	logLevel := flag.String("log-level", "info", "structured access-log level: debug, info, warn, error, or off")
 	ledgerPath := flag.String("ledger", "", "append one JSONL solve-ledger record per fresh solve to this file (empty disables)")
 	tracePath := flag.String("trace", "", "write one NDJSON request-trace span tree per request to this file (\"-\" = stderr, empty disables)")
@@ -102,7 +101,7 @@ func main() {
 		QueueDepth:      *queueDepth,
 		Workers:         *workers,
 		DefaultDeadline: *deadline,
-		Batch:           batch.Options{Refine: *doRefine},
+		Refine:          *doRefine,
 		LedgerPath:      *ledgerPath,
 		TraceWriter:     traceW,
 		Peers:           peerCache,

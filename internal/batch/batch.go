@@ -70,12 +70,6 @@ type Options struct {
 	// ExactNodes is the branch-and-bound node budget; 0 means
 	// DefaultExactNodes.
 	ExactNodes int64
-	// ExactWorkers bounds the exact stage's internal worker pool per
-	// instance. 0 means automatic: GOMAXPROCS divided by the batch pool
-	// width, at least 1. Callers that run many Runner invocations
-	// concurrently themselves (e.g. the service) should set it so total
-	// goroutines stay near the core count.
-	ExactWorkers int
 }
 
 func (o Options) workers() int {
@@ -104,21 +98,6 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
-// SourceLabel renders a Report's provenance: the producing solver's
-// canonical name, suffixed "-incumbent" when the schedule came from a
-// truncated exact search.
-func SourceLabel(rep *solve.Report) string {
-	if rep == nil {
-		return ""
-	}
-	if rep.Status == solve.StatusTruncated {
-		if s, err := registry.LookupClass(rep.Class, rep.Solver); err == nil && s.Kind == registry.Exact {
-			return rep.Solver + "-incumbent"
-		}
-	}
-	return rep.Solver
-}
-
 // Runner is a reusable batch solver.
 type Runner struct {
 	opts Options
@@ -131,12 +110,8 @@ func New(opts Options) *Runner { return &Runner{opts: opts} }
 // batch as a whole stays at roughly GOMAXPROCS goroutines: the pool
 // already owns workers() cores, so each in-flight exact solve gets the
 // leftover share (at least 1 — which still buys the parallel engine's
-// stronger pruning). Options.ExactWorkers overrides the automatic
-// budget for callers whose concurrency the Runner cannot see.
+// stronger pruning).
 func (r *Runner) exactWorkers() int {
-	if r.opts.ExactWorkers > 0 {
-		return r.opts.ExactWorkers
-	}
 	if w := runtime.GOMAXPROCS(0) / r.opts.workers(); w > 1 {
 		return w
 	}
@@ -177,17 +152,6 @@ func (r *Runner) validate(problems []solve.Problem) error {
 // best schedule so far) and problems that never started carry a "not
 // started" error.
 func (r *Runner) RunProblems(ctx context.Context, problems []solve.Problem) ([]Outcome, error) {
-	return r.RunProblemsWith(ctx, problems, nil)
-}
-
-// RunProblemsWith is RunProblems with a per-solve options hook: mod (nil
-// means none) runs on each problem's solve.Options after the Runner's
-// policy fields are filled, so callers can attach observability — a trace
-// span, a progress hook, a ledger — without owning the policy itself. The
-// service uses it to surface live search introspection from auto solves.
-// mod must be safe for concurrent calls (one per in-flight problem) and
-// must not change fields the Runner owns (Workers, budgets, deadlines).
-func (r *Runner) RunProblemsWith(ctx context.Context, problems []solve.Problem, mod func(*solve.Options)) ([]Outcome, error) {
 	if err := r.validate(problems); err != nil {
 		return nil, err
 	}
@@ -195,7 +159,7 @@ func (r *Runner) RunProblemsWith(ctx context.Context, problems []solve.Problem, 
 	started := make([]bool, len(problems))
 	err := ForEach(ctx, r.opts.workers(), len(problems), func(ctx context.Context, i int) error {
 		started[i] = true
-		outs[i] = r.solveOne(ctx, problems[i], mod)
+		outs[i] = r.solveOne(ctx, problems[i])
 		return nil
 	})
 	for i := range outs {
@@ -208,7 +172,7 @@ func (r *Runner) RunProblemsWith(ctx context.Context, problems []solve.Problem, 
 
 // solveOne applies the per-instance policy (solve.RunOptions). It never
 // lets a failure escape: panics and errors end up in the Outcome.
-func (r *Runner) solveOne(ctx context.Context, p solve.Problem, mod func(*solve.Options)) (out Outcome) {
+func (r *Runner) solveOne(ctx context.Context, p solve.Problem) (out Outcome) {
 	start := time.Now()
 	defer func() {
 		if pv := recover(); pv != nil {
@@ -216,7 +180,7 @@ func (r *Runner) solveOne(ctx context.Context, p solve.Problem, mod func(*solve.
 		}
 		out.Elapsed = time.Since(start)
 	}()
-	opts := solve.Options{
+	rep, err := solve.RunOptions(ctx, p, solve.Options{
 		Portfolio: r.opts.Algorithms,
 		Refine:    r.opts.Refine,
 		// The batch pool already owns the cores; nested heuristic fan-out
@@ -226,11 +190,7 @@ func (r *Runner) solveOne(ctx context.Context, p solve.Problem, mod func(*solve.
 		NodeBudget:     r.opts.exactNodes(),
 		ExactTaskLimit: r.opts.ExactTaskLimit,
 		Deadline:       r.opts.InstanceTimeout,
-	}
-	if mod != nil {
-		mod(&opts)
-	}
-	rep, err := solve.RunOptions(ctx, p, opts)
+	})
 	return Outcome{Report: rep, Err: err}
 }
 

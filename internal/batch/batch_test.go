@@ -93,7 +93,7 @@ func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 			t.Fatalf("instance %d: unexpected errors %v, %v", i, r1[i].Err, rN[i].Err)
 		}
 		a, b := r1[i].Report, rN[i].Report
-		if a.Makespan != b.Makespan || SourceLabel(a) != SourceLabel(b) || a.Optimal() != b.Optimal() {
+		if a.Makespan != b.Makespan || a.Solver != b.Solver || a.Status != b.Status {
 			t.Fatalf("instance %d: Workers=1 %+v vs Workers=N %+v", i, a, b)
 		}
 		if !reflect.DeepEqual(a.Assignment, b.Assignment) {

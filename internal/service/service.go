@@ -20,14 +20,12 @@
 // default deadline; deadline-truncated solves still return the best
 // schedule found so far, flagged Truncated and kept out of the cache.
 //
-// Dispatch goes through the unified solve API (internal/solve): both
-// encodings are wrapped as solve.Problems and answered by solve.Run —
-// named algorithms resolve via the solver registry, and the empty
-// algorithm name selects the "auto" policy: the batch.Runner per-instance
-// pipeline (heuristic race first, exact branch-and-bound when small,
-// fallback on timeout) for hypergraphs, and the cheapest suitable
-// registry solver (ExactUnit for unit instances, the expected greedy
-// otherwise) for bipartite graphs.
+// Dispatch is one solve.RunOptions call per solve (internal/solve): both
+// encodings are wrapped as solve.Problems; named algorithms resolve via
+// the solver registry, and the empty algorithm name selects Run's auto
+// policy for either class — the same one semisolve runs: a heuristic race
+// first, an exact attempt when the instance allows it, and fallback to the
+// best schedule found when the deadline expires.
 package service
 
 import (
@@ -40,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"semimatch/internal/batch"
 	"semimatch/internal/bipartite"
 	"semimatch/internal/cert"
 	"semimatch/internal/encode"
@@ -77,7 +74,7 @@ var (
 )
 
 // Options configures a Service; the zero value serves with the defaults
-// above, no default deadline, and the standard batch policy.
+// above and no default deadline.
 type Options struct {
 	// CacheEntries bounds the result cache; 0 means DefaultCacheEntries,
 	// negative disables caching entirely.
@@ -101,10 +98,9 @@ type Options struct {
 	// tier. The directory is created if needed; creation or write
 	// failures disable nothing else and are surfaced in Stats.
 	CacheDir string
-	// Batch tunes the "auto" hypergraph policy (portfolio members,
-	// refinement, exact-attempt limits). Workers and InstanceTimeout are
-	// ignored: the service supplies its own concurrency and deadlines.
-	Batch batch.Options
+	// Refine post-processes every MULTIPROC schedule with local search
+	// (never worse), named and auto solves alike, as solve.WithRefine does.
+	Refine bool
 	// LedgerPath appends one JSONL telemetry.SolveRecord per fresh solve
 	// (cache and disk hits excluded — the ledger already has those solves)
 	// to the named file; empty disables the ledger. An open failure
@@ -164,7 +160,8 @@ type Result struct {
 	// Fingerprint is the canonical content hash of the instance.
 	Fingerprint string
 	// Algorithm is the canonical solver name, or "auto:<source>" when the
-	// batch policy chose the winner.
+	// auto policy chose the winner (<source> is the winning solver,
+	// suffixed "-incumbent" for a truncated exact search's schedule).
 	Algorithm string
 	// Makespan is the schedule's maximum processor load.
 	Makespan int64
@@ -278,8 +275,7 @@ type Stats struct {
 type Service struct {
 	opts    Options
 	cache   *lruCache
-	disk    *diskCache // durable tier under the LRU; nil without CacheDir
-	runner  *batch.Runner
+	disk    *diskCache    // durable tier under the LRU; nil without CacheDir
 	queue   chan struct{} // admission slots: solves in flight
 	workers chan struct{} // run slots: solves executing
 	// solverWorkers is the per-solve internal worker budget for parallel
@@ -349,14 +345,9 @@ func New(opts Options) *Service {
 	if solverWorkers < 1 {
 		solverWorkers = 1
 	}
-	bopts := opts.Batch
-	bopts.Workers = 1                  // the service's worker pool owns the cores
-	bopts.ExactWorkers = solverWorkers // ... so each solve gets its share
-	bopts.InstanceTimeout = 0
 	s := &Service{
 		opts:          opts,
 		cache:         newLRUCache(opts.cacheEntries(), opts.cacheShards()),
-		runner:        batch.New(bopts),
 		queue:         make(chan struct{}, opts.queueDepth()),
 		workers:       make(chan struct{}, opts.workers()),
 		solverWorkers: solverWorkers,
@@ -388,10 +379,23 @@ type request struct {
 	g     *bipartite.Graph       // canonical form (bipartite requests)
 	h     *hypergraph.Hypergraph // canonical form (hypergraph requests)
 	inv   []int32                // canonical edge id → requester edge id
-	sol   *registry.Solver       // nil for the hypergraph auto policy
-	alg   string                 // algorithm label used in keys and results
+	alg   string                 // canonical solver name or autoAlg: the key and result label
 	fp    string                 // canonical fingerprint
 	trace *telemetry.Span        // request span; nil without a TraceWriter
+}
+
+// autoAlg is the algorithm label of auto-policy requests. Auto answers key
+// the cache on their own: an auto answer can differ from a named solve of
+// the solver it reports as its source (the exact stage may prove that
+// solver's schedule optimal), so the two must not share an entry.
+const autoAlg = "auto"
+
+// algorithm is the registry name dispatch runs; "" selects the auto policy.
+func (req *request) algorithm() string {
+	if req.alg == autoAlg {
+		return ""
+	}
+	return req.alg
 }
 
 // problem wraps the canonical instance as a solve.Problem for dispatch.
@@ -690,30 +694,15 @@ func (s *Service) newRequest(instance any, algorithm string) (*request, error) {
 		return nil, fmt.Errorf("%w: unsupported instance type %T", ErrBadInstance, instance)
 	}
 
-	switch {
-	case algorithm != "":
+	req.alg = autoAlg
+	if algorithm != "" {
+		// Resolving aliases to the canonical name here means every
+		// spelling of one solver shares its cache entries.
 		sol, err := registry.LookupClass(req.class, algorithm)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
 		}
-		req.sol, req.alg = sol, sol.Name
-	case req.class == registry.SingleProc:
-		// Bipartite auto: the polynomial exact solver when it applies,
-		// otherwise the paper's best bipartite greedy. Resolving to the
-		// canonical solver name here means auto requests share cache
-		// entries with explicit requests for the same solver.
-		name := "expected"
-		if req.g.Unit() {
-			name = "ExactUnit"
-		}
-		sol, err := registry.LookupClass(registry.SingleProc, name)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
-		}
-		req.sol, req.alg = sol, sol.Name
-	default:
-		// Hypergraph auto: the batch.Runner policy.
-		req.alg = "auto"
+		req.alg = sol.Name
 	}
 	return req, nil
 }
@@ -792,77 +781,60 @@ func (s *Service) admitAndSolve(ctx context.Context, req *request) (*Result, err
 	return res, nil
 }
 
-// dispatch runs one solve on the canonical instance, through the unified
-// solve API: the canonical form becomes a solve.Problem, and named and
-// auto requests alike are answered by a solve.Report.
+// dispatch runs one solve on the canonical instance through the unified
+// solve API: a named solver, or Run's auto policy (heuristic race, exact
+// attempt when small enough, best-so-far fallback when the deadline
+// expires). Each solve gets its share of the cores (solverWorkers), and
+// attaches this request's trace span and live-progress feed.
 func (s *Service) dispatch(ctx context.Context, req *request) (*Result, error) {
 	start := time.Now()
-	res := &Result{Kind: req.kind, Fingerprint: req.fp, Algorithm: req.alg}
 	problem := req.problem()
 	liveKey, hook := s.trackLive(req)
 	defer s.untrackLive(liveKey)
-	switch {
-	case req.sol != nil:
-		rep, err := solve.RunOptions(ctx, problem, solve.Options{
-			Algorithm: req.sol.Name,
-			Workers:   s.solverWorkers,
-			Trace:     req.trace != nil,
-			Progress:  hook,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("service: %s: %w", req.alg, err)
-		}
-		req.trace.Adopt(rep.Trace)
-		s.recordSolve(req, problem, rep)
-		res.Optimal = rep.Status == solve.StatusOptimal
-		res.Truncated = rep.Status == solve.StatusTruncated
-		res.Assignment = rep.Assignment
-		res.Loads = rep.Loads
-		res.Makespan = rep.Makespan
-		res.LowerBound = reportLowerBound(rep)
-		res.Certificate = rep.Certificate
-	default:
-		// The auto policy reuses the batch pipeline on a one-problem
-		// batch: heuristic race first, exact branch-and-bound when small
-		// enough, best-so-far fallback when the deadline expires. The
-		// options hook attaches this request's observability — the trace
-		// span and the live-progress feed — without touching the policy.
-		outs, runErr := s.runner.RunProblemsWith(ctx, []solve.Problem{problem},
-			func(o *solve.Options) {
-				o.Trace = req.trace != nil
-				o.Progress = hook
-			})
-		if len(outs) != 1 {
-			// RunProblems failed up front (e.g. Options.Batch names an
-			// unknown portfolio algorithm) and produced no per-problem
-			// results.
-			return nil, fmt.Errorf("service: auto solve: %w", runErr)
-		}
-		out := outs[0]
-		rep := out.Report
-		if rep == nil || rep.Assignment == nil {
-			if out.Err != nil {
-				return nil, fmt.Errorf("service: auto solve: %w", out.Err)
-			}
-			return nil, errors.New("service: auto solve produced no schedule")
-		}
-		req.trace.Adopt(rep.Trace)
-		s.recordSolve(req, problem, rep)
-		res.Algorithm = "auto:" + batch.SourceLabel(rep)
-		res.Assignment = rep.Assignment
-		res.Loads = rep.Loads
-		res.Makespan = rep.Makespan
-		res.LowerBound = reportLowerBound(rep)
-		res.Certificate = rep.Certificate
-		res.Optimal = rep.Status == solve.StatusOptimal
-		// A schedule a deadline or budget curtailed is the best that
-		// budget allowed, not necessarily the policy's full answer — but
-		// a schedule the exact stage already proved optimal is complete
-		// no matter when the deadline fired.
-		res.Truncated = out.Err != nil || rep.Status == solve.StatusTruncated
+	rep, err := solve.RunOptions(ctx, problem, solve.Options{
+		Algorithm: req.algorithm(),
+		Workers:   s.solverWorkers,
+		Refine:    s.opts.Refine,
+		Trace:     req.trace != nil,
+		Progress:  hook,
+	})
+	if rep == nil {
+		return nil, fmt.Errorf("service: %s: %w", req.alg, err)
 	}
-	res.Elapsed = time.Since(start)
+	req.trace.Adopt(rep.Trace)
+	s.recordSolve(req, problem, rep)
+	res := &Result{
+		Kind:        req.kind,
+		Fingerprint: req.fp,
+		Algorithm:   req.alg,
+		Makespan:    rep.Makespan,
+		Assignment:  rep.Assignment,
+		Loads:       rep.Loads,
+		LowerBound:  reportLowerBound(rep),
+		Certificate: rep.Certificate,
+		Optimal:     rep.Status == solve.StatusOptimal,
+		// An error alongside a Report is the auto policy's exact stage
+		// failing unexpectedly: the heuristic schedule stands, but it is
+		// not the policy's full answer, so it is never cached.
+		Truncated: err != nil || rep.Status == solve.StatusTruncated,
+		Elapsed:   time.Since(start),
+	}
+	if req.alg == autoAlg {
+		res.Algorithm = autoAlg + ":" + sourceLabel(rep)
+	}
 	return res, nil
+}
+
+// sourceLabel renders a Report's provenance: the producing solver's
+// canonical name, suffixed "-incumbent" when the schedule came from a
+// truncated exact search.
+func sourceLabel(rep *solve.Report) string {
+	if rep.Status == solve.StatusTruncated {
+		if s, err := registry.LookupClass(rep.Class, rep.Solver); err == nil && s.Kind == registry.Exact {
+			return rep.Solver + "-incumbent"
+		}
+	}
+	return rep.Solver
 }
 
 // reportLowerBound is the strongest supportable bound a Report carries:

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"semimatch/internal/batch"
 	"semimatch/internal/core"
 	"semimatch/internal/gen"
 	"semimatch/internal/hypergraph"
@@ -122,7 +121,7 @@ func TestServiceAutoPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The instance is tiny, so the batch policy's exact stage proves
+	// The instance is tiny, so the auto policy's exact stage proves
 	// optimality.
 	if !r.Optimal {
 		t.Fatalf("auto policy did not prove optimality on a 3-task instance: %+v", r)
@@ -131,8 +130,8 @@ func TestServiceAutoPolicies(t *testing.T) {
 		t.Fatalf("optimal makespan %d, want 5", r.Makespan)
 	}
 
-	// Bipartite auto on a unit instance resolves to the polynomial exact
-	// solver.
+	// Bipartite auto runs the same policy: the heuristic race, then the
+	// polynomial exact proof on a unit instance.
 	g, err := gen.Bipartite(gen.FewgManyg, 30, 8, 4, 3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -141,24 +140,10 @@ func TestServiceAutoPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.Kind != "bipartite" || rb.Algorithm != "ExactUnit" || !rb.Optimal {
+	if rb.Kind != "bipartite" || !strings.HasPrefix(rb.Algorithm, "auto:") || !rb.Optimal {
 		t.Fatalf("bipartite auto: %+v", rb)
 	}
 	if err := core.ValidateAssignment(g, core.Assignment(rb.Assignment)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServiceBadBatchOptions: a misconfigured auto policy (unknown
-// portfolio member) surfaces as an error, not a panic.
-func TestServiceBadBatchOptions(t *testing.T) {
-	s := New(Options{Batch: batch.Options{Algorithms: []string{"no-such-member"}}})
-	_, err := s.Solve(context.Background(), testHyper(t), "")
-	if err == nil || !strings.Contains(err.Error(), "no-such-member") {
-		t.Fatalf("err = %v, want unknown-member error", err)
-	}
-	// Named algorithms bypass the batch policy and still work.
-	if _, err := s.Solve(context.Background(), testHyper(t), "SGH"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -122,8 +122,9 @@ type Report struct {
 func (r *Report) Optimal() bool { return r.Status == StatusOptimal }
 
 // Options is the resolved option set of one Run. Most callers use the
-// functional With* options; policy layers that need fine-grained control
-// (the batch runner) fill the struct directly and call RunOptions.
+// functional With* options; dispatch layers that need fine-grained control
+// (the batch runner, the service) fill the struct directly and call
+// RunOptions.
 type Options struct {
 	// Algorithm names one registry solver to run (any name or alias, in
 	// the problem's class). Empty selects the auto policy: a heuristic
