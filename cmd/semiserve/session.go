@@ -163,7 +163,6 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// with one worker the engine's node accounting is deterministic, so
 	// warm-vs-cold comparisons (compare_cold) measure pruning, not luck.
 	opts.Workers = 1
-	opts.ExactWorkers = 1
 	opts.Trace = m.trace
 	opts.Acquire = m.svc.AcquireSolveSlot
 	sess, err := session.New(opts)

@@ -87,7 +87,7 @@
 // front end (named tasks and processors, Gantt charts). The
 // branch-and-bound solvers for small NP-hard instances, sequential and
 // work-stealing parallel, are reached through Run with WithAlgorithm
-// ("BnB-SP", "BnB-MP", "bnb-par", ...), as are the heuristic portfolio
+// ("BnB-SP", "BnB-MP", "bnb-par", ...), as are the heuristic race alone
 // (the auto policy with WithExactLimit(-1)) and local-search refinement
 // (WithRefine).
 //
@@ -95,9 +95,9 @@
 //
 // Every algorithm is registered once in a central solver registry with
 // its capability metadata — problem class (SINGLEPROC/MULTIPROC), kind
-// (heuristic/exact/online) and cost class. WithAlgorithm, portfolio
-// membership, the benchmark tables and the auto policy's exact-attempt
-// stage all resolve through it:
+// (heuristic/exact/online) and cost class. WithAlgorithm, the heuristic
+// race's membership, the benchmark tables and the auto policy's
+// exact-attempt stage all resolve through it:
 //
 //	for _, s := range semimatch.Solvers() {
 //	    fmt.Println(s.Name, s.Class, s.Kind, s.Cost)

@@ -5,8 +5,8 @@
 // bipartite or MULTIPROC hypergraph, freely mixed in one batch), and each
 // one runs the solve package's auto policy:
 //
-//  1. heuristic race first — the portfolio for hypergraphs, the greedy
-//     lineup for bipartite graphs — which always produces a schedule
+//  1. heuristic race first — the class's greedy lineup, raced on the
+//     solve's share of the cores — which always produces a schedule
 //     quickly;
 //  2. exact second, when the instance allows it — ExactUnit for unit
 //     bipartite instances, a budgeted branch-and-bound for small ones —
@@ -106,12 +106,12 @@ type Runner struct {
 // New returns a Runner with the given options.
 func New(opts Options) *Runner { return &Runner{opts: opts} }
 
-// exactWorkers budgets the exact stage's internal worker pool so the
-// batch as a whole stays at roughly GOMAXPROCS goroutines: the pool
-// already owns workers() cores, so each in-flight exact solve gets the
-// leftover share (at least 1 — which still buys the parallel engine's
-// stronger pruning).
-func (r *Runner) exactWorkers() int {
+// solveWorkers budgets each solve's internal parallelism (its heuristic
+// race and exact stage) so the batch as a whole stays at roughly
+// GOMAXPROCS goroutines: the pool already owns workers() cores, so each
+// in-flight solve gets the leftover share (at least 1 — which still buys
+// the parallel engine's stronger pruning).
+func (r *Runner) solveWorkers() int {
 	if w := runtime.GOMAXPROCS(0) / r.opts.workers(); w > 1 {
 		return w
 	}
@@ -181,12 +181,9 @@ func (r *Runner) solveOne(ctx context.Context, p solve.Problem) (out Outcome) {
 		out.Elapsed = time.Since(start)
 	}()
 	rep, err := solve.RunOptions(ctx, p, solve.Options{
-		Portfolio: r.opts.Algorithms,
-		Refine:    r.opts.Refine,
-		// The batch pool already owns the cores; nested heuristic fan-out
-		// would just add scheduling noise.
-		Workers:        1,
-		ExactWorkers:   r.exactWorkers(),
+		Portfolio:      r.opts.Algorithms,
+		Refine:         r.opts.Refine,
+		Workers:        r.solveWorkers(),
 		NodeBudget:     r.opts.exactNodes(),
 		ExactTaskLimit: r.opts.ExactTaskLimit,
 		Deadline:       r.opts.InstanceTimeout,

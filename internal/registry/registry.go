@@ -3,10 +3,11 @@
 // vector heuristics, the exact solvers, the online variant — is registered
 // here exactly once as a self-describing Solver (name, aliases, problem
 // class, kind, cost class, context-aware solve function). All dispatch
-// layers (portfolio, bench, sched, batch, the CLIs) resolve algorithms
-// through this package, so adding a solver is a one-line registration in
-// catalog.go and it immediately becomes visible to listing flags, name
-// parsing, benchmark grids and capability-based policies.
+// layers (the auto policy's race, bench, sched, batch, the CLIs) resolve
+// algorithms through this package, so adding a solver is a one-line
+// registration in catalog.go and it immediately becomes visible to
+// listing flags, name parsing, benchmark grids and capability-based
+// policies.
 //
 // Names resolve case-insensitively against both canonical names and
 // aliases, scoped by problem class (the same alias — "bnb", "exact" — may

@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-
-	"semimatch/internal/cert"
 )
 
 // diskMagic is the on-disk format version header. Bumping it orphans all
@@ -32,9 +30,12 @@ const diskMagic = "semimatch-cache/v1"
 // not fsynced; the checksum turns a torn page after power loss into a
 // clean miss instead of a wrong answer.
 //
-// The tier stores only complete, certificate-verified results, and get
-// re-verifies through the caller's callback before serving, so a stale,
-// corrupt or tampered file can never poison a response.
+// Each file's payload is the result's PeerEntry — the same form replicas
+// exchange — with the cache key echoed, so a file reached through a hash
+// collision or copied between stores is detected. The tier stores only
+// complete, certificate-verified results, and get re-verifies through the
+// caller's callback before serving, so a stale, corrupt or tampered file
+// can never poison a response.
 type diskCache struct {
 	dir string
 
@@ -56,45 +57,17 @@ func newDiskCache(dir string) *diskCache {
 	return dc
 }
 
-// diskEntry is the persisted payload: the cache key echoed (so a file
-// reached through a hash collision or copied between stores is detected)
-// and the result's durable fields. Volatile fields (Cached, Elapsed) and
-// anything recomputed at load time are deliberately absent; Truncated
-// results never reach the disk tier at all.
-type diskEntry struct {
-	Key         string            `json:"key"`
-	Kind        string            `json:"kind"`
-	Fingerprint string            `json:"fingerprint"`
-	Algorithm   string            `json:"algorithm"`
-	Makespan    int64             `json:"makespan"`
-	Assignment  []int32           `json:"assignment"`
-	Loads       []int64           `json:"loads"`
-	LowerBound  int64             `json:"lower_bound"`
-	Optimal     bool              `json:"optimal"`
-	Certificate *cert.Certificate `json:"certificate"`
-}
-
 // path maps a cache key to its entry file.
 func (dc *diskCache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return filepath.Join(dc.dir, hex.EncodeToString(sum[:])+".entry")
 }
 
-// put persists one result. Failures are counted, never fatal: the disk
-// tier degrades to a smaller (or empty) warm set, not to wrong answers.
+// put persists one result as its PeerEntry. Failures are counted, never
+// fatal: the disk tier degrades to a smaller (or empty) warm set, not to
+// wrong answers.
 func (dc *diskCache) put(key string, res *Result) {
-	payload, err := json.Marshal(diskEntry{
-		Key:         key,
-		Kind:        res.Kind,
-		Fingerprint: res.Fingerprint,
-		Algorithm:   res.Algorithm,
-		Makespan:    res.Makespan,
-		Assignment:  res.Assignment,
-		Loads:       res.Loads,
-		LowerBound:  res.LowerBound,
-		Optimal:     res.Optimal,
-		Certificate: res.Certificate,
-	})
+	payload, err := json.Marshal(entryOf(key, res))
 	if err != nil {
 		dc.writeErrs.Add(1)
 		return
@@ -129,21 +102,22 @@ func (dc *diskCache) put(key string, res *Result) {
 }
 
 // get looks the key up, decodes and integrity-checks the entry, and hands
-// the reconstructed Result to revalidate (the service's certificate
-// check) before serving it. Any failure past "file not found" — bad
-// version, bad checksum, undecodable payload, key mismatch, revalidation
-// error — reaps the file and reports a miss, so the store self-heals
-// under corruption instead of serving it.
-func (dc *diskCache) get(key string, revalidate func(*Result) error) (*Result, bool) {
+// it to admit (the service's certificate check), which builds the Result
+// it serves. Any failure past "file not found" — bad version, bad
+// checksum, undecodable payload, key mismatch, admission error — reaps
+// the file and reports a miss, so the store self-heals under corruption
+// instead of serving it.
+func (dc *diskCache) get(key string, admit func(*PeerEntry) (*Result, error)) (*Result, bool) {
 	p := dc.path(key)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		dc.misses.Add(1)
 		return nil, false
 	}
-	res, err := decodeDiskEntry(key, data)
+	var res *Result
+	e, err := decodeDiskEntry(key, data)
 	if err == nil {
-		err = revalidate(res)
+		res, err = admit(e)
 	}
 	if err != nil {
 		dc.misses.Add(1)
@@ -162,24 +136,24 @@ func (dc *diskCache) get(key string, revalidate func(*Result) error) (*Result, b
 // work on this replica's serving path). Corrupt or foreign files are
 // still reaped; the hit/miss counters are left untouched so peer-serving
 // traffic cannot pollute this replica's own cache stats.
-func (dc *diskCache) getRaw(key string) (*Result, bool) {
+func (dc *diskCache) getRaw(key string) (*PeerEntry, bool) {
 	p := dc.path(key)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		return nil, false
 	}
-	res, err := decodeDiskEntry(key, data)
+	e, err := decodeDiskEntry(key, data)
 	if err != nil {
 		if os.Remove(p) == nil {
 			dc.reaped.Add(1)
 		}
 		return nil, false
 	}
-	return res, true
+	return e, true
 }
 
 // decodeDiskEntry parses and integrity-checks one entry file.
-func decodeDiskEntry(key string, data []byte) (*Result, error) {
+func decodeDiskEntry(key string, data []byte) (*PeerEntry, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(diskMagic+"\n"))
 	if !ok {
 		return nil, fmt.Errorf("service: disk entry: missing or unsupported version header")
@@ -192,27 +166,14 @@ func decodeDiskEntry(key string, data []byte) (*Result, error) {
 	if string(sumHex) != hex.EncodeToString(sum[:]) {
 		return nil, fmt.Errorf("service: disk entry: payload checksum mismatch")
 	}
-	var e diskEntry
+	var e PeerEntry
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return nil, fmt.Errorf("service: disk entry: %w", err)
 	}
 	if e.Key != key {
 		return nil, fmt.Errorf("service: disk entry: key mismatch (hash collision or relocated file)")
 	}
-	if e.Assignment == nil {
-		e.Assignment = []int32{}
-	}
-	return &Result{
-		Kind:        e.Kind,
-		Fingerprint: e.Fingerprint,
-		Algorithm:   e.Algorithm,
-		Makespan:    e.Makespan,
-		Assignment:  e.Assignment,
-		Loads:       e.Loads,
-		LowerBound:  e.LowerBound,
-		Optimal:     e.Optimal,
-		Certificate: e.Certificate,
-	}, nil
+	return &e, nil
 }
 
 // counters snapshots the tier's monitoring counters.

@@ -170,11 +170,11 @@ func TestDiskTierReapsGarbledEntries(t *testing.T) {
 	}
 }
 
-// rewriteEntry re-encodes a tampered diskEntry with a fresh, valid
+// rewriteEntry re-encodes a tampered entry with a fresh, valid
 // checksum — simulating an attacker (or bit-rot plus coincidence) that
 // can rewrite the file wholesale. Integrity checks pass; only the
 // certificate re-verification can catch it.
-func rewriteEntry(t *testing.T, path string, tamper func(*diskEntry)) {
+func rewriteEntry(t *testing.T, path string, tamper func(*PeerEntry)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -188,7 +188,7 @@ func rewriteEntry(t *testing.T, path string, tamper func(*diskEntry)) {
 	if !ok {
 		t.Fatal("entry truncated")
 	}
-	var e diskEntry
+	var e PeerEntry
 	if err := json.Unmarshal(payload, &e); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDiskTierRejectsTamperedEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Claim a makespan the assignment does not achieve.
-		rewriteEntry(t, entryFile(t, dir), func(e *diskEntry) {
+		rewriteEntry(t, entryFile(t, dir), func(e *PeerEntry) {
 			e.Certificate.Makespan--
 			e.Certificate.LowerBound--
 		})
@@ -248,7 +248,7 @@ func TestDiskTierRejectsTamperedEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A valid certificate stapled to a different (worse) schedule.
-		rewriteEntry(t, entryFile(t, dir), func(e *diskEntry) {
+		rewriteEntry(t, entryFile(t, dir), func(e *PeerEntry) {
 			e.Assignment = append([]int32(nil), e.Assignment...)
 			e.Assignment[0]++
 		})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"semimatch/internal/cert"
@@ -16,12 +17,14 @@ import (
 // other half is reserved for the local fallback solve.
 const DefaultPeerTimeout = 2 * time.Second
 
-// PeerEntry is the wire form of one cache entry exchanged between
-// replicas (GET /internal/cache/{key}). It deliberately mirrors the disk
-// tier's durable fields: the key echo detects entries served under the
-// wrong name, and the certificate travels with the schedule so the
-// receiving replica can re-verify everything before admission — no
-// replica ever trusts another's arithmetic.
+// PeerEntry is the durable form of one cache entry: the wire form
+// exchanged between replicas (GET /internal/cache/{key}) and the disk
+// tier's file payload. The key echo detects entries served or stored
+// under the wrong name, and the certificate travels with the schedule so
+// the reader can re-verify everything before admission (admitEntry) — no
+// replica or restarted process ever trusts another's arithmetic. Volatile
+// Result fields (Cached, Elapsed) are absent, and truncated results never
+// become entries.
 type PeerEntry struct {
 	Key         string            `json:"key"`
 	Kind        string            `json:"kind"`
@@ -81,7 +84,7 @@ func (s *Service) peerFetch(ctx context.Context, req *request, key string) (*Res
 		ps.SetAttr("result", "miss")
 		return nil, false
 	}
-	res, err := s.admitPeer(req, key, entry)
+	res, err := s.admitEntry(req, key, entry)
 	if err != nil {
 		// A peer handing back an entry that does not verify is indis-
 		// tinguishable from tampering; the entry is dropped on the floor
@@ -90,6 +93,7 @@ func (s *Service) peerFetch(ctx context.Context, req *request, key string) (*Res
 		ps.SetAttr("result", "rejected")
 		return nil, false
 	}
+	res.fromPeer = true
 	s.peerHits.Add(1)
 	ps.SetAttr("result", "hit")
 	return res, true
@@ -112,36 +116,31 @@ func (s *Service) peerContext(ctx context.Context) (context.Context, context.Can
 	return context.WithTimeout(ctx, budget)
 }
 
-// admitPeer decides whether a peer's entry may answer this request. It
-// mirrors the disk tier's revalidate: the entry's shape must match the
-// request, its certificate must be internally consistent with the
+// admitEntry decides whether a cache entry read from outside this
+// process — a disk file or a peer's wire entry — may answer req. Its
+// shape must match the request, its certificate must certify the very
 // schedule it ships, and cert.Verify must independently re-prove the
-// claims against this replica's own canonical instance. The derived
-// fields are then recomputed locally rather than trusted, so a lying
-// peer can at worst be rejected (and counted), never believed. A non-nil
-// error also bumps Stats.VerifyFailures when the certificate itself was
-// the lie.
-func (s *Service) admitPeer(req *request, key string, e *PeerEntry) (*Result, error) {
+// claims against req's own canonical instance. Everything else is then
+// recomputed locally rather than trusted — Optimal included, which is
+// what the verified tier supports, not what the entry says — so a lying
+// entry can at worst be rejected, never believed. A certificate that
+// fails verification is also counted in Stats.VerifyFailures.
+func (s *Service) admitEntry(req *request, key string, e *PeerEntry) (*Result, error) {
 	if e == nil {
-		return nil, errors.New("service: peer entry: empty")
+		return nil, errors.New("service: cache entry: empty")
 	}
 	if e.Key != key {
-		return nil, fmt.Errorf("service: peer entry key %q, want %q", e.Key, key)
+		return nil, fmt.Errorf("service: cache entry key %q, want %q", e.Key, key)
 	}
 	if e.Kind != req.kind {
-		return nil, fmt.Errorf("service: peer entry kind %q, want %q", e.Kind, req.kind)
+		return nil, fmt.Errorf("service: cache entry kind %q, want %q", e.Kind, req.kind)
 	}
 	c := e.Certificate
 	if c == nil {
-		return nil, errors.New("service: peer entry has no certificate")
+		return nil, errors.New("service: cache entry has no certificate")
 	}
-	if len(c.Assignment) != len(e.Assignment) {
-		return nil, errors.New("service: peer entry assignment differs from its certificate")
-	}
-	for i, v := range c.Assignment {
-		if e.Assignment[i] != v {
-			return nil, errors.New("service: peer entry assignment differs from its certificate")
-		}
+	if !slices.Equal(c.Assignment, e.Assignment) {
+		return nil, errors.New("service: cache entry assignment differs from its certificate")
 	}
 	tier, err := cert.Verify(req.instance(), c)
 	if err != nil {
@@ -156,8 +155,10 @@ func (s *Service) admitPeer(req *request, key string, e *PeerEntry) (*Result, er
 		LowerBound:  c.LowerBound,
 		Certificate: c,
 		Trust:       tier,
-		Optimal:     e.Optimal,
-		fromPeer:    true,
+		Optimal:     tier != cert.TierHeuristic,
+	}
+	if res.Assignment == nil {
+		res.Assignment = []int32{}
 	}
 	// Recompute what the certificate proves correct; trust nothing else.
 	res.Makespan, res.Loads = req.problem().MakespanLoads(res.Assignment)
@@ -171,14 +172,21 @@ func (s *Service) admitPeer(req *request, key string, e *PeerEntry) (*Result, er
 // the serving replica's hot path). Served entries are counted in
 // Stats.PeerServed.
 func (s *Service) PeerLookup(key string) (*PeerEntry, bool) {
-	res, ok := s.cache.peek(key)
-	if !ok && s.disk != nil {
-		res, ok = s.disk.getRaw(key)
+	var e *PeerEntry
+	if res, ok := s.cache.peek(key); ok {
+		e = entryOf(key, res)
+	} else if s.disk != nil {
+		e, _ = s.disk.getRaw(key)
 	}
-	if !ok {
+	if e == nil {
 		return nil, false
 	}
 	s.peerServed.Add(1)
+	return e, true
+}
+
+// entryOf is res's durable form under key.
+func entryOf(key string, res *Result) *PeerEntry {
 	return &PeerEntry{
 		Key:         key,
 		Kind:        res.Kind,
@@ -190,5 +198,5 @@ func (s *Service) PeerLookup(key string) (*PeerEntry, bool) {
 		LowerBound:  res.LowerBound,
 		Optimal:     res.Optimal,
 		Certificate: res.Certificate,
-	}, true
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"semimatch/internal/cert"
 	"semimatch/internal/core"
 )
 
@@ -295,4 +296,59 @@ func TestPeerLookupFromDisk(t *testing.T) {
 	if st := restarted.Stats(); st.PeerServed != 1 {
 		t.Fatalf("peer_served = %d, want 1", st.PeerServed)
 	}
+}
+
+// TestCacheTiersDeriveOptimalFromCertificate: an entry from the disk or
+// peer tier claims optimality only as far as its verified certificate
+// supports. Replica A's EVG entry on testHyper is heuristic (witness
+// none, makespan 5 over lower bound 4); a tier that flips only its
+// "optimal" field must not get the claim served, nor admitted onward.
+func TestCacheTiersDeriveOptimalFromCertificate(t *testing.T) {
+	entry, key, ra := solveOnReplicaA(t, "EVG")
+	if ra.Optimal || ra.Certificate.Witness.Kind != cert.WitnessNone || ra.Makespan != 5 {
+		t.Fatalf("fixture drifted: optimal=%v witness=%s makespan=%d", ra.Optimal, ra.Certificate.Witness.Kind, ra.Makespan)
+	}
+	lie := *entry
+	lie.Optimal = true
+
+	check := func(t *testing.T, s *Service, tier string) {
+		t.Helper()
+		for _, want := range []string{tier, "memory"} {
+			r, err := s.Solve(context.Background(), testHyper(t), "EVG")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Tier != want {
+				t.Fatalf("Tier = %q, want %q", r.Tier, want)
+			}
+			if r.Optimal || r.Trust != cert.TierHeuristic {
+				t.Fatalf("%s hit: optimal=%v trust=%s, want the certificate's heuristic claim", want, r.Optimal, r.Trust)
+			}
+		}
+	}
+
+	t.Run("peer", func(t *testing.T) {
+		peers := &fakePeers{
+			owner: "http://replica-a:8080",
+			fetch: func(ctx context.Context, peer, k string) (*PeerEntry, bool, error) {
+				return &lie, true, nil
+			},
+		}
+		dir := t.TempDir()
+		check(t, New(Options{Peers: peers, CacheDir: dir}), "peer")
+		// What B persisted carries the derived flag, not the peer's.
+		e, ok := New(Options{CacheDir: dir}).PeerLookup(key)
+		if !ok || e.Optimal {
+			t.Fatalf("persisted entry: ok=%v optimal=%v", ok, ok && e.Optimal)
+		}
+	})
+
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := New(Options{CacheDir: dir}).Solve(context.Background(), testHyper(t), "EVG"); err != nil {
+			t.Fatal(err)
+		}
+		rewriteEntry(t, entryFile(t, dir), func(e *PeerEntry) { e.Optimal = true })
+		check(t, New(Options{CacheDir: dir}), "disk")
+	})
 }

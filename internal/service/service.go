@@ -554,7 +554,8 @@ func resultTier(res *Result) string {
 // whichever way it was obtained.
 func (s *Service) leaderSolve(ctx context.Context, req *request, key string) (*Result, error) {
 	if s.disk != nil {
-		if res, ok := s.disk.get(key, func(r *Result) error { return s.revalidate(req, r) }); ok {
+		if res, ok := s.disk.get(key, func(e *PeerEntry) (*Result, error) { return s.admitEntry(req, key, e) }); ok {
+			res.fromDisk = true
 			return res, nil
 		}
 	}
@@ -587,43 +588,6 @@ func (s *Service) verifyFresh(req *request, res *Result) {
 		return
 	}
 	res.Trust = tier
-}
-
-// revalidate decides whether a decoded disk entry may serve this request:
-// its shape must match the request and its certificate must independently
-// verify against the canonical instance — the derived fields are then
-// recomputed from the instance rather than trusted, so a tampered file
-// can at worst be rejected, never believed. A non-nil error reaps the
-// entry.
-func (s *Service) revalidate(req *request, res *Result) error {
-	if res.Kind != req.kind {
-		return fmt.Errorf("service: disk entry kind %q, want %q", res.Kind, req.kind)
-	}
-	c := res.Certificate
-	if c == nil {
-		return errors.New("service: disk entry has no certificate")
-	}
-	if len(c.Assignment) != len(res.Assignment) {
-		return errors.New("service: disk entry assignment differs from its certificate")
-	}
-	for i, v := range c.Assignment {
-		if res.Assignment[i] != v {
-			return errors.New("service: disk entry assignment differs from its certificate")
-		}
-	}
-	tier, err := cert.Verify(req.instance(), c)
-	if err != nil {
-		s.verifyFailures.Add(1)
-		return err
-	}
-	// Recompute what the certificate proves correct; trust nothing else.
-	res.Fingerprint = req.fp
-	res.Makespan, res.Loads = req.problem().MakespanLoads(res.Assignment)
-	res.LowerBound = c.LowerBound
-	res.Trust = tier
-	res.Truncated = false
-	res.fromDisk = true
-	return nil
 }
 
 // Stats returns a counters snapshot.

@@ -17,7 +17,7 @@ import (
 
 // testHyper is a small MULTIPROC instance with a known optimal makespan
 // of 5: task 0 on {p0,p1} for 3, task 1 on p2 for 3, task 2 on p1 for 2.
-func testHyper(t *testing.T) *hypergraph.Hypergraph {
+func testHyper(t testing.TB) *hypergraph.Hypergraph {
 	t.Helper()
 	b := hypergraph.NewBuilder(3, 3)
 	b.AddEdge(0, []int{0, 1}, 3)

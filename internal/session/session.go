@@ -96,14 +96,13 @@ type Options struct {
 	// adopted only when makespan + λ·Σ moved-task weight beats the
 	// patched schedule's score. 0 chases pure makespan.
 	Lambda float64
-	// NodeBudget, ExactTaskLimit, Deadline, Workers and ExactWorkers
-	// bound each event's re-solve; they map directly onto the
-	// solve.Options fields of the same names (zero = those defaults).
+	// NodeBudget, ExactTaskLimit, Deadline and Workers bound each
+	// event's re-solve; they map directly onto the solve.Options fields
+	// of the same names (zero = those defaults).
 	NodeBudget     int64
 	ExactTaskLimit int
 	Deadline       time.Duration
 	Workers        int
-	ExactWorkers   int
 	// Trace attaches a telemetry span tree to each re-solve's Report, for
 	// the serving layer to emit as a "session-event" trace.
 	Trace bool
@@ -314,7 +313,6 @@ func (s *Session) resolve(ctx context.Context, rep *SessionReport, prev map[stri
 		Trace:            s.opts.Trace,
 		Deadline:         s.opts.Deadline,
 		Workers:          s.opts.Workers,
-		ExactWorkers:     s.opts.ExactWorkers,
 		NodeBudget:       s.opts.NodeBudget,
 		ExactTaskLimit:   s.opts.ExactTaskLimit,
 		InitialIncumbent: warm,

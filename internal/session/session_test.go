@@ -116,7 +116,7 @@ func replay(t *testing.T, s *Session, events []Event) []*SessionReport {
 }
 
 func TestSingleProcChurnFeasible(t *testing.T) {
-	s, err := New(Options{Procs: 4, Workers: 1, ExactWorkers: 1})
+	s, err := New(Options{Procs: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSingleProcChurnFeasible(t *testing.T) {
 }
 
 func TestMultiProcChurnFeasible(t *testing.T) {
-	s, err := New(Options{Procs: 4, Multi: true, Workers: 1, ExactWorkers: 1})
+	s, err := New(Options{Procs: 4, Multi: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMultiProcChurnFeasible(t *testing.T) {
 // patched incumbent is strictly better than the greedy seed often enough
 // to show up in the totals.
 func TestWarmNodesNeverExceedCold(t *testing.T) {
-	s, err := New(Options{Procs: 3, Workers: 1, ExactWorkers: 1, CompareCold: true})
+	s, err := New(Options{Procs: 3, Workers: 1, CompareCold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWarmNodesNeverExceedCold(t *testing.T) {
 func TestLambdaReducesMigrations(t *testing.T) {
 	events := GenerateScript(ScriptOptions{Seed: 7, Events: 150, Procs: 3, MaxWeight: 30})
 	run := func(lambda float64) (int, int64) {
-		s, err := New(Options{Procs: 3, Lambda: lambda, Workers: 1, ExactWorkers: 1})
+		s, err := New(Options{Procs: 3, Lambda: lambda, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestAcquireReleasePairs(t *testing.T) {
 }
 
 func TestSubscribeStreams(t *testing.T) {
-	s, err := New(Options{Procs: 3, Workers: 1, ExactWorkers: 1})
+	s, err := New(Options{Procs: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestSubscribeStreams(t *testing.T) {
 }
 
 func TestCloseAndConcurrency(t *testing.T) {
-	s, err := New(Options{Procs: 3, Workers: 1, ExactWorkers: 1})
+	s, err := New(Options{Procs: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ type Incumbent struct {
 	Makespan int64
 	// Assignment is the incumbent schedule (a copy).
 	Assignment []int32
-	// Solver names what produced this incumbent: a registry solver name,
-	// or a portfolio member's canonical name.
+	// Solver names what produced this incumbent: the canonical registry
+	// name of the solver or heuristic-race member.
 	Solver string
 	// Elapsed is the time since Run started.
 	Elapsed time.Duration
@@ -35,7 +35,7 @@ type Incumbent struct {
 type Observer func(Incumbent)
 
 // obsState adapts the per-solver observation sources (exact incumbent
-// callbacks, portfolio member completions) to the Observer contract:
+// callbacks, heuristic-race member completions) to the Observer contract:
 // serialized, monotonically non-increasing, panic-isolated, and closed by
 // one Final event that matches the Report.
 type obsState struct {

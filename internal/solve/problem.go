@@ -10,7 +10,7 @@
 // (internal/registry), so the catalog stays the single source of truth.
 //
 // Run is an anytime solver: callers can register an Observer to watch the
-// incumbent schedule improve while a long branch-and-bound or portfolio
+// incumbent schedule improve while a long branch-and-bound or heuristic
 // race is still running, and a deadline or node budget degrades the
 // answer to the best schedule found (Report.Status == StatusTruncated)
 // instead of discarding it.

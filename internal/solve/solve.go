@@ -9,8 +9,6 @@ import (
 	"semimatch/internal/cert"
 	"semimatch/internal/core"
 	"semimatch/internal/exact"
-	"semimatch/internal/loadvec"
-	"semimatch/internal/portfolio"
 	"semimatch/internal/refine"
 	"semimatch/internal/registry"
 	"semimatch/internal/telemetry"
@@ -70,8 +68,8 @@ type Report struct {
 	// Class is the problem class that was solved.
 	Class registry.Class
 	// Solver is the canonical registry name of what produced the
-	// schedule: the named algorithm, the winning portfolio member, or the
-	// exact stage's solver.
+	// schedule: the named algorithm, the winning heuristic-race member,
+	// or the exact stage's solver.
 	Solver string
 	// Assignment maps each task to its processor (SINGLEPROC) or chosen
 	// hyperedge id (MULTIPROC).
@@ -138,14 +136,11 @@ type Options struct {
 	// When it expires the best schedule found so far is returned with
 	// StatusTruncated.
 	Deadline time.Duration
-	// Workers bounds solver-internal parallelism: the heuristic race's
-	// fan-out and, unless ExactWorkers overrides it, the parallel
-	// branch-and-bound pool. 0 means GOMAXPROCS.
+	// Workers bounds solver-internal parallelism: the auto policy's
+	// heuristic race fans out to at most Workers members at once (both
+	// classes), and a parallel branch-and-bound runs Workers search
+	// workers. 0 means GOMAXPROCS.
 	Workers int
-	// ExactWorkers overrides Workers for the exact stage's internal pool
-	// — the batch runner sets it so nested parallelism stays at one busy
-	// goroutine per core. 0 defers to Workers.
-	ExactWorkers int
 	// NodeBudget caps branch-and-bound search nodes. 0 means the
 	// default: DefaultExactNodes for the auto policy's exact attempt, the
 	// engine default (20M) for a named exact algorithm.
@@ -253,13 +248,6 @@ func (o Options) exactNodes() int64 {
 		return DefaultExactNodes
 	}
 	return o.NodeBudget
-}
-
-func (o Options) exactWorkers() int {
-	if o.ExactWorkers > 0 {
-		return o.ExactWorkers
-	}
-	return o.Workers
 }
 
 // Run solves a Problem of either class and returns the unified Report.
@@ -414,25 +402,88 @@ func runNamed(ctx context.Context, p Problem, o Options, obs *obsState) (*Report
 	return rep, nil
 }
 
-// runAuto applies the class-generic per-instance policy: a heuristic race
-// first (always fast), then an exact attempt when the instance is small
-// enough, falling back to the best schedule found when a budget expires.
+// runAuto applies the class-generic per-instance policy: the heuristic
+// race first (always fast), then the exact stage when the instance gets
+// one, falling back to the best schedule found when a budget expires.
 func runAuto(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, error) {
-	var rep *Report
-	var err error
-	if p.Class() == registry.MultiProc {
-		rep, err = runAutoHyper(ctx, p, o, obs)
-	} else {
-		rep, err = runAutoSingle(ctx, p, o, obs)
+	rep, err := race(ctx, p, o, obs)
+	if err != nil {
+		return nil, err
+	}
+	if ctx.Err() == nil {
+		err = exactStage(ctx, p, o, obs, rep)
 	}
 	// An expired context means the policy did not run to completion —
 	// even when the stage it curtailed was skipped outright (e.g. the
 	// deadline fired between the heuristic race and the exact attempt).
 	// Without this, such results would read as complete and get cached.
-	if rep != nil && rep.Status != StatusOptimal && ctx.Err() != nil {
+	if rep.Status != StatusOptimal && ctx.Err() != nil {
 		rep.Status = StatusTruncated
 	}
 	return rep, err
+}
+
+// exactSolver is the auto policy's exact-stage choice for p, or nil when p
+// gets no exact attempt. A unit SINGLEPROC instance gets the cheapest
+// exact solver (the polynomial ExactUnit) at any size; every other
+// instance gets the exponential branch and bound, through its parallel
+// counterpart, only up to limit tasks.
+func exactSolver(p Problem, limit int) *registry.Solver {
+	if limit <= 0 {
+		return nil
+	}
+	exacts := registry.Find(p.Class(), registry.Exact)
+	if p.g != nil && p.g.Unit() {
+		if len(exacts) == 0 {
+			return nil
+		}
+		return exacts[0]
+	}
+	if p.NTasks() > limit {
+		return nil
+	}
+	for _, s := range exacts {
+		if s.Cost == registry.CostExponential {
+			return registry.Preferred(s)
+		}
+	}
+	return nil
+}
+
+// exactStage is the auto policy's exact attempt: it runs exactSolver's
+// choice with the policy's node budget and warm start, and folds the
+// outcome into rep (see mergeExact).
+func exactStage(ctx context.Context, p Problem, o Options, obs *obsState, rep *Report) error {
+	sol := exactSolver(p, o.exactTaskLimit())
+	if sol == nil {
+		return nil
+	}
+	span := o.trace.StartChild("exact")
+	span.SetAttr("solver", sol.Name)
+	ropts := registry.Options{
+		BnB: exact.Options{
+			MaxNodes:         o.exactNodes(),
+			InitialIncumbent: o.InitialIncumbent,
+			Stats:            &rep.Stats,
+			Trace:            span,
+			Progress:         o.Progress,
+			ProgressInterval: o.ProgressInterval,
+			Workers:          o.Workers,
+		},
+	}
+	if obs.active() {
+		ropts.BnB.Observer = obs.exactFn(sol.Name)
+	}
+	a, exErr := sol.SolveInstance(ctx, p.instance(), ropts)
+	span.End()
+	var m int64
+	if a != nil {
+		m, _ = p.MakespanLoads(a)
+	}
+	if err := mergeExact(rep, sol.Name, a, m, exErr, ctx.Err()); err != nil {
+		return fmt.Errorf("solve: %s: %w", sol.Name, err)
+	}
+	return nil
 }
 
 // adopt replaces the staged schedule.
@@ -466,182 +517,4 @@ func mergeExact(rep *Report, solver string, a []int32, m int64, exErr error, ctx
 		return exErr
 	}
 	return nil
-}
-
-// runAutoHyper is the MULTIPROC auto policy: portfolio race, then exact.
-func runAutoHyper(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, error) {
-	popts := portfolio.Options{
-		Algorithms: o.Portfolio,
-		Refine:     o.Refine,
-		Workers:    o.Workers,
-	}
-	if obs.active() {
-		popts.Observer = func(member string, m int64, a core.HyperAssignment) {
-			obs.emit(member, m, []int32(a), false)
-		}
-	}
-	raceSpan := o.trace.StartChild("race")
-	pres, err := portfolio.SolveCtx(ctx, p.h, popts)
-	if err != nil {
-		raceSpan.End()
-		return nil, fmt.Errorf("solve: %w", err)
-	}
-	raceSpan.SetAttr("winner", pres.Winner)
-	raceSpan.SetAttr("makespan", pres.Makespan)
-	raceSpan.End()
-	rep := &Report{
-		Solver:        pres.Winner,
-		Assignment:    []int32(pres.Assignment),
-		stageMakespan: pres.Makespan,
-	}
-	if pres.Incomplete {
-		rep.Status = StatusTruncated
-	}
-
-	lim := o.exactTaskLimit()
-	var exSol *registry.Solver
-	if exacts := registry.Find(registry.MultiProc, registry.Exact); len(exacts) > 0 {
-		exSol = registry.Preferred(exacts[0])
-	}
-	if exSol == nil || lim <= 0 || p.h.NTasks > lim || ctx.Err() != nil {
-		return rep, nil
-	}
-	exactSpan := o.trace.StartChild("exact")
-	exactSpan.SetAttr("solver", exSol.Name)
-	ropts := registry.Options{
-		BnB: exact.Options{
-			MaxNodes:         o.exactNodes(),
-			InitialIncumbent: o.InitialIncumbent,
-			Stats:            &rep.Stats,
-			Trace:            exactSpan,
-			Progress:         o.Progress,
-			ProgressInterval: o.ProgressInterval,
-			Workers:          o.exactWorkers(),
-		},
-	}
-	if obs.active() {
-		ropts.BnB.Observer = obs.exactFn(exSol.Name)
-	}
-	a, exErr := exSol.SolveHyper(ctx, p.h, ropts)
-	exactSpan.End()
-	var m int64
-	if a != nil {
-		m = core.HyperMakespan(p.h, a)
-	}
-	if err := mergeExact(rep, exSol.Name, []int32(a), m, exErr, ctx.Err()); err != nil {
-		return rep, fmt.Errorf("solve: %s: %w", exSol.Name, err)
-	}
-	return rep, nil
-}
-
-// runAutoSingle is the SINGLEPROC auto policy — the bipartite counterpart
-// of the hypergraph pipeline, and the stage that makes SINGLEPROC
-// batching a first-class workload: a sequential race over the class's
-// heuristic lineup (judged by full sorted load vector, ties by lineup
-// order, so results are deterministic), then the polynomial ExactUnit
-// proof for unit instances or a parallel branch-and-bound attempt for
-// small weighted ones.
-func runAutoSingle(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, error) {
-	g := p.Graph()
-	defaults := registry.Names(registry.Heuristics(registry.SingleProc))
-	names, solvers, err := registry.ResolveClass(registry.SingleProc, o.Portfolio, defaults)
-	if err != nil {
-		return nil, fmt.Errorf("solve: %w", err)
-	}
-
-	rep := &Report{}
-	raceSpan := o.trace.StartChild("race")
-	var bestVec []int64
-	found := false
-	var firstErr error
-	truncated := false
-	for i, sol := range solvers {
-		if ctx.Err() != nil {
-			truncated = found
-			break
-		}
-		a, err := sol.SolveSingle(ctx, g, registry.Options{BnB: exact.Options{Workers: 1}})
-		if err != nil && (a == nil || !registry.IncumbentError(err)) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("solve: %s: %w", names[i], err)
-			}
-			continue
-		}
-		vec := loadvec.SortedDesc(core.Loads(g, a))
-		if !found || loadvec.CompareVec(vec, bestVec) < 0 {
-			found = true
-			rep.Assignment, rep.Solver, bestVec = []int32(a), names[i], vec
-			rep.stageMakespan = 0
-			if len(vec) > 0 {
-				rep.stageMakespan = vec[0]
-			}
-			obs.emit(names[i], rep.stageMakespan, rep.Assignment, false)
-		}
-	}
-	if found {
-		raceSpan.SetAttr("winner", rep.Solver)
-		raceSpan.SetAttr("makespan", rep.stageMakespan)
-	}
-	raceSpan.End()
-	if !found {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, fmt.Errorf("solve: no heuristic finished: %w", ctx.Err())
-	}
-	if truncated {
-		rep.Status = StatusTruncated
-		return rep, nil
-	}
-
-	// Exact stage, capability-selected: the polynomial matching-based
-	// solver whenever unit weights allow it (any size), else the
-	// exponential branch-and-bound (parallel counterpart preferred) for
-	// small instances only.
-	lim := o.exactTaskLimit()
-	var exSol *registry.Solver
-	exacts := registry.Find(registry.SingleProc, registry.Exact)
-	switch {
-	case lim <= 0 || ctx.Err() != nil:
-	case g.Unit():
-		if len(exacts) > 0 {
-			exSol = exacts[0] // cheapest cost class first: ExactUnit
-		}
-	case g.NLeft <= lim:
-		for _, s := range exacts {
-			if s.Cost == registry.CostExponential {
-				exSol = registry.Preferred(s)
-				break
-			}
-		}
-	}
-	if exSol == nil {
-		return rep, nil
-	}
-	exactSpan := o.trace.StartChild("exact")
-	exactSpan.SetAttr("solver", exSol.Name)
-	ropts := registry.Options{
-		BnB: exact.Options{
-			MaxNodes:         o.exactNodes(),
-			InitialIncumbent: o.InitialIncumbent,
-			Stats:            &rep.Stats,
-			Trace:            exactSpan,
-			Progress:         o.Progress,
-			ProgressInterval: o.ProgressInterval,
-			Workers:          o.exactWorkers(),
-		},
-	}
-	if obs.active() {
-		ropts.BnB.Observer = obs.exactFn(exSol.Name)
-	}
-	a, exErr := exSol.SolveSingle(ctx, g, ropts)
-	exactSpan.End()
-	var m int64
-	if a != nil {
-		m = core.Makespan(g, a)
-	}
-	if err := mergeExact(rep, exSol.Name, []int32(a), m, exErr, ctx.Err()); err != nil {
-		return rep, fmt.Errorf("solve: %s: %w", exSol.Name, err)
-	}
-	return rep, nil
 }

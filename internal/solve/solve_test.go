@@ -325,18 +325,22 @@ func TestProblemAccessors(t *testing.T) {
 // reported makespan, solver and status do not depend on Workers.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		h := randomHyper(seed+50, 14, 4, 3, 3, 12)
-		base, err := RunOptions(context.Background(), Hyper(h), Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		multi, err := RunOptions(context.Background(), Hyper(h), Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Makespan != multi.Makespan || base.Solver != multi.Solver || base.Status != multi.Status {
-			t.Fatalf("seed %d: workers=1 (%d,%s,%v) vs workers=4 (%d,%s,%v)", seed,
-				base.Makespan, base.Solver, base.Status, multi.Makespan, multi.Solver, multi.Status)
+		for _, p := range []Problem{
+			Hyper(randomHyper(seed+50, 14, 4, 3, 3, 12)),
+			Bipartite(weightedGraph(seed+50, 14, 4, 3, 12)),
+		} {
+			base, err := RunOptions(context.Background(), p, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			multi, err := RunOptions(context.Background(), p, Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.Makespan != multi.Makespan || base.Solver != multi.Solver || base.Status != multi.Status {
+				t.Fatalf("%v seed %d: workers=1 (%d,%s,%v) vs workers=4 (%d,%s,%v)", p, seed,
+					base.Makespan, base.Solver, base.Status, multi.Makespan, multi.Solver, multi.Status)
+			}
 		}
 	}
 }
