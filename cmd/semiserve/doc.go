@@ -186,7 +186,7 @@
 // A session is a long-lived scheduling instance that evolves by events
 // instead of being re-posted whole: tasks arrive, depart and change
 // weight, and after every event the session holds a feasible schedule —
-// first by an O(log p) online patch, then (when the instance is small
+// first by an instant online patch, then (when the instance is small
 // enough) by a bounded exact re-solve warm-started from the patched
 // schedule and adopted only when it beats the patch on the
 // migration-aware objective makespan + λ·Σ(moved task weight). See

@@ -284,6 +284,9 @@ func TestSolveBadRequests(t *testing.T) {
 		// Headers declaring 2^26 tasks for a one-edge body.
 		{"hostile hypergraph header", "/solve", "hypergraph 67108864 1 1\n0 1 1 0\n", http.StatusBadRequest},
 		{"hostile bipartite header", "/solve", "bipartite 67108864 1 unit\n0 0\n", http.StatusBadRequest},
+		// Task 1 has no eligible processor, so no schedule exists.
+		{"isolated weighted task", "/solve", "bipartite 2 2 weighted\n0 0 3\n0 1 5\n", http.StatusBadRequest},
+		{"isolated unit task", "/solve", "bipartite 2 2 unit\n0 0\n0 1\n", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code, _, raw := postSolve(t, ts.URL+c.url, c.body)

@@ -180,7 +180,7 @@
 // A one-shot Run answers a frozen instance; internal/session keeps a
 // schedule alive while the instance changes. A session consumes
 // arrive/depart/reweigh events, keeps the schedule feasible after each
-// one with the paper's O(log p) online rule (internal/online), then
+// one with the paper's online rule lifted to processor sets, then
 // re-runs the solve pipeline warm-started from the patched schedule —
 // WithWarmStart seeds the branch-and-bound engines with it as the
 // initial incumbent, so the search prunes against the previous answer

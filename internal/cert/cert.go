@@ -229,47 +229,57 @@ func (c *Certificate) ClaimedTier() Tier {
 // placement, total work spread perfectly over the processors, rounded up)
 // and the max-element bound (the heaviest task's cheapest placement must
 // land whole on some processor). instance must be a *bipartite.Graph or a
-// *hypergraph.Hypergraph. These are the bounds WitnessAverageLoad and
+// *hypergraph.Hypergraph; a graph is bounded as its singleton-hyperedge
+// lift. These are the bounds WitnessAverageLoad and
 // WitnessMaxElement certificates are checked against, and the bounds the
 // exact engines report in SearchStats.
 func Bounds(instance any) (avg, maxElem int64, err error) {
+	h, err := lift(instance)
+	if err != nil {
+		return 0, 0, err
+	}
+	avg, maxElem = bounds(h)
+	return avg, maxElem, nil
+}
+
+// lift returns the MULTIPROC form every bound is derived on: a
+// hypergraph as is, a SINGLEPROC graph as its singleton-hyperedge lift
+// (hypergraph.FromGraph), whose bounds are the graph's.
+func lift(instance any) (*hypergraph.Hypergraph, error) {
 	switch v := instance.(type) {
 	case *bipartite.Graph:
-		a, m := boundsSingle(v)
-		return a, m, nil
+		return hypergraph.FromGraph(v), nil
 	case *hypergraph.Hypergraph:
-		a, m := boundsHyper(v)
-		return a, m, nil
+		return v, nil
+	case nil:
+		return nil, errors.New("cert: nil instance")
 	default:
-		return 0, 0, fmt.Errorf("cert: unsupported instance type %T", instance)
+		return nil, fmt.Errorf("cert: unsupported instance type %T", instance)
 	}
 }
 
-func boundsSingle(g *bipartite.Graph) (avg, maxElem int64) {
-	if g.NRight == 0 || g.NLeft == 0 {
-		return 0, 0
+// identify returns an instance's lift together with its class label and
+// canonical fingerprint. The lift and class are set even when
+// fingerprinting fails; only an unsupported instance returns a nil lift.
+func identify(instance any) (h *hypergraph.Hypergraph, class, fp string, err error) {
+	if h, err = lift(instance); err != nil {
+		return nil, "", "", err
 	}
-	var total int64
-	for t := 0; t < g.NLeft; t++ {
-		best := int64(1)
-		if w := g.Weights(t); len(w) > 0 {
-			best = w[0]
-			for _, x := range w[1:] {
-				if x < best {
-					best = x
-				}
-			}
-		}
-		total += best
-		if best > maxElem {
-			maxElem = best
-		}
+	if g, ok := instance.(*bipartite.Graph); ok {
+		class = ClassSingleProc
+		fp, err = encode.FingerprintBipartite(g)
+	} else {
+		class = ClassMultiProc
+		fp, err = encode.FingerprintHypergraph(h)
 	}
-	p := int64(g.NRight)
-	return (total + p - 1) / p, maxElem
+	if err != nil {
+		err = fmt.Errorf("cert: fingerprinting instance: %w", err)
+	}
+	return h, class, fp, err
 }
 
-func boundsHyper(h *hypergraph.Hypergraph) (avg, maxElem int64) {
+// bounds is Bounds on the MULTIPROC form.
+func bounds(h *hypergraph.Hypergraph) (avg, maxElem int64) {
 	if h.NProcs == 0 || h.NTasks == 0 {
 		return 0, 0
 	}
@@ -306,42 +316,21 @@ const matchingBoundCap = 65536
 // strongBounds re-derives the packing bound, and — only if packing
 // leaves the gap open and the instance is within matchingBoundCap — the
 // matching bound. A zero matching value means "not computed".
-func strongBounds(instance any, makespan int64) (pack, match int64) {
-	switch v := instance.(type) {
-	case *bipartite.Graph:
-		pack = lb.Packing(lb.MinPlacementsGraph(v), v.NRight)
-		if pack != makespan && v.NLeft <= matchingBoundCap {
-			match = lb.MatchingGraph(v)
-		}
-	case *hypergraph.Hypergraph:
-		pack = lb.Packing(lb.MinPlacementsHyper(v), v.NProcs)
-		if pack != makespan && v.NTasks <= matchingBoundCap {
-			match = lb.MatchingHyper(v)
-		}
+func strongBounds(h *hypergraph.Hypergraph, makespan int64) (pack, match int64) {
+	pack = lb.Packing(lb.MinPlacementsHyper(h), h.NProcs)
+	if pack != makespan && h.NTasks <= matchingBoundCap {
+		match = lb.MatchingHyper(h)
 	}
 	return pack, match
 }
 
-// rederive returns the verifier for a claimed strong-bound witness: it
-// recomputes the named bound from the instance, ungated.
-func rederive(instance any, kind WitnessKind) (int64, error) {
-	switch v := instance.(type) {
-	case *bipartite.Graph:
-		switch kind {
-		case WitnessPacking:
-			return lb.Packing(lb.MinPlacementsGraph(v), v.NRight), nil
-		case WitnessMatching:
-			return lb.MatchingGraph(v), nil
-		}
-	case *hypergraph.Hypergraph:
-		switch kind {
-		case WitnessPacking:
-			return lb.Packing(lb.MinPlacementsHyper(v), v.NProcs), nil
-		case WitnessMatching:
-			return lb.MatchingHyper(v), nil
-		}
+// rederive recomputes the bound a claimed strong-bound witness names,
+// ungated.
+func rederive(h *hypergraph.Hypergraph, kind WitnessKind) int64 {
+	if kind == WitnessPacking {
+		return lb.Packing(lb.MinPlacementsHyper(h), h.NProcs)
 	}
-	return 0, fmt.Errorf("cert: cannot re-derive %s bound for %T", kind, instance)
+	return lb.MatchingHyper(h)
 }
 
 // Issue builds the certificate for a solved instance: the fingerprint is
@@ -357,22 +346,11 @@ func rederive(instance any, kind WitnessKind) (int64, error) {
 // only when the instance cannot be fingerprinted or is of an unsupported
 // type.
 func Issue(instance any, assignment []int32, makespan int64, lowerBound int64, optimal bool, nodes int64, solver string) *Certificate {
-	var fp, class string
-	var err error
-	switch v := instance.(type) {
-	case *bipartite.Graph:
-		fp, err = encode.FingerprintBipartite(v)
-		class = ClassSingleProc
-	case *hypergraph.Hypergraph:
-		fp, err = encode.FingerprintHypergraph(v)
-		class = ClassMultiProc
-	default:
-		return nil
-	}
+	h, class, fp, err := identify(instance)
 	if err != nil {
 		return nil
 	}
-	avg, maxElem, _ := Bounds(instance)
+	avg, maxElem := bounds(h)
 	c := &Certificate{
 		Fingerprint: fp,
 		Class:       class,
@@ -387,7 +365,7 @@ func Issue(instance any, assignment []int32, makespan int64, lowerBound int64, o
 	case makespan == maxElem:
 		c.Witness.Kind = WitnessMaxElement
 	case optimal:
-		pack, match := strongBounds(instance, makespan)
+		pack, match := strongBounds(h, makespan)
 		switch makespan {
 		case pack:
 			c.Witness.Kind = WitnessPacking
@@ -418,56 +396,44 @@ func Verify(instance any, c *Certificate) (Tier, error) {
 	if c == nil {
 		return TierHeuristic, errors.New("cert: no certificate")
 	}
-	switch v := instance.(type) {
-	case *bipartite.Graph:
-		if c.Class != ClassSingleProc {
-			return TierHeuristic, fmt.Errorf("cert: certificate class %q does not match SINGLEPROC instance", c.Class)
-		}
-		fp, err := encode.FingerprintBipartite(v)
-		if err != nil {
-			return TierHeuristic, fmt.Errorf("cert: fingerprinting instance: %w", err)
-		}
-		if fp != c.Fingerprint {
-			return TierHeuristic, fmt.Errorf("cert: fingerprint mismatch: certificate %.12s…, instance %.12s…", c.Fingerprint, fp)
-		}
-		if err := core.ValidateAssignment(v, core.Assignment(c.Assignment)); err != nil {
-			return TierHeuristic, fmt.Errorf("cert: infeasible assignment: %w", err)
-		}
-		m := core.Makespan(v, core.Assignment(c.Assignment))
-		avg, maxElem := boundsSingle(v)
-		return verifyClaims(v, c, m, avg, maxElem)
-	case *hypergraph.Hypergraph:
-		if c.Class != ClassMultiProc {
-			return TierHeuristic, fmt.Errorf("cert: certificate class %q does not match MULTIPROC instance", c.Class)
-		}
-		fp, err := encode.FingerprintHypergraph(v)
-		if err != nil {
-			return TierHeuristic, fmt.Errorf("cert: fingerprinting instance: %w", err)
-		}
-		if fp != c.Fingerprint {
-			return TierHeuristic, fmt.Errorf("cert: fingerprint mismatch: certificate %.12s…, instance %.12s…", c.Fingerprint, fp)
-		}
-		if err := core.ValidateHyperAssignment(v, core.HyperAssignment(c.Assignment)); err != nil {
-			return TierHeuristic, fmt.Errorf("cert: infeasible assignment: %w", err)
-		}
-		m := core.HyperMakespan(v, core.HyperAssignment(c.Assignment))
-		avg, maxElem := boundsHyper(v)
-		return verifyClaims(v, c, m, avg, maxElem)
-	case nil:
-		return TierHeuristic, errors.New("cert: nil instance")
-	default:
-		return TierHeuristic, fmt.Errorf("cert: unsupported instance type %T", instance)
+	h, class, fp, err := identify(instance)
+	switch {
+	case h == nil:
+		return TierHeuristic, err
+	case c.Class != class:
+		return TierHeuristic, fmt.Errorf("cert: certificate class %q does not match %s instance", c.Class, class)
+	case err != nil:
+		return TierHeuristic, err
+	case fp != c.Fingerprint:
+		return TierHeuristic, fmt.Errorf("cert: fingerprint mismatch: certificate %.12s…, instance %.12s…", c.Fingerprint, fp)
 	}
+	// A SINGLEPROC schedule is checked in its own task → processor
+	// encoding; only the bounds run on the lift.
+	var m int64
+	if g, ok := instance.(*bipartite.Graph); ok {
+		if err := core.ValidateAssignment(g, c.Assignment); err != nil {
+			return TierHeuristic, fmt.Errorf("cert: infeasible assignment: %w", err)
+		}
+		m = core.Makespan(g, c.Assignment)
+	} else {
+		if err := core.ValidateHyperAssignment(h, c.Assignment); err != nil {
+			return TierHeuristic, fmt.Errorf("cert: infeasible assignment: %w", err)
+		}
+		m = core.HyperMakespan(h, c.Assignment)
+	}
+	return verifyClaims(h, c, m)
 }
 
 // verifyClaims checks the numeric claims against the recomputed makespan
-// and re-derived bounds, and grades the witness. The cheap bounds are
-// always in hand; the strong bounds (packing, matching) are re-derived
-// from the instance only when the certificate's claims require them.
-func verifyClaims(instance any, c *Certificate, makespan, avg, maxElem int64) (Tier, error) {
+// and the bounds re-derived on h, the instance's MULTIPROC form, and
+// grades the witness. The cheap bounds are always derived; the strong
+// bounds (packing, matching) only when the certificate's claims require
+// them.
+func verifyClaims(h *hypergraph.Hypergraph, c *Certificate, makespan int64) (Tier, error) {
 	if makespan != c.Makespan {
 		return TierHeuristic, fmt.Errorf("cert: makespan mismatch: certificate claims %d, schedule yields %d", c.Makespan, makespan)
 	}
+	avg, maxElem := bounds(h)
 	// A feasible schedule's makespan is an upper bound on the optimum, so
 	// a re-derived lower bound above it contradicts the instance.
 	best := avg
@@ -492,11 +458,7 @@ func verifyClaims(instance any, c *Certificate, makespan, avg, maxElem int64) (T
 		}
 		return TierVerified, nil
 	case WitnessPacking, WitnessMatching:
-		got, err := rederive(instance, c.Witness.Kind)
-		if err != nil {
-			return TierHeuristic, err
-		}
-		if got != makespan {
+		if got := rederive(h, c.Witness.Kind); got != makespan {
 			return TierHeuristic, fmt.Errorf("cert: %s witness does not hold: re-derived bound %d, makespan %d", c.Witness.Kind, got, makespan)
 		}
 		return TierVerified, nil
@@ -515,7 +477,7 @@ func verifyClaims(instance any, c *Certificate, makespan, avg, maxElem int64) (T
 			// The cheap bounds cannot support the claim; the strong bounds
 			// might (a truncated search reports its root bound, which now
 			// includes packing and matching).
-			pack, match := strongBounds(instance, makespan)
+			pack, match := strongBounds(h, makespan)
 			if pack > best {
 				best = pack
 			}

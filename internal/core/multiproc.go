@@ -115,7 +115,8 @@ func hyperTaskOrder(h *hypergraph.Hypergraph) []int32 {
 
 // SortedGreedyHyp is Algorithm 4 (SGH): tasks by non-decreasing degree;
 // each picks the hyperedge minimizing the maximum current load over its
-// processors. O(Σ_h |h|) after sorting.
+// processors, ties to the task's first hyperedge. A task without
+// hyperedges stays Unassigned. O(Σ_h |h|) after sorting.
 func SortedGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
 	a := make(HyperAssignment, h.NTasks)
 	loads := make([]int64, h.NProcs)
@@ -137,6 +138,9 @@ func SortedGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignmen
 			}
 		}
 		a[t] = bestE
+		if bestE == Unassigned {
+			continue // no configuration: the task stays unassigned
+		}
 		w := h.Weight[bestE]
 		for _, u := range h.EdgeProcs(bestE) {
 			loads[u] += w

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"semimatch/internal/bipartite"
+	"semimatch/internal/hypergraph"
 )
 
 // Assignment maps each task (left vertex) to its processor, or Unassigned.
@@ -112,17 +113,15 @@ func BasicGreedy(g *bipartite.Graph, opts GreedyOptions) Assignment {
 }
 
 // SortedGreedy is Algorithm 1 with tasks visited by non-decreasing
-// out-degree ("sorted-greedy", Sec. IV-B2). O(|E| + |V1| log |V1|).
+// out-degree ("sorted-greedy", Sec. IV-B2). It runs as SGH on the
+// singleton-hyperedge lift (hypergraph.FromGraph), which is the same
+// rule: a one-processor configuration's peak load is its processor's
+// load, and configurations keep row order, so ties still go to the
+// lowest processor. Isolated tasks stay Unassigned.
+// O(|E| + |V1| log |V1|).
 func SortedGreedy(g *bipartite.Graph, opts GreedyOptions) Assignment {
-	a := make(Assignment, g.NLeft)
-	for i := range a {
-		a[i] = Unassigned
-	}
-	loads := make([]int64, g.NRight)
-	for _, t := range tasksByDegree(g) {
-		a[t] = pickMinLoad(g, int(t), loads, opts)
-	}
-	return a
+	a := SortedGreedyHyp(hypergraph.FromGraph(g), HyperOptions{AfterLoad: opts.AfterLoad})
+	return hypergraph.ProcsOf(g, a)
 }
 
 // pickMinLoad assigns task t to its minimum-load eligible processor,

@@ -211,6 +211,28 @@ func TestExactUnitErrors(t *testing.T) {
 	}
 }
 
+// TestGreediesLeaveIsolatedTaskUnassigned: a task with no eligible
+// processor comes back Unassigned from every greedy, and the others are
+// still placed (SortedGreedy runs on the singleton lift, where such a
+// task has no hyperedge).
+func TestGreediesLeaveIsolatedTaskUnassigned(t *testing.T) {
+	b := bipartite.NewBuilder(3, 2)
+	b.AddWeightedEdge(0, 0, 3)
+	b.AddWeightedEdge(0, 1, 5)
+	b.AddWeightedEdge(2, 1, 2)
+	g := b.MustBuild()
+	for name, alg := range map[string]func(*bipartite.Graph, GreedyOptions) Assignment{
+		"basic": BasicGreedy, "sorted": SortedGreedy, "double": DoubleSorted, "expected": ExpectedGreedy,
+	} {
+		for _, afterLoad := range []bool{false, true} {
+			a := alg(g, GreedyOptions{AfterLoad: afterLoad})
+			if a[1] != Unassigned || a[0] == Unassigned || a[2] != 1 {
+				t.Fatalf("%s (AfterLoad %v): %v, want task 1 unassigned and the others placed", name, afterLoad, a)
+			}
+		}
+	}
+}
+
 func TestGreedyNeverBeatsExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -247,68 +247,24 @@ func (o Options) seed(h *hypergraph.Hypergraph, inc core.HyperAssignment, m0 int
 // exhaustion or cancellation it returns the incumbent (the best schedule
 // found so far) with an error wrapping ErrLimit, or ErrCancelled and
 // ctx.Err().
+//
+// The instance is solved in singleton form (hypergraph.FromGraph).
+// Hyperedge k is g's edge k, so warm starts, observations and the result
+// translate between the processor and edge encodings through g's rows,
+// and callers only ever see task → processor assignments.
 func SolveSingleProc(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	return solveSingle(ctx, g, opts)
+	opts.InitialIncumbent = hypergraph.EdgesOf(g, opts.InitialIncumbent)
+	if obs := opts.Observer; obs != nil {
+		opts.Observer = func(m int64, a []int32) { obs(m, hypergraph.ProcsOf(g, a)) }
+	}
+	a, m, err := solve(ctx, hypergraph.FromGraph(g), opts)
+	return hypergraph.ProcsOf(g, a), m, err
 }
 
 // SolveMultiProc computes an optimal MULTIPROC schedule by branch and
 // bound; see SolveSingleProc for the engine choice and error contract.
 func SolveMultiProc(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
 	return solve(ctx, h, opts)
-}
-
-// solveSingle runs a SINGLEPROC instance through solve in singleton form
-// (hypergraph.FromGraph). Hyperedge k is g's edge k, so warm starts,
-// observations and the result translate between the processor and edge
-// encodings through g's rows, and callers only ever see task → processor
-// assignments.
-func solveSingle(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, int64, error) {
-	n, p := g.NLeft, g.NRight
-	if p == 0 && n > 0 {
-		return nil, 0, fmt.Errorf("exact: no processors")
-	}
-	for t := 0; t < n; t++ {
-		if g.Degree(t) == 0 {
-			return nil, 0, fmt.Errorf("exact: task %d has no eligible processor", t)
-		}
-	}
-	if n == 0 {
-		return core.Assignment{}, 0, nil
-	}
-	opts.InitialIncumbent = edgesOf(g, opts.InitialIncumbent)
-	if obs := opts.Observer; obs != nil {
-		opts.Observer = func(m int64, a []int32) { obs(m, procsOf(g, a)) }
-	}
-	a, m, err := solve(ctx, hypergraph.FromGraph(g), opts)
-	return procsOf(g, a), m, err
-}
-
-// edgesOf translates a task → processor schedule of g into the edge
-// encoding of FromGraph(g). A schedule that is invalid for g translates
-// to nil, which solve ignores like any invalid warm start.
-func edgesOf(g *bipartite.Graph, a []int32) []int32 {
-	if a == nil || core.ValidateAssignment(g, a) != nil {
-		return nil
-	}
-	edges := make([]int32, len(a))
-	for t, proc := range a {
-		for e := g.Ptr[t]; e < g.Ptr[t+1]; e++ {
-			if g.Adj[e] == proc {
-				edges[t] = e
-				break
-			}
-		}
-	}
-	return edges
-}
-
-// procsOf rewrites an edge-encoded schedule of FromGraph(g) in place into
-// g's task → processor encoding.
-func procsOf(g *bipartite.Graph, a []int32) core.Assignment {
-	for t, e := range a {
-		a[t] = g.Adj[e]
-	}
-	return core.Assignment(a)
 }
 
 // solve is the one branch-and-bound driver behind both entry points.

@@ -4,17 +4,51 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
+	"semimatch/internal/bipartite"
 	"semimatch/internal/core"
 	"semimatch/internal/hypergraph"
 )
 
 // SINGLEPROC instances are solved in singleton-hyperedge form. These
-// tests pin the translation: the MULTIPROC greedy seed on the lifted
-// instance is the SINGLEPROC greedy schedule, and every schedule a
-// caller sees — warm start in, observations and result out — stays in
-// task → processor encoding.
+// tests pin the translation: the greedy seed on the lifted instance is
+// the paper's sorted greedy on the graph, and every schedule a caller
+// sees — warm start in, observations and result out — stays in task →
+// processor encoding.
+
+// sortedGreedyRef is Algorithm 1 in sorted order written directly on the
+// graph: tasks by non-decreasing degree (ties by index), each on the
+// eligible processor with the smallest current (or, with afterLoad,
+// resulting) load, ties to the lowest processor.
+func sortedGreedyRef(g *bipartite.Graph, afterLoad bool) []int32 {
+	order := make([]int, g.NLeft)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return g.Degree(order[i]) < g.Degree(order[j]) })
+	a := make([]int32, g.NLeft)
+	loads := make([]int64, g.NRight)
+	for _, t := range order {
+		a[t] = core.Unassigned
+		var bestKey, bestW int64
+		for k, u := range g.Neighbors(t) {
+			w := g.EdgeWeight(g.Ptr[t] + int32(k))
+			key := loads[u]
+			if afterLoad {
+				key += w
+			}
+			if a[t] == core.Unassigned || key < bestKey {
+				a[t], bestKey, bestW = u, key, w
+			}
+		}
+		if a[t] != core.Unassigned {
+			loads[a[t]] += bestW
+		}
+	}
+	return a
+}
 
 func TestSingletonGreedyMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -24,10 +58,14 @@ func TestSingletonGreedyMatches(t *testing.T) {
 		if trial%2 == 1 {
 			g = randomUnitGraph(rng, n, p, 4)
 		}
-		want := core.SortedGreedy(g, core.GreedyOptions{})
-		edges := core.SortedGreedyHyp(hypergraph.FromGraph(g), core.HyperOptions{})
-		if got := procsOf(g, edges); !slices.Equal(got, want) {
+		afterLoad := trial%4 >= 2
+		want := sortedGreedyRef(g, afterLoad)
+		edges := core.SortedGreedyHyp(hypergraph.FromGraph(g), core.HyperOptions{AfterLoad: afterLoad})
+		if got := hypergraph.ProcsOf(g, edges); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: singleton greedy %v, SINGLEPROC greedy %v", trial, got, want)
+		}
+		if got := core.SortedGreedy(g, core.GreedyOptions{AfterLoad: afterLoad}); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: SortedGreedy %v, reference %v", trial, got, want)
 		}
 	}
 }
@@ -93,7 +131,7 @@ func TestSingleProcEdgeEncodedWarmStartIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges := edgesOf(g, opt)
+		edges := hypergraph.EdgesOf(g, opt)
 		if core.ValidateAssignment(g, edges) == nil {
 			continue
 		}

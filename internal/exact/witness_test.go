@@ -18,7 +18,7 @@ func strongBoundsOf(t *testing.T, inst any) (pack, match int64) {
 	t.Helper()
 	switch v := inst.(type) {
 	case *bipartite.Graph:
-		return lb.Packing(lb.MinPlacementsGraph(v), v.NRight), lb.MatchingGraph(v)
+		return strongBoundsOf(t, hypergraph.FromGraph(v))
 	case *hypergraph.Hypergraph:
 		return lb.Packing(lb.MinPlacementsHyper(v), v.NProcs), lb.MatchingHyper(v)
 	}

@@ -224,20 +224,23 @@ func (h *Hypergraph) ToBipartite() (nTasks, nProcs int, edges [][3]int64, err er
 // that fails Validate.
 func FromGraph(g *bipartite.Graph) *Hypergraph {
 	m := g.NumEdges()
+	// Edges is the identity and PinPtr is 0..m, so they share one array.
+	ids := make([]int32, m+1)
 	h := &Hypergraph{
 		NTasks:  g.NLeft,
 		NProcs:  g.NRight,
 		TaskPtr: g.Ptr,
-		Edges:   make([]int32, m),
-		PinPtr:  make([]int32, m+1),
+		Edges:   ids[:m:m],
+		PinPtr:  ids,
 		Pins:    g.Adj,
 		Owner:   make([]int32, m),
 		Weight:  make([]int64, m),
 		unit:    true,
 	}
-	for e := range h.Edges {
-		h.Edges[e] = int32(e)
-		h.PinPtr[e+1] = int32(e + 1)
+	for e := range ids {
+		ids[e] = int32(e)
+	}
+	for e := range h.Weight {
 		h.Weight[e] = g.EdgeWeight(int32(e))
 		if h.Weight[e] != 1 {
 			h.unit = false
@@ -249,6 +252,40 @@ func FromGraph(g *bipartite.Graph) *Hypergraph {
 		}
 	}
 	return h
+}
+
+// EdgesOf translates a task → processor schedule of g into the edge
+// encoding of FromGraph(g): task t's entry becomes the id of its edge to
+// that processor. A schedule that is not a complete, feasible assignment
+// of g translates to nil.
+func EdgesOf(g *bipartite.Graph, a []int32) []int32 {
+	if len(a) != g.NLeft {
+		return nil
+	}
+	edges := make([]int32, len(a))
+	for t, proc := range a {
+		e := g.Ptr[t]
+		for e < g.Ptr[t+1] && g.Adj[e] != proc {
+			e++
+		}
+		if e == g.Ptr[t+1] {
+			return nil
+		}
+		edges[t] = e
+	}
+	return edges
+}
+
+// ProcsOf rewrites an edge-encoded schedule of FromGraph(g) in place into
+// g's task → processor encoding and returns it. Negative entries
+// (unassigned tasks) stay as they are.
+func ProcsOf(g *bipartite.Graph, a []int32) []int32 {
+	for t, e := range a {
+		if e >= 0 {
+			a[t] = g.Adj[e]
+		}
+	}
+	return a
 }
 
 // PermuteEdges returns a copy of h whose hyperedge i is h's hyperedge

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,6 +250,32 @@ func TestFromGraph(t *testing.T) {
 		nT, nP, edges, err := h.ToBipartite()
 		if err != nil || nT != n || nP != p || len(edges) != g.NumEdges() {
 			t.Fatalf("trial %d: round trip: %d %d %d %v", trial, nT, nP, len(edges), err)
+		}
+	}
+}
+
+// TestEdgesProcsOf: the schedule translation between g's task →
+// processor encoding and FromGraph(g)'s edge encoding round-trips, keeps
+// unassigned entries, and rejects a schedule g cannot run.
+func TestEdgesProcsOf(t *testing.T) {
+	g, err := bipartite.NewFromAdjacency(3, [][]int{{0, 2}, {1}, {0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := []int32{2, 1, 0}
+	edges := EdgesOf(g, procs)
+	if !slices.Equal(edges, []int32{1, 2, 3}) {
+		t.Fatalf("EdgesOf = %v, want [1 2 3]", edges)
+	}
+	if got := ProcsOf(g, edges); !slices.Equal(got, procs) {
+		t.Fatalf("ProcsOf = %v, want %v", got, procs)
+	}
+	if got := ProcsOf(g, []int32{-1, 2, -1}); !slices.Equal(got, []int32{-1, 1, -1}) {
+		t.Fatalf("ProcsOf kept %v, want [-1 1 -1]", got)
+	}
+	for _, bad := range [][]int32{nil, {2, 1}, {1, 1, 0}, {-1, 1, 0}} {
+		if got := EdgesOf(g, bad); got != nil {
+			t.Fatalf("EdgesOf(%v) = %v, want nil", bad, got)
 		}
 	}
 }

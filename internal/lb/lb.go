@@ -12,13 +12,12 @@
 //
 // # The identical-machines relaxation
 //
-// Every SINGLEPROC or MULTIPROC instance relaxes to P||Cmax: give task t
-// an indivisible item of size m_t — its cheapest placement weight (min
-// edge weight over its row, or min hyperedge weight over its
-// configurations) — and let all p processors accept every item. Any
-// feasible schedule places, for each task, at least m_t on some single
-// processor, so the relaxed optimum lower-bounds the true one. Packing
-// computes a lower bound for the relaxation:
+// Every instance relaxes to P||Cmax: give task t an indivisible item of
+// size m_t — its cheapest configuration weight — and let all p
+// processors accept every item. Any feasible schedule places, for each
+// task, at least m_t on some single processor, so the relaxed optimum
+// lower-bounds the true one. Packing computes a lower bound for the
+// relaxation:
 //
 //   - L1: max(⌈Σm/p⌉, max m) — the two classic bounds;
 //   - k-tuple: among the (k-1)·p+1 largest items, k must share a
@@ -31,19 +30,26 @@
 //
 // The bipartite-matching view of SINGLEPROC (the paper's Theorem 1
 // machinery): makespan ≤ T is only possible if each task can route m_t
-// units of flow to some processor whose edge weight is ≤ T, with every
-// processor absorbing at most T in total. Infeasibility of that flow for
-// a given T proves OPT > T; MatchingGraph/MatchingHyper bisect for the
-// smallest feasible T. For unit SINGLEPROC instances the relaxation is
-// exact (it is the replicated-matching feasibility oracle), and in
-// general it dominates both the average-load and max-element bounds
-// while seeing eligibility structure neither can.
+// units of flow to some processor of one of its configurations of weight
+// ≤ T, with every processor absorbing at most T in total. Infeasibility of that flow for
+// a given T proves OPT > T; MatchingHyper bisects for the smallest
+// feasible T. For unit SINGLEPROC instances the relaxation is exact (it
+// is the replicated-matching feasibility oracle), and in general it
+// dominates both the average-load and max-element bounds while seeing
+// eligibility structure neither can.
+//
+// # One encoding
+//
+// Both bounds take the MULTIPROC form only. A SINGLEPROC instance is
+// bounded as its singleton-hyperedge lift, hypergraph.FromGraph (the
+// paper's Sec. II-B reduction): edge (t, u) of weight w becomes the
+// one-processor configuration {u} of weight w, so the relaxations, and
+// the bounds, are the same.
 package lb
 
 import (
 	"sort"
 
-	"semimatch/internal/bipartite"
 	"semimatch/internal/flow"
 	"semimatch/internal/hypergraph"
 )
@@ -52,26 +58,6 @@ import (
 // in Packing. Stopping the scan early only weakens the bound (each
 // rejected capacity is a proof), never invalidates it.
 const packScanCap = 4096
-
-// MinPlacementsGraph returns m_t per task: the cheapest edge weight of
-// each row (1 for unit graphs) — the item sizes of the identical-machines
-// relaxation.
-func MinPlacementsGraph(g *bipartite.Graph) []int64 {
-	m := make([]int64, g.NLeft)
-	for t := 0; t < g.NLeft; t++ {
-		best := int64(1)
-		if w := g.Weights(t); len(w) > 0 {
-			best = w[0]
-			for _, x := range w[1:] {
-				if x < best {
-					best = x
-				}
-			}
-		}
-		m[t] = best
-	}
-	return m
-}
 
 // MinPlacementsHyper returns m_t per task: the cheapest hyperedge weight
 // among each task's configurations. Whatever configuration a task picks,
@@ -182,74 +168,6 @@ func Packing(items []int64, p int) int64 {
 		bound++
 	}
 	return bound
-}
-
-// MatchingGraph returns the matching/flow lower bound of a SINGLEPROC
-// instance: the smallest T for which the min-placement flow relaxation is
-// feasible (see the package comment). Tasks with empty rows are skipped
-// (the exact solvers reject them before bounding). For unit graphs the
-// bound is exact — it equals the optimal makespan.
-func MatchingGraph(g *bipartite.Graph) int64 {
-	n, p := g.NLeft, g.NRight
-	if n == 0 || p == 0 {
-		return 0
-	}
-	m := MinPlacementsGraph(g)
-	var sum, maxElem int64
-	for t, x := range m {
-		if g.Degree(t) == 0 {
-			m[t] = 0
-			continue
-		}
-		sum += x
-		if x > maxElem {
-			maxElem = x
-		}
-	}
-	feasible := func(T int64) bool {
-		net := flow.NewNetwork(n + p + 2)
-		s, t := n+p, n+p+1
-		var want int64
-		for task := 0; task < n; task++ {
-			if m[task] == 0 {
-				continue
-			}
-			net.AddArc(s, task, m[task])
-			want += m[task]
-			row := g.Neighbors(task)
-			w := g.Weights(task)
-			for k, proc := range row {
-				wt := int64(1)
-				if w != nil {
-					wt = w[k]
-				}
-				if wt <= T {
-					net.AddArc(task, n+int(proc), m[task])
-				}
-			}
-		}
-		for proc := 0; proc < p; proc++ {
-			net.AddArc(n+proc, t, T)
-		}
-		return net.MaxFlow(s, t) == want
-	}
-	lo := (sum + int64(p) - 1) / int64(p)
-	if maxElem > lo {
-		lo = maxElem
-	}
-	hi := sum // feasible: route every demand through its cheapest edge
-	if hi < lo {
-		hi = lo
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // MatchingHyper returns the matching/flow lower bound of a MULTIPROC

@@ -177,15 +177,17 @@ func TestPackingKnown(t *testing.T) {
 	}
 }
 
-// TestMatchingGraphSandwich: the flow bound sits between the trivial
-// bound and the brute-force optimum on random weighted instances.
+// TestMatchingGraphSandwich: on the singleton lift of a graph, the flow
+// bound sits between the trivial bound and the brute-force SINGLEPROC
+// optimum on random weighted instances.
 func TestMatchingGraphSandwich(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 120; trial++ {
 		g := randGraph(rng, 3+rng.Intn(7), 2+rng.Intn(3), 3, 30)
-		got := MatchingGraph(g)
+		h := hypergraph.FromGraph(g)
+		got := MatchingHyper(h)
 		opt := bruteSP(t, g)
-		triv := trivialBound(MinPlacementsGraph(g), g.NRight)
+		triv := trivialBound(MinPlacementsHyper(h), g.NRight)
 		if got < triv {
 			t.Fatalf("trial %d: matching %d below trivial %d", trial, got, triv)
 		}
@@ -219,7 +221,7 @@ func TestMatchingGraphUnitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := MatchingGraph(g); got != opt {
+		if got := MatchingHyper(hypergraph.FromGraph(g)); got != opt {
 			t.Fatalf("trial %d: unit matching bound %d ≠ optimum %d", trial, got, opt)
 		}
 	}
@@ -268,7 +270,7 @@ func TestMatchingSeesStructure(t *testing.T) {
 	b.AddWeightedEdge(1, 0, 5)
 	g := b.MustBuild()
 	// avg = ⌈10/2⌉ = 5, maxElem = 5, but both 5s must share proc 0.
-	if got := MatchingGraph(g); got != 10 {
+	if got := MatchingHyper(hypergraph.FromGraph(g)); got != 10 {
 		t.Fatalf("matching bound %d, want 10 (both tasks confined to one proc)", got)
 	}
 }

@@ -77,59 +77,6 @@ func (s *Scheduler) Assign(eligible []int32, weight int64) (int32, error) {
 	return best, nil
 }
 
-// AssignWeighted places a task whose processing time depends on the
-// processor chosen: weights[i] is the task's duration on eligible[i]. It
-// picks the placement minimizing the resulting load (load + weight, ties
-// to the lowest processor index) — the natural online rule when, as in
-// MULTIPROC, different configurations of one task cost different amounts.
-func (s *Scheduler) AssignWeighted(eligible []int32, weights []int64) (int32, error) {
-	if len(eligible) == 0 {
-		return -1, fmt.Errorf("online: task with empty eligibility set")
-	}
-	if len(weights) != len(eligible) {
-		return -1, fmt.Errorf("online: %d weights for %d eligible processors", len(weights), len(eligible))
-	}
-	best := int32(-1)
-	var bestW, bestAfter int64
-	for i, p := range eligible {
-		if p < 0 || int(p) >= s.nProcs {
-			return -1, fmt.Errorf("online: processor %d out of range", p)
-		}
-		if weights[i] <= 0 {
-			return -1, fmt.Errorf("online: non-positive weight %d", weights[i])
-		}
-		after := s.loads[p] + weights[i]
-		if best == -1 || after < bestAfter || (after == bestAfter && p < best) {
-			best, bestW, bestAfter = p, weights[i], after
-		}
-	}
-	s.loads[best] += bestW
-	s.placed++
-	return best, nil
-}
-
-// Unassign removes a departing task from the schedule: the weight it was
-// contributing to processor p is released. It is the inverse of the
-// Assign/AssignWeighted call that placed the task, so dynamic sessions
-// can patch departures without rebuilding the scheduler.
-func (s *Scheduler) Unassign(p int32, weight int64) error {
-	if p < 0 || int(p) >= s.nProcs {
-		return fmt.Errorf("online: processor %d out of range", p)
-	}
-	if weight <= 0 {
-		return fmt.Errorf("online: non-positive weight %d", weight)
-	}
-	if s.loads[p] < weight {
-		return fmt.Errorf("online: unassigning %d from processor %d with load %d", weight, p, s.loads[p])
-	}
-	if s.placed == 0 {
-		return fmt.Errorf("online: no tasks placed")
-	}
-	s.loads[p] -= weight
-	s.placed--
-	return nil
-}
-
 // Replay feeds the tasks of a SINGLEPROC instance to an online scheduler
 // in the given arrival order (task indices; nil means index order) and
 // returns the resulting assignment and makespan.

@@ -157,3 +157,55 @@ func BenchmarkReplay(b *testing.B) {
 		}
 	}
 }
+
+// A long random stream of weighted arrivals keeps the scheduler's load
+// vector equal to one recomputed from the placements it returned, every
+// placement lands on an eligible processor no more loaded than any other
+// eligible one, and Makespan matches the recomputed maximum.
+func TestChurnLoadsConsistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const procs = 5
+	s := New(procs)
+	want := make([]int64, procs)
+	for step := 0; step < 500; step++ {
+		d := 1 + rng.Intn(procs)
+		eligible := make([]int32, 0, d)
+		for _, p := range rng.Perm(procs)[:d] {
+			eligible = append(eligible, int32(p))
+		}
+		w := 1 + rng.Int63n(9)
+		p, err := s.Assign(eligible, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := false
+		for _, q := range eligible {
+			if q == p {
+				ok = true
+			}
+			if want[q] < want[p] {
+				t.Fatalf("step %d: placed on P%d (load %d) while eligible P%d had load %d", step, p, want[p], q, want[q])
+			}
+		}
+		if !ok {
+			t.Fatalf("step %d: placed on ineligible P%d", step, p)
+		}
+		want[p] += w
+	}
+	got := s.Loads()
+	var max int64
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("load[%d]=%d want %d", i, got[i], want[i])
+		}
+		if want[i] > max {
+			max = want[i]
+		}
+	}
+	if s.Makespan() != max {
+		t.Fatalf("makespan=%d want %d", s.Makespan(), max)
+	}
+	if s.Placed() != 500 {
+		t.Fatalf("placed=%d want 500", s.Placed())
+	}
+}

@@ -657,6 +657,9 @@ func (s *Service) newRequest(instance any, algorithm string) (*request, error) {
 	default:
 		return nil, fmt.Errorf("%w: unsupported instance type %T", ErrBadInstance, instance)
 	}
+	if err := req.problem().Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
+	}
 
 	req.alg = autoAlg
 	if algorithm != "" {

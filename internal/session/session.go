@@ -5,9 +5,11 @@
 //
 // Each event is handled in two steps. First an instant online patch keeps
 // the schedule feasible: an arrival is placed greedily on the
-// least-loaded eligible placement (the paper's online rule, via
-// internal/online), a departure releases its load, a reweigh adjusts the
-// load in place. Then a bounded re-solve races the full solve pipeline
+// configuration with the least resulting peak load (the paper's online
+// rule, lifted to processor sets), a departure releases its load, a
+// reweigh adjusts the load in place. Both classes patch with the same
+// code: a SINGLEPROC task is a MULTIPROC task whose configurations name
+// one processor each. Then a bounded re-solve races the full solve pipeline
 // (internal/solve) warm-started from the patched schedule — the
 // branch-and-bound engines start from its makespan as the upper bound, so
 // an event that barely changes the instance re-explores a fraction of the
@@ -24,16 +26,17 @@
 package session
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"semimatch/internal/bipartite"
 	"semimatch/internal/hypergraph"
-	"semimatch/internal/online"
 	"semimatch/internal/solve"
 )
 
@@ -201,8 +204,7 @@ type Session struct {
 	seq    int64
 	tasks  []liveTask
 	byID   map[string]int
-	sp     *online.Scheduler // SINGLEPROC patch engine (loads live here)
-	loads  []int64           // MULTIPROC patch loads
+	loads  []int64 // the patched schedule's per-processor loads
 
 	subMu   sync.Mutex
 	subs    map[int]chan Push
@@ -219,14 +221,10 @@ func New(opts Options) (*Session, error) {
 		return nil, fmt.Errorf("session: negative lambda %v", opts.Lambda)
 	}
 	s := &Session{
-		opts: opts,
-		byID: make(map[string]int),
-		subs: make(map[int]chan Push),
-	}
-	if opts.Multi {
-		s.loads = make([]int64, opts.Procs)
-	} else {
-		s.sp = online.New(opts.Procs)
+		opts:  opts,
+		byID:  make(map[string]int),
+		subs:  make(map[int]chan Push),
+		loads: make([]int64, opts.Procs),
 	}
 	return s, nil
 }
@@ -340,7 +338,7 @@ func (s *Session) resolve(ctx context.Context, rep *SessionReport, prev map[stri
 		}
 	}
 
-	cfgs, err := s.placementsOf(res.Assignment, ptr)
+	cfgs, err := s.placementsOf(prob, res.Assignment, ptr)
 	if err != nil {
 		return // malformed solver output: keep the patched schedule
 	}
@@ -401,9 +399,10 @@ func (s *Session) validateSpec(spec *TaskSpec) error {
 	return nil
 }
 
-// patchArrive places the arriving task greedily: least resulting load
-// over its configurations (internal/online for SINGLEPROC; the same rule
-// over configuration processor sets for MULTIPROC).
+// patchArrive places the arriving task greedily with chooseConfig: least
+// resulting peak load over its configurations. A SINGLEPROC task's
+// configurations are sorted by processor first, so load ties go to the
+// lowest processor.
 func (s *Session) patchArrive(spec *TaskSpec) (string, error) {
 	if err := s.validateSpec(spec); err != nil {
 		return "", err
@@ -412,26 +411,11 @@ func (s *Session) patchArrive(spec *TaskSpec) (string, error) {
 	for i, c := range spec.Configs {
 		configs[i] = Config{Procs: append([]int32(nil), c.Procs...), Weight: c.Weight}
 	}
-	var cfg int32
-	if s.opts.Multi {
-		cfg = chooseConfig(s.loads, configs)
-		addLoad(s.loads, configs[cfg], 1)
-	} else {
-		eligible := make([]int32, len(configs))
-		weights := make([]int64, len(configs))
-		for i, c := range configs {
-			eligible[i], weights[i] = c.Procs[0], c.Weight
-		}
-		p, err := s.sp.AssignWeighted(eligible, weights)
-		if err != nil {
-			return "", fmt.Errorf("session: %w", err)
-		}
-		for i, c := range configs {
-			if c.Procs[0] == p {
-				cfg = int32(i)
-			}
-		}
+	if !s.opts.Multi {
+		slices.SortFunc(configs, func(a, b Config) int { return cmp.Compare(a.Procs[0], b.Procs[0]) })
 	}
+	cfg := chooseConfig(s.loads, configs)
+	addLoad(s.loads, configs[cfg], 1)
 	s.byID[spec.ID] = len(s.tasks)
 	s.tasks = append(s.tasks, liveTask{id: spec.ID, configs: configs, cfg: cfg})
 	return spec.ID, nil
@@ -444,14 +428,7 @@ func (s *Session) patchDepart(id string) (string, error) {
 		return "", fmt.Errorf("%w: %q", ErrUnknownTask, id)
 	}
 	lt := s.tasks[i]
-	c := lt.configs[lt.cfg]
-	if s.opts.Multi {
-		addLoad(s.loads, c, -1)
-	} else {
-		if err := s.sp.Unassign(c.Procs[0], c.Weight); err != nil {
-			return "", fmt.Errorf("session: %w", err)
-		}
-	}
+	addLoad(s.loads, lt.configs[lt.cfg], -1)
 	// Ordered removal keeps arrival order, so rebuilt instances stay
 	// stable across events.
 	s.tasks = append(s.tasks[:i], s.tasks[i+1:]...)
@@ -473,20 +450,11 @@ func (s *Session) patchReweigh(id string, w int64) (string, error) {
 		return "", fmt.Errorf("%w: %q", ErrUnknownTask, id)
 	}
 	lt := &s.tasks[i]
-	old := lt.configs[lt.cfg]
-	if s.opts.Multi {
-		addLoad(s.loads, old, -1)
-	} else if err := s.sp.Unassign(old.Procs[0], old.Weight); err != nil {
-		return "", fmt.Errorf("session: %w", err)
-	}
+	addLoad(s.loads, lt.configs[lt.cfg], -1)
 	for j := range lt.configs {
 		lt.configs[j].Weight = w
 	}
-	if s.opts.Multi {
-		addLoad(s.loads, lt.configs[lt.cfg], 1)
-	} else if _, err := s.sp.Assign(old.Procs[:1], w); err != nil {
-		return "", fmt.Errorf("session: %w", err)
-	}
+	addLoad(s.loads, lt.configs[lt.cfg], 1)
 	return id, nil
 }
 
@@ -518,9 +486,6 @@ func addLoad(loads []int64, c Config, sign int64) {
 
 // makespan is the current patched schedule's maximum load.
 func (s *Session) makespan() int64 {
-	if !s.opts.Multi {
-		return s.sp.Makespan()
-	}
 	var m int64
 	for _, l := range s.loads {
 		if l > m {
@@ -533,24 +498,27 @@ func (s *Session) makespan() int64 {
 // --- instance building and adoption ---
 
 // buildProblem compiles the live tasks (arrival order) into an immutable
-// instance plus the warm-start assignment of the current placements. For
-// MULTIPROC, ptr[i] is task i's first hyperedge id (configs keep their
-// per-task insertion order through hypergraph.Builder), so edge id
-// ptr[i]+j is task i's configuration j.
+// instance plus the warm-start assignment of the current placements.
+// ptr[i] is task i's first edge id: configurations keep their per-task
+// order in both encodings (a SINGLEPROC task's are sorted by processor,
+// as the graph's rows are), so edge id ptr[i]+j is task i's
+// configuration j.
 func (s *Session) buildProblem() (solve.Problem, []int32, []int32, error) {
 	n := len(s.tasks)
 	warm := make([]int32, n)
+	ptr := make([]int32, n)
+	var next int32
+	for i, lt := range s.tasks {
+		ptr[i] = next
+		warm[i] = next + lt.cfg
+		next += int32(len(lt.configs))
+	}
 	if s.opts.Multi {
 		b := hypergraph.NewBuilder(n, s.opts.Procs)
-		ptr := make([]int32, n)
-		var next int32
 		for i, lt := range s.tasks {
-			ptr[i] = next
 			for _, c := range lt.configs {
 				b.AddEdge32(int32(i), c.Procs, c.Weight)
-				next++
 			}
-			warm[i] = ptr[i] + lt.cfg
 		}
 		h, err := b.Build()
 		if err != nil {
@@ -563,42 +531,33 @@ func (s *Session) buildProblem() (solve.Problem, []int32, []int32, error) {
 		for _, c := range lt.configs {
 			b.AddWeightedEdge(i, int(c.Procs[0]), c.Weight)
 		}
-		warm[i] = lt.configs[lt.cfg].Procs[0]
 	}
 	g, err := b.Build()
 	if err != nil {
 		return solve.Problem{}, nil, nil, err
 	}
-	return solve.Bipartite(g), warm, nil, nil
+	return solve.Bipartite(g), hypergraph.ProcsOf(g, warm), ptr, nil
 }
 
-// placementsOf maps a solved assignment (instance encoding) back to
-// per-task configuration indices.
-func (s *Session) placementsOf(a []int32, ptr []int32) ([]int32, error) {
+// placementsOf maps a solved assignment of prob back to per-task
+// configuration indices; a SINGLEPROC schedule goes through its edge
+// encoding.
+func (s *Session) placementsOf(prob solve.Problem, a []int32, ptr []int32) ([]int32, error) {
+	if g := prob.Graph(); g != nil {
+		if a = hypergraph.EdgesOf(g, a); a == nil {
+			return nil, fmt.Errorf("session: infeasible SINGLEPROC assignment")
+		}
+	}
 	if len(a) != len(s.tasks) {
 		return nil, fmt.Errorf("session: assignment has %d entries for %d tasks", len(a), len(s.tasks))
 	}
 	cfgs := make([]int32, len(a))
 	for i, lt := range s.tasks {
-		if s.opts.Multi {
-			j := a[i] - ptr[i]
-			if j < 0 || int(j) >= len(lt.configs) {
-				return nil, fmt.Errorf("session: task %q assigned foreign hyperedge %d", lt.id, a[i])
-			}
-			cfgs[i] = j
-			continue
+		j := a[i] - ptr[i]
+		if j < 0 || int(j) >= len(lt.configs) {
+			return nil, fmt.Errorf("session: task %q assigned foreign edge %d", lt.id, a[i])
 		}
-		found := int32(-1)
-		for j, c := range lt.configs {
-			if c.Procs[0] == a[i] {
-				found = int32(j)
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("session: task %q assigned ineligible processor %d", lt.id, a[i])
-		}
-		cfgs[i] = found
+		cfgs[i] = j
 	}
 	return cfgs, nil
 }
@@ -619,29 +578,16 @@ func (s *Session) migrations(cfgs []int32, prev map[string]int32) (int, int64) {
 	return count, cost
 }
 
-// adopt installs the re-solved placements, reconciling the patch engine's
-// loads task by task.
+// adopt installs the re-solved placements, moving the patch loads task
+// by task.
 func (s *Session) adopt(cfgs []int32) {
 	for i := range s.tasks {
 		lt := &s.tasks[i]
 		if lt.cfg == cfgs[i] {
 			continue
 		}
-		oldC, newC := lt.configs[lt.cfg], lt.configs[cfgs[i]]
-		if s.opts.Multi {
-			addLoad(s.loads, oldC, -1)
-			addLoad(s.loads, newC, 1)
-		} else {
-			// Unassign cannot fail here (the load it releases is the load
-			// this task contributed) and the forced single-processor
-			// Assign cannot either; a failure would mean corrupted state.
-			if err := s.sp.Unassign(oldC.Procs[0], oldC.Weight); err != nil {
-				panic(fmt.Sprintf("session: adopt: %v", err))
-			}
-			if _, err := s.sp.Assign(newC.Procs[:1], newC.Weight); err != nil {
-				panic(fmt.Sprintf("session: adopt: %v", err))
-			}
-		}
+		addLoad(s.loads, lt.configs[lt.cfg], -1)
+		addLoad(s.loads, lt.configs[cfgs[i]], 1)
 		lt.cfg = cfgs[i]
 	}
 }
@@ -668,12 +614,7 @@ type State struct {
 func (s *Session) Snapshot() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := State{Events: s.seq, Makespan: s.makespan()}
-	if s.opts.Multi {
-		st.Loads = append([]int64(nil), s.loads...)
-	} else {
-		st.Loads = s.sp.Loads()
-	}
+	st := State{Events: s.seq, Makespan: s.makespan(), Loads: append([]int64(nil), s.loads...)}
 	for _, lt := range s.tasks {
 		c := lt.configs[lt.cfg]
 		st.Tasks = append(st.Tasks, TaskState{

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -408,5 +409,45 @@ func TestScriptRoundTrip(t *testing.T) {
 		if _, err := s.Apply(context.Background(), ev); err != nil {
 			t.Fatalf("replaying round-tripped event %d: %v", i, err)
 		}
+	}
+}
+
+// TestSingleProcArrivalPicksMinResultingLoad: a SINGLEPROC arrival goes
+// to the configuration with the least resulting load, not the cheapest
+// weight, and a load tie goes to the lowest processor whatever order the
+// configurations arrive in. The re-solve is declined, so the snapshot
+// shows the patch.
+func TestSingleProcArrivalPicksMinResultingLoad(t *testing.T) {
+	s, err := New(Options{Procs: 3, Acquire: func(context.Context) (func(), error) {
+		return nil, errors.New("patch only")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrive := func(id string, procs []int32, weights []int64) []int32 {
+		t.Helper()
+		spec := &TaskSpec{ID: id}
+		for i, p := range procs {
+			spec.Configs = append(spec.Configs, Config{Procs: []int32{p}, Weight: weights[i]})
+		}
+		if _, err := s.Apply(context.Background(), Event{Op: OpArrive, Task: spec}); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Snapshot()
+		return st.Tasks[len(st.Tasks)-1].Procs
+	}
+	arrive("pre", []int32{0}, []int64{4}) // loads 4 0 0
+	// P0 would reach 4+1=5, P1 0+3=3, P2 0+7=7: P1 wins although P0
+	// carries the cheapest weight.
+	if got := arrive("a", []int32{0, 1, 2}, []int64{1, 3, 7}); got[0] != 1 {
+		t.Fatalf("placed on %v, want P1", got)
+	}
+	// loads 4 3 0: P2 reaches 6 and P0 reaches 6 — the tie goes to P0
+	// although P2 is listed first.
+	if got := arrive("b", []int32{2, 0}, []int64{6, 2}); got[0] != 0 {
+		t.Fatalf("placed on %v, want P0 (lowest processor on a tie)", got)
+	}
+	if st := s.Snapshot(); !slices.Equal(st.Loads, []int64{6, 3, 0}) {
+		t.Fatalf("loads %v, want [6 3 0]", st.Loads)
 	}
 }

@@ -46,29 +46,47 @@ func Bipartite(g *bipartite.Graph) Problem { return Problem{g: g} }
 func Hyper(h *hypergraph.Hypergraph) Problem { return Problem{h: h} }
 
 // NewProblem wraps any supported instance type: *bipartite.Graph,
-// *hypergraph.Hypergraph, or a Problem (returned as-is).
+// *hypergraph.Hypergraph, or a Problem (returned as-is), and validates it.
 func NewProblem(instance any) (Problem, error) {
+	var p Problem
 	switch v := instance.(type) {
 	case Problem:
-		return v, v.Validate()
+		p = v
 	case *bipartite.Graph:
 		if v == nil {
 			return Problem{}, errors.New("solve: nil *bipartite.Graph")
 		}
-		return Bipartite(v), nil
+		p = Bipartite(v)
 	case *hypergraph.Hypergraph:
 		if v == nil {
 			return Problem{}, errors.New("solve: nil *hypergraph.Hypergraph")
 		}
-		return Hyper(v), nil
+		p = Hyper(v)
 	default:
 		return Problem{}, fmt.Errorf("solve: unsupported instance type %T (want *bipartite.Graph or *hypergraph.Hypergraph)", instance)
 	}
+	return p, p.Validate()
 }
 
-// Validate reports whether the Problem carries an instance.
+// Validate reports whether the Problem carries an instance that has a
+// schedule: every task needs an eligible processor (SINGLEPROC) or a
+// configuration (MULTIPROC). Run and the service both reject through
+// it, so an isolated task is a bad instance, not a solver failure.
 func (p Problem) Validate() error {
-	if p.g == nil && p.h == nil {
+	switch {
+	case p.h != nil:
+		for t := 0; t < p.h.NTasks; t++ {
+			if p.h.TaskDegree(t) == 0 {
+				return fmt.Errorf("solve: task %d has no configuration", t)
+			}
+		}
+	case p.g != nil:
+		for t := 0; t < p.g.NLeft; t++ {
+			if p.g.Degree(t) == 0 {
+				return fmt.Errorf("solve: task %d has no eligible processor", t)
+			}
+		}
+	default:
 		return ErrEmptyProblem
 	}
 	return nil

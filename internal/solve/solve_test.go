@@ -10,6 +10,7 @@ import (
 
 	"semimatch/internal/bipartite"
 	"semimatch/internal/core"
+	"semimatch/internal/encode"
 	"semimatch/internal/exact"
 	"semimatch/internal/gen"
 	"semimatch/internal/hypergraph"
@@ -286,6 +287,30 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := NewProblem(42); err == nil {
 		t.Fatal("NewProblem accepted an int")
+	}
+	// A task with no eligible processor has no schedule: Run refuses it
+	// under every policy instead of panicking or leaving it unassigned.
+	empty, err := bipartite.NewFromAdjacency(2, [][]int{{0, 1}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isolated := []*bipartite.Graph{empty}
+	for _, body := range []string{"bipartite 2 2 weighted\n0 0 3\n0 1 5\n", "bipartite 2 2 unit\n0 0\n0 1\n"} {
+		inst, err := encode.Parse([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		isolated = append(isolated, inst.(*bipartite.Graph))
+	}
+	for i, g := range isolated {
+		for _, alg := range []string{"", "sorted", "LPT", "ExactUnit", "bnb"} {
+			if _, err := Run(context.Background(), Bipartite(g), WithAlgorithm(alg)); err == nil {
+				t.Fatalf("graph %d, algorithm %q: isolated task accepted", i, alg)
+			}
+		}
+		if _, err := NewProblem(g); err == nil {
+			t.Fatalf("graph %d: NewProblem accepted an isolated task", i)
+		}
 	}
 }
 
