@@ -2,7 +2,10 @@
 // unified solve API. The file is either encode text format (bipartite or
 // hypergraph, auto-detected) or the sched JSON instance schema (named
 // processors and tasks, detected by a leading '{'); the decoded instance
-// becomes a solve.Problem, and one Run answers every encoding. By default
+// becomes a solve.Problem, and one Run answers every encoding. Like
+// semiserve, semisolve solves the instance's canonical form (each task's
+// configurations sorted) and reports the schedule in the file's own
+// numbering, so the two answer one file alike. By default
 // the auto policy runs (heuristic race, then an exact attempt when the
 // instance is small enough); -alg names any registry solver instead,
 // resolved in the detected instance's class.
@@ -35,6 +38,7 @@ import (
 	"os"
 
 	"semimatch/internal/core"
+	"semimatch/internal/encode"
 	"semimatch/internal/registry"
 	"semimatch/internal/sched"
 	"semimatch/internal/solve"
@@ -134,7 +138,7 @@ func main() {
 		opts = append(opts, solve.WithVerify())
 	}
 
-	rep, err := solve.Run(context.Background(), problem, opts...)
+	rep, err := solveCanonical(context.Background(), problem, opts...)
 	verifyErr := err
 	if err != nil && !(rep != nil && errors.Is(err, solve.ErrVerifyFailed)) {
 		// A verification failure still carries the (downgraded) report;
@@ -177,6 +181,44 @@ func main() {
 	if verifyErr != nil {
 		os.Exit(1)
 	}
+}
+
+// solveCanonical solves the canonical form of p, the instance the service
+// solves for the same file, so both give the same answer: refinement, for
+// one, depends on the order of each task's hyperedges. A hypergraph's
+// assignment and certificate are mapped back to the file's hyperedge
+// numbering; a bipartite assignment needs no mapping.
+func solveCanonical(ctx context.Context, p solve.Problem, opts ...solve.Option) (*solve.Report, error) {
+	if g := p.Graph(); g != nil {
+		canon, err := encode.CanonicalBipartite(g)
+		if err != nil {
+			return nil, err
+		}
+		return solve.Run(ctx, solve.Bipartite(canon), opts...)
+	}
+	canon, perm, err := encode.CanonicalHypergraph(p.Hypergraph())
+	if err != nil {
+		return nil, err
+	}
+	rep, err := solve.Run(ctx, solve.Hyper(canon), opts...)
+	if rep == nil {
+		return nil, err
+	}
+	inv := make([]int32, len(perm))
+	for orig, c := range perm {
+		inv[c] = int32(orig)
+	}
+	a := make([]int32, len(rep.Assignment))
+	for t, c := range rep.Assignment {
+		a[t] = inv[c]
+	}
+	rep.Assignment = a
+	if rep.Certificate != nil {
+		c := *rep.Certificate
+		c.Assignment = a
+		rep.Certificate = &c
+	}
+	return rep, err
 }
 
 // writeTrace emits the solve's span tree: the human-readable listing to

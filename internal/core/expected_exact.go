@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"semimatch/internal/hypergraph"
-	"semimatch/internal/loadvec"
 )
 
 // The expected-load heuristics carry values o(u) that are sums of
@@ -116,56 +115,7 @@ func ExpectedVectorGreedyHypExact(h *hypergraph.Hypergraph) (HyperAssignment, er
 	if err != nil {
 		return nil, err
 	}
-	a := make(HyperAssignment, h.NTasks)
-	o := initExpectedScaled(h, d)
-	tr := loadvec.New[int64](h.NProcs)
-	procsAll := make([]int32, h.NProcs)
-	for i := range procsAll {
-		procsAll[i] = int32(i)
-	}
-	tr.SetAll(procsAll, o)
-
-	var union []int32
-	mark := make(map[int32]int)
-	for _, t := range hyperTaskOrder(h) {
-		edges := h.TaskEdges(int(t))
-		share := d / int64(len(edges))
-		union = union[:0]
-		clear(mark)
-		for _, e := range edges {
-			for _, u := range h.EdgeProcs(e) {
-				if _, ok := mark[u]; !ok {
-					mark[u] = len(union)
-					union = append(union, u)
-				}
-			}
-		}
-		base := make([]int64, len(union))
-		for i, u := range union {
-			base[i] = tr.Load(u)
-		}
-		for _, e := range edges {
-			dec := h.Weight[e] * share
-			for _, u := range h.EdgeProcs(e) {
-				base[mark[u]] -= dec
-			}
-		}
-		bestE := Unassigned
-		var bestCand loadvec.Candidate[int64]
-		vals := make([]int64, len(union))
-		for _, e := range edges {
-			copy(vals, base)
-			w := h.Weight[e] * d
-			for _, u := range h.EdgeProcs(e) {
-				vals[mark[u]] += w
-			}
-			cand := tr.NewCandidate(union, vals)
-			if bestE == Unassigned || tr.Compare(cand, bestCand) < 0 {
-				bestE, bestCand = e, cand
-			}
-		}
-		a[t] = bestE
-		tr.Commit(bestCand)
-	}
-	return a, nil
+	return expectedVector(h, initExpectedScaled(h, d),
+		func(e int32) int64 { return h.Weight[e] * (d / int64(h.TaskDegree(int(h.Owner[e])))) },
+		func(e int32) int64 { return h.Weight[e] * d }), nil
 }

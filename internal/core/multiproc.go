@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/loadvec"
@@ -94,9 +95,12 @@ type HyperOptions struct {
 	// Identical when all candidate weights are equal; an ablation knob.
 	AfterLoad bool
 	// Naive forces the vector heuristics to materialize and sort the full
-	// load vector per candidate (the paper's implemented variant) instead
-	// of the incrementally sorted list (the improvement the paper
-	// describes at the end of Sec. IV-D3). Results are identical.
+	// load vector per candidate, allocating one per candidate (the
+	// variant the paper implemented and timed), instead of merging each
+	// candidate into the incrementally sorted list through reused buffers
+	// (the improvement the paper describes at the end of Sec. IV-D3).
+	// Assignments are identical; the tests hold the incremental path to
+	// this one.
 	Naive bool
 }
 
@@ -107,8 +111,8 @@ func hyperTaskOrder(h *hypergraph.Hypergraph) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return h.TaskDegree(int(order[i])) < h.TaskDegree(int(order[j]))
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(h.TaskDegree(int(a)), h.TaskDegree(int(b)))
 	})
 	return order
 }
@@ -226,25 +230,28 @@ func commitExpected(h *hypergraph.Hypergraph, t int, chosen int32, o []float64) 
 // With opts.Naive the full vector is copied and sorted per candidate
 // (O(Σ_v d_v · p log p), the variant timed in the paper); otherwise the
 // sorted load list is maintained incrementally and candidates are compared
-// by lazy merge (O(Σ_v d_v · p) worst case, typically far less).
+// by lazy merge (O(Σ_v d_v · p) worst case, typically far less), staged
+// into two reused candidates.
 func VectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
 	if opts.Naive {
 		return vectorGreedyNaive(h)
 	}
 	a := make(HyperAssignment, h.NTasks)
 	tr := loadvec.New[int64](h.NProcs)
+	var cand, best loadvec.Candidate[int64]
 	for _, t := range hyperTaskOrder(h) {
-		edges := h.TaskEdges(int(t))
 		bestE := Unassigned
-		var bestCand loadvec.Candidate[int64]
-		for _, e := range edges {
-			cand := tr.AddCandidate(h.EdgeProcs(e), h.Weight[e])
-			if bestE == Unassigned || tr.Compare(cand, bestCand) < 0 {
-				bestE, bestCand = e, cand
+		for _, e := range h.TaskEdges(int(t)) {
+			tr.StageAdd(&cand, h.EdgeProcs(e), h.Weight[e])
+			if bestE == Unassigned || tr.Compare(&cand, &best) < 0 {
+				bestE = e
+				cand, best = best, cand
 			}
 		}
 		a[t] = bestE
-		tr.Commit(bestCand)
+		if bestE != Unassigned {
+			tr.Commit(&best)
+		}
 	}
 	return a
 }
@@ -284,60 +291,66 @@ func ExpectedVectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperA
 	if opts.Naive {
 		return expectedVectorNaive(h)
 	}
-	a := make(HyperAssignment, h.NTasks)
-	o := initExpected(h)
-	tr := loadvec.New[float64](h.NProcs)
-	procsAll := make([]int32, h.NProcs)
-	for i := range procsAll {
-		procsAll[i] = int32(i)
-	}
-	tr.SetAll(procsAll, o)
+	return expectedVector(h, initExpected(h),
+		func(e int32) float64 { return float64(h.Weight[e]) / float64(h.TaskDegree(int(h.Owner[e]))) },
+		func(e int32) float64 { return float64(h.Weight[e]) })
+}
 
-	// Scratch buffers reused across tasks.
+// expectedVector is the incremental EVG over the expected loads o, for
+// float64 (EVG) and scaled-integer (EVG-X) loads: share(e) is what
+// hyperedge e adds to each of its processors while its task is undecided,
+// full(e) what it adds once chosen. Each task's candidates are staged over
+// the union of its configurations' processors, with every share removed
+// first and the chosen weight added last, the operation order of
+// commitExpected, so the loads are bit-identical to the naive variant's.
+func expectedVector[T loadvec.Value](h *hypergraph.Hypergraph, o []T, share, full func(e int32) T) HyperAssignment {
+	a := make(HyperAssignment, h.NTasks)
+	tr := loadvec.From(o)
+
+	// union lists the task's processors; pos[u] is u's index in union
+	// while union[pos[u]] == u, so pos needs no clearing between tasks.
 	var union []int32
-	mark := make(map[int32]int) // proc → index in union
+	pos := make([]int32, h.NProcs)
+	var base, vals []T
+	var cand, best loadvec.Candidate[T]
 	for _, t := range hyperTaskOrder(h) {
 		edges := h.TaskEdges(int(t))
-		d := float64(len(edges))
-		// Union of processors over all configurations of t.
 		union = union[:0]
-		clear(mark)
 		for _, e := range edges {
 			for _, u := range h.EdgeProcs(e) {
-				if _, ok := mark[u]; !ok {
-					mark[u] = len(union)
+				if i := pos[u]; int(i) >= len(union) || union[i] != u {
+					pos[u] = int32(len(union))
 					union = append(union, u)
 				}
 			}
 		}
-		// base = o restricted to the union, with all of t's shares removed
-		// (same operation order as commitExpected, for FP determinism).
-		base := make([]float64, len(union))
-		for i, u := range union {
-			base[i] = tr.Load(u)
+		base = base[:0]
+		for _, u := range union {
+			base = append(base, tr.Load(u))
 		}
 		for _, e := range edges {
-			share := float64(h.Weight[e]) / d
+			s := share(e)
 			for _, u := range h.EdgeProcs(e) {
-				base[mark[u]] -= share
+				base[pos[u]] -= s
 			}
 		}
 		bestE := Unassigned
-		var bestCand loadvec.Candidate[float64]
-		vals := make([]float64, len(union))
 		for _, e := range edges {
-			copy(vals, base)
-			w := float64(h.Weight[e])
+			vals = append(vals[:0], base...)
+			w := full(e)
 			for _, u := range h.EdgeProcs(e) {
-				vals[mark[u]] += w
+				vals[pos[u]] += w
 			}
-			cand := tr.NewCandidate(union, vals)
-			if bestE == Unassigned || tr.Compare(cand, bestCand) < 0 {
-				bestE, bestCand = e, cand
+			tr.Stage(&cand, union, vals)
+			if bestE == Unassigned || tr.Compare(&cand, &best) < 0 {
+				bestE = e
+				cand, best = best, cand
 			}
 		}
 		a[t] = bestE
-		tr.Commit(bestCand)
+		if bestE != Unassigned {
+			tr.Commit(&best)
+		}
 	}
 	return a
 }

@@ -12,13 +12,16 @@
 // + k log k) where k is the number of modified processors, instead of
 // O(p log p) for the naive copy-and-sort.
 //
+// Nothing on that path allocates once its buffers have grown: a Candidate
+// is staged in place into buffers it keeps between uses, and the tracker
+// merges updates through buffers of its own. A greedy keeps two
+// candidates, the best so far and the one being staged, and swaps them.
+//
 // The tracker is generic over int64 (actual loads, VGH) and float64
 // (expected loads o(u), EVG).
 package loadvec
 
-import (
-	"sort"
-)
+import "slices"
 
 // Value is the constraint for load types: integral loads for the plain
 // heuristics, floating point for expected loads.
@@ -31,7 +34,7 @@ type Value interface {
 // incremental path).
 func SortedDesc[T Value](loads []T) []T {
 	s := append([]T(nil), loads...)
-	sort.Slice(s, func(i, j int) bool { return s[i] > s[j] })
+	sortDesc(s)
 	return s
 }
 
@@ -52,9 +55,10 @@ func CompareVec[T Value](a, b []T) int {
 // Tracker maintains per-processor loads plus the same multiset sorted
 // descending, with batch updates and candidate comparison.
 type Tracker[T Value] struct {
-	loads   []T // by processor index
-	sorted  []T // descending multiset of loads
-	scratch []T
+	loads   []T          // by processor index
+	sorted  []T          // descending multiset of loads
+	scratch []T          // the next sorted vector; swapped with sorted on update
+	own     Candidate[T] // SetAll's and AddAll's staging buffers
 }
 
 // New returns a tracker for p processors, all loads zero.
@@ -64,6 +68,15 @@ func New[T Value](p int) *Tracker[T] {
 		sorted:  make([]T, p),
 		scratch: make([]T, p),
 	}
+}
+
+// From returns a tracker whose processor u starts with load loads[u].
+func From[T Value](loads []T) *Tracker[T] {
+	t := New[T](len(loads))
+	copy(t.loads, loads)
+	copy(t.sorted, loads)
+	sortDesc(t.sorted)
+	return t
 }
 
 // Len returns the number of processors.
@@ -87,59 +100,27 @@ func (t *Tracker[T]) Max() T {
 // Sorted returns the internal descending sorted loads (do not modify).
 func (t *Tracker[T]) Sorted() []T { return t.sorted }
 
-// AddAll adds delta[i] to processor procs[i] and resorts incrementally.
+// AddAll adds delta to every processor in procs and resorts incrementally.
 // procs must not contain duplicates.
 func (t *Tracker[T]) AddAll(procs []int32, delta T) {
-	newVals := make([]T, len(procs))
-	for i, u := range procs {
-		newVals[i] = t.loads[u] + delta
-	}
-	t.SetAll(procs, newVals)
+	t.StageAdd(&t.own, procs, delta)
+	t.Commit(&t.own)
 }
 
 // SetAll sets loads[procs[i]] = newVals[i] and resorts incrementally in
-// O(p + k log k). procs must not contain duplicates.
+// O(p + k log k), staging through a candidate the tracker owns. procs must
+// not contain duplicates.
 func (t *Tracker[T]) SetAll(procs []int32, newVals []T) {
-	k := len(procs)
-	if k == 0 {
-		return
-	}
-	skip := make([]T, k)
-	add := make([]T, k)
-	for i, u := range procs {
-		skip[i] = t.loads[u]
-		add[i] = newVals[i]
-		t.loads[u] = newVals[i]
-	}
-	sortDesc(skip)
-	sortDesc(add)
-	it := mergeIter[T]{base: t.sorted, skip: skip, add: add}
-	out := t.scratch[:0]
-	for {
-		v, ok := it.next()
-		if !ok {
-			break
-		}
-		out = append(out, v)
-	}
-	t.scratch = t.sorted[:0]
-	t.sorted = out
-}
-
-// Rebuild recomputes the sorted vector from scratch; primarily for tests
-// and for callers that mutate Loads() directly (they should not).
-func (t *Tracker[T]) Rebuild() {
-	if cap(t.sorted) < len(t.loads) {
-		t.sorted = make([]T, len(t.loads))
-	}
-	t.sorted = t.sorted[:len(t.loads)]
-	copy(t.sorted, t.loads)
-	sortDesc(t.sorted)
+	t.Stage(&t.own, procs, newVals)
+	t.Commit(&t.own)
 }
 
 // Candidate is a hypothetical batch update against a Tracker: processor
-// procs[i] would take value newVals[i]. Build with NewCandidate so the
-// internal sorted views are consistent with the tracker's current state.
+// procs[i] would take value newVals[i]. Stage and StageAdd fill it in
+// place against the tracker's current state, reusing its buffers; it stays
+// valid until the tracker changes. A candidate staged with no processors,
+// like the zero Candidate, changes nothing: comparing with it compares
+// with the current vector.
 type Candidate[T Value] struct {
 	procs     []int32
 	newVals   []T
@@ -147,41 +128,39 @@ type Candidate[T Value] struct {
 	sortedNew []T // descending, hypothetical values of procs
 }
 
-// NewCandidate captures a hypothetical update. procs must not contain
-// duplicates; procs and newVals are copied.
-func (t *Tracker[T]) NewCandidate(procs []int32, newVals []T) Candidate[T] {
-	c := Candidate[T]{
-		procs:     append([]int32(nil), procs...),
-		newVals:   append([]T(nil), newVals...),
-		sortedOld: make([]T, len(procs)),
-		sortedNew: append([]T(nil), newVals...),
-	}
-	for i, u := range procs {
-		c.sortedOld[i] = t.loads[u]
-	}
-	sortDesc(c.sortedOld)
-	sortDesc(c.sortedNew)
-	return c
+// Stage makes c the hypothetical update procs[i] → newVals[i]. procs must
+// not contain duplicates; c copies procs and newVals.
+func (t *Tracker[T]) Stage(c *Candidate[T], procs []int32, newVals []T) {
+	c.newVals = append(c.newVals[:0], newVals...)
+	t.stage(c, procs)
 }
 
-// AddCandidate captures the hypothetical update "add delta to every
-// processor in procs".
-func (t *Tracker[T]) AddCandidate(procs []int32, delta T) Candidate[T] {
-	newVals := make([]T, len(procs))
-	for i, u := range procs {
-		newVals[i] = t.loads[u] + delta
+// StageAdd makes c the hypothetical update "add delta to every processor
+// in procs".
+func (t *Tracker[T]) StageAdd(c *Candidate[T], procs []int32, delta T) {
+	c.newVals = c.newVals[:0]
+	for _, u := range procs {
+		c.newVals = append(c.newVals, t.loads[u]+delta)
 	}
-	return t.NewCandidate(procs, newVals)
+	t.stage(c, procs)
+}
+
+// stage fills in c's processors and sorted views from c.newVals.
+func (t *Tracker[T]) stage(c *Candidate[T], procs []int32) {
+	c.procs = append(c.procs[:0], procs...)
+	c.sortedOld = c.sortedOld[:0]
+	for _, u := range procs {
+		c.sortedOld = append(c.sortedOld, t.loads[u])
+	}
+	c.sortedNew = append(c.sortedNew[:0], c.newVals...)
+	sortDesc(c.sortedOld)
+	sortDesc(c.sortedNew)
 }
 
 // MaxAfter returns the maximum load the tracker would have after applying c.
-func (t *Tracker[T]) MaxAfter(c Candidate[T]) T {
+func (t *Tracker[T]) MaxAfter(c *Candidate[T]) T {
 	it := mergeIter[T]{base: t.sorted, skip: c.sortedOld, add: c.sortedNew}
-	v, ok := it.next()
-	if !ok {
-		var zero T
-		return zero
-	}
+	v, _ := it.next()
 	return v
 }
 
@@ -189,7 +168,7 @@ func (t *Tracker[T]) MaxAfter(c Candidate[T]) T {
 // result from applying candidates a and b: -1 if a yields the smaller
 // (better) vector, 0 if identical, +1 otherwise. It walks the two merged
 // views in lockstep and stops at the first difference.
-func (t *Tracker[T]) Compare(a, b Candidate[T]) int {
+func (t *Tracker[T]) Compare(a, b *Candidate[T]) int {
 	ia := mergeIter[T]{base: t.sorted, skip: a.sortedOld, add: a.sortedNew}
 	ib := mergeIter[T]{base: t.sorted, skip: b.sortedOld, add: b.sortedNew}
 	for {
@@ -214,23 +193,29 @@ func (t *Tracker[T]) Compare(a, b Candidate[T]) int {
 	}
 }
 
-// Commit applies candidate c to the tracker.
-func (t *Tracker[T]) Commit(c Candidate[T]) {
-	t.SetAll(c.procs, c.newVals)
+// Commit applies candidate c to the tracker, merging its sorted views into
+// the sorted vector in O(p).
+func (t *Tracker[T]) Commit(c *Candidate[T]) {
+	for i, u := range c.procs {
+		t.loads[u] = c.newVals[i]
+	}
+	t.scratch = t.appendResult(t.scratch[:0], c)
+	t.sorted, t.scratch = t.scratch, t.sorted
 }
 
 // ResultVec materializes the full descending vector that would result from
 // applying c; exported for tests and the naive reference implementations.
-func (t *Tracker[T]) ResultVec(c Candidate[T]) []T {
-	out := make([]T, 0, len(t.sorted))
+func (t *Tracker[T]) ResultVec(c *Candidate[T]) []T {
+	return t.appendResult(make([]T, 0, len(t.sorted)), c)
+}
+
+// appendResult appends the descending vector c would produce to out.
+func (t *Tracker[T]) appendResult(out []T, c *Candidate[T]) []T {
 	it := mergeIter[T]{base: t.sorted, skip: c.sortedOld, add: c.sortedNew}
-	for {
-		v, ok := it.next()
-		if !ok {
-			return out
-		}
+	for v, ok := it.next(); ok; v, ok = it.next() {
 		out = append(out, v)
 	}
+	return out
 }
 
 // mergeIter yields, in descending order, the multiset
@@ -275,6 +260,15 @@ func (it *mergeIter[T]) next() (T, bool) {
 	}
 }
 
+// sortDesc sorts s in descending order without reflection.
 func sortDesc[T Value](s []T) {
-	sort.Slice(s, func(i, j int) bool { return s[i] > s[j] })
+	slices.SortFunc(s, func(a, b T) int {
+		switch {
+		case a > b:
+			return -1
+		case a < b:
+			return 1
+		}
+		return 0
+	})
 }

@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// staged and stagedAdd return a fresh candidate staged against tr.
+func staged(tr *Tracker[int64], procs []int32, vals []int64) *Candidate[int64] {
+	c := new(Candidate[int64])
+	tr.Stage(c, procs, vals)
+	return c
+}
+
+func stagedAdd(tr *Tracker[int64], procs []int32, delta int64) *Candidate[int64] {
+	c := new(Candidate[int64])
+	tr.StageAdd(c, procs, delta)
+	return c
+}
+
 func TestSortedDescAndCompareVec(t *testing.T) {
 	v := SortedDesc([]int64{3, 1, 4, 1, 5})
 	if !reflect.DeepEqual(v, []int64{5, 4, 3, 1, 1}) {
@@ -67,7 +80,7 @@ func TestTrackerEmptyBatch(t *testing.T) {
 func TestCandidateMaxAfterAndCommit(t *testing.T) {
 	tr := New[int64](3)
 	tr.SetAll([]int32{0, 1, 2}, []int64{5, 3, 1})
-	c := tr.AddCandidate([]int32{2}, 10)
+	c := stagedAdd(tr, []int32{2}, 10)
 	if tr.MaxAfter(c) != 11 {
 		t.Fatalf("MaxAfter = %d", tr.MaxAfter(c))
 	}
@@ -85,8 +98,8 @@ func TestCompareCandidates(t *testing.T) {
 	tr.SetAll([]int32{0, 1, 2, 3}, []int64{4, 4, 2, 0})
 	// a: +1 on proc 3 → vector [4 4 2 1]
 	// b: +1 on proc 2 → vector [4 4 3 0]
-	a := tr.AddCandidate([]int32{3}, 1)
-	b := tr.AddCandidate([]int32{2}, 1)
+	a := stagedAdd(tr, []int32{3}, 1)
+	b := stagedAdd(tr, []int32{2}, 1)
 	if tr.Compare(a, b) != -1 {
 		t.Fatalf("a should beat b: %v vs %v", tr.ResultVec(a), tr.ResultVec(b))
 	}
@@ -103,8 +116,8 @@ func TestCompareTieOnMaxBrokenLater(t *testing.T) {
 	// vector-greedy tie-breaking).
 	tr := New[int64](3)
 	tr.SetAll([]int32{0, 1, 2}, []int64{6, 2, 2})
-	a := tr.NewCandidate([]int32{1}, []int64{5}) // [6 5 2]
-	b := tr.NewCandidate([]int32{1, 2}, []int64{3, 3})
+	a := staged(tr, []int32{1}, []int64{5}) // [6 5 2]
+	b := staged(tr, []int32{1, 2}, []int64{3, 3})
 	// b → [6 3 3]: max ties at 6, then 3 < 5, so b wins.
 	if tr.Compare(b, a) != -1 {
 		t.Fatalf("b should win: %v vs %v", tr.ResultVec(b), tr.ResultVec(a))
@@ -126,20 +139,90 @@ func TestFloatTracker(t *testing.T) {
 func TestRebuildMatchesIncremental(t *testing.T) {
 	tr := New[int64](5)
 	tr.SetAll([]int32{0, 2, 4}, []int64{7, 7, 1})
-	inc := append([]int64(nil), tr.Sorted()...)
-	tr.Rebuild()
-	if !reflect.DeepEqual(inc, tr.Sorted()) {
-		t.Fatalf("incremental %v != rebuilt %v", inc, tr.Sorted())
+	rebuilt := From(tr.Loads())
+	if !reflect.DeepEqual(tr.Sorted(), rebuilt.Sorted()) {
+		t.Fatalf("incremental %v != rebuilt %v", tr.Sorted(), rebuilt.Sorted())
+	}
+	if !reflect.DeepEqual(tr.Loads(), rebuilt.Loads()) {
+		t.Fatalf("From loads %v, want %v", rebuilt.Loads(), tr.Loads())
 	}
 }
 
 func TestResultVecMatchesNaive(t *testing.T) {
 	tr := New[int64](6)
 	tr.SetAll([]int32{0, 1, 2, 3, 4, 5}, []int64{9, 7, 7, 3, 1, 0})
-	c := tr.NewCandidate([]int32{1, 4}, []int64{8, 2})
+	c := staged(tr, []int32{1, 4}, []int64{8, 2})
 	want := SortedDesc([]int64{9, 8, 7, 3, 2, 0})
 	if got := tr.ResultVec(c); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ResultVec = %v, want %v", got, want)
+	}
+}
+
+// The zero Candidate is the empty update: it yields the current vector.
+func TestZeroCandidateIsCurrentVector(t *testing.T) {
+	tr := New[int64](3)
+	tr.SetAll([]int32{0, 1, 2}, []int64{4, 2, 2})
+	var stay Candidate[int64]
+	if got := tr.ResultVec(&stay); !reflect.DeepEqual(got, tr.Sorted()) {
+		t.Fatalf("ResultVec(zero) = %v, want %v", got, tr.Sorted())
+	}
+	if tr.Compare(staged(tr, []int32{0}, []int64{3}), &stay) != -1 {
+		t.Fatal("lowering the maximum must beat staying")
+	}
+	if tr.Compare(stagedAdd(tr, []int32{2}, 1), &stay) != 1 {
+		t.Fatal("adding load must lose to staying")
+	}
+	tr.Commit(&stay)
+	if !reflect.DeepEqual(tr.Sorted(), []int64{4, 2, 2}) {
+		t.Fatalf("committing the zero candidate changed the vector: %v", tr.Sorted())
+	}
+}
+
+// A candidate restaged with fewer processors than it last held must not
+// keep any of its old update.
+func TestRestageShrinks(t *testing.T) {
+	tr := New[int64](5)
+	tr.SetAll([]int32{0, 1, 2, 3, 4}, []int64{5, 4, 3, 2, 1})
+	var c Candidate[int64]
+	tr.StageAdd(&c, []int32{0, 1, 2, 3}, 9)
+	tr.StageAdd(&c, []int32{4}, 1)
+	if got, want := tr.ResultVec(&c), []int64{5, 4, 3, 2, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ResultVec = %v, want %v", got, want)
+	}
+	tr.Commit(&c)
+	if got, want := tr.Sorted(), []int64{5, 4, 3, 2, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after commit: %v, want %v", got, want)
+	}
+}
+
+// Once their buffers have grown, staging, comparing and committing do not
+// allocate.
+func TestCandidatesAllocationFree(t *testing.T) {
+	const p = 64
+	tr := New[float64](p)
+	procs := make([]int32, 16)
+	vals := make([]float64, 16)
+	var a, b Candidate[float64]
+	round := 0
+	run := func() {
+		round++
+		for i := range procs {
+			procs[i] = int32((round*7 + i*3) % p)
+			vals[i] = float64((round*13 + i*5) % 17)
+		}
+		tr.Stage(&a, procs, vals)
+		tr.StageAdd(&b, procs[:9], 0.5)
+		if tr.Compare(&a, &b) < 0 {
+			a, b = b, a
+		}
+		_ = tr.MaxAfter(&b)
+		tr.Commit(&b)
+		tr.SetAll(procs[:3], vals[:3])
+		tr.AddAll(procs[3:12], 1)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("%.1f allocations per round, want 0", allocs)
 	}
 }
 
@@ -186,7 +269,7 @@ func TestPropertyCompareEqualsNaive(t *testing.T) {
 			initVals[u] = rng.Int63n(20)
 		}
 		tr.SetAll(initProcs, initVals)
-		mk := func() Candidate[int64] {
+		mk := func() *Candidate[int64] {
 			k := 1 + rng.Intn(p)
 			perm := rng.Perm(p)[:k]
 			ps := make([]int32, k)
@@ -195,7 +278,7 @@ func TestPropertyCompareEqualsNaive(t *testing.T) {
 				ps[i] = int32(u)
 				vals[i] = rng.Int63n(30)
 			}
-			return tr.NewCandidate(ps, vals)
+			return staged(tr, ps, vals)
 		}
 		a, b := mk(), mk()
 		naive := CompareVec(tr.ResultVec(a), tr.ResultVec(b))
@@ -234,8 +317,8 @@ func TestPropertyCommitConsistent(t *testing.T) {
 		for i, u := range rng.Perm(p)[:k] {
 			ps[i] = int32(u)
 		}
-		c1 := tr1.AddCandidate(ps, 3)
-		c2 := tr2.AddCandidate(ps, 3)
+		c1 := stagedAdd(tr1, ps, 3)
+		c2 := stagedAdd(tr2, ps, 3)
 		tr1.Commit(c1)
 		vec := tr2.ResultVec(c2)
 		return reflect.DeepEqual(tr1.Sorted(), vec)
@@ -256,8 +339,8 @@ func BenchmarkCompareFast(b *testing.B) {
 		vals[u] = rng.Int63n(1000)
 	}
 	tr.SetAll(procs, vals)
-	a := tr.AddCandidate([]int32{1, 5, 9}, 7)
-	c := tr.AddCandidate([]int32{2, 6, 10}, 7)
+	a := stagedAdd(tr, []int32{1, 5, 9}, 7)
+	c := stagedAdd(tr, []int32{2, 6, 10}, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Compare(a, c)

@@ -57,12 +57,9 @@ func RefineCtx(ctx context.Context, h *hypergraph.Hypergraph, a core.HyperAssign
 	done := ctx.Done()
 	sinceCheck := 0
 
-	tr := loadvec.New[int64](h.NProcs)
-	procsAll := make([]int32, h.NProcs)
-	for i := range procsAll {
-		procsAll[i] = int32(i)
-	}
-	tr.SetAll(procsAll, core.HyperLoads(h, cur))
+	tr := loadvec.From(core.HyperLoads(h, cur))
+	m := mover{pos: make([]int32, h.NProcs)}
+	var cand, best loadvec.Candidate[int64]
 
 scan:
 	for {
@@ -84,39 +81,27 @@ scan:
 					}
 				}
 			}
-			curEdge := cur[t]
-			// The "stay" candidate: identity move (no change).
 			edges := h.TaskEdges(t)
 			if len(edges) == 1 {
 				continue
 			}
-			// Build the union of processors across the current edge and
-			// each alternative, expressing every move as a SetAll batch.
-			curProcs := h.EdgeProcs(curEdge)
-			curW := h.Weight[curEdge]
+			// A move must strictly improve on staying put, the empty
+			// update; later moves must beat the best move so far.
+			curEdge := cur[t]
 			bestEdge := curEdge
-			var bestCand loadvec.Candidate[int64]
-			haveBest := false
+			tr.Stage(&best, nil, nil)
 			for _, e := range edges {
 				if e == curEdge {
 					continue
 				}
-				cand := moveCandidate(h, tr, curProcs, curW, e)
-				if !haveBest {
-					// Compare against "no move": the move must strictly
-					// improve the vector, i.e. the candidate's resulting
-					// vector must be smaller than the current vector.
-					if candImproves(tr, cand) {
-						bestEdge, bestCand, haveBest = e, cand, true
-					}
-					continue
-				}
-				if tr.Compare(cand, bestCand) < 0 {
-					bestEdge, bestCand = e, cand
+				m.stage(tr, &cand, h.EdgeProcs(curEdge), h.Weight[curEdge], h.EdgeProcs(e), h.Weight[e])
+				if tr.Compare(&cand, &best) < 0 {
+					bestEdge = e
+					cand, best = best, cand
 				}
 			}
-			if haveBest {
-				tr.Commit(bestCand)
+			if bestEdge != curEdge {
+				tr.Commit(&best)
 				cur[t] = bestEdge
 				res.Moves++
 				improved = true
@@ -131,36 +116,32 @@ scan:
 	return res
 }
 
-// moveCandidate builds the batch update for moving a task from its current
-// edge (procs curProcs, weight curW) to edge e.
-func moveCandidate(h *hypergraph.Hypergraph, tr *loadvec.Tracker[int64], curProcs []int32, curW int64, e int32) loadvec.Candidate[int64] {
-	newProcs := h.EdgeProcs(e)
-	w := h.Weight[e]
-	// Union of affected processors with net deltas.
-	procs := make([]int32, 0, len(curProcs)+len(newProcs))
-	vals := make([]int64, 0, len(curProcs)+len(newProcs))
-	seen := make(map[int32]int, len(curProcs)+len(newProcs))
-	for _, u := range curProcs {
-		seen[u] = len(procs)
-		procs = append(procs, u)
-		vals = append(vals, tr.Load(u)-curW)
-	}
-	for _, u := range newProcs {
-		if i, ok := seen[u]; ok {
-			vals[i] += w
-			continue
-		}
-		seen[u] = len(procs)
-		procs = append(procs, u)
-		vals = append(vals, tr.Load(u)+w)
-	}
-	return tr.NewCandidate(procs, vals)
+// mover stages single-task moves without allocating: procs and vals
+// collect the processors a move touches and their loads after it, and
+// pos[u] is u's index in procs while procs[pos[u]] == u.
+type mover struct {
+	procs []int32
+	vals  []int64
+	pos   []int32
 }
 
-// candImproves reports whether applying cand yields a strictly smaller
-// descending load vector than the current one.
-func candImproves(tr *loadvec.Tracker[int64], cand loadvec.Candidate[int64]) bool {
-	cur := tr.Sorted()
-	vec := tr.ResultVec(cand)
-	return loadvec.CompareVec(vec, cur) < 0
+// stage makes c the move of a task from its configuration on processors
+// from, of weight wFrom, to the one on processors to, of weight wTo.
+func (m *mover) stage(tr *loadvec.Tracker[int64], c *loadvec.Candidate[int64], from []int32, wFrom int64, to []int32, wTo int64) {
+	m.procs, m.vals = m.procs[:0], m.vals[:0]
+	for _, u := range from {
+		m.pos[u] = int32(len(m.procs))
+		m.procs = append(m.procs, u)
+		m.vals = append(m.vals, tr.Load(u)-wFrom)
+	}
+	for _, u := range to {
+		if i := m.pos[u]; int(i) < len(m.procs) && m.procs[i] == u {
+			m.vals[i] += wTo
+			continue
+		}
+		m.pos[u] = int32(len(m.procs))
+		m.procs = append(m.procs, u)
+		m.vals = append(m.vals, tr.Load(u)+wTo)
+	}
+	tr.Stage(c, m.procs, m.vals)
 }

@@ -1,0 +1,43 @@
+package session
+
+import (
+	"context"
+	"runtime"
+	"testing"
+)
+
+// BenchmarkSessionEvent replays the perfbench session workload's settings
+// in process: 200-event MULTIPROC scripts on 4 processors with weights up
+// to 30, λ = 1, a cold comparison re-solve per event and one solver worker.
+// One op is one script, from opening the session to closing it; the
+// reported ns/event, B/event and allocs/event divide the ops by their
+// events. The scripts are generated before the clock starts.
+func BenchmarkSessionEvent(b *testing.B) {
+	const events = 200
+	ctx := context.Background()
+	scripts := make([][]Event, b.N)
+	for i := range scripts {
+		scripts[i] = GenerateScript(ScriptOptions{Seed: int64(i), Events: events, Procs: 4, Multi: true, MaxWeight: 30})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for _, script := range scripts {
+		s, err := New(Options{Procs: 4, Multi: true, Lambda: 1, CompareCold: true, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ev := range script {
+			if _, err := s.Apply(ctx, ev); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Close()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(len(scripts) * events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
+}
