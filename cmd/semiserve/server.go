@@ -268,12 +268,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Sprintf("reading body: %v", err))
+		writeError(w, bodyErrorStatus(err), fmt.Sprintf("reading body: %v", err))
 		return
 	}
 
@@ -416,4 +411,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: strings.TrimSpace(msg)})
+}
+
+// bodyErrorStatus maps an error reading a request body to its status: 413
+// for a body over -max-body, 400 for anything else.
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }

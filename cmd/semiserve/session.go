@@ -150,7 +150,7 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	m := s.sessions
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+		writeError(w, bodyErrorStatus(err), fmt.Sprintf("reading body: %v", err))
 		return
 	}
 	var hdr session.ScriptHeader
@@ -241,10 +241,16 @@ type eventsResponse struct {
 func (s *server) handleSessionEvents(w http.ResponseWriter, r *http.Request, ls *liveSession) {
 	m := s.sessions
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxBody))
-	sc.Buffer(make([]byte, 0, 64*1024), int(s.maxBody))
+	// The line buffer grows from the scanner's small default only as far
+	// as a line needs. The body holds at most -max-body bytes; the one
+	// byte more lets a line that fills the whole body still reach EOF.
+	sc.Buffer(nil, int(s.maxBody)+1)
 	var resp eventsResponse
 	line := 0
 	for sc.Scan() {
+		if sc.Err() != nil {
+			break // the read failed, so this line may be cut short
+		}
 		line++
 		b := sc.Bytes()
 		if len(b) == 0 {
@@ -284,7 +290,7 @@ func (s *server) handleSessionEvents(w http.ResponseWriter, r *http.Request, ls 
 	}
 	if err := sc.Err(); err != nil {
 		resp.Error = fmt.Sprintf("reading events: %v", err)
-		writeJSON(w, http.StatusBadRequest, resp)
+		writeJSON(w, bodyErrorStatus(err), resp)
 		return
 	}
 	if len(resp.Reports) == 0 {

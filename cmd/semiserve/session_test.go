@@ -419,3 +419,90 @@ func TestSessionsDisabled(t *testing.T) {
 		t.Fatalf("sessions disabled: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// padJSON pads a JSON object with spaces after its opening brace until
+// the encoding is exactly size bytes long.
+func padJSON(t *testing.T, v any, size int) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) > size {
+		t.Fatalf("object is %d bytes, cannot pad to %d", len(b), size)
+	}
+	return append([]byte("{"+strings.Repeat(" ", size-len(b))), b[1:]...)
+}
+
+// postRaw posts body to url and returns the status and the decoded
+// events response (the error responses share its "error" field).
+func postRaw(t *testing.T, url string, body []byte) (int, eventsResponse) {
+	t.Helper()
+	resp, err := http.Post(url, "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	var er eventsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("POST %s: decoding response: %v", url, err)
+	}
+	return resp.StatusCode, er
+}
+
+// TestSessionBodyOverCap: a session body over -max-body is answered 413,
+// as /solve answers it, from both the create and the events handler; a
+// line cut short by the cap is never applied.
+func TestSessionBodyOverCap(t *testing.T) {
+	const maxBody = 4096
+	ts, _ := startSessionServer(t, serverConfig{sessions: 4, sessionIdle: time.Minute, maxBody: maxBody})
+	hdr := session.ScriptHeader{Procs: 2, Multi: true}
+	if code, er := postRaw(t, ts.URL+"/session", padJSON(t, hdr, maxBody+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create: status %d (%s), want 413", code, er.Error)
+	}
+	if code, er := postRaw(t, ts.URL+"/session", padJSON(t, hdr, maxBody)); code != http.StatusCreated {
+		t.Fatalf("create at the cap: status %d (%s), want 201", code, er.Error)
+	}
+
+	id := createSession(t, ts.URL, hdr)
+	ev := session.GenerateScript(session.ScriptOptions{Seed: 1, Events: 1, Procs: 2, Multi: true})[0]
+	code, er := postRaw(t, ts.URL+"/session/"+id+"/events", padJSON(t, ev, maxBody+1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized event line: status %d (%s), want 413", code, er.Error)
+	}
+	if len(er.Reports) != 0 {
+		t.Fatalf("oversized event line applied %d events", len(er.Reports))
+	}
+	// Complete lines ahead of the cap apply; the line the cap cuts does not.
+	small, _ := json.Marshal(ev)
+	body := append(append(small, '\n'), padJSON(t, ev, maxBody)...)
+	code, er = postRaw(t, ts.URL+"/session/"+createSession(t, ts.URL, hdr)+"/events", body)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch over the cap: status %d (%s), want 413", code, er.Error)
+	}
+	if len(er.Reports) > 1 {
+		t.Fatalf("batch over the cap applied %d events, want at most the first", len(er.Reports))
+	}
+}
+
+// TestSessionLongEventLine: the events scanner grows its buffer as far as
+// -max-body, so a line past 64 KiB applies, and so does a one-line body
+// that fills the cap exactly.
+func TestSessionLongEventLine(t *testing.T) {
+	const maxBody = 256 << 10
+	ts, _ := startSessionServer(t, serverConfig{sessions: 4, sessionIdle: time.Minute, maxBody: maxBody})
+	id := createSession(t, ts.URL, session.ScriptHeader{Procs: 2, Multi: true})
+	events := session.GenerateScript(session.ScriptOptions{Seed: 2, Events: 2, Procs: 2, Multi: true})
+	for i, body := range [][]byte{
+		append(padJSON(t, events[0], 100<<10), '\n'),
+		padJSON(t, events[1], maxBody),
+	} {
+		code, er := postRaw(t, ts.URL+"/session/"+id+"/events", body)
+		if code != http.StatusOK || len(er.Reports) != 1 {
+			t.Fatalf("%d-byte event line: status %d, %d reports (%s)", len(body), code, len(er.Reports), er.Error)
+		}
+		if er.Reports[0].Seq != int64(i+1) {
+			t.Fatalf("%d-byte event line: seq %d, want %d", len(body), er.Reports[0].Seq, i+1)
+		}
+	}
+}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/loadvec"
@@ -105,15 +103,33 @@ type HyperOptions struct {
 }
 
 // hyperTaskOrder returns task indices by non-decreasing configuration
-// count, ties by index.
+// count, ties by index: a stable counting sort on degree, O(n + max
+// degree).
 func hyperTaskOrder(h *hypergraph.Hypergraph) []int32 {
-	order := make([]int32, h.NTasks)
-	for i := range order {
-		order[i] = int32(i)
+	maxDeg := 0
+	for t := 0; t < h.NTasks; t++ {
+		maxDeg = max(maxDeg, h.TaskDegree(t))
 	}
-	slices.SortStableFunc(order, func(a, b int32) int {
-		return cmp.Compare(h.TaskDegree(int(a)), h.TaskDegree(int(b)))
-	})
+	// next[d] is the first free slot of degree d once the counts are
+	// turned into prefix sums. Degrees are small, so it fits on the stack.
+	var small [16]int
+	next := small[:]
+	if maxDeg+2 > len(small) {
+		next = make([]int, maxDeg+2)
+	}
+	next = next[:maxDeg+2]
+	for t := 0; t < h.NTasks; t++ {
+		next[h.TaskDegree(t)+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	order := make([]int32, h.NTasks)
+	for t := 0; t < h.NTasks; t++ {
+		d := h.TaskDegree(t)
+		order[next[d]] = int32(t)
+		next[d]++
+	}
 	return order
 }
 

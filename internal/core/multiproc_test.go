@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +329,31 @@ func BenchmarkEVGNaive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ExpectedVectorGreedyHyp(h, HyperOptions{Naive: true})
+	}
+}
+
+// TestHyperTaskOrderStable: the counting sort orders tasks exactly as a
+// stable comparison sort by degree does.
+func TestHyperTaskOrderStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 5000; trial++ {
+		n, p := 1+rng.Intn(60), 1+rng.Intn(8)
+		b := hypergraph.NewBuilder(n, p)
+		for task := 0; task < n; task++ {
+			for d := 1 + rng.Intn(6); d > 0; d-- {
+				b.AddEdge(task, []int{rng.Intn(p)}, 1)
+			}
+		}
+		h := b.MustBuild()
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			return cmp.Compare(h.TaskDegree(int(a)), h.TaskDegree(int(b)))
+		})
+		if got := hyperTaskOrder(h); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: order %v, want %v", trial, got, want)
+		}
 	}
 }

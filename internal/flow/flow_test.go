@@ -208,3 +208,54 @@ func BenchmarkMaxFlowMatching(b *testing.B) {
 		net.MaxFlow(s, t)
 	}
 }
+
+// TestReCappedNetworkMatchesFresh: re-capping every arc of a solved
+// network and solving again gives the max flow of a freshly built
+// network with those capacities, and the re-solve allocates nothing.
+func TestReCappedNetworkMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type arc struct {
+		u, v int
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(12)
+		arcs := make([]arc, rng.Intn(40))
+		for i := range arcs {
+			arcs[i] = arc{rng.Intn(n), rng.Intn(n)}
+		}
+		caps := func() []int64 {
+			c := make([]int64, len(arcs))
+			for i := range c {
+				c[i] = rng.Int63n(20)
+			}
+			return c
+		}
+		build := func(c []int64) (*Network, []int) {
+			g := NewNetwork(n)
+			ks := make([]int, len(arcs))
+			for i, a := range arcs {
+				ks[i] = g.AddArc(a.u, a.v, c[i])
+			}
+			return g, ks
+		}
+		s, sink := 0, n-1
+		g, ks := build(caps())
+		g.MaxFlow(s, sink)
+		for round := 0; round < 4; round++ {
+			c := caps()
+			recap := func() {
+				for i, k := range ks {
+					g.SetCap(k, c[i])
+				}
+			}
+			recap()
+			fresh, _ := build(c)
+			if got, want := g.MaxFlow(s, sink), fresh.MaxFlow(s, sink); got != want {
+				t.Fatalf("trial %d round %d: re-capped max flow %d, fresh %d", trial, round, got, want)
+			}
+			if allocs := testing.AllocsPerRun(5, func() { recap(); g.MaxFlow(s, sink) }); allocs != 0 {
+				t.Fatalf("trial %d: re-solving a re-capped network allocated %v times", trial, allocs)
+			}
+		}
+	}
+}

@@ -31,12 +31,20 @@
 // The bipartite-matching view of SINGLEPROC (the paper's Theorem 1
 // machinery): makespan ≤ T is only possible if each task can route m_t
 // units of flow to some processor of one of its configurations of weight
-// ≤ T, with every processor absorbing at most T in total. Infeasibility of that flow for
-// a given T proves OPT > T; MatchingHyper bisects for the smallest
-// feasible T. For unit SINGLEPROC instances the relaxation is exact (it
-// is the replicated-matching feasibility oracle), and in general it
-// dominates both the average-load and max-element bounds while seeing
-// eligibility structure neither can.
+// ≤ T, with every processor absorbing at most T in total. Infeasibility
+// of that flow for a given T proves OPT > T, and MatchingHyper searches
+// for the smallest feasible T. It builds one network per call, holding
+// every task→processor arc with the weight of the configuration it came
+// from; a probe at T re-caps that network (source arcs m_t, task arcs
+// m_t if their configuration weighs ≤ T and 0 otherwise, sink arcs T)
+// instead of building a new one. Most instances are feasible at the
+// cheap bound max(⌈Σm/p⌉, max m), so the search probes it first, then
+// gallops upward and bisects the bracket. Feasibility is monotone in T,
+// so the value equals a plain bisection over [cheap bound, Σm]. For unit
+// SINGLEPROC instances the relaxation is exact (it is the
+// replicated-matching feasibility oracle), and in general it dominates
+// both the average-load and max-element bounds while seeing eligibility
+// structure neither can.
 //
 // # One encoding
 //
@@ -48,6 +56,8 @@
 package lb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"semimatch/internal/flow"
@@ -91,7 +101,7 @@ func Packing(items []int64, p int) int64 {
 		return 0
 	}
 	s := append([]int64(nil), items...)
-	sort.Slice(s, func(i, j int) bool { return s[i] > s[j] }) // descending
+	slices.SortFunc(s, func(a, b int64) int { return cmp.Compare(b, a) }) // descending
 	var sum int64
 	for _, x := range s {
 		sum += x
@@ -174,7 +184,10 @@ func Packing(items []int64, p int) int64 {
 // instance: task t must route m_t (its cheapest configuration weight) to
 // some processor appearing in a configuration of weight ≤ T, and every
 // processor absorbs at most T. Valid because the chosen configuration
-// loads its full weight onto each of its processors.
+// loads its full weight onto each of its processors. The value is the
+// smallest feasible T in [lo, Σm), or Σm when none is, where lo is the
+// cheap bound; every probe of the search re-caps one network (see the
+// package comment).
 func MatchingHyper(h *hypergraph.Hypergraph) int64 {
 	n, p := h.NTasks, h.NProcs
 	if n == 0 || p == 0 {
@@ -188,41 +201,81 @@ func MatchingHyper(h *hypergraph.Hypergraph) int64 {
 			maxElem = x
 		}
 	}
-	feasible := func(T int64) bool {
-		net := flow.NewNetwork(n + p + 2)
-		s, t := n+p, n+p+1
-		var want int64
-		for task := 0; task < n; task++ {
-			if m[task] == 0 {
-				continue
-			}
-			net.AddArc(s, task, m[task])
-			want += m[task]
-			for _, e := range h.TaskEdges(task) {
-				if h.Weight[e] > T {
-					continue
-				}
-				for _, u := range h.EdgeProcs(e) {
-					// Duplicate arcs are harmless: the source arc caps the
-					// task's total outflow at m[task].
-					net.AddArc(task, n+int(u), m[task])
-				}
-			}
-		}
-		for proc := 0; proc < p; proc++ {
-			net.AddArc(n+proc, t, T)
-		}
-		return net.MaxFlow(s, t) == want
-	}
 	lo := (sum + int64(p) - 1) / int64(p)
 	if maxElem > lo {
 		lo = maxElem
 	}
 	hi := sum
-	if hi < lo {
-		hi = lo
+	if lo >= hi {
+		return lo
 	}
-	for lo < hi {
+
+	// arcs holds the source and task arcs. At deadline T an arc carries
+	// its capacity when its configuration weight is ≤ T and 0 otherwise;
+	// a source arc has weight 0, so it is always open.
+	type cappedArc struct {
+		k           int
+		cap, weight int64
+	}
+	nArcs := 0
+	for task := 0; task < n; task++ {
+		if m[task] != 0 {
+			nArcs++
+			for _, e := range h.TaskEdges(task) {
+				nArcs += h.EdgeSize(e)
+			}
+		}
+	}
+	net := flow.NewNetwork(n + p + 2)
+	s, t := n+p, n+p+1
+	arcs := make([]cappedArc, 0, nArcs)
+	var want int64
+	for task := 0; task < n; task++ {
+		if m[task] == 0 {
+			continue
+		}
+		arcs = append(arcs, cappedArc{net.AddArc(s, task, m[task]), m[task], 0})
+		want += m[task]
+		for _, e := range h.TaskEdges(task) {
+			for _, u := range h.EdgeProcs(e) {
+				// Duplicate arcs are harmless: the source arc caps the
+				// task's total outflow at m[task].
+				arcs = append(arcs, cappedArc{net.AddArc(task, n+int(u), m[task]), m[task], h.Weight[e]})
+			}
+		}
+	}
+	sinks := make([]int, p)
+	for proc := range sinks {
+		sinks[proc] = net.AddArc(n+proc, t, 0)
+	}
+	feasible := func(T int64) bool {
+		for _, a := range arcs {
+			c := int64(0)
+			if a.weight <= T {
+				c = a.cap
+			}
+			net.SetCap(a.k, c)
+		}
+		for _, k := range sinks {
+			net.SetCap(k, T)
+		}
+		return net.MaxFlow(s, t) == want
+	}
+
+	if feasible(lo) {
+		return lo
+	}
+	// Gallop to lo+1, lo+2, lo+4, … while below hi; the first feasible
+	// probe becomes hi, and every failed one is a new infeasible floor.
+	bad := lo
+	for step := int64(1); lo+step < hi; step *= 2 {
+		if feasible(lo + step) {
+			hi = lo + step
+			break
+		}
+		bad = lo + step
+	}
+	for lo = bad + 1; lo < hi; {
 		mid := lo + (hi-lo)/2
 		if feasible(mid) {
 			hi = mid
