@@ -65,18 +65,23 @@
 //	  "fingerprint": "4f1c…",          // canonical content hash (SHA-256)
 //	  "algorithm": "auto:EVG",         // solver, or auto:<winning source>
 //	  "makespan": 42,
-//	  "lower_bound": 40,               // strongest proven lower bound;
-//	                                   // makespan − lower_bound is the gap
+//	  "lower_bound": 40,               // the verified certificate's lower
+//	                                   // bound (the makespan itself once
+//	                                   // the gap is closed); makespan −
+//	                                   // lower_bound is the gap
 //	  "status": "heuristic",           // optimal | heuristic | truncated
-//	  "optimal": false,                // provably optimal
-//	  "truncated": false,              // deadline/budget-truncated incumbent
-//	  "trust": "verified",             // certificate trust tier the server
+//	  "optimal": false,                // provably optimal: trust is
+//	                                   // verified or attested
+//	  "truncated": false,              // incumbent of a solve the deadline
+//	                                   // or a cancellation cut short
+//	  "trust": "heuristic",            // certificate trust tier the server
 //	                                   // established: verified | attested |
 //	                                   // heuristic
-//	  "witness": "average-load",       // certificate's optimality argument:
+//	  "witness": "none",               // certificate's optimality argument:
 //	                                   // average-load | max-element |
-//	                                   // exhaustive | none (omitted when no
-//	                                   // certificate was issued)
+//	                                   // packing | matching | exhaustive |
+//	                                   // none (omitted when no certificate
+//	                                   // was issued)
 //	  "cached": true,                  // served from a cache tier
 //	  "cache_tier": "memory",          // which tier: memory | disk | peer
 //	                                   // ("none" for freshly solved)
@@ -134,7 +139,7 @@
 //	coalesced         single-flight deduplicated concurrent requests
 //	solves            fresh solves actually run
 //	solve_errors      solves that returned an error
-//	truncated         deadline/budget-truncated solves (never cached)
+//	truncated         deadline-truncated solves (never cached)
 //	verify_failures   results whose certificate failed re-verification
 //	overloaded        429 responses (queue full or -http-inflight hit)
 //	in_flight         solves executing right now (gauge)

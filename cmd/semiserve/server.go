@@ -217,9 +217,10 @@ type solveResponse struct {
 	Fingerprint string `json:"fingerprint"`
 	Algorithm   string `json:"algorithm"`
 	Makespan    int64  `json:"makespan"`
-	// LowerBound is the strongest proven lower bound on the optimal
-	// makespan; makespan − lower_bound is the optimality gap the client
-	// can see without trusting the status field.
+	// LowerBound is the verified certificate's lower bound on the
+	// optimal makespan — the makespan itself once the gap is closed;
+	// makespan − lower_bound is the optimality gap the client can see
+	// without trusting the status field.
 	LowerBound int64 `json:"lower_bound"`
 	// Status is the unified solve API's optimality class:
 	// "optimal", "heuristic" or "truncated".
@@ -230,7 +231,8 @@ type solveResponse struct {
 	// independent verification: "verified", "attested" or "heuristic".
 	Trust string `json:"trust"`
 	// Witness names the optimality argument of the result's certificate:
-	// "average-load", "max-element", "exhaustive" or "none".
+	// "average-load", "max-element", "packing", "matching", "exhaustive"
+	// or "none".
 	Witness string `json:"witness,omitempty"`
 	Cached  bool   `json:"cached"`
 	// CacheTier names the tier that answered: "memory", "disk", "peer"
@@ -317,12 +319,15 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The status follows the verified certificate, as Optimal does; a
+	// schedule it does not prove is truncated when the solve was cut
+	// short.
 	status := solve.StatusHeuristic
 	switch {
-	case res.Truncated:
-		status = solve.StatusTruncated
 	case res.Optimal:
 		status = solve.StatusOptimal
+	case res.Truncated:
+		status = solve.StatusTruncated
 	}
 	info.alg = res.Algorithm
 	info.fingerprint = res.Fingerprint

@@ -162,8 +162,11 @@ func TestSolveOverload(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		// The search stops at the deadline (truncated) or, on a fast
+		// host, at the engine's default node budget first (heuristic):
+		// either way an unproven schedule.
 		code, r, raw := postSolve(t, ts.URL+"/solve?alg=bnb&deadline=1s", hard)
-		if code != http.StatusOK || !r.Truncated {
+		if code != http.StatusOK || r.Optimal {
 			t.Errorf("slow request: %d %s", code, raw)
 		}
 	}()

@@ -21,10 +21,10 @@
 //
 // Both encodings solve through one class-generic surface. A Problem wraps
 // either instance kind; Run answers it; the Report carries the schedule
-// in the problem's own encoding, the makespan, the load-balance lower
+// in the problem's own encoding, the makespan, the certificate's lower
 // bound, the optimality status (StatusOptimal / StatusHeuristic /
-// StatusTruncated), the producing solver's name, search statistics and
-// wall time:
+// StatusTruncated, decided by the certificate), the producing solver's
+// name, search statistics and wall time:
 //
 //	g := ...  // *semimatch.Graph (SINGLEPROC)
 //	h := ...  // *semimatch.Hypergraph (MULTIPROC)
@@ -46,10 +46,11 @@
 //	    semimatch.WithRefine(),                  // MULTIPROC local search
 //	)
 //
-// Run is an anytime solver: a deadline or node budget degrades the answer
-// to the best schedule found so far (StatusTruncated) instead of
-// discarding it, and an Observer watches the incumbent tighten while a
-// long solve is still running:
+// Run is an anytime solver: a deadline or cancellation degrades the
+// answer to the best schedule found so far (StatusTruncated), and a node
+// budget to the best schedule the budget allowed (StatusHeuristic),
+// instead of discarding it; an Observer watches the incumbent tighten
+// while a long solve is still running:
 //
 //	rep, err := semimatch.Run(ctx, p,
 //	    semimatch.WithAlgorithm("bnb-par"),
@@ -129,8 +130,10 @@
 // bound, and an optimality witness naming the argument that closes the
 // gap (a re-derivable lower bound — WitnessAverageLoad,
 // WitnessMaxElement, WitnessPacking, WitnessMatching — or
-// WitnessExhaustive for a finished branch-and-bound; WitnessNone for
-// heuristic schedules).
+// WitnessExhaustive for a finished branch-and-bound; WitnessNone when
+// nothing closes the gap). The certificate alone decides optimality: a
+// Report is StatusOptimal exactly when its witness is not WitnessNone,
+// and its LowerBound is the certificate's.
 // Verify re-derives everything from the instance alone and grades the
 // claim into a TrustTier — TierVerified when the optimality argument is
 // re-proven from first principles, TierAttested when feasibility and

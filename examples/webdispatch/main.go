@@ -88,7 +88,7 @@ func main() {
 	}
 	optW := rep.Makespan
 	status := "optimal"
-	if rep.Status == semimatch.StatusTruncated {
+	if !rep.Optimal() {
 		status = "best found within node budget"
 	}
 	gm := semimatch.Makespan(wg, semimatch.SortedGreedy(wg, semimatch.GreedyOptions{}))

@@ -219,8 +219,11 @@ func TestBatchExactStageProvesOptimality(t *testing.T) {
 				t.Fatalf("instance %d: heuristic %d beat proven optimum %d",
 					i, heur.Makespan, ex.Makespan)
 			}
-			if heur.Optimal() {
-				t.Fatalf("instance %d: heuristic-only run must not claim optimality", i)
+			// Without the exact stage, optimality can only come from a
+			// certificate bound that meets the heuristic's makespan.
+			if heur.Optimal() && (heur.Makespan != ex.Makespan || heur.LowerBound != heur.Makespan) {
+				t.Fatalf("instance %d: heuristic-only run claims optimality at %d (bound %d, optimum %d)",
+					i, heur.Makespan, heur.LowerBound, ex.Makespan)
 			}
 		}
 	}

@@ -383,7 +383,10 @@ func RunPerf(ctx context.Context, o PerfOptions) (*PerfReport, error) {
 						feats = solve.Features(solve.Hyper(h))
 					}
 					status := "optimal"
-					if solveErr != nil {
+					switch {
+					case pc.Limit:
+						status = "heuristic" // a node-budget stop, as solve.Run labels it
+					case solveErr != nil:
 						status = "truncated"
 					}
 					if err := o.Ledger.Append(telemetry.SolveRecord{

@@ -203,8 +203,8 @@ type Certificate struct {
 	Makespan int64 `json:"makespan"`
 	// LowerBound is the claimed lower bound on the optimal makespan. For
 	// certificates with a non-none witness it equals Makespan (the gap is
-	// closed); otherwise it must be supported by a bound re-derivable
-	// from the instance.
+	// closed); otherwise it may not exceed the cheap bounds
+	// (average-load, max-element), which Issue sets it to.
 	LowerBound int64 `json:"lower_bound"`
 	// Witness is the optimality argument.
 	Witness Witness `json:"witness"`
@@ -313,19 +313,8 @@ func bounds(h *hypergraph.Hypergraph) (avg, maxElem int64) {
 // beats cost once the claim is on the table.
 const matchingBoundCap = 65536
 
-// strongBounds re-derives the packing bound, and — only if packing
-// leaves the gap open and the instance is within matchingBoundCap — the
-// matching bound. A zero matching value means "not computed".
-func strongBounds(h *hypergraph.Hypergraph, makespan int64) (pack, match int64) {
-	pack = lb.Packing(lb.MinPlacementsHyper(h), h.NProcs)
-	if pack != makespan && h.NTasks <= matchingBoundCap {
-		match = lb.MatchingHyper(h)
-	}
-	return pack, match
-}
-
-// rederive recomputes the bound a claimed strong-bound witness names,
-// ungated.
+// rederive recomputes the strong bound (packing or matching) a witness
+// names, ungated.
 func rederive(h *hypergraph.Hypergraph, kind WitnessKind) int64 {
 	if kind == WitnessPacking {
 		return lb.Packing(lb.MinPlacementsHyper(h), h.NProcs)
@@ -341,11 +330,11 @@ func rederive(h *hypergraph.Hypergraph, kind WitnessKind) int64 {
 // optimality and the cheap bounds leave the gap open, the packing and
 // matching bounds are tried before falling back to the exhaustive
 // attestation. optimal says the solver proved optimality; nodes is the
-// attesting search's tree size. lowerBound is the caller's class lower
-// bound, used for no-claim certificates. Returns nil (no certificate)
-// only when the instance cannot be fingerprinted or is of an unsupported
-// type.
-func Issue(instance any, assignment []int32, makespan int64, lowerBound int64, optimal bool, nodes int64, solver string) *Certificate {
+// attesting search's tree size. A certificate with a witness carries the
+// makespan as its lower bound, a no-claim one the larger cheap bound.
+// Returns nil (no certificate) only when the instance cannot be
+// fingerprinted or is of an unsupported type.
+func Issue(instance any, assignment []int32, makespan int64, optimal bool, nodes int64, solver string) *Certificate {
 	h, class, fp, err := identify(instance)
 	if err != nil {
 		return nil
@@ -357,24 +346,19 @@ func Issue(instance any, assignment []int32, makespan int64, lowerBound int64, o
 		Solver:      solver,
 		Assignment:  assignment,
 		Makespan:    makespan,
-		LowerBound:  lowerBound,
+		LowerBound:  max(avg, maxElem),
 	}
 	switch {
 	case makespan == avg:
 		c.Witness.Kind = WitnessAverageLoad
 	case makespan == maxElem:
 		c.Witness.Kind = WitnessMaxElement
+	case optimal && makespan == rederive(h, WitnessPacking):
+		c.Witness.Kind = WitnessPacking
+	case optimal && h.NTasks <= matchingBoundCap && makespan == rederive(h, WitnessMatching):
+		c.Witness.Kind = WitnessMatching
 	case optimal:
-		pack, match := strongBounds(h, makespan)
-		switch makespan {
-		case pack:
-			c.Witness.Kind = WitnessPacking
-		case match:
-			c.Witness.Kind = WitnessMatching
-		default:
-			c.Witness.Kind = WitnessExhaustive
-			c.Witness.Nodes = nodes
-		}
+		c.Witness = Witness{Kind: WitnessExhaustive, Nodes: nodes}
 	}
 	if c.Witness.Kind != WitnessNone {
 		// The gap is closed: the strongest supportable bound is the
@@ -427,8 +411,7 @@ func Verify(instance any, c *Certificate) (Tier, error) {
 // verifyClaims checks the numeric claims against the recomputed makespan
 // and the bounds re-derived on h, the instance's MULTIPROC form, and
 // grades the witness. The cheap bounds are always derived; the strong
-// bounds (packing, matching) only when the certificate's claims require
-// them.
+// bounds (packing, matching) only for a witness that names them.
 func verifyClaims(h *hypergraph.Hypergraph, c *Certificate, makespan int64) (Tier, error) {
 	if makespan != c.Makespan {
 		return TierHeuristic, fmt.Errorf("cert: makespan mismatch: certificate claims %d, schedule yields %d", c.Makespan, makespan)
@@ -473,21 +456,6 @@ func verifyClaims(h *hypergraph.Hypergraph, c *Certificate, makespan int64) (Tie
 		}
 		return TierAttested, nil
 	case WitnessNone:
-		if c.LowerBound > best {
-			// The cheap bounds cannot support the claim; the strong bounds
-			// might (a truncated search reports its root bound, which now
-			// includes packing and matching).
-			pack, match := strongBounds(h, makespan)
-			if pack > best {
-				best = pack
-			}
-			if match > best {
-				best = match
-			}
-			if best > makespan {
-				return TierHeuristic, fmt.Errorf("cert: re-derived lower bound %d exceeds makespan %d", best, makespan)
-			}
-		}
 		if c.LowerBound > best {
 			return TierHeuristic, fmt.Errorf("cert: claimed lower bound %d not supported by re-derivable bounds (≤ %d)", c.LowerBound, best)
 		}

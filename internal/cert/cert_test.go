@@ -26,6 +26,24 @@ func testGraph(t *testing.T) *bipartite.Graph {
 	return g
 }
 
+// matchingGraph is a SINGLEPROC instance only the matching bound solves.
+// Tasks 0 and 1 are eligible only on proc 0 (weight 3 each); task 2 only
+// on proc 1 (weight 1). OPT = 6 (proc 0 carries both 3s). avg = ⌈7/2⌉ =
+// 4, maxElem = 3, packing([3,3,1], 2) = 4: all open. The flow relaxation
+// must push 6 units through proc 0, so the matching bound is exactly 6.
+func matchingGraph(t *testing.T) *bipartite.Graph {
+	t.Helper()
+	b := bipartite.NewBuilder(3, 2)
+	b.AddWeightedEdge(0, 0, 3)
+	b.AddWeightedEdge(1, 0, 3)
+	b.AddWeightedEdge(2, 1, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // testHyper is a small MULTIPROC instance: 2 tasks, 2 procs.
 func testHyper(t *testing.T) *hypergraph.Hypergraph {
 	t.Helper()
@@ -61,7 +79,7 @@ func TestIssueVerifyRoundTrip(t *testing.T) {
 		t.Fatalf("bounds = (%d, %d), want (5, 4)", avg, maxElem)
 	}
 
-	c := Issue(g, a, m, 5, true, 123, "test")
+	c := Issue(g, a, m, true, 123, "test")
 	if c == nil {
 		t.Fatal("Issue returned nil")
 	}
@@ -92,7 +110,7 @@ func TestIssueExhaustiveAttested(t *testing.T) {
 	if m != 8 {
 		t.Fatalf("makespan = %d, want 8", m)
 	}
-	c := Issue(h, a, m, 6, true, 77, "bnb")
+	c := Issue(h, a, m, true, 77, "bnb")
 	if c.Witness.Kind != WitnessExhaustive || c.Witness.Nodes != 77 {
 		t.Fatalf("witness = %+v, want exhaustive/77", c.Witness)
 	}
@@ -113,16 +131,16 @@ func TestIssueExhaustiveAttested(t *testing.T) {
 func TestIssueHeuristicNoClaim(t *testing.T) {
 	h := testHyper(t)
 	// t0 edge 1 (w8 on p0), t1 edge 2 (w5 on p1): loads 8, 5 → 8. Same
-	// makespan as optimal here, but issue as non-optimal with the class
-	// bound 6.
+	// makespan as optimal here, but issue as non-optimal: the certificate
+	// carries the larger cheap bound, avg 6 (maxElem is 5).
 	a := []int32{1, 2}
 	m := core.HyperMakespan(h, core.HyperAssignment(a))
-	c := Issue(h, a, m, 6, false, 0, "SGH")
+	c := Issue(h, a, m, false, 0, "SGH")
 	if c.Witness.Kind != WitnessNone {
 		t.Fatalf("witness = %s, want none", c.Witness.Kind)
 	}
 	if c.LowerBound != 6 {
-		t.Fatalf("lower bound = %d, want the class bound 6", c.LowerBound)
+		t.Fatalf("lower bound = %d, want the larger cheap bound 6", c.LowerBound)
 	}
 	tier, err := Verify(h, c)
 	if err != nil {
@@ -140,7 +158,7 @@ func TestVerifyRejectsLies(t *testing.T) {
 	g := testGraph(t)
 	a := []int32{0, 1, 1}
 	m := core.Makespan(g, core.Assignment(a))
-	good := Issue(g, a, m, 5, true, 0, "test")
+	good := Issue(g, a, m, true, 0, "test")
 
 	cases := []struct {
 		name   string
@@ -178,6 +196,21 @@ func TestVerifyRejectsLies(t *testing.T) {
 	if _, err := Verify(g, good); err != nil {
 		t.Fatalf("control certificate failed: %v", err)
 	}
+
+	// A no-claim certificate's bound is checked against the cheap bounds
+	// only, even where a strong bound would support it: here avg is 4,
+	// maxElem 3 and the matching bound 6.
+	t.Run("no-claim bound above the cheap bounds", func(t *testing.T) {
+		mg := matchingGraph(t)
+		c := Issue(mg, []int32{0, 0, 1}, 6, false, 0, "test")
+		if c.Witness.Kind != WitnessNone || c.LowerBound != 4 {
+			t.Fatalf("issued witness %s, bound %d; want none, 4", c.Witness.Kind, c.LowerBound)
+		}
+		c.LowerBound = 5
+		if _, err := Verify(mg, c); err == nil || !strings.Contains(err.Error(), "not supported by re-derivable bounds") {
+			t.Fatalf("Verify err = %v, want an unsupported-bound error", err)
+		}
+	})
 }
 
 // TestVerifyUpgradesBeyondClaim: a heuristic certificate whose schedule
@@ -186,7 +219,7 @@ func TestVerifyRejectsLies(t *testing.T) {
 func TestVerifyUpgradesBeyondClaim(t *testing.T) {
 	g := testGraph(t)
 	a := []int32{0, 1, 1} // makespan 5 == avg bound
-	c := Issue(g, a, 5, 5, false, 0, "lucky-heuristic")
+	c := Issue(g, a, 5, false, 0, "lucky-heuristic")
 	// Issue already detects the bound; force the weaker claims by hand to
 	// simulate a producer that did not notice.
 	c.Witness = Witness{Kind: WitnessNone}
@@ -258,7 +291,7 @@ func TestEnumJSON(t *testing.T) {
 // disk tier's persistence path.
 func TestCertificateJSONRoundTrip(t *testing.T) {
 	g := testGraph(t)
-	c := Issue(g, []int32{0, 1, 1}, 5, 5, true, 42, "bnb-par")
+	c := Issue(g, []int32{0, 1, 1}, 5, true, 42, "bnb-par")
 	b, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +352,7 @@ func TestIssuePackingWitness(t *testing.T) {
 	if m != 8 {
 		t.Fatalf("makespan = %d, want 8", m)
 	}
-	c := Issue(g, a, m, 6, true, 99, "bnb")
+	c := Issue(g, a, m, true, 99, "bnb")
 	if c.Witness.Kind != WitnessPacking {
 		t.Fatalf("witness = %s, want packing", c.Witness.Kind)
 	}
@@ -356,7 +389,7 @@ func TestIssuePackingWitnessHyper(t *testing.T) {
 	if m != 8 {
 		t.Fatalf("makespan = %d, want 8", m)
 	}
-	c := Issue(h, a, m, 6, true, 0, "bnb-mp")
+	c := Issue(h, a, m, true, 0, "bnb-mp")
 	if c.Witness.Kind != WitnessPacking {
 		t.Fatalf("witness = %s, want packing", c.Witness.Kind)
 	}
@@ -370,25 +403,13 @@ func TestIssuePackingWitnessHyper(t *testing.T) {
 // eligibility bottleneck, Issue claims WitnessMatching and Verify
 // re-derives it.
 func TestIssueMatchingWitness(t *testing.T) {
-	// Tasks 0 and 1 are eligible only on proc 0 (weight 3 each); task 2
-	// only on proc 1 (weight 1). OPT = 6 (proc 0 carries both 3s).
-	// avg = ⌈7/2⌉ = 4, maxElem = 3, packing([3,3,1], 2) = 4: all open.
-	// The flow relaxation must push 6 units through proc 0, so the
-	// matching bound is exactly 6.
-	b := bipartite.NewBuilder(3, 2)
-	b.AddWeightedEdge(0, 0, 3)
-	b.AddWeightedEdge(1, 0, 3)
-	b.AddWeightedEdge(2, 1, 1)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := matchingGraph(t)
 	a := []int32{0, 0, 1}
 	m := core.Makespan(g, core.Assignment(a))
 	if m != 6 {
 		t.Fatalf("makespan = %d, want 6", m)
 	}
-	c := Issue(g, a, m, 4, true, 0, "bnb")
+	c := Issue(g, a, m, true, 0, "bnb")
 	if c.Witness.Kind != WitnessMatching {
 		t.Fatalf("witness = %s, want matching", c.Witness.Kind)
 	}

@@ -29,7 +29,6 @@ import (
 
 	"semimatch/internal/adversarial"
 	"semimatch/internal/bipartite"
-	"semimatch/internal/cert"
 	"semimatch/internal/core"
 	"semimatch/internal/exact/flatcore"
 	"semimatch/internal/hypergraph"
@@ -85,7 +84,7 @@ type Options struct {
 	// "compile" (with a "root-bounds" child covering the packing/matching
 	// bound computation), "greedy" (the initial incumbent), and "search"
 	// with attributes nodes, incumbent_entry/incumbent_exit, bound,
-	// witness, workers, and — parallel — steals and subproblems. Spans
+	// complete, workers, and — parallel — steals and subproblems. Spans
 	// are created per phase, never per node.
 	Trace *telemetry.Span
 	// Progress, when non-nil, receives periodic SearchProgress snapshots
@@ -120,34 +119,6 @@ type SearchStats struct {
 	// at the root: the max of the average-load, max-element, bin-packing,
 	// and matching bounds. Valid whether or not the search completed.
 	Bound int64
-	// Witness names the optimality argument for the returned schedule: the
-	// cheapest root bound that equals the makespan (average-load,
-	// max-element, packing, matching), WitnessExhaustive when the tree was
-	// searched to completion without a bound meeting the makespan, or
-	// WitnessNone when the search was truncated (budget or cancellation).
-	Witness cert.WitnessKind
-}
-
-// witnessFor grades a finished search: bound is the strongest root lower
-// bound, and the witness is the cheapest argument that proves the returned
-// makespan optimal — a root bound that equals it (cheapest to re-derive
-// first), else exhaustion (only if the tree was fully searched).
-func witnessFor(complete bool, b flatcore.Bounds, makespan int64) (int64, cert.WitnessKind) {
-	bound := b.Root()
-	switch {
-	case !complete:
-		return bound, cert.WitnessNone
-	case makespan == b.Avg:
-		return bound, cert.WitnessAverageLoad
-	case makespan == b.MaxElem:
-		return bound, cert.WitnessMaxElement
-	case makespan == b.Pack:
-		return bound, cert.WitnessPacking
-	case b.Match > 0 && makespan == b.Match:
-		return bound, cert.WitnessMatching
-	default:
-		return bound, cert.WitnessExhaustive
-	}
 }
 
 // compileSpan wraps one compile phase for tracing (all nil-safe): a
@@ -168,27 +139,25 @@ func startSearchSpan(tr *telemetry.Span, sh *parShared) *telemetry.Span {
 	return ss
 }
 
-// finishSearch grades a finished search exactly once — filling
+// finishSearch records a finished search exactly once — filling
 // Options.Stats (when requested) and closing the "search" span with its
 // exit attributes. Called after all workers quiesce.
-func finishSearch(opts Options, ss *telemetry.Span, sh *parShared, b flatcore.Bounds, workers int, subproblems int64) {
+func finishSearch(opts Options, ss *telemetry.Span, sh *parShared, workers int, subproblems int64) {
 	complete := sh.closed.Load() || (!sh.exhausted.Load() && !sh.cancelled.Load())
-	bound, wit := witnessFor(complete, b, sh.bestM)
 	stats := SearchStats{
 		Nodes:       sh.nodes.Load(),
 		Workers:     workers,
 		Subproblems: subproblems,
 		Steals:      sh.steals.Load(),
-		Bound:       bound,
-		Witness:     wit,
+		Bound:       sh.rootLB,
 	}
 	if opts.Stats != nil {
 		*opts.Stats = stats
 	}
 	ss.SetAttr("nodes", stats.Nodes)
 	ss.SetAttr("incumbent_exit", sh.bestM)
-	ss.SetAttr("bound", bound)
-	ss.SetAttr("witness", wit.String())
+	ss.SetAttr("bound", stats.Bound)
+	ss.SetAttr("complete", complete)
 	ss.SetAttr("workers", workers)
 	if workers > 1 {
 		ss.SetAttr("subproblems", stats.Subproblems)
@@ -330,7 +299,7 @@ func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.Hy
 	}
 	sh.observe() // flush the final incumbent to the observer
 	sh.progressFinal()
-	finishSearch(opts, ss, sh, pr.Bounds, workers, int64(len(frontier))+sh.splits.Load())
+	finishSearch(opts, ss, sh, workers, int64(len(frontier))+sh.splits.Load())
 	return append(core.HyperAssignment(nil), sh.bestA...), sh.bestM, sh.err(ctx)
 }
 

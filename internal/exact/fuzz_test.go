@@ -110,7 +110,7 @@ func FuzzEngines(f *testing.F) {
 			if m != opt {
 				t.Fatalf("%s workers=%d: makespan %d, brute force %d", label, workers, m, opt)
 			}
-			c := cert.Issue(inst, a, m, st.Bound, true, st.Nodes, "fuzz")
+			c := cert.Issue(inst, a, m, true, st.Nodes, "fuzz")
 			if _, err := cert.Verify(inst, c); err != nil {
 				t.Fatalf("%s workers=%d: %v", label, workers, err)
 			}

@@ -105,8 +105,8 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 	if !ok || nodes.(int64) != stats.Nodes {
 		t.Fatalf("search span nodes attr = %v (%v), stats say %d", nodes, ok, stats.Nodes)
 	}
-	if wit, ok := ss.Attr("witness"); !ok || wit.(string) != stats.Witness.String() {
-		t.Fatalf("search span witness attr = %v, stats say %v", wit, stats.Witness)
+	if done, ok := ss.Attr("complete"); !ok || done != true {
+		t.Fatalf("search span complete attr = %v (%v), want true for a finished search", done, ok)
 	}
 	if _, ok := ss.Attr("incumbent_entry"); !ok {
 		t.Fatal("search span missing incumbent_entry")

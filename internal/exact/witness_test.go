@@ -27,10 +27,10 @@ func strongBoundsOf(t *testing.T, inst any) (pack, match int64) {
 }
 
 // TestSearchStatsWitness: every engine (sequential and parallel, both
-// classes) reports a root bound and a witness that certifies its result —
-// a completed search claims optimality (a bound that closed the gap, or
-// exhaustion), a truncated one claims nothing, and the reported bound
-// never exceeds the returned makespan.
+// classes) reports its strongest root bound, and the certificate issued
+// for its result carries a witness that holds — a completed search gets
+// an optimality witness (a bound that closed the gap, or exhaustion),
+// and the reported bound never exceeds the returned makespan.
 func TestSearchStatsWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -39,35 +39,36 @@ func TestSearchStatsWitness(t *testing.T) {
 
 		type run struct {
 			name  string
-			solve func(st *SearchStats) (int64, error)
+			solve func(st *SearchStats) ([]int32, int64, error)
 			inst  any
 		}
 		runs := []run{
-			{"sp-seq", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: st})
-				return m, err
-			}, g},
-			{"sp-par", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveSingleProc(context.Background(), g, Options{Stats: st, Workers: 2})
-				return m, err
-			}, g},
-			{"mp-seq", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: st})
-				return m, err
-			}, h},
-			{"mp-par", func(st *SearchStats) (int64, error) {
-				_, m, err := SolveMultiProc(context.Background(), h, Options{Stats: st, Workers: 2})
-				return m, err
-			}, h},
+			{name: "sp-seq", solve: func(st *SearchStats) ([]int32, int64, error) {
+				a, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: st})
+				return a, m, err
+			}, inst: g},
+			{name: "sp-par", solve: func(st *SearchStats) ([]int32, int64, error) {
+				a, m, err := SolveSingleProc(context.Background(), g, Options{Stats: st, Workers: 2})
+				return a, m, err
+			}, inst: g},
+			{name: "mp-seq", solve: func(st *SearchStats) ([]int32, int64, error) {
+				a, m, err := SolveMultiProc(context.Background(), h, Options{Workers: 1, Stats: st})
+				return a, m, err
+			}, inst: h},
+			{name: "mp-par", solve: func(st *SearchStats) ([]int32, int64, error) {
+				a, m, err := SolveMultiProc(context.Background(), h, Options{Stats: st, Workers: 2})
+				return a, m, err
+			}, inst: h},
 		}
 		for _, r := range runs {
 			var st SearchStats
-			m, err := r.solve(&st)
+			a, m, err := r.solve(&st)
 			if err != nil {
 				t.Fatalf("%s: %v", r.name, err)
 			}
-			if st.Witness == cert.WitnessNone {
-				t.Fatalf("%s: completed search reported no witness (stats %+v)", r.name, st)
+			wit := cert.Issue(r.inst, a, m, true, st.Nodes, r.name).Witness.Kind
+			if wit == cert.WitnessNone {
+				t.Fatalf("%s: completed search certified with no witness (stats %+v)", r.name, st)
 			}
 			if st.Bound > m {
 				t.Fatalf("%s: bound %d > makespan %d", r.name, st.Bound, m)
@@ -77,7 +78,7 @@ func TestSearchStatsWitness(t *testing.T) {
 				t.Fatal(berr)
 			}
 			pack, match := strongBoundsOf(t, r.inst)
-			switch st.Witness {
+			switch wit {
 			case cert.WitnessAverageLoad:
 				if avg != m {
 					t.Fatalf("%s: average-load witness but avg %d ≠ makespan %d", r.name, avg, m)
@@ -110,9 +111,9 @@ func TestSearchStatsWitness(t *testing.T) {
 	}
 }
 
-// TestSearchStatsWitnessTruncated: a budget-truncated search reports
-// WitnessNone — its incumbent carries no optimality claim — while still
-// reporting the root bound.
+// TestSearchStatsWitnessTruncated: a budget-truncated search keeps its
+// root bound, and the certificate issued for its incumbent makes no
+// optimality claim.
 func TestSearchStatsWitnessTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomWeightedGraph(rng, 18, 4, 4, 50)
@@ -127,8 +128,8 @@ func TestSearchStatsWitnessTruncated(t *testing.T) {
 	if got := core.Makespan(g, a); got != m {
 		t.Fatalf("incumbent makespan %d, reported %d", got, m)
 	}
-	if st.Witness != cert.WitnessNone {
-		t.Fatalf("truncated search claimed witness %s", st.Witness)
+	if c := cert.Issue(g, a, m, false, st.Nodes, "bnb"); c.Witness.Kind != cert.WitnessNone {
+		t.Fatalf("truncated search certified with witness %s", c.Witness.Kind)
 	}
 	if st.Bound <= 0 {
 		t.Fatalf("truncated search lost the root bound: %+v", st)

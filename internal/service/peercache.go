@@ -121,8 +121,8 @@ func (s *Service) peerContext(ctx context.Context) (context.Context, context.Can
 // shape must match the request, its certificate must certify the very
 // schedule it ships, and cert.Verify must independently re-prove the
 // claims against req's own canonical instance. Everything else is then
-// recomputed locally rather than trusted — Optimal included, which is
-// what the verified tier supports, not what the entry says — so a lying
+// recomputed locally rather than trusted — Optimal and LowerBound come
+// from certify, as for a fresh solve, not from the entry — so a lying
 // entry can at worst be rejected, never believed. A certificate that
 // fails verification is also counted in Stats.VerifyFailures.
 func (s *Service) admitEntry(req *request, key string, e *PeerEntry) (*Result, error) {
@@ -142,20 +142,16 @@ func (s *Service) admitEntry(req *request, key string, e *PeerEntry) (*Result, e
 	if !slices.Equal(c.Assignment, e.Assignment) {
 		return nil, errors.New("service: cache entry assignment differs from its certificate")
 	}
-	tier, err := cert.Verify(req.instance(), c)
-	if err != nil {
-		s.verifyFailures.Add(1)
-		return nil, err
-	}
 	res := &Result{
 		Kind:        req.kind,
 		Fingerprint: req.fp,
 		Algorithm:   e.Algorithm,
 		Assignment:  e.Assignment,
-		LowerBound:  c.LowerBound,
 		Certificate: c,
-		Trust:       tier,
-		Optimal:     tier != cert.TierHeuristic,
+	}
+	if err := req.certify(res); err != nil {
+		s.verifyFailures.Add(1)
+		return nil, err
 	}
 	if res.Assignment == nil {
 		res.Assignment = []int32{}

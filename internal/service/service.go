@@ -161,7 +161,7 @@ type Result struct {
 	Fingerprint string
 	// Algorithm is the canonical solver name, or "auto:<source>" when the
 	// auto policy chose the winner (<source> is the winning solver,
-	// suffixed "-incumbent" for a truncated exact search's schedule).
+	// suffixed "-incumbent" for an exact search's unproven schedule).
 	Algorithm string
 	// Makespan is the schedule's maximum processor load.
 	Makespan int64
@@ -172,9 +172,9 @@ type Result struct {
 	// Loads is the per-processor load vector. Shared with the cache on
 	// hits — treat as immutable.
 	Loads []int64
-	// LowerBound is the strongest supportable lower bound on the optimal
-	// makespan: the certificate's when one was issued, else the class
-	// bound. Makespan − LowerBound is the proven optimality gap.
+	// LowerBound is the verified certificate's lower bound on the
+	// optimal makespan (see certify); Makespan − LowerBound is the proven
+	// optimality gap.
 	LowerBound int64
 	// Certificate is the proof-carrying form of this result (see
 	// internal/cert); the service verifies it before caching or serving
@@ -184,11 +184,13 @@ type Result struct {
 	// Certificate: TierVerified/TierAttested for independently checked
 	// results, TierHeuristic otherwise.
 	Trust cert.Tier
-	// Optimal reports a provably optimal schedule.
+	// Optimal reports a provably optimal schedule: the certificate
+	// verified at TierAttested or above.
 	Optimal bool
-	// Truncated reports a deadline- or budget-truncated solve: the
-	// schedule is valid but not provably best. Truncated results are never
-	// cached.
+	// Truncated reports a solve the deadline or a cancellation cut short
+	// (or whose exact stage failed): the schedule is valid but not
+	// provably best. Truncated results are never cached; a node-budget
+	// stop is complete and cacheable.
 	Truncated bool
 	// Cached reports that this result was served from a cache tier
 	// (memory, disk or a peer replica) rather than a fresh solve.
@@ -576,18 +578,37 @@ func (s *Service) leaderSolve(ctx context.Context, req *request, key string) (*R
 // verifyFresh checks a fresh solve's certificate against the canonical
 // instance before the result can reach any cache tier. A result that
 // fails — a solver lying about feasibility, makespan or optimality —
-// is degraded in place: non-optimal, heuristic trust, barred from the
-// caches, and counted in Stats.VerifyFailures.
+// is degraded in place (see certify), barred from the caches, and
+// counted in Stats.VerifyFailures.
 func (s *Service) verifyFresh(req *request, res *Result) {
-	tier, err := cert.Verify(req.instance(), res.Certificate)
-	if err != nil {
+	if req.certify(res) != nil {
 		s.verifyFailures.Add(1)
-		res.Trust = cert.TierHeuristic
-		res.Optimal = false
 		res.noStore = true
-		return
 	}
-	res.Trust = tier
+}
+
+// certify sets res's Trust, Optimal and LowerBound from its certificate,
+// verified against req's canonical instance. It is the one derivation
+// for every tier — fresh solves and entries read from disk or a peer —
+// so a key reads the same whichever tier answers it: Optimal exactly
+// when verification reaches TierAttested, LowerBound the certificate's
+// (the makespan once the gap is closed). A certificate that fails
+// leaves res heuristic with the re-derived cheap bound, and certify
+// returns the verification error.
+func (req *request) certify(res *Result) error {
+	tier, err := cert.Verify(req.instance(), res.Certificate)
+	res.Trust, res.Optimal = tier, tier >= cert.TierAttested
+	switch {
+	case err != nil:
+		// Bounds fails only on an unsupported instance; req's is validated.
+		avg, maxElem, _ := cert.Bounds(req.instance())
+		res.LowerBound = max(avg, maxElem)
+	case res.Optimal:
+		res.LowerBound = res.Certificate.Makespan
+	default:
+		res.LowerBound = res.Certificate.LowerBound
+	}
+	return err
 }
 
 // Stats returns a counters snapshot.
@@ -770,6 +791,15 @@ func (s *Service) dispatch(ctx context.Context, req *request) (*Result, error) {
 	}
 	req.trace.Adopt(rep.Trace)
 	s.recordSolve(req, problem, rep)
+	res := req.result(rep, err)
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// result is a fresh solve's Report as this request's Result. Its
+// Optimal, LowerBound and Trust are left to certify, the derivation
+// every tier shares; err is the error RunOptions returned alongside rep.
+func (req *request) result(rep *solve.Report, err error) *Result {
 	res := &Result{
 		Kind:        req.kind,
 		Fingerprint: req.fp,
@@ -777,41 +807,28 @@ func (s *Service) dispatch(ctx context.Context, req *request) (*Result, error) {
 		Makespan:    rep.Makespan,
 		Assignment:  rep.Assignment,
 		Loads:       rep.Loads,
-		LowerBound:  reportLowerBound(rep),
 		Certificate: rep.Certificate,
-		Optimal:     rep.Status == solve.StatusOptimal,
 		// An error alongside a Report is the auto policy's exact stage
 		// failing unexpectedly: the heuristic schedule stands, but it is
 		// not the policy's full answer, so it is never cached.
 		Truncated: err != nil || rep.Status == solve.StatusTruncated,
-		Elapsed:   time.Since(start),
 	}
 	if req.alg == autoAlg {
 		res.Algorithm = autoAlg + ":" + sourceLabel(rep)
 	}
-	return res, nil
+	return res
 }
 
 // sourceLabel renders a Report's provenance: the producing solver's
-// canonical name, suffixed "-incumbent" when the schedule came from a
-// truncated exact search.
+// canonical name, suffixed "-incumbent" when the schedule is an exact
+// search's unproven incumbent (a deadline or node budget stopped it).
 func sourceLabel(rep *solve.Report) string {
-	if rep.Status == solve.StatusTruncated {
+	if rep.Status != solve.StatusOptimal {
 		if s, err := registry.LookupClass(rep.Class, rep.Solver); err == nil && s.Kind == registry.Exact {
 			return rep.Solver + "-incumbent"
 		}
 	}
 	return rep.Solver
-}
-
-// reportLowerBound is the strongest supportable bound a Report carries:
-// the certificate's (equal to the makespan when a witness closed the
-// gap) when one was issued, else the class bound.
-func reportLowerBound(rep *solve.Report) int64 {
-	if c := rep.Certificate; c != nil && c.LowerBound > rep.LowerBound {
-		return c.LowerBound
-	}
-	return rep.LowerBound
 }
 
 // budgetClass buckets a context's remaining budget into a coarse class so

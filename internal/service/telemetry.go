@@ -44,7 +44,7 @@ func (s *Service) newMetrics() {
 	r.CounterFunc("semimatch_solve_errors_total",
 		"Fresh solves that failed (including panics).", s.solveErrors.Load)
 	r.CounterFunc("semimatch_truncated_total",
-		"Solves truncated by a deadline or node budget.", s.truncated.Load)
+		"Solves truncated by a deadline or cancellation.", s.truncated.Load)
 	r.CounterFunc("semimatch_overloaded_total",
 		"Requests shed by admission control (solve queue full).", s.overloaded.Load)
 	r.CounterFunc("semimatch_verify_failures_total",

@@ -13,7 +13,7 @@ import (
 // scripts replayed by TestSingleProcSessionGolden. It pins SINGLEPROC
 // patching (placement and tie-breaks included) and adoption byte for
 // byte; MaxWeight 1 makes load ties common, so a lost tie-break shows.
-const singleProcSessionDigest = "fc6b62523e0a7167d146493747993cd132537e77f00fa9082c7995286118c689"
+const singleProcSessionDigest = "c013c7b8520052c076b5e315f78bf0cc43ef11bfeb7feacac61528bb212da2d3"
 
 // TestSingleProcSessionGolden replays seeds 1–8 × MaxWeight {1, 3, 30} ×
 // λ {0, 1} on 4 processors at one worker and checks the digest.

@@ -132,8 +132,9 @@ type SessionReport struct {
 	Tasks int `json:"tasks"`
 	// Makespan is the adopted schedule's makespan after the event.
 	Makespan int64 `json:"makespan"`
-	// LowerBound is the instance's load-balance lower bound (0 when the
-	// re-solve was skipped: computing it needs the built instance).
+	// LowerBound is the re-solve's certified lower bound on the
+	// post-event optimum (solve.Report.LowerBound), whichever schedule
+	// was adopted; 0 when no re-solve ran.
 	LowerBound int64 `json:"lower_bound"`
 	// PatchedMakespan is the instant online patch's makespan — the answer
 	// that was available before the re-solve finished.
@@ -304,7 +305,6 @@ func (s *Session) resolve(ctx context.Context, rep *SessionReport, prev map[stri
 		rep.SolveStatus = "error"
 		return
 	}
-	rep.LowerBound = prob.LowerBound()
 	rep.Problem = prob
 	seq := rep.Seq
 	o := solve.Options{
@@ -325,6 +325,7 @@ func (s *Session) resolve(ctx context.Context, rep *SessionReport, prev map[stri
 	}
 	_ = err // a truncated/partial solve still carries its incumbent
 	rep.Report = res
+	rep.LowerBound = res.LowerBound
 	rep.Solver = res.Solver
 	rep.SolveStatus = res.Status.String()
 	rep.Nodes = res.Stats.Nodes

@@ -15,7 +15,7 @@ import (
 // kind, verified tier, lower bounds and makespan, then Verify's verdict
 // on the result re-claimed with a packing, a matching and an exhaustive
 // witness. Exhaustive node counts are left out.
-const singleProcCertificateDigest = "a3f38d5d7a46d109f4e51754bc158d3d6f55ce68c8826180e498c072c2bf84f7"
+const singleProcCertificateDigest = "bff6ee709bf905c4540a0b684ea2cd0215ee01513df8116c0e3e2d1a8d1f1574"
 
 // TestSingleProcCertificateGolden solves seeded unit and weighted
 // SINGLEPROC graphs through Run at one worker — the auto policy, basic

@@ -12,8 +12,9 @@
 // Run is an anytime solver: callers can register an Observer to watch the
 // incumbent schedule improve while a long branch-and-bound or heuristic
 // race is still running, and a deadline or node budget degrades the
-// answer to the best schedule found (Report.Status == StatusTruncated)
-// instead of discarding it.
+// answer to the best schedule found instead of discarding it. Whether a
+// schedule is optimal is decided in one place: the certificate issued
+// for it (internal/cert).
 package solve
 
 import (
@@ -134,18 +135,6 @@ func (p Problem) NProcs() int {
 		return p.h.NProcs
 	case p.g != nil:
 		return p.g.NRight
-	}
-	return 0
-}
-
-// LowerBound is the class's load-balance lower bound on the optimal
-// makespan: max(⌈Σw/p⌉, max w) for SINGLEPROC, Eq. (1) for MULTIPROC.
-func (p Problem) LowerBound() int64 {
-	switch {
-	case p.h != nil:
-		return core.LowerBound(p.h)
-	case p.g != nil:
-		return core.LowerBoundSingle(p.g)
 	}
 	return 0
 }

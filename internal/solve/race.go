@@ -35,9 +35,9 @@ type candidate struct {
 // ctx has ended and at least one candidate exists — a member already
 // running (the greedies are not interruptible) is waited for only while
 // there is nothing else to return, and is otherwise left to finish in the
-// background with its result discarded. The returned Report is
-// StatusTruncated when some member's result was not judged. The race
-// returns ctx's error only when ctx was already done when it began.
+// background with its result discarded; RunOptions then reports the
+// schedule truncated, since ctx has ended. The race returns ctx's error
+// only when ctx was already done when it began.
 func race(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, error) {
 	defaults := registry.Names(registry.Heuristics(p.Class()))
 	names, solvers, err := registry.ResolveClass(p.Class(), o.Portfolio, defaults)
@@ -118,9 +118,6 @@ collect:
 		return nil, fmt.Errorf("solve: no heuristic finished: %w", ctx.Err())
 	}
 	rep := &Report{Solver: names[best.idx], Assignment: best.a, stageMakespan: vecMakespan(best.vec)}
-	if judged < len(solvers) {
-		rep.Status = StatusTruncated
-	}
 	span.SetAttr("winner", rep.Solver)
 	span.SetAttr("makespan", rep.stageMakespan)
 	return rep, nil

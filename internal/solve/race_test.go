@@ -86,16 +86,16 @@ func raceOnly(t *testing.T, p Problem, opts ...Option) *Report {
 	return rep
 }
 
-// TestRaceAtLeastAsGoodAsEveryMember: a complete race reports heuristic
-// status and a load vector no worse than any member's alone.
+// TestRaceAtLeastAsGoodAsEveryMember: a complete race is not truncated
+// and reports a load vector no worse than any member's alone.
 func TestRaceAtLeastAsGoodAsEveryMember(t *testing.T) {
 	for _, tc := range raceClasses {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(0); seed < 20; seed++ {
 				p := tc.gen(seed, 1+int(seed*7)%40)
 				rep := raceOnly(t, p)
-				if rep.Status != StatusHeuristic {
-					t.Fatalf("seed %d: status %v, want heuristic (nothing cut the race short)", seed, rep.Status)
+				if rep.Status == StatusTruncated {
+					t.Fatalf("seed %d: status %v, but nothing cut the race short", seed, rep.Status)
 				}
 				vec := loadvec.SortedDesc(rep.Loads)
 				for _, name := range lineup(tc.class) {

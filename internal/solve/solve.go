@@ -38,13 +38,15 @@ type Status uint8
 
 const (
 	// StatusHeuristic is a valid schedule with no optimality proof; the
-	// solve ran to completion.
+	// solve ran to completion or stopped at its node budget, so the same
+	// request gets the same answer.
 	StatusHeuristic Status = iota
-	// StatusOptimal is a provably optimal schedule.
+	// StatusOptimal is a provably optimal schedule: its certificate
+	// carries an optimality witness.
 	StatusOptimal
-	// StatusTruncated is a valid schedule from a solve a deadline, node
-	// budget or cancellation cut short — the best found so far, not
-	// provably the best possible.
+	// StatusTruncated is a valid schedule from a solve a deadline or
+	// cancellation cut short — the best found so far, not provably the
+	// best possible.
 	StatusTruncated
 )
 
@@ -78,11 +80,16 @@ type Report struct {
 	Loads []int64
 	// Makespan is the maximum processor load.
 	Makespan int64
-	// LowerBound is the class's load-balance lower bound on the optimal
-	// makespan; Makespan == LowerBound certifies optimality even for a
-	// heuristic schedule.
+	// LowerBound is the certificate's lower bound on the optimal
+	// makespan: the makespan itself when the certificate's witness closes
+	// the gap, else the larger of the average-load bound (Eq. (1) for
+	// MULTIPROC) and the max-element bound. Without a certificate it is
+	// that larger cheap bound (cert.Bounds).
 	LowerBound int64
-	// Status reports the schedule's optimality class.
+	// Status reports the schedule's optimality class, derived from the
+	// certificate: StatusOptimal exactly when its witness is not none,
+	// else StatusTruncated when the deadline or a cancellation ended the
+	// Run, else StatusHeuristic.
 	Status Status
 	// Stats carries branch-and-bound search statistics when an exact
 	// solver ran (zero otherwise).
@@ -114,6 +121,9 @@ type Report struct {
 	// Makespan/Loads are recomputed from the final Assignment at the end
 	// of RunOptions.
 	stageMakespan int64
+	// proved records that a solver proved the staged schedule optimal —
+	// the attestation cert.Issue turns into a witness.
+	proved bool
 }
 
 // Optimal reports a provably optimal schedule.
@@ -134,7 +144,7 @@ type Options struct {
 	Portfolio []string
 	// Deadline bounds the whole Run, layered under ctx; 0 means none.
 	// When it expires the best schedule found so far is returned with
-	// StatusTruncated.
+	// StatusTruncated (unless its certificate proves it optimal).
 	Deadline time.Duration
 	// Workers bounds solver-internal parallelism: the auto policy's
 	// heuristic race fans out to at most Workers members at once (both
@@ -255,10 +265,11 @@ func (o Options) exactNodes() int64 {
 // auto policy races the class's heuristic lineup and then, when the
 // instance is small enough, attempts an exact branch-and-bound proof.
 //
-// Run is an anytime entry point: a deadline (ctx or WithDeadline) or node
-// budget degrades the answer to the best schedule found so far
-// (StatusTruncated) rather than failing, and WithObserver streams the
-// incumbent trajectory while the solve is still running. Run returns an
+// Run is an anytime entry point: rather than failing, a deadline (ctx or
+// WithDeadline) degrades the answer to the best schedule found so far
+// (StatusTruncated) and a node budget to the best schedule the budget
+// allowed (StatusHeuristic); WithObserver streams the incumbent
+// trajectory while the solve is still running. Run returns an
 // error only when no schedule at all could be produced — with one
 // exception: an unexpected failure in the auto policy's exact stage
 // returns the heuristic-stage Report alongside the error, so callers that
@@ -304,13 +315,14 @@ func RunOptions(ctx context.Context, p Problem, o Options) (*Report, error) {
 	if rep == nil {
 		return nil, err
 	}
+	ended := ctx.Err() != nil
 	rep.Class = p.Class()
-	rep.LowerBound = p.LowerBound()
 	rep.Makespan, rep.Loads = p.MakespanLoads(rep.Assignment)
 	if rep.Assignment != nil {
 		rep.Certificate = cert.Issue(p.instance(), rep.Assignment, rep.Makespan,
-			rep.LowerBound, rep.Status == StatusOptimal, rep.Stats.Nodes, rep.Solver)
+			rep.proved, rep.Stats.Nodes, rep.Solver)
 	}
+	rep.grade(p, ended)
 	if o.Verify {
 		vs := o.trace.StartChild("verify")
 		verr := verifyReport(p, rep)
@@ -331,6 +343,27 @@ func RunOptions(ctx context.Context, p Problem, o Options) (*Report, error) {
 	obs.final(rep)
 	rep.Incumbents = obs.events()
 	return rep, err
+}
+
+// grade derives Status and LowerBound from r's certificate, the one
+// place optimality is decided; ended reports that ctx was done when the
+// solve stages returned.
+func (r *Report) grade(p Problem, ended bool) {
+	switch c := r.Certificate; {
+	case c != nil && c.Witness.Kind != cert.WitnessNone:
+		r.Status = StatusOptimal
+	case ended:
+		r.Status = StatusTruncated
+	default:
+		r.Status = StatusHeuristic
+	}
+	if r.Certificate != nil {
+		r.LowerBound = r.Certificate.LowerBound
+	} else {
+		// Bounds fails only on an unsupported instance; p is validated.
+		avg, maxElem, _ := cert.Bounds(p.instance())
+		r.LowerBound = max(avg, maxElem)
+	}
 }
 
 // verifyReport re-checks rep's certificate against the instance and
@@ -380,18 +413,11 @@ func runNamed(ctx context.Context, p Problem, o Options, obs *obsState) (*Report
 		ropts.BnB.Observer = obs.exactFn(sol.Name)
 	}
 	a, err := sol.SolveInstance(ctx, p.instance(), ropts)
-	switch {
-	case err == nil:
-		if sol.Optimal() {
-			rep.Status = StatusOptimal
-		}
-	case a != nil && registry.IncumbentError(err):
-		// The search was cut short but kept its incumbent: degrade, don't
-		// discard.
-		rep.Status = StatusTruncated
-	default:
+	if err != nil && (a == nil || !registry.IncumbentError(err)) {
 		return nil, fmt.Errorf("solve: %s: %w", sol.Name, err)
 	}
+	// A search cut short keeps its incumbent, unproven.
+	rep.proved = err == nil && sol.Optimal()
 	if o.Refine && p.Class() == registry.MultiProc {
 		rs := o.trace.StartChild("refine")
 		refined := refine.RefineCtx(ctx, p.h, core.HyperAssignment(a), refine.Options{}).Assignment
@@ -412,13 +438,6 @@ func runAuto(ctx context.Context, p Problem, o Options, obs *obsState) (*Report,
 	}
 	if ctx.Err() == nil {
 		err = exactStage(ctx, p, o, obs, rep)
-	}
-	// An expired context means the policy did not run to completion —
-	// even when the stage it curtailed was skipped outright (e.g. the
-	// deadline fired between the heuristic race and the exact attempt).
-	// Without this, such results would read as complete and get cached.
-	if rep.Status != StatusOptimal && ctx.Err() != nil {
-		rep.Status = StatusTruncated
 	}
 	return rep, err
 }
@@ -480,7 +499,7 @@ func exactStage(ctx context.Context, p Problem, o Options, obs *obsState, rep *R
 	if a != nil {
 		m, _ = p.MakespanLoads(a)
 	}
-	if err := mergeExact(rep, sol.Name, a, m, exErr, ctx.Err()); err != nil {
+	if err := mergeExact(rep, sol.Name, a, m, exErr); err != nil {
 		return fmt.Errorf("solve: %s: %w", sol.Name, err)
 	}
 	return nil
@@ -492,29 +511,20 @@ func (r *Report) adopt(solver string, a []int32, m int64) {
 }
 
 // mergeExact folds one exact-stage outcome into the heuristic-stage
-// report under the shared policy rules: a proven optimum upgrades the
-// status (keeping the heuristic schedule on ties, so a refined load
-// vector survives); a truncated search's incumbent is adopted only when
-// it strictly improves; anything else is surfaced to the caller.
-func mergeExact(rep *Report, solver string, a []int32, m int64, exErr error, ctxErr error) error {
-	switch {
-	case exErr == nil:
-		if m < rep.stageMakespan {
-			rep.adopt(solver, a, m)
-		}
-		rep.Status = StatusOptimal
-	case a != nil && registry.IncumbentError(exErr):
-		if m < rep.stageMakespan {
-			rep.adopt(solver, a, m)
-			rep.Status = StatusTruncated
-		} else if ctxErr != nil {
-			rep.Status = StatusTruncated
-		}
-	default:
+// report: the search's schedule is adopted only when it strictly
+// improves (so on ties a refined heuristic load vector survives), and a
+// completed search proves whichever schedule is kept optimal. A search
+// cut short proves nothing; any other error is surfaced to the caller.
+func mergeExact(rep *Report, solver string, a []int32, m int64, exErr error) error {
+	if exErr != nil && (a == nil || !registry.IncumbentError(exErr)) {
 		// Structural errors (no processors, isolated task) would have
 		// failed the heuristic stage already; surface anything unexpected
 		// alongside the stage-1 report.
 		return exErr
 	}
+	if m < rep.stageMakespan {
+		rep.adopt(solver, a, m)
+	}
+	rep.proved = exErr == nil
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"semimatch/internal/bipartite"
+	"semimatch/internal/cert"
 	"semimatch/internal/core"
 	"semimatch/internal/encode"
 	"semimatch/internal/exact"
@@ -137,8 +138,11 @@ func TestRunNamedEverySolver(t *testing.T) {
 			if rep.Solver != sol.Name {
 				t.Fatalf("report solver %q, want %q", rep.Solver, sol.Name)
 			}
-			if sol.Optimal() != (rep.Status == StatusOptimal) {
-				t.Fatalf("kind %v solver finished with status %v", sol.Kind, rep.Status)
+			// An exact solver proves its schedule optimal; any other
+			// schedule is optimal only when a re-derivable bound meets it.
+			if sol.Optimal() && rep.Status != StatusOptimal ||
+				!sol.Optimal() && rep.Status == StatusOptimal && rep.Certificate.ClaimedTier() != cert.TierVerified {
+				t.Fatalf("kind %v solver finished with status %v (witness %s)", sol.Kind, rep.Status, rep.Certificate.Witness.Kind)
 			}
 			if sol.Cost == registry.CostExponential && rep.Stats.Nodes == 0 {
 				t.Fatal("branch-and-bound run reported zero search nodes")
@@ -223,8 +227,9 @@ func TestRunDeadlineTruncates(t *testing.T) {
 	}
 }
 
-// TestRunNamedNodeBudgetTruncates: a tiny node budget on a named exact
-// solver keeps the incumbent.
+// TestRunNamedNodeBudgetTruncates: a tiny node budget truncates a named
+// exact solver's search, which keeps its incumbent. With no deadline the
+// stop is complete and deterministic, so the schedule reads heuristic.
 func TestRunNamedNodeBudgetTruncates(t *testing.T) {
 	h := hardHyper(8)
 	for _, alg := range []string{"BnB-MP", "BnB-MP-Par"} {
@@ -234,8 +239,8 @@ func TestRunNamedNodeBudgetTruncates(t *testing.T) {
 			t.Fatalf("%s: %v", alg, err)
 		}
 		checkReport(t, Hyper(h), rep)
-		if rep.Status != StatusTruncated {
-			t.Fatalf("%s: status %v, want truncated", alg, rep.Status)
+		if rep.Status != StatusHeuristic {
+			t.Fatalf("%s: status %v, want heuristic", alg, rep.Status)
 		}
 	}
 }
@@ -327,9 +332,6 @@ func TestProblemAccessors(t *testing.T) {
 	}
 	if ph.NTasks() != h.NTasks || ph.NProcs() != h.NProcs {
 		t.Fatal("hypergraph dims")
-	}
-	if pg.LowerBound() != core.LowerBoundSingle(g) || ph.LowerBound() != core.LowerBound(h) {
-		t.Fatal("lower bounds")
 	}
 	fp1, err := ph.Fingerprint()
 	if err != nil || fp1 == "" {

@@ -64,7 +64,8 @@ var (
 	// instead of the auto policy.
 	WithAlgorithm = solve.WithAlgorithm
 	// WithDeadline bounds the whole Run; on expiry the best schedule
-	// found so far is returned with StatusTruncated.
+	// found so far is returned with StatusTruncated, unless its
+	// certificate proves it optimal.
 	WithDeadline = solve.WithDeadline
 	// WithWorkers bounds solver-internal parallelism (0 = GOMAXPROCS).
 	WithWorkers = solve.WithWorkers
@@ -131,10 +132,11 @@ type Observer = solve.Observer
 // point every dispatch layer (batch, service, CLIs) routes through. With
 // WithAlgorithm it runs exactly that registry solver; otherwise the auto
 // policy races the class's heuristic lineup and then, when the instance
-// is small enough, attempts an exact branch-and-bound proof. Deadlines
-// and node budgets degrade the answer to the best schedule found so far
-// (StatusTruncated) instead of failing, and WithObserver watches bounds
-// tighten during a long solve.
+// is small enough, attempts an exact branch-and-bound proof. A deadline
+// or cancellation degrades the answer to the best schedule found so far
+// (StatusTruncated), and a node budget to the best schedule the budget
+// allowed (StatusHeuristic), instead of failing; WithObserver watches
+// bounds tighten during a long solve.
 func Run(ctx context.Context, p Problem, opts ...Option) (*Report, error) {
 	return solve.Run(ctx, p, opts...)
 }
@@ -375,7 +377,7 @@ type BnBStats = exact.SearchStats
 
 // ErrLimit reports an exhausted branch-and-bound node budget; a Solver
 // returns it alongside its incumbent, which Run reports as
-// StatusTruncated.
+// StatusHeuristic: complete and deterministic, just not proven.
 var ErrLimit = exact.ErrLimit
 
 // ErrCancelled reports a context cancelled mid-search; the accompanying
