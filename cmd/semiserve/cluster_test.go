@@ -7,11 +7,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"semimatch/internal/cluster"
 	"semimatch/internal/encode"
+	"semimatch/internal/gen"
 	"semimatch/internal/service"
 )
 
@@ -161,6 +165,118 @@ func TestFleetCrossReplicaVerifiedHit(t *testing.T) {
 	}
 }
 
+// restate is an isomorphic restatement of a text-format hypergraph: each
+// configuration lists its processors in reverse, and each task lists its
+// configurations in reverse. The canonical fingerprint is unchanged.
+func restate(text string) string {
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	out := []string{lines[0]}
+	var block []string
+	flush := func() {
+		slices.Reverse(block)
+		out = append(out, block...)
+		block = block[:0]
+	}
+	for _, line := range lines[1:] {
+		f := strings.Fields(line)
+		if len(block) > 0 && strings.Fields(block[0])[0] != f[0] {
+			flush()
+		}
+		slices.Reverse(f[3:])
+		block = append(block, strings.Join(f, " "))
+	}
+	flush()
+	return strings.Join(out, "\n") + "\n"
+}
+
+// fleetCounter sums one counter family over every replica's /metrics.
+func fleetCounter(t *testing.T, reps []*replica, family string) float64 {
+	t.Helper()
+	total := 0.0
+	for _, rep := range reps {
+		line := scrapeMetric(t, rep.url, family)
+		v, err := strconv.ParseFloat(strings.TrimPrefix(line, family+" "), 64)
+		if err != nil {
+			t.Fatalf("%s /metrics %s line %q: %v", rep.url, family, line, err)
+		}
+		total += v
+	}
+	return total
+}
+
+// TestFleetWarmLoad: concurrent clients post repeats and isomorphs of a
+// warm working set to both replicas of a peering fleet (forwarding off).
+// Each instance was solved once by its owner, so every answer comes from
+// a cache tier — the replica's own memory, or the owner's entry carried
+// across as a verified peer hit — and the fleet runs no further solve.
+func TestFleetWarmLoad(t *testing.T) {
+	reps := startFleet(t, 2, false)
+	var bodies [][2]string // each warm instance and its restatement
+	for seed := int64(1); seed <= 4; seed++ {
+		// 12 tasks, which the auto policy solves in well under a millisecond.
+		text := genHyperText(t, gen.HyperParams{
+			Gen: gen.FewgManyg, N: 12, P: 4, Dv: 2, Dh: 2, G: 2,
+			Weights: gen.Random, MaxW: 40,
+		}, seed)
+		owner, _ := ownerOf(t, reps, text)
+		if code, r, raw := postSolve(t, owner.url+"/solve", text); code != http.StatusOK || r.CacheTier != "none" {
+			t.Fatalf("warm-up solve on the owner: %d tier %q %s", code, r.CacheTier, raw)
+		}
+		bodies = append(bodies, [2]string{text, restate(text)})
+	}
+
+	// Each client posts every instance in both statements to both
+	// replicas, so every non-owner is asked for every instance.
+	const clients, perClient = 4, 16
+	var mu sync.Mutex
+	tiers := map[string]int{}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for j := 0; j < perClient; j++ {
+				body := bodies[j%4][(j/4)%2]
+				target := reps[(c+j/8)%2].url
+				resp, err := http.Post(target+"/solve", "text/plain", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("POST %s: %v", target, err)
+					return
+				}
+				var r solveResponse
+				err = json.NewDecoder(resp.Body).Decode(&r)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("POST %s: status %d, decode %v", target, resp.StatusCode, err)
+					return
+				}
+				mu.Lock()
+				tiers[r.CacheTier]++
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if tiers["memory"]+tiers["peer"] != clients*perClient || tiers["peer"] == 0 {
+		t.Fatalf("answer tiers %v: want only memory and peer, some peer", tiers)
+	}
+	solves := 0
+	for _, rep := range reps {
+		solves += int(rep.svc.Stats().Solves)
+	}
+	if solves != len(bodies) {
+		t.Fatalf("fleet ran %d solves, want only the %d warm-ups", solves, len(bodies))
+	}
+	hits := fleetCounter(t, reps, "semimatch_peer_hits_total")
+	served := fleetCounter(t, reps, "semimatch_peer_served_total")
+	if hits == 0 || served == 0 {
+		t.Fatalf("no cross-replica traffic: peer_hits=%v peer_served=%v", hits, served)
+	}
+}
+
 // TestFleetForwarding: with forwarding on, a request posted to a
 // non-owner is relayed to the owning replica (single hop, named in the
 // response header) and the owner does the solving; the same instance
@@ -263,7 +379,7 @@ func TestPeerCacheEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
-	if e.Key != key || e.Makespan != r.Makespan || e.Certificate == nil {
+	if e.Key != key || e.Certificate == nil || e.Certificate.Makespan != r.Makespan {
 		t.Fatalf("served entry %+v", e)
 	}
 	if svc.Stats().PeerServed != 1 {

@@ -319,13 +319,14 @@
 // where {key} is the path-escaped cache key "fingerprint|algorithm|
 // budget-class". The owner answers from its memory or disk tier with
 // the entry JSON — the same durable fields the disk tier persists (key
-// echo, kind, fingerprint, algorithm, makespan, assignment, loads,
-// lower_bound, optimal, certificate) — or 404 on a miss. The fetching
-// replica re-verifies the entry's certificate against its own canonical
-// instance before adopting it (cache_tier "peer"), so no replica ever
-// trusts another's arithmetic: a tampered or lying entry is dropped,
-// counted in peer_verify_failures and verify_failures, and never enters
-// any cache tier. Peer fetches run under -peer-timeout, tightened to
-// half the request's remaining deadline, so a slow peer cannot hold a
-// coalesced group past its budget.
+// echo, kind, fingerprint, algorithm, assignment, certificate) — or 404
+// on a miss. The fetching replica re-verifies the entry's certificate
+// against its own canonical instance and derives the makespan, loads,
+// lower bound and optimality itself before adopting it (cache_tier
+// "peer"); keys an older replica sends for those are ignored. No
+// replica ever trusts another's arithmetic: a tampered or lying entry
+// is dropped, counted in peer_verify_failures and verify_failures, and
+// never enters any cache tier. Peer fetches run under -peer-timeout,
+// tightened to half the request's remaining deadline, so a slow peer
+// cannot hold a coalesced group past its budget.
 package main

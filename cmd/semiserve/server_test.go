@@ -79,10 +79,16 @@ func getStats(t *testing.T, base string) service.Stats {
 // within a short deadline (60 tasks, several configurations each).
 func hardHyperText(t *testing.T) string {
 	t.Helper()
-	h, err := gen.Hypergraph(gen.HyperParams{
+	return genHyperText(t, gen.HyperParams{
 		Gen: gen.FewgManyg, N: 60, P: 16, Dv: 4, Dh: 3, G: 4,
 		Weights: gen.Random, MaxW: 100,
 	}, 3)
+}
+
+// genHyperText generates one MULTIPROC instance in the text format.
+func genHyperText(t *testing.T, p gen.HyperParams, seed int64) string {
+	t.Helper()
+	h, err := gen.Hypergraph(p, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -373,6 +373,22 @@ func TestSessionMetricsAndLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("events after delete: status %d", resp.StatusCode)
 	}
+
+	// The closed session leaves the live gauge; the total keeps it.
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"semimatch_sessions_open 0",
+		"semimatch_sessions_total 1",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Fatalf("metrics after delete missing %q", want)
+		}
+	}
 }
 
 // TestSessionIdleEviction proves idle sessions are reaped and counted.

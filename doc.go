@@ -206,9 +206,9 @@
 //	...
 //	warm starts: 3 nodes vs 11 cold (72.7% saved)
 //
-// cmd/semiload's -session mode drives the same scripts against a live
-// server and records per-event latency percentiles and the warm/cold
-// node ratio into the BENCH_<n>.json trajectory.
+// The session workload of the service benchmark (perfbench/run.sh)
+// replays generated scripts against those endpoints and reports
+// per-event latency and the warm/cold node ratio.
 //
 // See examples/ for runnable programs and cmd/semibench for the
 // experiment harness.

@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"semimatch/internal/batch"
@@ -181,17 +180,18 @@ func RunHyperTable(ctx context.Context, weights gen.WeightScheme, o Options) (*H
 		ratio             map[string]float64
 		times             map[string]time.Duration
 	}
-	sizes := o.sizes()
+	sizes, seeds := o.sizes(), o.seeds()
 	var jobs []job
 	for fi := range Families {
 		for si := range sizes {
-			for seed := 1; seed <= o.seeds(); seed++ {
+			for seed := 1; seed <= seeds; seed++ {
 				jobs = append(jobs, job{fi, si, seed})
 			}
 		}
 	}
-	results := make(map[[2]int][]obs)
-	var mu sync.Mutex
+	// Each job's observation lands at its job index, so the aggregates
+	// below sum in job order whatever order the workers finish in.
+	results := make([]obs, len(jobs))
 
 	err = batch.ForEach(ctx, o.workers(), len(jobs), func(ctx context.Context, i int) error {
 		j := jobs[i]
@@ -222,10 +222,7 @@ func RunHyperTable(ctx context.Context, weights gen.WeightScheme, o Options) (*H
 			m := core.HyperMakespan(h, a)
 			ob.ratio[name] = float64(m) / float64(ob.lb)
 		}
-		mu.Lock()
-		key := [2]int{j.famIdx, j.sizeIdx}
-		results[key] = append(results[key], ob)
-		mu.Unlock()
+		results[i] = ob
 		return nil
 	})
 	if err != nil {
@@ -242,10 +239,8 @@ func RunHyperTable(ctx context.Context, weights gen.WeightScheme, o Options) (*H
 	var allTimes = map[string][]float64{}
 	for fi, fam := range Families {
 		for si, size := range sizes {
-			obsList := results[[2]int{fi, si}]
-			if len(obsList) == 0 {
-				return nil, fmt.Errorf("bench: no results for %s-%s", fam.Prefix, size.Label)
-			}
+			k := (fi*len(sizes) + si) * seeds
+			obsList := results[k : k+seeds]
 			row := HyperRow{
 				Name:    instanceName(fam.Prefix, size.Label, weights),
 				V1:      size.N,
@@ -384,15 +379,15 @@ func RunSingleProc(ctx context.Context, generator gen.Generator, d, g int, o Opt
 		times     map[string]time.Duration
 		exactTime time.Duration
 	}
-	sizes := o.sizes()
+	sizes, seeds := o.sizes(), o.seeds()
 	var jobs []job
 	for si := range sizes {
-		for seed := 1; seed <= o.seeds(); seed++ {
+		for seed := 1; seed <= seeds; seed++ {
 			jobs = append(jobs, job{si, seed})
 		}
 	}
-	results := make(map[int][]obs)
-	var mu sync.Mutex
+	// Observations land at their job index, as in RunHyperTable.
+	results := make([]obs, len(jobs))
 
 	err = batch.ForEach(ctx, o.workers(), len(jobs), func(ctx context.Context, i int) error {
 		j := jobs[i]
@@ -425,9 +420,7 @@ func RunSingleProc(ctx context.Context, generator gen.Generator, d, g int, o Opt
 			ob.times[name] = time.Since(t0)
 			ob.ratio[name] = float64(core.Makespan(gr, a)) / float64(opt)
 		}
-		mu.Lock()
-		results[j.sizeIdx] = append(results[j.sizeIdx], ob)
-		mu.Unlock()
+		results[i] = ob
 		return nil
 	})
 	if err != nil {
@@ -447,10 +440,7 @@ func RunSingleProc(ctx context.Context, generator gen.Generator, d, g int, o Opt
 	allRatios := map[string][]float64{}
 	allTimes := map[string][]float64{}
 	for si, size := range sizes {
-		obsList := results[si]
-		if len(obsList) == 0 {
-			return nil, fmt.Errorf("bench: no results for size %s", size.Label)
-		}
+		obsList := results[si*seeds : (si+1)*seeds]
 		row := SPRow{
 			Name:    fmt.Sprintf("%s-%s-d%d-g%d", prefix, size.Label, d, g),
 			V1:      size.N,

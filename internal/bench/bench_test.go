@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -78,26 +79,53 @@ func TestRunHyperTableWeightedNames(t *testing.T) {
 	}
 }
 
-func TestNaiveMatchesFastQuality(t *testing.T) {
-	// The ablation switch must not change results, only speed — an
-	// identity that holds at any scale, so tiny instances suffice.
-	tiny := Options{Seeds: 1, SizesOverride: tinySizes}
-	fast, err := RunHyperTable(context.Background(), gen.Related, tiny)
+// qualityJSON is a table's JSON form without its wall times, the part
+// of a run that must not depend on how it was scheduled.
+func qualityJSON(t *testing.T, table any) string {
+	t.Helper()
+	switch tb := table.(type) {
+	case *HyperTableJSON:
+		tb.AvgTimeS = nil
+		for i := range tb.Rows {
+			tb.Rows[i].TimeS = nil
+		}
+	case *SPTableJSON:
+		tb.AvgTimeS = nil
+		for i := range tb.Rows {
+			tb.Rows[i].TimeS, tb.Rows[i].ExactTimeS = nil, 0
+		}
+	}
+	b, err := json.Marshal(table)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func TestNaiveMatchesFastQuality(t *testing.T) {
+	// Neither the ablation switch nor the worker count may change the
+	// results, only speed — identities that hold at any scale, so tiny
+	// instances suffice. Ten seeds a row give the averages an order of
+	// summation to depend on; -short keeps two.
+	tiny := Options{Seeds: 10, SizesOverride: tinySizes, Workers: 1}
+	if testing.Short() {
+		tiny.Seeds = 2
+	}
+	run := func() string {
+		res, err := RunHyperTable(context.Background(), gen.Related, tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qualityJSON(t, res.JSON("3"))
+	}
+	want := run()
+	tiny.Workers = 4
+	if got := run(); got != want {
+		t.Fatalf("4 workers:\n%s\n1 worker:\n%s", got, want)
 	}
 	tiny.Naive = true
-	naive, err := RunHyperTable(context.Background(), gen.Related, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fast.Rows {
-		for _, a := range HyperAlgorithms {
-			if fast.Rows[i].Quality[a] != naive.Rows[i].Quality[a] {
-				t.Fatalf("%s %s: fast %v != naive %v", fast.Rows[i].Name, a,
-					fast.Rows[i].Quality[a], naive.Rows[i].Quality[a])
-			}
-		}
+	if got := run(); got != want {
+		t.Fatalf("naive:\n%s\nfast:\n%s", got, want)
 	}
 }
 
@@ -153,6 +181,20 @@ func TestRunSingleProcQuick(t *testing.T) {
 		out := FormatSPTable(res)
 		if !strings.Contains(out, "OPT") || !strings.Contains(out, "expected") {
 			t.Fatalf("SP table output:\n%s", out)
+		}
+		// The worker count changes no result, averages included.
+		byWorkers := map[int]string{}
+		for _, w := range []int{1, 4} {
+			o := opts
+			o.Workers = w
+			res, err := RunSingleProc(context.Background(), generator, 5, 32, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byWorkers[w] = qualityJSON(t, res.JSON())
+		}
+		if byWorkers[1] != byWorkers[4] {
+			t.Fatalf("4 workers:\n%s\n1 worker:\n%s", byWorkers[4], byWorkers[1])
 		}
 	}
 }

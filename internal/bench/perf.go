@@ -174,17 +174,6 @@ type PerfReport struct {
 	MaxNodes   int64               `json:"max_nodes"`
 	Cases      []PerfCase          `json:"cases"`
 	Summary    []PerfFamilySummary `json:"summary"`
-	// Loadbench, when present, is a service-level load-generation run
-	// (cmd/semiload) folded into this snapshot — its own schema,
-	// "semimatch-loadbench/v1", versioned independently of the solver
-	// grid above.
-	Loadbench *LoadReport `json:"loadbench,omitempty"`
-	// Sessionload, when present, is a dynamic-session load run
-	// (cmd/semiload -session) folded into this snapshot — its own
-	// schema, "semimatch-sessionload/v1": per-event latency percentiles,
-	// migration counts and the warm/cold node ratio of a scripted
-	// session against a live server.
-	Sessionload *SessionLoadReport `json:"sessionload,omitempty"`
 }
 
 // perfHyper generates one MULTIPROC perf instance.

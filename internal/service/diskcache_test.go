@@ -108,6 +108,21 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	if st := s2.Stats(); st.DiskHits != 1 || st.CacheHits != 1 {
 		t.Fatalf("repeat request went back to disk: %+v", st)
 	}
+
+	// A file in the older format is admitted the same way: its extra
+	// keys are ignored, and what they claimed is derived again.
+	path := entryFile(t, dir)
+	writeEntry(t, path, oldFormatEntry{
+		PeerEntry: *readEntry(t, path),
+		Makespan:  r1.Makespan, Loads: r1.Loads, LowerBound: r1.LowerBound, Optimal: r1.Optimal,
+	})
+	r4, err := New(Options{CacheDir: dir}).Solve(ctx, iso, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r4.Tier != "disk" || r4.Makespan != 5 || !r4.Optimal || r4.Trust != r2.Trust || r4.LowerBound != r2.LowerBound {
+		t.Fatalf("older-format entry: %+v", r4)
+	}
 }
 
 // TestDiskTierReapsGarbledEntries: a corrupted, truncated, or
@@ -170,11 +185,19 @@ func TestDiskTierReapsGarbledEntries(t *testing.T) {
 	}
 }
 
-// rewriteEntry re-encodes a tampered entry with a fresh, valid
-// checksum — simulating an attacker (or bit-rot plus coincidence) that
-// can rewrite the file wholesale. Integrity checks pass; only the
-// certificate re-verification can catch it.
-func rewriteEntry(t *testing.T, path string, tamper func(*PeerEntry)) {
+// oldFormatEntry is a PeerEntry in the format written before entries
+// dropped what admission derives: it also carries the writer's makespan,
+// loads, lower bound and optimality claim.
+type oldFormatEntry struct {
+	PeerEntry
+	Makespan   int64   `json:"makespan"`
+	Loads      []int64 `json:"loads"`
+	LowerBound int64   `json:"lower_bound"`
+	Optimal    bool    `json:"optimal"`
+}
+
+// readEntry decodes the entry file at path.
+func readEntry(t *testing.T, path string) *PeerEntry {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -192,8 +215,14 @@ func rewriteEntry(t *testing.T, path string, tamper func(*PeerEntry)) {
 	if err := json.Unmarshal(payload, &e); err != nil {
 		t.Fatal(err)
 	}
-	tamper(&e)
-	out, err := json.Marshal(e)
+	return &e
+}
+
+// writeEntry encodes payload as the entry file at path, with a fresh,
+// valid checksum.
+func writeEntry(t *testing.T, path string, payload any) {
+	t.Helper()
+	out, err := json.Marshal(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +233,17 @@ func rewriteEntry(t *testing.T, path string, tamper func(*PeerEntry)) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rewriteEntry re-encodes a tampered entry with a fresh, valid
+// checksum — simulating an attacker (or bit-rot plus coincidence) that
+// can rewrite the file wholesale. Integrity checks pass; only the
+// certificate re-verification can catch it.
+func rewriteEntry(t *testing.T, path string, tamper func(*PeerEntry)) {
+	t.Helper()
+	e := readEntry(t, path)
+	tamper(e)
+	writeEntry(t, path, e)
 }
 
 // TestDiskTierRejectsTamperedEntry: an entry whose bytes are internally

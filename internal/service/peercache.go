@@ -22,19 +22,16 @@ const DefaultPeerTimeout = 2 * time.Second
 // tier's file payload. The key echo detects entries served or stored
 // under the wrong name, and the certificate travels with the schedule so
 // the reader can re-verify everything before admission (admitEntry) — no
-// replica or restarted process ever trusts another's arithmetic. Volatile
-// Result fields (Cached, Elapsed) are absent, and truncated results never
-// become entries.
+// replica or restarted process ever trusts another's arithmetic. What
+// admission derives (makespan, loads, lower bound, optimality) is not
+// stored; earlier entries that carry those keys still decode, and the
+// keys are ignored. Truncated results never become entries.
 type PeerEntry struct {
 	Key         string            `json:"key"`
 	Kind        string            `json:"kind"`
 	Fingerprint string            `json:"fingerprint"`
 	Algorithm   string            `json:"algorithm"`
-	Makespan    int64             `json:"makespan"`
 	Assignment  []int32           `json:"assignment"`
-	Loads       []int64           `json:"loads"`
-	LowerBound  int64             `json:"lower_bound"`
-	Optimal     bool              `json:"optimal"`
 	Certificate *cert.Certificate `json:"certificate"`
 }
 
@@ -188,11 +185,7 @@ func entryOf(key string, res *Result) *PeerEntry {
 		Kind:        res.Kind,
 		Fingerprint: res.Fingerprint,
 		Algorithm:   res.Algorithm,
-		Makespan:    res.Makespan,
 		Assignment:  res.Assignment,
-		Loads:       res.Loads,
-		LowerBound:  res.LowerBound,
-		Optimal:     res.Optimal,
 		Certificate: res.Certificate,
 	}
 }

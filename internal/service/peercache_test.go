@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,6 +31,20 @@ func (f *fakePeers) Fetch(ctx context.Context, peer, key string) (*PeerEntry, bo
 		return nil, false, nil
 	}
 	return f.fetch(ctx, peer, key)
+}
+
+// overWire encodes payload and decodes it as a PeerEntry, the way
+// cluster.Client.FetchEntry reads a peer's response body.
+func overWire(payload any) (*PeerEntry, bool, error) {
+	b, err := json.Marshal(payload)
+	if err != nil {
+		return nil, false, err
+	}
+	var e PeerEntry
+	if err := json.Unmarshal(b, &e); err != nil {
+		return nil, false, err
+	}
+	return &e, true, nil
 }
 
 // solveOnReplicaA runs one solve on a standalone service and returns the
@@ -120,7 +137,6 @@ func TestPeerLyingCertificateRejected(t *testing.T) {
 	c.Makespan--
 	c.LowerBound = c.Makespan
 	lie.Certificate = &c
-	lie.Makespan--
 
 	peers := &fakePeers{
 		owner: "http://replica-a:8080",
@@ -153,9 +169,8 @@ func TestPeerLyingCertificateRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("B's cache has no entry after the fallback solve")
 	}
-	if got.Makespan != ra.Makespan || got.Certificate.Makespan != ra.Makespan {
-		t.Fatalf("cached makespan %d (cert %d), the lie was admitted",
-			got.Makespan, got.Certificate.Makespan)
+	if got.Certificate.Makespan != ra.Makespan {
+		t.Fatalf("cached certificate makespan %d, the lie was admitted", got.Certificate.Makespan)
 	}
 }
 
@@ -287,7 +302,7 @@ func TestPeerLookupFromDisk(t *testing.T) {
 	if !ok {
 		t.Fatal("restarted replica cannot serve its disk entry to a peer")
 	}
-	if entry.Makespan != res.Makespan || entry.Certificate == nil {
+	if entry.Certificate == nil || entry.Certificate.Makespan != res.Makespan {
 		t.Fatalf("disk-served peer entry %+v", entry)
 	}
 	if _, ok := restarted.PeerLookup("no-such-key"); ok {
@@ -301,15 +316,18 @@ func TestPeerLookupFromDisk(t *testing.T) {
 // TestCacheTiersDeriveOptimalFromCertificate: an entry from the disk or
 // peer tier claims optimality only as far as its verified certificate
 // supports. Replica A's EVG entry on testHyper is heuristic (witness
-// none, makespan 5 over lower bound 4); a tier that flips only its
-// "optimal" field must not get the claim served, nor admitted onward.
+// none, makespan 5 over lower bound 4); a tier that serves it in the
+// older format, with its "optimal" field flipped, must not get the claim
+// served, nor admitted onward.
 func TestCacheTiersDeriveOptimalFromCertificate(t *testing.T) {
 	entry, key, ra := solveOnReplicaA(t, "EVG")
 	if ra.Optimal || ra.Certificate.Witness.Kind != cert.WitnessNone || ra.Makespan != 5 {
 		t.Fatalf("fixture drifted: optimal=%v witness=%s makespan=%d", ra.Optimal, ra.Certificate.Witness.Kind, ra.Makespan)
 	}
-	lie := *entry
-	lie.Optimal = true
+	lie := oldFormatEntry{
+		PeerEntry: *entry,
+		Makespan:  ra.Makespan, Loads: ra.Loads, LowerBound: ra.LowerBound, Optimal: true,
+	}
 
 	check := func(t *testing.T, s *Service, tier string) {
 		t.Helper()
@@ -331,15 +349,17 @@ func TestCacheTiersDeriveOptimalFromCertificate(t *testing.T) {
 		peers := &fakePeers{
 			owner: "http://replica-a:8080",
 			fetch: func(ctx context.Context, peer, k string) (*PeerEntry, bool, error) {
-				return &lie, true, nil
+				return overWire(lie)
 			},
 		}
 		dir := t.TempDir()
 		check(t, New(Options{Peers: peers, CacheDir: dir}), "peer")
-		// What B persisted carries the derived flag, not the peer's.
-		e, ok := New(Options{CacheDir: dir}).PeerLookup(key)
-		if !ok || e.Optimal {
-			t.Fatalf("persisted entry: ok=%v optimal=%v", ok, ok && e.Optimal)
+		// What B persisted carries no optimality claim, the peer's least.
+		if _, ok := New(Options{CacheDir: dir}).PeerLookup(key); !ok {
+			t.Fatal("B persisted no entry")
+		}
+		if raw, err := os.ReadFile(entryFile(t, dir)); err != nil || bytes.Contains(raw, []byte(`"optimal"`)) {
+			t.Fatalf("persisted entry (%v): %s", err, raw)
 		}
 	})
 
@@ -348,7 +368,9 @@ func TestCacheTiersDeriveOptimalFromCertificate(t *testing.T) {
 		if _, err := New(Options{CacheDir: dir}).Solve(context.Background(), testHyper(t), "EVG"); err != nil {
 			t.Fatal(err)
 		}
-		rewriteEntry(t, entryFile(t, dir), func(e *PeerEntry) { e.Optimal = true })
+		path := entryFile(t, dir)
+		lie.PeerEntry = *readEntry(t, path)
+		writeEntry(t, path, lie)
 		check(t, New(Options{CacheDir: dir}), "disk")
 	})
 }

@@ -198,7 +198,7 @@ type Result struct {
 	// Tier names the cache tier that answered this request: "memory",
 	// "disk", "peer" (adopted from the owning replica after local
 	// re-verification), or "none" for a fresh solve. It is always
-	// stamped, so consumers (semiload, the ledger, access logs) can
+	// stamped, so consumers (load generators, the ledger, access logs) can
 	// distinguish tiers without inference; Cached == (Tier != "none").
 	Tier string
 	// Elapsed is the wall-clock solve time (zero-ish for cache hits).

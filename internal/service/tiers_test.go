@@ -41,8 +41,8 @@ func agreementGrid(t *testing.T, seeds int64) map[string]any {
 // answer, the answer a restarted service serves from disk and the answer
 // a replica adopts from its owning peer agree on Optimal, LowerBound and
 // Trust — and Optimal is exactly the certificate's witness. The peer
-// flips its entries' own optimal and lower_bound fields, which admission
-// must not read.
+// serves the older format with its optimal field flipped and its
+// lower_bound zeroed; admission must not read either.
 func TestTiersAgreeOnOptimality(t *testing.T) {
 	seeds := int64(40)
 	if testing.Short() {
@@ -74,9 +74,10 @@ func TestTiersAgreeOnOptimality(t *testing.T) {
 			if !ok {
 				return nil, false, nil
 			}
-			lie := *e
-			lie.Optimal, lie.LowerBound = !e.Optimal, 0
-			return &lie, true, nil
+			return overWire(oldFormatEntry{
+				PeerEntry: *e,
+				Optimal:   e.Certificate.Witness.Kind == cert.WitnessNone,
+			})
 		},
 	}})
 	for name, inst := range grid {

@@ -10,8 +10,8 @@ import (
 
 // ScriptHeader is the first line of a session script file (NDJSON): the
 // session configuration, followed by one Event per line. semisolve
-// -session replays such files offline; semiload -session generates them
-// in memory against a live server.
+// -session replays such files offline; GenerateScript generates them in
+// memory.
 type ScriptHeader struct {
 	Procs          int     `json:"procs"`
 	Multi          bool    `json:"multi,omitempty"`

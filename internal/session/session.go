@@ -74,7 +74,8 @@ type TaskSpec struct {
 }
 
 // Event is one session event, the wire format shared by the semiserve
-// endpoint, the semisolve -session replay, and the semiload generator.
+// endpoint, the semisolve -session replay, and the service benchmark's
+// session workload.
 type Event struct {
 	// Op is "arrive", "depart" or "reweigh".
 	Op string `json:"op"`

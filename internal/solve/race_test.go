@@ -232,16 +232,24 @@ func TestRaceExactMemberKeepsIncumbent(t *testing.T) {
 	}
 }
 
-// TestRaceMidRaceDeadline: a deadline that expires while the first
-// greedy is still running yields that greedy's schedule, truncated —
-// never an error. 100k tasks keep every greedy busy for milliseconds.
+// TestRaceMidRaceDeadline: a context that ends mid-race yields the
+// schedule judged so far, truncated — never an error. The observer ends
+// it as the first member's schedule arrives, so no wall clock decides
+// whether the race has begun; with one worker, the other members never
+// start.
 func TestRaceMidRaceDeadline(t *testing.T) {
 	for _, tc := range raceClasses {
 		t.Run(tc.name, func(t *testing.T) {
-			p := tc.gen(1, 100_000)
-			rep, err := Run(context.Background(), p, WithDeadline(time.Millisecond), WithWorkers(1))
+			p := tc.gen(1, 1000)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rep, err := Run(ctx, p, WithWorkers(1), WithObserver(func(inc Incumbent) {
+				if !inc.Final {
+					cancel()
+				}
+			}))
 			if err != nil {
-				t.Fatalf("deadline mid-race: %v, want a truncated schedule", err)
+				t.Fatalf("context ended mid-race: %v, want a truncated schedule", err)
 			}
 			checkReport(t, p, rep)
 			if rep.Status != StatusTruncated {
