@@ -24,8 +24,8 @@
 //	semibench -table 2 -json      # machine-readable output
 //	semibench -bench              # exact-solver perf micro-grid → BENCH.json
 //	semibench -bench -workers 8 -bench-seeds 10 -bench-out BENCH-8w.json
-//	semibench -bench -max-nodes-regress   # fail if any sequential case explores
-//	                                      # more nodes than the latest BENCH_<n>.json
+//	semibench -bench -max-nodes-regress   # fail if any case explores more nodes
+//	                                      # than in the latest BENCH_<n>.json
 //	semibench -bench -bench-trace         # attach solve spans (node counts unchanged)
 //	semibench -bench -ledger solves.jsonl # append one SolveRecord per measured solve
 //	semibench -cpuprofile cpu.pb.gz -bench   # profile any run mode
@@ -100,6 +100,7 @@
 //	  "created": "2026-07-30T12:00:00Z",
 //	  "go": "go1.24.0", "goos": "linux", "goarch": "amd64",
 //	  "gomaxprocs": 8, "workers": 8, "seeds": 5, "max_nodes": 300000000,
+//	  "par_engine": "rounds",           // deterministic parallel rows
 //	  "cases": [
 //	    {
 //	      "family": "mp-partition-hard",
@@ -109,8 +110,6 @@
 //	      "wall_seconds": 0.031,
 //	      "nodes": 1204511,             // search-tree nodes expanded
 //	      "nodes_per_sec": 3.9e7,
-//	      "subproblems": 210,           // work-stealing pool only
-//	      "steals": 17,                 // work-stealing pool only
 //	      "makespan": 321, "optimal": true,
 //	      "limit": false,               // true = node budget exhausted
 //	      "speedup_vs_seq": 21.8        // parallel rows only (wall ratio)

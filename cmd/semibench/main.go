@@ -35,7 +35,7 @@ func main() {
 	benchSeeds := flag.Int("bench-seeds", 0, "with -bench, instances per family (default 5)")
 	benchNodes := flag.Int64("bench-nodes", 0, "with -bench, per-solve node budget (default 300e6)")
 	benchRegress := flag.Bool("max-nodes-regress", false,
-		"with -bench, fail (exit 1, no snapshot) if any sequential case explores more nodes than the latest committed BENCH_<n>.json")
+		"with -bench, fail (exit 1, no snapshot) if any case, sequential or parallel, explores more nodes than in the latest committed BENCH_<n>.json")
 	benchTrace := flag.Bool("bench-trace", false, "with -bench, attach a solve trace to every measured solve (node counts are unchanged — the overhead check)")
 	ledgerPath := flag.String("ledger", "", "with -bench, append one JSONL solve-ledger record per measured solve to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -125,13 +125,13 @@ func main() {
 			if prevPath, ok := latestSnapshotPath(*benchOut); !ok {
 				fmt.Fprintf(os.Stderr, "semibench: -max-nodes-regress: no previous snapshot next to %s; nothing to compare\n", *benchOut)
 			} else if regressions := checkRegress(prevPath, rep); len(regressions) > 0 {
-				fmt.Fprintf(os.Stderr, "semibench: -max-nodes-regress: %d sequential case(s) regressed vs %s:\n", len(regressions), prevPath)
+				fmt.Fprintf(os.Stderr, "semibench: -max-nodes-regress: %d case(s) regressed vs %s:\n", len(regressions), prevPath)
 				for _, r := range regressions {
 					fmt.Fprintf(os.Stderr, "  %s\n", r)
 				}
 				os.Exit(1)
 			} else {
-				fmt.Printf("max-nodes-regress: no sequential case regressed vs %s\n", prevPath)
+				fmt.Printf("max-nodes-regress: no case regressed vs %s\n", prevPath)
 			}
 		}
 		// Two copies per run: <out> is always the latest report, and a
@@ -166,7 +166,7 @@ func writeBenchReport(path string, rep *bench.PerfReport) error {
 	return werr
 }
 
-// checkRegress loads the previous snapshot and returns the sequential
+// checkRegress loads the previous snapshot and returns the
 // node-count regressions of rep against it (see bench.NodeRegressions).
 func checkRegress(prevPath string, rep *bench.PerfReport) []string {
 	f, err := os.Open(prevPath)

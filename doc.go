@@ -87,7 +87,7 @@
 // random instance generators and worst-case families, and a scheduling
 // front end (named tasks and processors, Gantt charts). The
 // branch-and-bound solvers for small NP-hard instances, sequential and
-// work-stealing parallel, are reached through Run with WithAlgorithm
+// parallel (deterministic rounds), are reached through Run with WithAlgorithm
 // ("BnB-SP", "BnB-MP", "bnb-par", ...), as are the heuristic race alone
 // (the auto policy with WithExactLimit(-1)) and local-search refinement
 // (WithRefine).
@@ -171,7 +171,7 @@
 //	rep.Trace.WriteNDJSON(os.Stdout) // one span per line
 //
 // Both are free when unused: spans no-op on nil receivers and progress
-// is polled only at the engines' existing budget checkpoints, so
+// is polled only at the engines' existing checkpoints, so
 // instrumentation never changes node counts. cmd/semiserve layers
 // service-level observability on top — Prometheus-text GET /metrics,
 // live GET /debug/solves introspection, structured access logs, NDJSON

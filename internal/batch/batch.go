@@ -18,12 +18,13 @@
 // Failures are isolated per instance: an empty problem, a panic, or a
 // timeout in one work item is recorded in its Outcome and never poisons
 // its siblings. Makespans are deterministic: for a given instance and
-// options the reported quality does not depend on the worker count or on
-// goroutine timing (deadlines excepted, by nature). Since the exact stage
-// moved onto the parallel branch-and-bound engine, the schedule identity
-// may vary across runs when several co-optimal schedules exist — the
-// engine proves the same optimal makespan every time, but which optimal
-// assignment wins a race is timing-dependent.
+// options the reported quality does not depend on the batch's worker
+// count or on goroutine timing (deadlines excepted, by nature). For a
+// fixed worker count the schedule itself repeats from run to run: the
+// exact stage's parallel branch and bound runs in deterministic rounds.
+// Across worker counts it may differ among co-optimal schedules, because
+// the worker count sets each solve's share of the cores, and a solve
+// with one core runs the sequential search instead of the rounds.
 package batch
 
 import (
@@ -109,8 +110,8 @@ func New(opts Options) *Runner { return &Runner{opts: opts} }
 // solveWorkers budgets each solve's internal parallelism (its heuristic
 // race and exact stage) so the batch as a whole stays at roughly
 // GOMAXPROCS goroutines: the pool already owns workers() cores, so each
-// in-flight solve gets the leftover share (at least 1 — which still buys
-// the parallel engine's stronger pruning).
+// in-flight solve gets the leftover share, at least 1. At 1 the exact
+// stage runs the sequential search; from 2 up, the rounds.
 func (r *Runner) solveWorkers() int {
 	if w := runtime.GOMAXPROCS(0) / r.opts.workers(); w > 1 {
 		return w

@@ -26,6 +26,7 @@ import (
 
 	"semimatch/internal/batch"
 	"semimatch/internal/core"
+	"semimatch/internal/exact"
 	"semimatch/internal/gen"
 	"semimatch/internal/registry"
 	"semimatch/internal/stats"
@@ -51,6 +52,10 @@ type Options struct {
 	// unknown name fails the run with a suggested-names error instead of
 	// panicking.
 	Algorithms []string
+	// exactNodes is the node budget of the hypergraph tables' exact
+	// columns; 0 means the solvers' default. Only tests set it, to reach
+	// the budget stop quickly.
+	exactNodes int64
 }
 
 func (o Options) seeds() int {
@@ -212,7 +217,10 @@ func RunHyperTable(ctx context.Context, weights gen.WeightScheme, o Options) (*H
 		}
 		for ai, name := range algs {
 			start := time.Now()
-			a, err := sols[ai].SolveHyper(ctx, h, registry.Options{Hyper: core.HyperOptions{Naive: o.Naive}})
+			a, err := sols[ai].SolveHyper(ctx, h, registry.Options{
+				Hyper: core.HyperOptions{Naive: o.Naive},
+				BnB:   exact.Options{MaxNodes: o.exactNodes},
+			})
 			// A budget-truncated exact column still reports its incumbent's
 			// quality; anything else fails the run.
 			if err != nil && (a == nil || !registry.IncumbentError(err)) {

@@ -286,9 +286,10 @@ func TestAlgorithmsOverrideResolvesAliases(t *testing.T) {
 }
 
 // An exact column that exhausts its node budget reports its incumbent's
-// quality instead of aborting the table.
+// quality instead of aborting the table. A 640-task search cannot finish
+// in 200k nodes, so every row takes the budget stop.
 func TestExactColumnKeepsIncumbent(t *testing.T) {
-	opts := Options{Seeds: 1, SizesOverride: tinySizes, Algorithms: []string{"SGH", "bnb"}}
+	opts := Options{Seeds: 1, SizesOverride: tinySizes, Algorithms: []string{"SGH", "bnb"}, exactNodes: 200_000}
 	res, err := RunHyperTable(context.Background(), gen.Unit, opts)
 	if err != nil {
 		t.Fatalf("BnB column must degrade to its incumbent, not abort: %v", err)

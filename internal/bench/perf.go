@@ -134,8 +134,6 @@ type PerfCase struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	Nodes        int64   `json:"nodes"`
 	NodesPerSec  float64 `json:"nodes_per_sec"`
-	Subproblems  int64   `json:"subproblems,omitempty"`
-	Steals       int64   `json:"steals,omitempty"`
 	Makespan     int64   `json:"makespan"`
 	Optimal      bool    `json:"optimal"`
 	Limit        bool    `json:"limit,omitempty"` // node budget exhausted
@@ -161,7 +159,10 @@ type PerfFamilySummary struct {
 	GeomeanSpeedup float64 `json:"geomean_speedup"`
 }
 
-// PerfReport is the BENCH.json payload.
+// PerfReport is the BENCH.json payload. ParEngine names the engine
+// behind the parallel rows: parEngineRounds for the deterministic rounds
+// search; reports from the earlier work-stealing pool (BENCH_8.json and
+// before) leave it empty.
 type PerfReport struct {
 	Schema     string              `json:"schema"`
 	Created    string              `json:"created"`
@@ -172,12 +173,18 @@ type PerfReport struct {
 	Workers    int                 `json:"workers"`
 	Seeds      int                 `json:"seeds"`
 	MaxNodes   int64               `json:"max_nodes"`
+	ParEngine  string              `json:"par_engine,omitempty"`
 	Cases      []PerfCase          `json:"cases"`
 	Summary    []PerfFamilySummary `json:"summary"`
 }
 
-// perfHyper generates one MULTIPROC perf instance.
-func perfHyper(f PerfFamily, seed int64) (*hypergraph.Hypergraph, error) {
+// parEngineRounds is PerfReport.ParEngine for the deterministic rounds
+// search, whose parallel node counts repeat from run to run.
+const parEngineRounds = "rounds"
+
+// PerfHyper generates the MULTIPROC instance RunPerf measures for
+// family f and seed.
+func PerfHyper(f PerfFamily, seed int64) (*hypergraph.Hypergraph, error) {
 	rng := rand.New(rand.NewSource(seed))
 	b := hypergraph.NewBuilder(f.NTasks, f.NProcs)
 	switch f.Shape {
@@ -206,8 +213,9 @@ func perfHyper(f PerfFamily, seed int64) (*hypergraph.Hypergraph, error) {
 	return b.Build()
 }
 
-// perfGraph generates one SINGLEPROC perf instance.
-func perfGraph(f PerfFamily, seed int64) (*bipartite.Graph, error) {
+// PerfGraph generates the SINGLEPROC instance RunPerf measures for
+// family f and seed.
+func PerfGraph(f PerfFamily, seed int64) (*bipartite.Graph, error) {
 	rng := rand.New(rand.NewSource(seed))
 	b := bipartite.NewBuilder(f.NTasks, f.NProcs)
 	switch f.Shape {
@@ -280,6 +288,7 @@ func RunPerf(ctx context.Context, o PerfOptions) (*PerfReport, error) {
 		Workers:    o.workers(),
 		Seeds:      o.seeds(),
 		MaxNodes:   o.maxNodes(),
+		ParEngine:  parEngineRounds,
 	}
 	for _, fam := range o.families() {
 		seqSol, parSol, err := perfSolvers(fam.Class)
@@ -300,9 +309,9 @@ func RunPerf(ctx context.Context, o PerfOptions) (*PerfReport, error) {
 			var g *bipartite.Graph
 			var h *hypergraph.Hypergraph
 			if fam.Class == registry.SingleProc {
-				g, err = perfGraph(fam, int64(seed))
+				g, err = PerfGraph(fam, int64(seed))
 			} else {
-				h, err = perfHyper(fam, int64(seed))
+				h, err = PerfHyper(fam, int64(seed))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", caseName, err)
@@ -355,8 +364,6 @@ func RunPerf(ctx context.Context, o PerfOptions) (*PerfReport, error) {
 					Workers:     workers,
 					WallSeconds: wall,
 					Nodes:       st.Nodes,
-					Subproblems: st.Subproblems,
-					Steals:      st.Steals,
 					Makespan:    m,
 					Optimal:     solveErr == nil,
 					Limit:       errors.Is(solveErr, exact.ErrLimit),

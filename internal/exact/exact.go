@@ -53,8 +53,9 @@ type Options struct {
 	// second. A parallel search shares the budget across all workers.
 	MaxNodes int64
 	// Workers selects the engine: 1 runs the sequential DFS, any other
-	// value the work-stealing pool with that many workers (0 means
-	// GOMAXPROCS).
+	// value the deterministic rounds search with that many workers (0
+	// means GOMAXPROCS). The worker count changes only the wall time of a
+	// rounds search, never its result or node count.
 	Workers int
 	// InitialIncumbent, when non-nil, warm-starts the search with a known
 	// feasible schedule in the instance's own encoding (task → processor
@@ -73,26 +74,25 @@ type Options struct {
 	// Observer, when non-nil, receives the search's incumbent trajectory:
 	// the initial greedy schedule, then every improvement, then the final
 	// best — each call gets the makespan and a private copy of the
-	// assignment. Observations are polled at the existing budget and
-	// cancellation checkpoints (never per node), so makespans are strictly
-	// decreasing after the first call and an improvement is reported at
-	// most one checkpoint interval after a worker finds it. The parallel
-	// solvers serialize calls across workers; the callback must not block
-	// for long and must not panic (wrap it if it may).
+	// assignment. Observations are delivered at the search's checkpoints
+	// (never per node): every few thousand nodes of a sequential search,
+	// and at each round barrier of a parallel one. Makespans are strictly
+	// decreasing after the first call. Calls come from the solving
+	// goroutine, one at a time; the callback must not block for long and
+	// must not panic (wrap it if it may).
 	Observer func(makespan int64, assignment []int32)
 	// Trace, when non-nil, receives the solve's phase spans as children:
 	// "compile" (with a "root-bounds" child covering the packing/matching
 	// bound computation), "greedy" (the initial incumbent), and "search"
 	// with attributes nodes, incumbent_entry/incumbent_exit, bound,
-	// complete, workers, and — parallel — steals and subproblems. Spans
-	// are created per phase, never per node.
+	// complete and workers. Spans are created per phase, never per node.
 	Trace *telemetry.Span
 	// Progress, when non-nil, receives periodic SearchProgress snapshots
-	// during the search, polled at the same budget-block checkpoints as
-	// Observer (never per node) and rate-limited by ProgressInterval, so
-	// node counts are identical with and without the hook. One final
-	// snapshot is delivered when the search ends. Calls are serialized;
-	// the callback must return quickly and must not panic.
+	// during the search, polled at the same checkpoints as Observer (never
+	// per node) and rate-limited by ProgressInterval, so node counts are
+	// identical with and without the hook. One final snapshot is
+	// delivered when the search ends. Calls come one at a time; the
+	// callback must return quickly and must not panic.
 	Progress telemetry.ProgressFunc
 	// ProgressInterval is the minimum wall time between Progress
 	// snapshots; 0 means telemetry.DefaultProgressInterval.
@@ -104,17 +104,9 @@ type Options struct {
 type SearchStats struct {
 	// Nodes is the number of search-tree nodes expanded (all workers).
 	Nodes int64
-	// Workers is the worker-pool size the search ran with (1 for the
+	// Workers is the number of workers the search ran with (1 for the
 	// sequential DFS).
 	Workers int
-	// Subproblems counts independent subproblems executed by the
-	// work-stealing pool: the shallow-frontier split plus any re-splits of
-	// stolen work. Zero for the sequential DFS, and zero for any solve
-	// closed at the root by a bound before the pool spun up.
-	Subproblems int64
-	// Steals counts subproblems a worker took from another worker's deque.
-	// Zero for the sequential DFS.
-	Steals int64
 	// Bound is the strongest instance-level lower bound the search derived
 	// at the root: the max of the average-load, max-element, bin-packing,
 	// and matching bounds. Valid whether or not the search completed.
@@ -132,37 +124,27 @@ func compileSpan(tr *telemetry.Span, start time.Time, boundsWall time.Duration) 
 
 // startSearchSpan opens the "search" child span with its entry
 // attributes: the incumbent the search starts from and the root bound.
-func startSearchSpan(tr *telemetry.Span, sh *parShared) *telemetry.Span {
+func startSearchSpan(tr *telemetry.Span, sr *search) *telemetry.Span {
 	ss := tr.StartChild("search")
-	ss.SetAttr("incumbent_entry", sh.bestM)
-	ss.SetAttr("bound", sh.rootLB)
+	ss.SetAttr("incumbent_entry", sr.bestM)
+	ss.SetAttr("bound", sr.rootLB)
 	return ss
 }
 
 // finishSearch records a finished search exactly once — filling
 // Options.Stats (when requested) and closing the "search" span with its
-// exit attributes. Called after all workers quiesce.
-func finishSearch(opts Options, ss *telemetry.Span, sh *parShared, workers int, subproblems int64) {
-	complete := sh.closed.Load() || (!sh.exhausted.Load() && !sh.cancelled.Load())
-	stats := SearchStats{
-		Nodes:       sh.nodes.Load(),
-		Workers:     workers,
-		Subproblems: subproblems,
-		Steals:      sh.steals.Load(),
-		Bound:       sh.rootLB,
-	}
+// exit attributes. Called after the search has stopped.
+func finishSearch(opts Options, ss *telemetry.Span, sr *search) {
+	complete := sr.closed || (!sr.exhausted && !sr.cancelled.Load())
+	stats := SearchStats{Nodes: sr.nodes, Workers: sr.workers, Bound: sr.rootLB}
 	if opts.Stats != nil {
 		*opts.Stats = stats
 	}
 	ss.SetAttr("nodes", stats.Nodes)
-	ss.SetAttr("incumbent_exit", sh.bestM)
+	ss.SetAttr("incumbent_exit", sr.bestM)
 	ss.SetAttr("bound", stats.Bound)
 	ss.SetAttr("complete", complete)
-	ss.SetAttr("workers", workers)
-	if workers > 1 {
-		ss.SetAttr("subproblems", stats.Subproblems)
-		ss.SetAttr("steals", stats.Steals)
-	}
+	ss.SetAttr("workers", sr.workers)
 	ss.End()
 }
 
@@ -179,11 +161,6 @@ func (o Options) workers() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// seqChunk is the chunk limit handed to the flat-core state machine when it
-// runs single-threaded: effectively unbounded, so a sequential solve is one
-// uninterrupted DFS with no suspension or requeueing.
-const seqChunk = int64(1) << 62
 
 // seed picks the incumbent a search starts from: the greedy schedule, or
 // Options.InitialIncumbent when it validates against the instance and
@@ -206,11 +183,13 @@ func (o Options) seed(h *hypergraph.Hypergraph, inc core.HyperAssignment, m0 int
 // error.
 //
 // opts.Workers selects the engine. Workers == 1 runs one uninterrupted
-// sequential DFS, so node counts are deterministic. Any other value
-// splits the search tree at a shallow frontier across that many
-// work-stealing workers (0 means GOMAXPROCS) sharing one incumbent bound
-// and one node budget; the optimal makespan is deterministic, but which
-// optimal schedule is returned may vary across runs when several exist.
+// sequential DFS. Any other value splits the search tree at a shallow
+// frontier and advances the subproblems in deterministic rounds on that
+// many workers (0 means GOMAXPROCS). Both engines are deterministic: the
+// schedule, makespan and node count depend only on the instance, the
+// engine and the node budget, unless ctx ends the search first. The two
+// engines can return different optimal schedules when several exist,
+// with different node counts.
 //
 // The search polls ctx alongside the MaxNodes budget. On budget
 // exhaustion or cancellation it returns the incumbent (the best schedule
@@ -239,8 +218,8 @@ func SolveMultiProc(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 // solve is the one branch-and-bound driver behind both entry points.
 // It compiles h, seeds the incumbent (greedy, or a better warm start),
 // closes at the root when the incumbent meets the strongest root bound,
-// and otherwise searches: one uninterrupted DFS when opts.Workers is 1, the
-// work-stealing pool over a shallow frontier otherwise.
+// and otherwise searches: one uninterrupted DFS when opts.Workers is 1,
+// deterministic rounds over a shallow frontier otherwise.
 func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, int64, error) {
 	n, p, workers := h.NTasks, h.NProcs, opts.workers()
 	if n == 0 {
@@ -267,40 +246,27 @@ func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.Hy
 		gs.SetAttr("warm_start", m0)
 	}
 	gs.End()
-	sh := newParShared(inc, m0, opts.maxNodes(), workers)
-	sh.rootLB = pr.Bounds.Root()
-	sh.obsFn = opts.Observer
-	sh.setProgress(opts.Progress, opts.ProgressInterval)
-	sh.closeIfOptimal()
-	sh.observe() // the initial greedy incumbent
-	ss := startSearchSpan(opts.Trace, sh)
-	var frontier [][]int32
-	if !sh.closed.Load() {
-		release := watchCancel(ctx, sh)
-		defer release()
-		tk := &ticker{sh: sh}
+	sr := newSearch(inc, m0, pr.Bounds.Root(), opts.maxNodes(), workers)
+	sr.obsFn = opts.Observer
+	sr.setProgress(opts.Progress, opts.ProgressInterval)
+	sr.observe() // the initial greedy incumbent
+	ss := startSearchSpan(opts.Trace, sr)
+	if !sr.closed {
+		release := watchCancel(ctx, sr)
 		if workers == 1 {
 			// One worker gains nothing from frontier splitting: it runs one
-			// uninterrupted DFS, so node counts are deterministic and a
-			// warm start prunes a superset of what the cold search prunes.
-			s := newSearchState(pr, sh)
-			s.chunkLimit = seqChunk
-			s.run(nil, tk)
-			tk.flush()
+			// uninterrupted DFS, so a warm start prunes a superset of what
+			// the cold search prunes.
+			sr.dfs(pr)
 		} else {
-			var fdepth int
-			frontier, fdepth = genFrontier(newSearchState(pr, sh), tk, workers*splitFactor)
-			tk.flush()
-			if len(frontier) > 0 && !sh.stop.Load() {
-				runPool(sh, pr, frontier, workers, fdepth)
-			}
+			sr.parallel(pr)
 		}
 		release()
 	}
-	sh.observe() // flush the final incumbent to the observer
-	sh.progressFinal()
-	finishSearch(opts, ss, sh, workers, int64(len(frontier))+sh.splits.Load())
-	return append(core.HyperAssignment(nil), sh.bestA...), sh.bestM, sh.err(ctx)
+	sr.observe() // flush the final incumbent to the observer
+	sr.emitProgress()
+	finishSearch(opts, ss, sr)
+	return sr.bestA, sr.bestM, sr.err(ctx)
 }
 
 // SolveX3C decides Exact Cover by 3-Sets by depth-first search over the

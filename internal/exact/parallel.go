@@ -1,22 +1,33 @@
-// Parallel branch-and-bound engine.
+// Branch-and-bound engine.
 //
 // One engine drives both solvers through one driver (solve, in
 // exact.go). An instance is compiled once into its flat search shape
 // (internal/exact/flatcore): CSR child arrays, bitset pin sets, suffix
 // bounds, and symmetry/dominance tables; a SINGLEPROC graph compiles as
 // its singleton-hyperedge form. A one-worker solve runs the search state
-// machine on one goroutine with an unbounded chunk; with more workers the
-// engine here splits the tree at a shallow frontier into independent
-// subproblems (prefixes of branching choices), feeds them to a
-// work-stealing worker pool — each worker owns a deque and a private
-// search state, steals from a random victim when its deque runs dry, and
-// re-splits stolen subproblems one level so scarce work keeps spreading —
-// and shares the incumbent across workers through an atomic best bound,
-// so any worker's improvement immediately tightens every other worker's
-// pruning. Cancellation and the node budget fold into one shared atomic
-// stopper: the budget is claimed in blocks to keep the hot path off the
-// contended counter, and a watcher goroutine flips the stop flag when the
-// context ends.
+// machine on the calling goroutine as one uninterrupted depth-first
+// search.
+//
+// With more workers the engine splits the tree at a shallow frontier into
+// a fixed number of subproblems (prefixes of branching choices) and
+// advances them in deterministic rounds. Each subproblem is a
+// depth-first search that a round advances by one node quantum and then
+// suspends, keeping its DFS stack so the next round resumes it exactly
+// where it stopped. Each round runs every open subproblem, in list order;
+// the workers take subproblems from a shared index, and the quantum
+// doubles from round to round up to a cap, so an easy instance closes
+// inside a small first round. Within a round each subproblem prunes
+// against the incumbent from the start of the round plus its own
+// improvements. At the barrier the best result wins (the lowest
+// subproblem index on a tie), the subproblems still open form the next
+// round's list in the same order, and the observer and progress hooks
+// run. The node budget is handed out in
+// subproblem order against what is left, so a budget stop is exact. The
+// result and node count of a parallel solve thus depend only on the
+// instance and the node budget — not on goroutine timing, GOMAXPROCS or
+// the worker count. Cancellation is the one timing-dependent stop: a
+// watcher goroutine halts every worker mid-round, and the solve keeps the
+// best schedule found until then.
 //
 // The prune hierarchy, cheapest first:
 //
@@ -28,7 +39,7 @@
 //     dominance rule over interchangeable tasks (EqPrev: adjacent
 //     positions with identical child lists branch with non-decreasing
 //     child ordinals);
-//   - per subproblem expansion: the completion prune — a max-flow
+//   - per frontier expansion: the completion prune — a max-flow
 //     feasibility check that every remaining task can still route its
 //     cheapest placement under deadline best-1 (flatcore.CompletePrune);
 //   - at the root: the strong bin-packing and matching bounds
@@ -45,7 +56,8 @@ package exact
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,514 +67,293 @@ import (
 )
 
 const (
-	// budgetBlock caps how many node-budget units a worker claims from
-	// the shared counter at once, bounding contention on the atomic; the
-	// actual block is scaled down for small budgets (see newParShared).
-	budgetBlock = 2048
-	// splitFactor scales the shallow-frontier size: the root split aims
-	// for workers*splitFactor independent subproblems.
-	splitFactor = 8
-	// splitSlack bounds how far below the frontier a stolen subproblem is
-	// still worth re-splitting.
-	splitSlack = 8
-	// chunkNodes bounds how many nodes one subproblem execution may expand
-	// before it must suspend (serializing its open branches back onto the
-	// deque). Chunking keeps the pool fair: no worker can sink into one
-	// huge subtree while a subproblem holding the optimum waits in a
-	// queue, which matters whenever subproblems outnumber workers.
-	chunkNodes = 32 * 1024
+	// frontierTarget is how many open subproblems the root split aims
+	// for. It is fixed rather than scaled by the worker count, so the
+	// rounds walk the same tree at every worker count.
+	frontierTarget = 32
+	// firstQuantum is the node quantum of a parallel search's first
+	// round; each later round doubles it, up to maxQuantum.
+	firstQuantum = 1024
+	// maxQuantum caps the quantum, bounding how long a subproblem holding
+	// the optimum can wait behind its siblings.
+	maxQuantum = 32 * 1024
+	// checkEvery is the one-worker search's checkpoint interval in nodes:
+	// the observer and the progress hook are polled at these boundaries.
+	checkEvery = 2048
 )
 
-// parShared is the cross-worker state of one parallel solve.
-type parShared struct {
-	best      atomic.Int64 // incumbent bound, read at every node
-	budget    atomic.Int64 // remaining shared node budget
-	block     int64        // per-claim block size, scaled to the budget
-	stop      atomic.Bool
-	exhausted atomic.Bool
-	cancelled atomic.Bool
-	closed    atomic.Bool  // incumbent met rootLB: proven optimal, search over
-	rootLB    int64        // strongest root lower bound (flatcore.Bounds.Root)
-	nodes     atomic.Int64 // nodes expanded (flushed per worker)
-	steals    atomic.Int64
-	splits    atomic.Int64
-	pending   atomic.Int64 // subproblems not yet fully processed
-	frontierN atomic.Int64 // size of the initial shallow frontier
+// search is the driver-side state of one solve: the incumbent, the root
+// bound, the node budget and the hooks. Only the solving goroutine
+// touches it — the workers of a round report through their results —
+// except for the cancelled and cut atomics.
+type search struct {
+	bestM     int64
+	bestA     []int32
+	rootLB    int64 // strongest root lower bound (flatcore.Bounds.Root)
+	budget    int64 // nodes not yet spent
+	nodes     int64 // nodes expanded
 	workers   int
+	closed    bool // the incumbent met rootLB: proven optimal, search over
+	exhausted bool
+	cancelled atomic.Bool
+	// cut is the highest subproblem index of the current round still
+	// allowed to run: a subproblem that closes the search lowers it to
+	// its own index, and cancellation lowers it to -1.
+	cut atomic.Int64
 
-	mu    sync.Mutex
-	bestM int64 // makespan of bestA; equals best once workers quiesce
-	bestA []int32
-
-	// Incumbent observer plumbing: obsFn is Options.Observer; obsSent is
-	// the makespan of the last observation (MaxInt64 before the first),
-	// loaded lock-free as the fast path of observe(); obsMu serializes
-	// delivery so observations are strictly decreasing across workers.
+	// obsFn is Options.Observer; obsSent is the makespan of its last
+	// delivery (MaxInt64 before the first).
 	obsFn   func(int64, []int32)
-	obsSent atomic.Int64
-	obsMu   sync.Mutex
+	obsSent int64
 
-	// Progress snapshot plumbing: progFn is Options.Progress, polled at
-	// the same budget-block checkpoints as the observer and rate-limited
-	// to progEvery nanoseconds by a CAS on progLast, so snapshots never
-	// touch the per-node hot path and never perturb node counts. progMu
-	// serializes deliveries.
+	// progFn is Options.Progress, delivered at most every progEvery.
 	progFn    telemetry.ProgressFunc
-	progEvery int64
+	progEvery time.Duration
 	progStart time.Time
-	progLast  atomic.Int64 // unix nanos of the last claimed snapshot
-	progMu    sync.Mutex
+	progLast  time.Time
+}
 
-	deques []wsDeque
+func newSearch(incumbent []int32, m, rootLB, maxNodes int64, workers int) *search {
+	sr := &search{
+		bestM:   m,
+		bestA:   append([]int32(nil), incumbent...),
+		rootLB:  rootLB,
+		budget:  maxNodes,
+		workers: workers,
+		closed:  m <= rootLB,
+		obsSent: math.MaxInt64,
+	}
+	sr.cut.Store(math.MaxInt64)
+	return sr
 }
 
 // setProgress installs the periodic progress hook before the search
 // starts.
-func (sh *parShared) setProgress(fn telemetry.ProgressFunc, every time.Duration) {
+func (sr *search) setProgress(fn telemetry.ProgressFunc, every time.Duration) {
 	if fn == nil {
 		return
 	}
 	if every <= 0 {
 		every = telemetry.DefaultProgressInterval
 	}
-	sh.progFn = fn
-	sh.progEvery = int64(every)
-	sh.progStart = time.Now()
-	sh.progLast.Store(sh.progStart.UnixNano())
+	sr.progFn = fn
+	sr.progEvery = every
+	sr.progStart = time.Now()
+	sr.progLast = sr.progStart
 }
 
-// progressTick emits a snapshot if at least progEvery has elapsed since
-// the last one; the CAS lets exactly one racing worker claim each
-// interval. Called at budget-block boundaries only.
-func (sh *parShared) progressTick() {
-	if sh.progFn == nil {
-		return
+// absorb folds one piece of finished search work into the solve: its
+// node count and, when a is non-nil, the schedule it found with makespan
+// m. Only a strictly better schedule replaces the incumbent, so among
+// equal makespans the first absorbed wins.
+func (sr *search) absorb(nodes, m int64, a []int32) {
+	sr.nodes += nodes
+	sr.budget -= nodes
+	if a != nil && m < sr.bestM {
+		sr.bestM = m
+		copy(sr.bestA, a)
+		sr.closed = m <= sr.rootLB
 	}
-	now := time.Now().UnixNano()
-	last := sh.progLast.Load()
-	if now-last < sh.progEvery || !sh.progLast.CompareAndSwap(last, now) {
-		return
-	}
-	sh.emitProgress()
 }
 
-// progressFinal emits one last snapshot unconditionally; the solvers
-// call it after the pool quiesces so a finished solve always reports
-// its terminal state.
-func (sh *parShared) progressFinal() {
-	if sh.progFn == nil {
-		return
+// absorbState absorbs a search state's nodes and improvement since the
+// last call.
+func (sr *search) absorbState(s *searchState) {
+	var a []int32
+	if s.found {
+		a = s.cur
 	}
-	sh.emitProgress()
+	sr.absorb(s.nodes, s.best, a)
+	s.nodes, s.found = 0, false
 }
 
-func (sh *parShared) emitProgress() {
-	// The counters are read under progMu so deliveries are monotone:
-	// two workers claiming back-to-back intervals cannot publish their
-	// snapshots in the wrong order.
-	sh.progMu.Lock()
-	defer sh.progMu.Unlock()
-	elapsed := time.Since(sh.progStart)
-	nodes := sh.nodes.Load()
+// checkpoint delivers an improved incumbent to the observer and, once
+// the progress interval has passed, a progress snapshot. It runs at round
+// barriers and every checkEvery nodes of a one-worker search, never per
+// node, so hooks cannot perturb node counts.
+func (sr *search) checkpoint() {
+	sr.observe()
+	if sr.progFn != nil && time.Since(sr.progLast) >= sr.progEvery {
+		sr.emitProgress()
+	}
+}
+
+// observe delivers the incumbent to the observer if it improves on the
+// last delivery, so deliveries are strictly decreasing.
+func (sr *search) observe() {
+	if sr.obsFn != nil && sr.bestM < sr.obsSent {
+		sr.obsSent = sr.bestM
+		sr.obsFn(sr.bestM, append([]int32(nil), sr.bestA...))
+	}
+}
+
+func (sr *search) emitProgress() {
+	if sr.progFn == nil {
+		return
+	}
+	sr.progLast = time.Now()
+	elapsed := sr.progLast.Sub(sr.progStart)
 	rate := 0.0
 	if s := elapsed.Seconds(); s > 0 {
-		rate = float64(nodes) / s
+		rate = float64(sr.nodes) / s
 	}
-	inc := sh.best.Load()
 	gap := -1.0
-	if sh.rootLB > 0 {
-		gap = float64(inc-sh.rootLB) / float64(sh.rootLB)
-	} else if inc == 0 {
+	if sr.rootLB > 0 {
+		gap = float64(sr.bestM-sr.rootLB) / float64(sr.rootLB)
+	} else if sr.bestM == 0 {
 		gap = 0
 	}
-	p := telemetry.SearchProgress{
+	sr.progFn(telemetry.SearchProgress{
 		Elapsed:     elapsed,
-		Nodes:       nodes,
+		Nodes:       sr.nodes,
 		NodesPerSec: rate,
-		Incumbent:   inc,
-		Bound:       sh.rootLB,
+		Incumbent:   sr.bestM,
+		Bound:       sr.rootLB,
 		Gap:         gap,
-		Workers:     sh.workers,
-		Steals:      sh.steals.Load(),
-		Subproblems: sh.frontierN.Load() + sh.splits.Load(),
-		Pending:     sh.pending.Load(),
-	}
-	if len(sh.deques) > 1 {
-		p.DequeDepths = make([]int, len(sh.deques))
-		for i := range sh.deques {
-			p.DequeDepths[i] = sh.deques[i].depth()
-		}
-	}
-	sh.progFn(p)
+		Workers:     sr.workers,
+	})
 }
 
-// observe delivers the current incumbent to the observer if it improves
-// on the last observation. It is called at budget-block claims (every
-// sh.block nodes per worker, never per node) and once before the solver
-// returns, so the hot search loop stays observation-free. The double
-// check under obsMu keeps deliveries strictly decreasing even when
-// several workers race past the lock-free fast path.
-func (sh *parShared) observe() {
-	if sh.obsFn == nil || sh.best.Load() >= sh.obsSent.Load() {
-		return
-	}
-	sh.obsMu.Lock()
-	defer sh.obsMu.Unlock()
-	sh.mu.Lock()
-	m := sh.bestM
-	var a []int32
-	if m < sh.obsSent.Load() {
-		a = append([]int32(nil), sh.bestA...)
-	}
-	sh.mu.Unlock()
-	if a != nil {
-		sh.obsSent.Store(m)
-		sh.obsFn(m, a)
-	}
-}
-
-func newParShared(incumbent []int32, m int64, maxNodes int64, workers int) *parShared {
-	sh := &parShared{
-		bestM:   m,
-		bestA:   append([]int32(nil), incumbent...),
-		deques:  make([]wsDeque, workers),
-		workers: workers,
-	}
-	sh.best.Store(m)
-	sh.budget.Store(maxNodes)
-	sh.obsSent.Store(int64(^uint64(0) >> 1)) // MaxInt64: nothing observed yet
-	// Scale the claim block to the budget so small user budgets are not
-	// stranded inside per-worker claims: with W workers at most
-	// W·block ≈ budget/8 can sit unspent when the shared counter hits
-	// zero. Unspent remainders are also refunded on flush.
-	sh.block = maxNodes / int64(8*workers)
-	if sh.block > budgetBlock {
-		sh.block = budgetBlock
-	}
-	if sh.block < 64 {
-		sh.block = 64
-	}
-	return sh
-}
-
-// offer publishes an improved complete schedule. The atomic bound and the
-// mutex-guarded assignment are reconciled by bestM: concurrent improvers
-// may interleave their CAS and their copy, but only a strictly better
-// makespan ever overwrites bestA, so bestA always matches bestM and bestM
-// converges to the minimum offered. An incumbent meeting the root lower
-// bound closes the whole search: nothing better can exist.
-func (sh *parShared) offer(m int64, a []int32) {
-	for {
-		cur := sh.best.Load()
-		if m >= cur {
-			return
-		}
-		if sh.best.CompareAndSwap(cur, m) {
-			break
-		}
-	}
-	sh.mu.Lock()
-	if m < sh.bestM {
-		sh.bestM = m
-		copy(sh.bestA, a)
-	}
-	sh.mu.Unlock()
-	if m <= sh.rootLB {
-		sh.closed.Store(true)
-		sh.stop.Store(true)
-	}
-}
-
-// closeIfOptimal closes the search before it starts when the initial
-// (greedy) incumbent already meets the root lower bound — the strong
-// packing/matching bounds make this a common exit on easy instances.
-func (sh *parShared) closeIfOptimal() {
-	if sh.bestM <= sh.rootLB {
-		sh.closed.Store(true)
-		sh.stop.Store(true)
-	}
-}
-
-// claimBlock takes up to budgetBlock nodes from the shared budget,
-// returning 0 (and flipping the stop flag) when the budget is exhausted.
-func (sh *parShared) claimBlock() int64 {
-	for {
-		cur := sh.budget.Load()
-		if cur <= 0 {
-			sh.exhausted.Store(true)
-			sh.stop.Store(true)
-			return 0
-		}
-		n := sh.block
-		if cur < n {
-			n = cur
-		}
-		if sh.budget.CompareAndSwap(cur, cur-n) {
-			return n
-		}
-	}
-}
-
-func (sh *parShared) err(ctx context.Context) error {
-	if sh.closed.Load() {
+func (sr *search) err(ctx context.Context) error {
+	if sr.closed {
 		// The incumbent met the root lower bound: the result is proven
-		// optimal no matter why the stop flag is also set.
+		// optimal no matter what else stopped the search.
 		return nil
 	}
-	if sh.cancelled.Load() {
+	if sr.cancelled.Load() {
 		return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 	}
-	if sh.exhausted.Load() {
+	if sr.exhausted {
 		return ErrLimit
 	}
 	return nil
 }
 
-// ticker is a worker's private view of the shared stopper: it spends a
-// locally claimed budget block per node and polls the shared stop flag (a
-// single uncontended atomic load) every node.
-type ticker struct {
-	sh       *parShared
-	local    int64
-	expanded int64
+// dfs runs the one-worker search: one uninterrupted depth-first search
+// over the whole tree, polling the hooks every checkEvery nodes. It stops
+// exactly at the node budget.
+func (sr *search) dfs(pr *flatcore.MP) {
+	s := newSearchState(pr, sr)
+	s.best = sr.bestM
+	s.budget = sr.budget
+	s.checkpoint = func() {
+		sr.absorbState(s)
+		sr.checkpoint()
+	}
+	sr.exhausted = s.run(&subproblem{})
+	sr.absorbState(s)
 }
 
-// node accounts one search-tree node and reports whether the search must
-// unwind.
-func (tk *ticker) node() bool {
-	if tk.sh.stop.Load() {
-		return true
+// parallel runs the rounds search: it splits the tree at the frontier,
+// then advances the open subproblems round by round until the search is
+// exhausted, closes, runs out of budget or is cancelled.
+func (sr *search) parallel(pr *flatcore.MP) {
+	s := newSearchState(pr, sr)
+	s.best = sr.bestM
+	s.left = sr.budget
+	var list []subproblem
+	for _, root := range genFrontier(s, frontierTarget) {
+		list = append(list, subproblem{root: root})
 	}
-	if tk.local == 0 {
-		// Block boundary: the only periodic checkpoint a worker hits, so
-		// the incumbent observer and the progress hook are polled here
-		// too. With a progress hook installed the in-flight expansion
-		// count is flushed first so snapshots see fresh totals; the flush
-		// moves counts a worker would publish anyway, so final node
-		// counts are bit-identical with and without the hook.
-		tk.sh.observe()
-		if tk.sh.progFn != nil {
-			tk.sh.nodes.Add(tk.expanded)
-			tk.expanded = 0
-			tk.sh.progressTick()
+	sr.absorbState(s)
+	states := make([]*searchState, sr.workers)
+	for q := int64(firstQuantum); len(list) > 0 && !sr.closed && !sr.cancelled.Load(); q = min(2*q, maxQuantum) {
+		if sr.budget == 0 {
+			sr.exhausted = true
+			return
 		}
-		if tk.local = tk.sh.claimBlock(); tk.local == 0 {
-			return true
-		}
-	}
-	tk.local--
-	tk.expanded++
-	return false
-}
-
-// flush publishes the node count and refunds any unspent claimed budget
-// (mattering for genFrontier's short-lived ticker and for small budgets).
-func (tk *ticker) flush() {
-	tk.sh.nodes.Add(tk.expanded)
-	tk.expanded = 0
-	if tk.local > 0 {
-		tk.sh.budget.Add(tk.local)
-		tk.local = 0
-	}
-}
-
-// wsDeque is one worker's subproblem deque: pushes append at the tail,
-// and both the owner and thieves consume from the head. Head-first
-// consumption makes each deque FIFO, which combines with chunked
-// execution into round-robin fairness over subproblems — suspended
-// continuations requeue behind older work, so nothing starves.
-// Subproblems are coarse (whole subtrees or chunk continuations), so a
-// mutex is plenty.
-type wsDeque struct {
-	mu    sync.Mutex
-	head  int
-	items [][]int32
-}
-
-// depth reports how many subproblems are currently queued — the live
-// introspection view of a worker's backlog.
-func (d *wsDeque) depth() int {
-	d.mu.Lock()
-	n := len(d.items) - d.head
-	d.mu.Unlock()
-	return n
-}
-
-func (d *wsDeque) push(p []int32) {
-	d.mu.Lock()
-	d.items = append(d.items, p)
-	d.mu.Unlock()
-}
-
-// take removes the head subproblem; used by the owner (pop) and by
-// thieves (steal).
-func (d *wsDeque) take() ([]int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head == len(d.items) {
-		if d.head > 0 {
-			d.head, d.items = 0, d.items[:0]
-		}
-		return nil, false
-	}
-	p := d.items[d.head]
-	d.items[d.head] = nil
-	d.head++
-	if d.head == len(d.items) {
-		d.head, d.items = 0, d.items[:0]
-	}
-	return p, true
-}
-
-// xorshift is a tiny per-worker PRNG for victim selection; stealing needs
-// decorrelation, not quality.
-type xorshift uint64
-
-func (x *xorshift) next() uint64 {
-	v := *x
-	v ^= v << 13
-	v ^= v >> 7
-	v ^= v << 17
-	*x = v
-	return uint64(v)
-}
-
-// runPool drives the work-stealing pool over an initial frontier and
-// blocks until the search is exhausted or stopped.
-func runPool(sh *parShared, pr *flatcore.MP, frontier [][]int32, workers, frontierDepth int) {
-	sh.pending.Store(int64(len(frontier)))
-	sh.frontierN.Store(int64(len(frontier)))
-	for i, p := range frontier {
-		sh.deques[i%workers].push(p)
-	}
-	splitCap := frontierDepth + splitSlack
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			s := newSearchState(pr, sh)
-			tk := &ticker{sh: sh}
-			defer tk.flush()
-			rng := xorshift(0x9E3779B97F4A7C15 ^ uint64(id+1)*0xBF58476D1CE4E5B9)
-			idleSweeps := 0
-			for {
-				if sh.stop.Load() {
-					return
-				}
-				sp, ok := sh.deques[id].take()
-				stolen := false
-				if !ok {
-					sp, ok = stealSweep(sh, id, &rng)
-					stolen = ok
-					if !ok {
-						if sh.pending.Load() == 0 {
-							return
-						}
-						idleSweeps++
-						if idleSweeps%64 == 0 {
-							time.Sleep(100 * time.Microsecond)
-						} else {
-							runtime.Gosched()
-						}
-						continue
-					}
-				}
-				idleSweeps = 0
-				if stolen {
-					sh.steals.Add(1)
-					// Work was scarce enough that somebody had to steal:
-					// re-split the stolen subtree one level so the spare
-					// parts are themselves stealable.
-					if len(sp) < splitCap && len(sp) < pr.N-1 {
-						kids := s.expand(sp, tk)
-						sh.pending.Add(int64(len(kids)) - 1)
-						if len(kids) == 0 {
-							continue // pruned outright; pending already settled
-						}
-						sh.splits.Add(1)
-						for _, c := range kids[1:] {
-							child := make([]int32, len(sp)+1)
-							copy(child, sp)
-							child[len(sp)] = c
-							sh.deques[id].push(child)
-						}
-						child := make([]int32, len(sp)+1)
-						copy(child, sp)
-						child[len(sp)] = kids[0]
-						sp = child
-					}
-				}
-				// pending is raised before the continuations hit the
-				// deque so it never undercounts outstanding work (a
-				// racing worker could otherwise observe zero and exit).
-				conts := s.run(sp, tk)
-				sh.pending.Add(int64(len(conts)) - 1)
-				for _, c := range conts {
-					sh.deques[id].push(c)
-				}
+		res := make([]result, len(list))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < min(sr.workers, len(list)); w++ {
+			if states[w] == nil {
+				states[w] = newSearchState(pr, sr)
 			}
-		}(w)
+			wg.Add(1)
+			go func(s *searchState, budget, best int64) {
+				defer wg.Done()
+				for {
+					i := next.Add(1) - 1
+					if i >= int64(len(list)) {
+						return
+					}
+					res[i] = s.runFor(i, &list[i], min(q, max(budget-i*q, 0)), best)
+				}
+			}(states[w], sr.budget, sr.bestM)
+		}
+		wg.Wait()
+		list = sr.barrier(list, res)
 	}
-	wg.Wait()
 }
 
-func stealSweep(sh *parShared, id int, rng *xorshift) ([]int32, bool) {
-	n := len(sh.deques)
-	off := int(rng.next() % uint64(n))
-	for i := 0; i < n; i++ {
-		v := (off + i) % n
-		if v == id {
-			continue
-		}
-		if p, ok := sh.deques[v].take(); ok {
-			return p, true
+// subproblem is one subtree of a rounds search: the frontier prefix it
+// owns, and the DFS stack below root where its search last stopped.
+type subproblem struct {
+	root, path []int32
+}
+
+// result is what one subproblem's turn in a round produced: its nodes,
+// whether it is still open, and its best schedule when it improved on
+// the round's incumbent.
+type result struct {
+	nodes int64
+	open  bool
+	m     int64
+	a     []int32
+}
+
+// barrier merges a round's results in subproblem order and returns the
+// next round's list: the subproblems still open, in order. Results past
+// the cut belong to subproblems that a lower-indexed close overtook; they
+// are dropped, nodes included. Cancellation stores a negative cut, which
+// truncates nothing: a cancelled round keeps every improvement found
+// before the stop.
+func (sr *search) barrier(list []subproblem, res []result) []subproblem {
+	if c := sr.cut.Load(); c >= 0 && c < int64(len(res)) {
+		res = res[:c+1]
+	}
+	next := list[:0]
+	for i, r := range res {
+		sr.absorb(r.nodes, r.m, r.a)
+		if r.open {
+			next = append(next, list[i])
 		}
 	}
-	return nil, false
+	sr.checkpoint()
+	return next
 }
 
 // genFrontier breadth-first-expands the tree root until at least target
-// open subproblems exist (or the whole tree is exhausted — tiny instances
-// finish right here). Complete prefixes are offered as incumbents by
-// expand's caller (run handles them), so the returned frontier holds only
-// interior nodes. Returns the frontier and its maximum depth.
-func genFrontier(s *searchState, tk *ticker, target int) ([][]int32, int) {
+// open subproblems exist, the whole tree is exhausted (tiny instances
+// finish right here), or s's node allowance is spent. Complete prefixes
+// are evaluated as leaves, so the returned frontier holds only interior
+// nodes and any prefix the allowance left unexpanded.
+func genFrontier(s *searchState, target int) [][]int32 {
 	queue := [][]int32{{}}
 	head := 0
 	n := s.pr.N
-	for head < len(queue) && len(queue)-head < target {
-		if tk.sh.stop.Load() {
-			break
-		}
+	for head < len(queue) && len(queue)-head < target && s.left > 0 && !s.halted() {
 		node := queue[head]
 		head++
 		if len(node) == n {
 			// A complete assignment surfaced during the shallow split
 			// (tiny instance): evaluate it as a leaf.
-			s.run(node, tk)
+			s.run(&subproblem{root: node})
 			continue
 		}
-		for _, c := range s.expand(node, tk) {
+		for _, c := range s.expand(node) {
 			child := make([]int32, len(node)+1)
 			copy(child, node)
 			child[len(node)] = c
 			queue = append(queue, child)
 		}
 	}
-	frontier := queue[head:]
-	maxDepth := 0
-	for _, p := range frontier {
-		if len(p) > maxDepth {
-			maxDepth = len(p)
-		}
-	}
-	return frontier, maxDepth
+	return queue[head:]
 }
 
-// watchCancel flips the shared stop flag when ctx ends; the returned
-// release func must be called before reading the result.
-func watchCancel(ctx context.Context, sh *parShared) (release func()) {
+// watchCancel halts the search when ctx ends; the returned release func
+// must be called before reading the result.
+func watchCancel(ctx context.Context, sr *search) (release func()) {
 	done := ctx.Done()
 	if done == nil {
 		return func() {}
@@ -575,8 +366,8 @@ func watchCancel(ctx context.Context, sh *parShared) (release func()) {
 		defer wg.Done()
 		select {
 		case <-done:
-			sh.cancelled.Store(true)
-			sh.stop.Store(true)
+			sr.cancelled.Store(true)
+			sr.cut.Store(-1)
 		case <-quit:
 		}
 	}()
@@ -589,15 +380,27 @@ func watchCancel(ctx context.Context, sh *parShared) (release func()) {
 // (SINGLEPROC in singleton form) the node loop reads each child's one pin
 // from ChildPin instead of walking its pin list.
 type searchState struct {
-	pr    *flatcore.MP
-	sh    *parShared
-	loads []int64
-	total int64
+	pr  *flatcore.MP
+	cut *atomic.Int64 // the search's cut (see search.cut)
+	idx int64         // the subproblem index this state runs, for cut
+	// best is the makespan the state prunes against: the incumbent it
+	// started from, or its own improvement on it (found, schedule in cur).
+	best   int64
+	found  bool
+	closed bool // best met rootLB: this state's search is over
+	rootLB int64
+	// nodes counts expansions since the last absorb. left is the node
+	// allowance before the next refill; budget is what refill may still
+	// grant, and checkpoint, when set, runs at every refill.
+	nodes, left, budget int64
+	checkpoint          func()
+	loads               []int64
+	total               int64
 	// chosen[i] is the child ordinal applied at position i (replayed
 	// prefix or live DFS); the dominance rule reads chosen[i-1], and offer
 	// turns the full vector into a schedule.
 	chosen []int32
-	// cur is offer's scratch for the task → hyperedge schedule.
+	// cur is the task → hyperedge schedule of best once found.
 	cur []int32
 	// ords/entry are the explicit DFS stack scratch: the child ordinal
 	// applied at each depth, and the partial makespan at each node entry.
@@ -605,9 +408,6 @@ type searchState struct {
 	entry []int64
 	// scratch pair buffers for the symmetry comparison.
 	pairA, pairB []symPair
-	// chunkLimit bounds one run() call's node count (chunkNodes in the
-	// pool; effectively unbounded for a one-worker search).
-	chunkLimit int64
 }
 
 type symPair struct {
@@ -615,19 +415,52 @@ type symPair struct {
 	load int64
 }
 
-func newSearchState(pr *flatcore.MP, sh *parShared) *searchState {
+func newSearchState(pr *flatcore.MP, sr *search) *searchState {
 	return &searchState{
-		pr:         pr,
-		sh:         sh,
-		loads:      make([]int64, pr.P),
-		cur:        make([]int32, pr.N),
-		chosen:     make([]int32, pr.N),
-		ords:       make([]int32, pr.N),
-		entry:      make([]int64, pr.N+1),
-		pairA:      make([]symPair, 0, pr.MaxSize),
-		pairB:      make([]symPair, 0, pr.MaxSize),
-		chunkLimit: chunkNodes,
+		pr:     pr,
+		cut:    &sr.cut,
+		rootLB: sr.rootLB,
+		loads:  make([]int64, pr.P),
+		cur:    make([]int32, pr.N),
+		chosen: make([]int32, pr.N),
+		ords:   make([]int32, pr.N),
+		entry:  make([]int64, pr.N+1),
+		pairA:  make([]symPair, 0, pr.MaxSize),
+		pairB:  make([]symPair, 0, pr.MaxSize),
 	}
+}
+
+// runFor gives subproblem idx its turn in a round: up to allow nodes,
+// pruning against best. A zero allowance leaves the subproblem for the
+// next round as it is.
+func (s *searchState) runFor(idx int64, sub *subproblem, allow, best int64) result {
+	if allow == 0 {
+		return result{open: true}
+	}
+	s.idx, s.left, s.best, s.found, s.closed = idx, allow, best, false, false
+	r := result{open: s.run(sub)}
+	r.nodes, s.nodes = s.nodes, 0
+	if s.found {
+		r.m, r.a = s.best, slices.Clone(s.cur)
+	}
+	return r
+}
+
+// halted reports whether the state must stop: it closed the search, or a
+// lower-indexed close or a cancellation cut it off.
+func (s *searchState) halted() bool {
+	return s.closed || s.idx > s.cut.Load()
+}
+
+// refill runs the checkpoint hook, if any, and grants the state its next
+// block of budget, reporting false when none is left.
+func (s *searchState) refill() bool {
+	if s.checkpoint != nil {
+		s.checkpoint()
+	}
+	s.left = min(s.budget, checkEvery)
+	s.budget -= s.left
+	return s.left > 0
 }
 
 // replay rebuilds loads/chosen/total from a choice prefix and returns
@@ -731,7 +564,7 @@ func (s *searchState) dupPin(base, k int, c int16) bool {
 // few-processor instances) the min-load refinement — the heaviest
 // remaining placement must land on top of at least the lightest load.
 func (s *searchState) bound(i int, curMax int64) bool {
-	best := s.sh.best.Load()
+	best := s.best
 	if curMax >= best {
 		return false
 	}
@@ -758,13 +591,13 @@ func (s *searchState) bound(i int, curMax int64) bool {
 
 // expand replays prefix and returns its surviving child choices
 // (ordinals into the node's ordered child list), or nil when the node is
-// pruned or complete. Accounts one node on tk.
-func (s *searchState) expand(prefix []int32, tk *ticker) []int32 {
+// pruned or complete. It spends one node of the allowance, which the
+// caller (genFrontier) has checked is left.
+func (s *searchState) expand(prefix []int32) []int32 {
 	curMax := s.replay(prefix)
 	i := len(prefix)
-	if tk.node() {
-		return nil
-	}
+	s.left--
+	s.nodes++
 	if i == s.pr.N {
 		s.offer(curMax)
 		return nil
@@ -772,10 +605,10 @@ func (s *searchState) expand(prefix []int32, tk *ticker) []int32 {
 	if !s.bound(i, curMax) {
 		return nil
 	}
-	// Expansions are rare (frontier generation and steal re-splits), so
-	// the strong completion prune is worth a max-flow here: can every
-	// remaining task still route its cheapest placement under best-1?
-	if s.pr.UseFlow && s.pr.CompletePrune(s.loads, i, s.sh.best.Load()) {
+	// Expansions are rare (frontier generation only), so the strong
+	// completion prune is worth a max-flow here: can every remaining task
+	// still route its cheapest placement under best-1?
+	if s.pr.UseFlow && s.pr.CompletePrune(s.loads, i, s.best) {
 		return nil
 	}
 	var out []int32
@@ -819,28 +652,35 @@ func (s *searchState) nextChild(i, from int) int {
 	return -1
 }
 
-// run explores prefix's subtree for up to chunkLimit nodes with an
-// explicit-stack DFS. A nil return means the subtree is exhausted (or the
-// search stopped). On chunk exhaustion it suspends: the unexplored
-// remainder — the current node plus every untried sibling on the path —
-// is serialized into continuation prefixes and returned for requeueing.
-func (s *searchState) run(prefix []int32, tk *ticker) [][]int32 {
+// run advances sub's depth-first search, resuming at sub.path, until the
+// subtree is exhausted, the state halts, or its node allowance runs out.
+// It reports whether the allowance ran out first; sub.path then records
+// the DFS stack, so the next run resumes exactly where this one stopped.
+func (s *searchState) run(sub *subproblem) bool {
 	pr := s.pr
-	base := len(prefix)
+	base := len(sub.root)
 	entry := s.entry[:pr.N-base+1]
 	ords := s.ords[:max(pr.N-base, 0)]
-	entry[0] = s.replay(prefix)
-	chunk := s.chunkLimit
+	entry[0] = s.replay(sub.root)
+	for d, k := range sub.path {
+		ords[d] = k
+		entry[d+1] = s.apply(base+d, int(k), entry[d])
+	}
+	depth := len(sub.path)
 	single := pr.Single
-	depth := 0
 	descend := true
 	for {
 		var i, k int
 		if descend {
-			if tk.node() {
-				return nil // stopped; loads are rebuilt by the next replay
+			if s.halted() {
+				return false // loads are rebuilt by the next replay
 			}
-			chunk--
+			if s.left == 0 && !s.refill() {
+				sub.path = append(sub.path[:0], ords[:depth]...)
+				return true
+			}
+			s.left--
+			s.nodes++
 			i = base + depth
 			if i == pr.N {
 				s.offer(entry[depth])
@@ -851,16 +691,13 @@ func (s *searchState) run(prefix []int32, tk *ticker) [][]int32 {
 				descend = false
 				continue
 			}
-			if chunk <= 0 {
-				return s.suspend(prefix, ords[:depth])
-			}
 			if k = s.nextChild(i, 0); k < 0 {
 				descend = false
 				continue
 			}
 		} else {
 			if depth == 0 {
-				return nil
+				return false
 			}
 			depth--
 			i = base + depth
@@ -912,18 +749,29 @@ func (s *searchState) applyPin(i, k int, curMax int64) int64 {
 	return max(curMax, s.loads[u])
 }
 
-// offer publishes the complete assignment the DFS holds, with makespan m,
-// when it beats the incumbent. The schedule is materialized from chosen
-// only then, which keeps the per-node apply free of it.
+// offer records the complete assignment the DFS holds, with makespan m,
+// when it beats the state's incumbent. The schedule is materialized from
+// chosen only then, which keeps the per-node apply free of it. Meeting
+// the root bound closes the search: this state stops, and the cut halts
+// every higher-indexed subproblem of the round.
 func (s *searchState) offer(m int64) {
-	if m >= s.sh.best.Load() {
+	if m >= s.best {
 		return
 	}
 	pr := s.pr
 	for i, k := range s.chosen {
 		s.cur[pr.Order[i]] = pr.ChildEdge[int(pr.ChildPtr[i])+int(k)]
 	}
-	s.sh.offer(m, s.cur)
+	s.best, s.found = m, true
+	if m <= s.rootLB {
+		s.closed = true
+		for {
+			c := s.cut.Load()
+			if c <= s.idx || s.cut.CompareAndSwap(c, s.idx) {
+				break
+			}
+		}
+	}
 }
 
 // undo reverts apply(i, k).
@@ -943,28 +791,4 @@ func (s *searchState) undoPin(i, k int) {
 	kk := int(pr.ChildPtr[i]) + k
 	s.loads[pr.ChildPin[kk]] -= pr.ChildWt[kk]
 	s.total -= pr.ChildWt[kk]
-}
-
-// suspend serializes the unexplored remainder of a chunked-out dive: the
-// current node itself, plus — unwinding the applied path — every untried
-// sibling at each level, symmetry-filtered under the loads of its own
-// level.
-func (s *searchState) suspend(prefix []int32, ords []int32) [][]int32 {
-	conts := [][]int32{concatPrefix(prefix, ords)}
-	for d := len(ords) - 1; d >= 0; d-- {
-		i := len(prefix) + d
-		k := int(ords[d])
-		s.undo(i, k)
-		for k = s.nextChild(i, k+1); k >= 0; k = s.nextChild(i, k+1) {
-			c := concatPrefix(prefix, ords[:d])
-			conts = append(conts, append(c, int32(k)))
-		}
-	}
-	return conts
-}
-
-func concatPrefix(prefix, ords []int32) []int32 {
-	out := make([]int32, 0, len(prefix)+len(ords)+1)
-	out = append(out, prefix...)
-	return append(out, ords...)
 }

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"semimatch/internal/bipartite"
 	"semimatch/internal/core"
 	"semimatch/internal/hypergraph"
+	"semimatch/internal/telemetry"
 )
 
 // The equivalence suite: the parallel engine must return the same optimal
@@ -177,10 +179,10 @@ func TestParTightBudgetConsistentErrLimit(t *testing.T) {
 	}
 }
 
-// A small user budget must actually be spendable: claim blocks scale
-// down with MaxNodes and unspent claims are refunded, so the parallel
-// engine completes searches that fit comfortably inside the budget
-// instead of stranding it inside per-worker claims.
+// A small user budget must actually be spendable: the rounds hand it out
+// node by node in subproblem order, so the parallel engine completes
+// searches that fit comfortably inside the budget instead of stranding
+// part of it with idle workers.
 func TestParSmallBudgetNotStranded(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	h := randomHyper(rng, 10, 4, 3, 3, 7)
@@ -256,14 +258,16 @@ func TestParStatsPopulated(t *testing.T) {
 	if _, _, err := SolveMultiProc(context.Background(), h, Options{Workers: 4, Stats: &parStats}); err != nil {
 		t.Fatal(err)
 	}
-	if parStats.Nodes <= 0 || parStats.Workers != 4 || parStats.Subproblems <= 0 {
+	if parStats.Nodes <= 0 || parStats.Workers != 4 {
 		t.Fatalf("parallel stats not populated: %+v", parStats)
 	}
 }
 
-// TestParRaceStress drives the concurrency paths (steals, re-splits,
-// concurrent incumbent offers) hard enough for the race detector to see
-// them; CI runs this package under -race.
+// TestParRaceStress drives every goroutine path of the rounds search
+// hard enough for the race detector to see them (CI runs this package
+// under -race): rounds whose workers improve the incumbent between
+// barriers, a budget that runs out mid-search, and a cancellation that
+// lands mid-round.
 func TestParRaceStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	h := randomHyper(rng, 18, 5, 3, 3, 12)
@@ -272,13 +276,76 @@ func TestParRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		var st SearchStats
-		_, got, err := SolveMultiProc(context.Background(), h, Options{Workers: 8, Stats: &st})
+		_, got, err := SolveMultiProc(context.Background(), h, Options{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("trial %d: parallel %d, sequential %d", trial, got, want)
 		}
+	}
+
+	// 26 tasks on 3 processors with large distinct weights: weak pruning,
+	// far more nodes than either stop below allows.
+	hb := hypergraph.NewBuilder(26, 3)
+	for task := 0; task < 26; task++ {
+		for p := 0; p < 3; p++ {
+			hb.AddEdge(task, []int{p}, int64(1000+37*task+p))
+		}
+	}
+	hard := hb.MustBuild()
+	valid := func(label string, a []int32, m int64) {
+		t.Helper()
+		if err := core.ValidateHyperAssignment(hard, a); err != nil {
+			t.Fatalf("%s: incumbent invalid: %v", label, err)
+		}
+		if core.HyperMakespan(hard, a) != m {
+			t.Fatalf("%s: reported %d != incumbent makespan", label, m)
+		}
+	}
+
+	const budget = 200_000
+	var st SearchStats
+	a, m, err := SolveMultiProc(context.Background(), hard, Options{Workers: 8, MaxNodes: budget, Stats: &st})
+	if !errors.Is(err, ErrLimit) || st.Nodes != budget {
+		t.Fatalf("budget stop: err %v after %d nodes, want ErrLimit after exactly %d", err, st.Nodes, budget)
+	}
+	valid("budget stop", a, m)
+
+	// The progress hook runs at every barrier; cancelling from it makes
+	// the watcher halt the workers somewhere in a later round.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	barriers := 0
+	a, m, err = SolveMultiProc(ctx, hard, Options{
+		Workers: 8,
+		Progress: func(telemetry.SearchProgress) {
+			if barriers++; barriers == 3 {
+				cancel()
+			}
+		},
+		ProgressInterval: time.Nanosecond,
+	})
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("cancelled after %d barriers: want ErrCancelled, got %v", barriers, err)
+	}
+	valid("cancelled", a, m)
+}
+
+// TestBarrierKeepsCancelledRound: a cancellation that lands after the
+// last subproblem of a round finished stores a negative cut. The barrier
+// must keep the whole round — every node and improvement — rather than
+// truncate it, even before the cancelled flag is visible.
+func TestBarrierKeepsCancelledRound(t *testing.T) {
+	sr := newSearch([]int32{0, 0}, 10, 1, 1000, 2)
+	sr.cut.Store(-1)
+	list := []subproblem{{}, {}}
+	res := []result{
+		{nodes: 5, open: true},
+		{nodes: 7, m: 4, a: []int32{1, 1}},
+	}
+	next := sr.barrier(list, res)
+	if sr.nodes != 12 || sr.bestM != 4 || len(next) != 1 {
+		t.Fatalf("barrier after a late cancel: %d nodes, best %d, %d open; want 12, 4, 1", sr.nodes, sr.bestM, len(next))
 	}
 }

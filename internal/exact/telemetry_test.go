@@ -28,7 +28,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 			Stats:            &traced,
 			Trace:            tr,
 			Progress:         func(telemetry.SearchProgress) {},
-			ProgressInterval: time.Nanosecond, // snapshot at every block boundary
+			ProgressInterval: time.Nanosecond, // snapshot at every checkpoint
 		})
 		if err != nil {
 			t.Fatal(err)

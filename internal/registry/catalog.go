@@ -86,7 +86,7 @@ func init() {
 	register(&Solver{
 		Name: "BnB-SP-Par", Class: SingleProc, Kind: Exact, Cost: CostExponential, Parallel: true,
 		Aliases: []string{"bnb-par"},
-		Summary: "work-stealing parallel branch-and-bound for weighted SINGLEPROC (Workers≈GOMAXPROCS; shared incumbent, symmetry breaking)",
+		Summary: "parallel branch-and-bound for weighted SINGLEPROC (Workers≈GOMAXPROCS; deterministic rounds, symmetry breaking)",
 		SolveSingle: func(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, error) {
 			a, _, err := exact.SolveSingleProc(ctx, g, opts.BnB)
 			return a, err
@@ -164,7 +164,7 @@ func init() {
 	register(&Solver{
 		Name: "BnB-MP-Par", Class: MultiProc, Kind: Exact, Cost: CostExponential, Parallel: true,
 		Aliases: []string{"bnb-par", "exact-par"},
-		Summary: "work-stealing parallel branch-and-bound for MULTIPROC (Workers≈GOMAXPROCS; shared incumbent, symmetry breaking)",
+		Summary: "parallel branch-and-bound for MULTIPROC (Workers≈GOMAXPROCS; deterministic rounds, symmetry breaking)",
 		SolveHyper: func(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, error) {
 			a, _, err := exact.SolveMultiProc(ctx, h, opts.BnB)
 			return a, err

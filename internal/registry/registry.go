@@ -115,9 +115,10 @@ type Options struct {
 	Hyper core.HyperOptions
 	// Exact configures the polynomial SINGLEPROC-UNIT solver.
 	Exact core.ExactOptions
-	// BnB bounds the branch-and-bound searches. BnB.Workers sizes the
-	// worker pool of the parallel solvers (BnB-SP-Par, BnB-MP-Par; 0 means
-	// GOMAXPROCS); the sequential BnB-SP and BnB-MP always run one worker.
+	// BnB bounds the branch-and-bound searches. BnB.Workers sets the
+	// worker count of the parallel solvers (BnB-SP-Par, BnB-MP-Par; 0
+	// means GOMAXPROCS); the sequential BnB-SP and BnB-MP always run one
+	// worker.
 	BnB exact.Options
 }
 
@@ -140,8 +141,8 @@ type Solver struct {
 	// excluded from default portfolios and benchmark tables but still
 	// addressable by name.
 	Aux bool
-	// Parallel marks solvers that scale with Options.BnB.Workers (an
-	// internal worker pool).
+	// Parallel marks solvers that scale with Options.BnB.Workers
+	// (internal search workers).
 	Parallel bool
 	// ParallelAlt names this solver's parallel counterpart in the same
 	// class, when one is registered; policy layers use it via Preferred

@@ -140,7 +140,7 @@ func (s *Service) diskCounters() (hits, misses, writes, writeErrs, reaped uint64
 // LiveSolve is one in-flight solve as seen by GET /debug/solves: which
 // instance and algorithm, how long it has been running, and the latest
 // search-progress snapshot its engine delivered (zero until the first
-// budget-block checkpoint).
+// search checkpoint).
 type LiveSolve struct {
 	Fingerprint string `json:"fingerprint"`
 	Algorithm   string `json:"algorithm"`

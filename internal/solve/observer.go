@@ -29,7 +29,7 @@ type Incumbent struct {
 
 // Observer receives incumbent observations during a Run. Calls are
 // serialized (never concurrent) and polled at solver checkpoints, so a
-// slow observer delays the solve only at block boundaries. A panicking
+// slow observer delays the solve only at those checkpoints. A panicking
 // observer is isolated: the panic is swallowed, the solve continues, and
 // later observations are still delivered.
 type Observer func(Incumbent)

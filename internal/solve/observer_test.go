@@ -81,8 +81,8 @@ func checkContract(t *testing.T, p Problem, events []Incumbent, rep *Report) {
 }
 
 // TestObserverParallelBnB is the race test of the observer contract: a
-// hard seeded instance under the work-stealing pool, where incumbent
-// improvements arrive from many workers and must still be delivered
+// hard seeded instance under the parallel rounds search, where incumbent
+// improvements found by several workers must still be delivered
 // serialized and monotonically. Run with -race in CI.
 func TestObserverParallelBnB(t *testing.T) {
 	h := hardHyper(3)

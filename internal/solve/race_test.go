@@ -138,6 +138,33 @@ func TestRaceDeterministicAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("seed %d: winner %q (1 worker) vs %q (4 workers), or their schedules differ", seed, r1.Solver, r4.Solver)
 				}
 			}
+			// The full auto policy adds the exact stage, whose parallel
+			// branch and bound runs at the same worker count. Its rounds
+			// are deterministic, so the Run's answer, node count included,
+			// does not depend on the count from 2 workers up (1 worker is
+			// the sequential DFS, which may return another co-optimal
+			// schedule).
+			for seed := int64(0); seed < 3; seed++ {
+				p := tc.gen(seed+3, 14)
+				var reps [2]*Report
+				for i, w := range []int{2, 4} {
+					rep, err := Run(context.Background(), p, WithWorkers(w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkReport(t, p, rep)
+					if rep.Stats.Workers != w {
+						t.Fatalf("seed %d: exact stage ran with %d workers, want %d", seed, rep.Stats.Workers, w)
+					}
+					reps[i] = rep
+				}
+				r2, r4 := reps[0], reps[1]
+				if r2.Solver != r4.Solver || r2.Status != r4.Status || r2.Stats.Nodes != r4.Stats.Nodes ||
+					!slices.Equal(r2.Assignment, r4.Assignment) {
+					t.Fatalf("seed %d: auto policy at 2 workers (%s, %v, %d nodes) vs 4 workers (%s, %v, %d nodes), or their schedules differ",
+						seed, r2.Solver, r2.Status, r2.Stats.Nodes, r4.Solver, r4.Status, r4.Stats.Nodes)
+				}
+			}
 		})
 	}
 }

@@ -182,8 +182,7 @@ type Options struct {
 	// node, so tracing does not perturb the search.
 	Trace bool
 	// Progress receives periodic search-introspection snapshots (nodes,
-	// rate, incumbent/bound gap, steals, deque depths) from any exact
-	// stage that runs, rate-limited by ProgressInterval. Polled at the
+	// rate, incumbent/bound gap) from any exact stage that runs, rate-limited by ProgressInterval. Polled at the
 	// engines' existing checkpoints: node counts are identical with and
 	// without it.
 	Progress telemetry.ProgressFunc

@@ -3,15 +3,15 @@ package telemetry
 import "time"
 
 // SearchProgress is one periodic snapshot of a running branch-and-bound
-// search. The engines emit it from their existing budget-block
-// checkpoints (never per node), rate-limited by wall clock, so taking
+// search. The engines emit it from their existing checkpoints (every few
+// thousand nodes of a sequential search, each round barrier of a
+// parallel one; never per node), rate-limited by wall clock, so taking
 // snapshots does not perturb the search: node counts with and without a
 // progress hook are identical.
 type SearchProgress struct {
 	// Elapsed is the wall time since the search started.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// Nodes is the number of nodes expanded so far (published counts;
-	// in-flight per-worker blocks are flushed at block boundaries).
+	// Nodes is the number of nodes expanded so far.
 	Nodes int64 `json:"nodes"`
 	// NodesPerSec is the average expansion rate since the search began.
 	NodesPerSec float64 `json:"nodes_per_sec"`
@@ -23,22 +23,14 @@ type SearchProgress struct {
 	// Gap is (Incumbent-Bound)/Bound, or -1 while no incumbent exists.
 	// 0 means the incumbent has met the root bound.
 	Gap float64 `json:"gap"`
-	// Workers is the size of the worker pool.
+	// Workers is the number of search workers (1 for the sequential
+	// search).
 	Workers int `json:"workers"`
-	// Steals counts work-stealing events so far.
-	Steals int64 `json:"steals"`
-	// Subproblems counts frontier subproblems generated for the pool.
-	Subproblems int64 `json:"subproblems"`
-	// Pending is the number of unfinished subproblems.
-	Pending int64 `json:"pending"`
-	// DequeDepths is the current per-worker deque depth (local work
-	// queued but not yet expanded), indexed by worker.
-	DequeDepths []int `json:"deque_depths,omitempty"`
 }
 
 // ProgressFunc receives periodic SearchProgress snapshots. It is called
-// from a search worker goroutine (at most one call at a time) and must
-// return quickly; anything slow should hand off to its own goroutine.
+// from the solving goroutine (one call at a time) and must return
+// quickly; anything slow should hand off to its own goroutine.
 type ProgressFunc func(SearchProgress)
 
 // DefaultProgressInterval is the snapshot rate limit used when a

@@ -109,8 +109,8 @@ type Span = telemetry.Span
 type Trace = telemetry.Trace
 
 // SearchProgress is one periodic snapshot of a running branch-and-bound
-// search (nodes, rate, incumbent/bound gap, steals, deque depths),
-// delivered to a WithProgress hook.
+// search (nodes, rate, incumbent/bound gap, workers), delivered to a
+// WithProgress hook.
 type SearchProgress = telemetry.SearchProgress
 
 // ErrVerifyFailed reports that WithVerify was requested and the result's
