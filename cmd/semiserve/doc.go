@@ -206,8 +206,9 @@
 //	 "lambda": 1,               // migration-cost weight λ (0 = pure makespan)
 //	 "node_budget": 2000000,    // per-re-solve node cap
 //	 "exact_task_limit": 16,    // skip the exact stage above this many tasks
-//	 "compare_cold": false}     // also run a cold re-solve per event, for
-//	                            // the warm/cold node comparison (measurement)
+//	 "compare_cold": false}     // also run each event's exact search once
+//	                            // more without the warm start, for the
+//	                            // warm/cold node comparison (measurement)
 //
 // A 201 response is {"id": "...", "procs": 4, "multi": false,
 // "idle_timeout_s": 300}; 429 when -sessions live sessions already
@@ -219,7 +220,9 @@
 // the re-solve (the patched schedule stands, solve_status
 // "overloaded") rather than queue-jumping. With -ledger, each adopted
 // or attempted re-solve appends a ledger record with source "session";
-// with -trace, each event emits a session-event span tree.
+// with -trace, each event emits a session-event span tree: the
+// re-solve's solve tree and, with compare_cold, a leaf cold-search span
+// whose nodes attribute is the event's cold_nodes.
 //
 // GET /session lists open sessions; GET /session/{id} returns the
 // session's current state (schedule, loads, makespan, live
@@ -261,7 +264,9 @@
 //	 "migrations": 2,            // tasks the adopted schedule moved
 //	 "migration_cost": 8,        // Σ weight of moved tasks
 //	 "nodes": 153,               // warm-started re-solve's BnB nodes
-//	 "cold_nodes": 418,          // cold comparison run's (compare_cold)
+//	 "cold_nodes": 418,          // the same search unwarmed (compare_cold;
+//	                             // omitted when 0, e.g. above the
+//	                             // exact_task_limit)
 //	 "tasks": 12, "elapsed_ns": 2100000}
 //
 // # GET /session/{id}/events (SSE)

@@ -284,7 +284,7 @@ func (s *server) handleSessionEvents(w http.ResponseWriter, r *http.Request, ls 
 		}
 		if rep.Report != nil {
 			m.svc.RecordSessionSolve(ls.id, rep.Problem, rep.Report)
-			m.svc.TraceSessionEvent(ls.id, rep.Op, rep.Seq, outcome, rep.Report.Trace)
+			m.svc.TraceSessionEvent(ls.id, rep.Op, rep.Seq, outcome, rep.Report.Trace, rep.ColdTrace)
 		}
 		resp.Reports = append(resp.Reports, rep)
 	}

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -520,5 +522,86 @@ func TestSessionLongEventLine(t *testing.T) {
 		if er.Reports[0].Seq != int64(i+1) {
 			t.Fatalf("%d-byte event line: seq %d, want %d", len(body), er.Reports[0].Seq, i+1)
 		}
+	}
+}
+
+// lockedBuffer is a trace sink safe to read while the server writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSessionEventTraceColdSearch: with tracing on and compare_cold set,
+// each re-solved event's "session-event" tree holds the re-solve's
+// "solve" tree and, after it, one leaf "cold-search" span whose nodes
+// attribute is the report's cold_nodes — no engine spans under it, so
+// the warm search's compile and search figures stay its own.
+func TestSessionEventTraceColdSearch(t *testing.T) {
+	var traces lockedBuffer
+	svc := service.New(service.Options{TraceWriter: &traces})
+	ts := httptest.NewServer(newServer(svc, serverConfig{sessions: 2, trace: true}))
+	t.Cleanup(ts.Close)
+	const procs = 3
+	id := createSession(t, ts.URL, session.ScriptHeader{Procs: procs, CompareCold: true})
+	events := session.GenerateScript(session.ScriptOptions{Seed: 4, Events: 20, Procs: procs, MaxWeight: 20})
+	reports := postEvents(t, ts.URL, id, events)
+
+	type spanLine struct {
+		Path  string         `json:"path"`
+		Depth int            `json:"depth"`
+		Attrs map[string]any `json:"attrs"`
+	}
+	var trees [][]spanLine
+	for _, line := range strings.Split(strings.TrimSpace(traces.String()), "\n") {
+		var sp spanLine
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if sp.Depth == 0 {
+			trees = append(trees, nil)
+		}
+		trees[len(trees)-1] = append(trees[len(trees)-1], sp)
+	}
+	if len(trees) != len(reports) {
+		t.Fatalf("%d session-event trees for %d events", len(trees), len(reports))
+	}
+	sawNodes := false
+	for i, tree := range trees {
+		rep := reports[i]
+		var top []string
+		var cold *spanLine
+		for j, sp := range tree {
+			if sp.Depth == 1 {
+				top = append(top, sp.Path)
+			}
+			if sp.Path == "session-event/cold-search" {
+				cold = &tree[j]
+			}
+			if strings.HasPrefix(sp.Path, "session-event/cold-search/") {
+				t.Fatalf("seq %d: span %s under cold-search", rep.Seq, sp.Path)
+			}
+		}
+		if want := []string{"session-event/solve", "session-event/cold-search"}; !slices.Equal(top, want) {
+			t.Fatalf("seq %d: session-event children %v, want %v", rep.Seq, top, want)
+		}
+		if n, _ := cold.Attrs["nodes"].(float64); int64(n) != rep.ColdNodes {
+			t.Fatalf("seq %d: cold-search nodes %v, report cold_nodes %d", rep.Seq, cold.Attrs["nodes"], rep.ColdNodes)
+		}
+		sawNodes = sawNodes || rep.ColdNodes > 0
+	}
+	if !sawNodes {
+		t.Fatal("no event ran a cold search")
 	}
 }

@@ -98,10 +98,12 @@ func (s *Service) RecordSessionSolve(sessionID string, p solve.Problem, rep *sol
 }
 
 // TraceSessionEvent emits one "session-event" span tree — the event's
-// re-solve trace adopted underneath — to the configured TraceWriter;
-// no-op without one. The outcome attribute records how the event was
-// answered ("adopted", "patched", "overloaded", ...).
-func (s *Service) TraceSessionEvent(sessionID, op string, seq int64, outcome string, solveTrace *telemetry.Span) {
+// spans adopted underneath, in order: its re-solve trace and, when the
+// session compares cold, its "cold-search" span — to the configured
+// TraceWriter; no-op without one. nil spans are skipped. The outcome
+// attribute records how the event was answered ("adopted", "patched",
+// "overloaded", ...).
+func (s *Service) TraceSessionEvent(sessionID, op string, seq int64, outcome string, spans ...*telemetry.Span) {
 	if s.traceW == nil {
 		return
 	}
@@ -109,6 +111,8 @@ func (s *Service) TraceSessionEvent(sessionID, op string, seq int64, outcome str
 	rs.SetAttr("session", sessionID)
 	rs.SetAttr("op", op)
 	rs.SetAttr("seq", seq)
-	rs.Adopt(solveTrace)
+	for _, sp := range spans {
+		rs.Adopt(sp)
+	}
 	s.emitTrace(rs, outcome)
 }

@@ -8,7 +8,8 @@ import (
 
 // BenchmarkSessionEvent replays the perfbench session workload's settings
 // in process: 200-event MULTIPROC scripts on 4 processors with weights up
-// to 30, λ = 1, a cold comparison re-solve per event and one solver worker.
+// to 30, λ = 1, the cold comparison (one unwarmed exact search per event)
+// and one solver worker.
 // One op is one script, from opening the session to closing it; the
 // reported ns/event, B/event and allocs/event divide the ops by their
 // events. The scripts are generated before the clock starts.

@@ -38,6 +38,7 @@ import (
 	"semimatch/internal/bipartite"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/solve"
+	"semimatch/internal/telemetry"
 )
 
 // Event operations.
@@ -107,13 +108,16 @@ type Options struct {
 	ExactTaskLimit int
 	Deadline       time.Duration
 	Workers        int
-	// Trace attaches a telemetry span tree to each re-solve's Report, for
-	// the serving layer to emit as a "session-event" trace.
+	// Trace attaches a telemetry span tree to each re-solve's Report, and
+	// a "cold-search" span to SessionReport.ColdTrace under CompareCold,
+	// for the serving layer to emit as a "session-event" trace.
 	Trace bool
-	// CompareCold additionally runs each re-solve cold (no warm start)
-	// purely for measurement, filling SessionReport.ColdNodes so
-	// warm-vs-cold search effort is observable per event. It doubles the
-	// solve cost; meant for benchmarks and tests.
+	// CompareCold additionally runs, purely for measurement, the
+	// re-solve's exact search once more without the warm start
+	// (solve.ColdNodes), filling SessionReport.ColdNodes so warm-vs-cold
+	// search effort is observable per event. It costs one unwarmed exact
+	// search per event, nothing on events whose instance gets no exact
+	// stage; meant for benchmarks and tests.
 	CompareCold bool
 	// Acquire, when non-nil, gates each re-solve through the caller's
 	// admission control: it is called before the solve and its release
@@ -160,8 +164,12 @@ type SessionReport struct {
 	// "skipped" (empty session), "overloaded" (admission declined) or
 	// "error".
 	SolveStatus string `json:"solve_status"`
-	// Nodes is the warm-started re-solve's branch-and-bound node count;
-	// ColdNodes is the cold comparison run's (CompareCold only).
+	// Nodes is the warm-started re-solve's branch-and-bound node count.
+	// ColdNodes (CompareCold only) is the node count of the same exact
+	// search run once more unwarmed; 0 when the instance gets no
+	// branch-and-bound search: more than ExactTaskLimit tasks, a negative
+	// ExactTaskLimit, or a unit SINGLEPROC instance, whose exact stage is
+	// the polynomial ExactUnit.
 	Nodes     int64 `json:"nodes"`
 	ColdNodes int64 `json:"cold_nodes,omitempty"`
 	// Elapsed is the event's wall time, patch and re-solve included.
@@ -170,6 +178,10 @@ type SessionReport struct {
 	// Report is the re-solve's full solve report (certificate, trace,
 	// search stats) when one ran; not serialized.
 	Report *solve.Report `json:"-"`
+	// ColdTrace is the cold comparison search's leaf "cold-search" span,
+	// with its node count as the "nodes" attribute (Trace and
+	// CompareCold only); not serialized.
+	ColdTrace *telemetry.Span `json:"-"`
 	// Problem is the instance the re-solve ran on, for consumers that
 	// ledger or re-verify the event (semiserve's source:"session" ledger
 	// records); not serialized.
@@ -245,18 +257,15 @@ func (s *Session) Apply(ctx context.Context, ev Event) (*SessionReport, error) {
 	}
 	start := time.Now()
 
-	// Placements before the event: migrations are counted against these,
-	// so a task is only "moved" if it was already running somewhere.
-	prev := make(map[string]int32, len(s.tasks))
-	for _, lt := range s.tasks {
-		prev[lt.id] = lt.cfg
-	}
-
+	// arrived is the index of the task this event added, the one live
+	// task that was not running before it (-1 for none).
+	arrived := -1
 	var taskID string
 	var err error
 	switch ev.Op {
 	case OpArrive:
 		taskID, err = s.patchArrive(ev.Task)
+		arrived = len(s.tasks) - 1
 	case OpDepart:
 		taskID, err = s.patchDepart(ev.ID)
 	case OpReweigh:
@@ -280,7 +289,7 @@ func (s *Session) Apply(ctx context.Context, ev Event) (*SessionReport, error) {
 	}
 	rep.Makespan = rep.PatchedMakespan
 	if len(s.tasks) > 0 {
-		s.resolve(ctx, rep, prev)
+		s.resolve(ctx, rep, arrived)
 	}
 	rep.Score = float64(rep.Makespan) + s.opts.Lambda*float64(rep.MigrationCost)
 	rep.Elapsed = time.Since(start)
@@ -291,7 +300,8 @@ func (s *Session) Apply(ctx context.Context, ev Event) (*SessionReport, error) {
 // resolve runs the event's warm-started re-solve and adopts its schedule
 // when it beats the patched one under the migration-cost objective.
 // Failures never lose the patched answer: they only mark SolveStatus.
-func (s *Session) resolve(ctx context.Context, rep *SessionReport, prev map[string]int32) {
+// arrived is the index of the task the event added, or -1.
+func (s *Session) resolve(ctx context.Context, rep *SessionReport, arrived int) {
 	if s.opts.Acquire != nil {
 		release, err := s.opts.Acquire(ctx)
 		if err != nil {
@@ -332,19 +342,21 @@ func (s *Session) resolve(ctx context.Context, rep *SessionReport, prev map[stri
 	rep.Nodes = res.Stats.Nodes
 
 	if s.opts.CompareCold {
-		cold := o
-		cold.InitialIncumbent = nil
-		cold.Observer = nil
-		if coldRes, _ := solve.RunOptions(ctx, prob, cold); coldRes != nil {
-			rep.ColdNodes = coldRes.Stats.Nodes
+		var span *telemetry.Span
+		if s.opts.Trace {
+			span = telemetry.StartSpan("cold-search")
+			rep.ColdTrace = span
 		}
+		rep.ColdNodes = solve.ColdNodes(ctx, prob, o)
+		span.SetAttr("nodes", rep.ColdNodes)
+		span.End()
 	}
 
 	cfgs, err := s.placementsOf(prob, res.Assignment, ptr)
 	if err != nil {
 		return // malformed solver output: keep the patched schedule
 	}
-	migs, migCost := s.migrations(cfgs, prev)
+	migs, migCost := s.migrations(cfgs, arrived)
 	scoreSolved := float64(res.Makespan) + s.opts.Lambda*float64(migCost)
 	scorePatched := float64(rep.PatchedMakespan) // the patch moves no one
 	if scoreSolved < scorePatched {
@@ -565,13 +577,14 @@ func (s *Session) placementsOf(prob solve.Problem, a []int32, ptr []int32) ([]in
 }
 
 // migrations counts pre-event tasks whose placement would change under
-// cfgs, and sums their (new) weights — the migration-cost term.
-func (s *Session) migrations(cfgs []int32, prev map[string]int32) (int, int64) {
+// cfgs, and sums their (new) weights — the migration-cost term. Until
+// adopt runs, every task but the arrived one (index arrived, -1 for none)
+// still holds its pre-event placement: the patch moves no running task.
+func (s *Session) migrations(cfgs []int32, arrived int) (int, int64) {
 	count := 0
 	var cost int64
 	for i, lt := range s.tasks {
-		old, existed := prev[lt.id]
-		if !existed || old == cfgs[i] {
+		if i == arrived || lt.cfg == cfgs[i] {
 			continue
 		}
 		count++

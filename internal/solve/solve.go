@@ -468,21 +468,40 @@ func exactSolver(p Problem, limit int) *registry.Solver {
 	return nil
 }
 
-// exactStage is the auto policy's exact attempt: it runs exactSolver's
-// choice with the policy's node budget and warm start, and folds the
-// outcome into rep (see mergeExact).
+// exactStage is the auto policy's exact attempt: it runs exactSearch and
+// folds the outcome into rep (see mergeExact).
 func exactStage(ctx context.Context, p Problem, o Options, obs *obsState, rep *Report) error {
-	sol := exactSolver(p, o.exactTaskLimit())
+	sol, a, exErr := exactSearch(ctx, p, o, obs, &rep.Stats)
 	if sol == nil {
 		return nil
 	}
+	var m int64
+	if a != nil {
+		m, _ = p.MakespanLoads(a)
+	}
+	if err := mergeExact(rep, sol.Name, a, m, exErr); err != nil {
+		return fmt.Errorf("solve: %s: %w", sol.Name, err)
+	}
+	return nil
+}
+
+// exactSearch is the auto policy's exact search on p: exactSolver's
+// choice, run with the policy's node budget, o's warm start, workers and
+// progress hook, traced as an "exact" child of o.trace, counting into
+// stats. It returns a nil solver when p gets no exact attempt.
+func exactSearch(ctx context.Context, p Problem, o Options, obs *obsState, stats *exact.SearchStats) (*registry.Solver, []int32, error) {
+	sol := exactSolver(p, o.exactTaskLimit())
+	if sol == nil {
+		return nil, nil, nil
+	}
 	span := o.trace.StartChild("exact")
 	span.SetAttr("solver", sol.Name)
+	defer span.End()
 	ropts := registry.Options{
 		BnB: exact.Options{
 			MaxNodes:         o.exactNodes(),
 			InitialIncumbent: o.InitialIncumbent,
-			Stats:            &rep.Stats,
+			Stats:            stats,
 			Trace:            span,
 			Progress:         o.Progress,
 			ProgressInterval: o.ProgressInterval,
@@ -492,16 +511,36 @@ func exactStage(ctx context.Context, p Problem, o Options, obs *obsState, rep *R
 	if obs.active() {
 		ropts.BnB.Observer = obs.exactFn(sol.Name)
 	}
-	a, exErr := sol.SolveInstance(ctx, p.instance(), ropts)
-	span.End()
-	var m int64
-	if a != nil {
-		m, _ = p.MakespanLoads(a)
+	a, err := sol.SolveInstance(ctx, p.instance(), ropts)
+	return sol, a, err
+}
+
+// ColdNodes is the node count of the auto policy's exact stage on p run
+// cold: the search RunOptions(ctx, p, o) runs after its heuristic race,
+// without o.InitialIncumbent and without observer, trace or progress
+// hook. No race runs, since the exact stage never starts from its
+// winner, and no certificate is issued. o.Deadline bounds the search as
+// it bounds a Run. ColdNodes is 0 when p is invalid, gets no exact
+// attempt, or ctx is done before the search starts; o.Algorithm and
+// o.Portfolio are ignored.
+func ColdNodes(ctx context.Context, p Problem, o Options) int64 {
+	if p.Validate() != nil {
+		return 0
 	}
-	if err := mergeExact(rep, sol.Name, a, m, exErr); err != nil {
-		return fmt.Errorf("solve: %s: %w", sol.Name, err)
+	if o.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.Deadline)
+		defer cancel()
 	}
-	return nil
+	if ctx.Err() != nil {
+		return 0
+	}
+	o.InitialIncumbent, o.Progress, o.trace = nil, nil, nil
+	var stats exact.SearchStats
+	// A search stopped by its budget, the deadline or an error still
+	// counted the nodes it expanded, as a cold Run's Stats do.
+	_, _, _ = exactSearch(ctx, p, o, nil, &stats)
+	return stats.Nodes
 }
 
 // adopt replaces the staged schedule.

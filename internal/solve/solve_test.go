@@ -16,6 +16,7 @@ import (
 	"semimatch/internal/gen"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/registry"
+	"semimatch/internal/telemetry"
 )
 
 // randomHyper builds a seeded MULTIPROC instance.
@@ -203,6 +204,59 @@ func TestRunAutoUnitGraphUsesExactUnit(t *testing.T) {
 	}
 	if rep.Makespan != want {
 		t.Fatalf("auto makespan %d, ExactUnit %d", rep.Makespan, want)
+	}
+}
+
+// TestColdNodesIsColdExactStage: ColdNodes counts exactly the nodes of
+// the exact stage a cold Run performs — whatever warm start, observer,
+// trace or progress hook the options carry — on both classes, with the
+// stage off, at its default task limit and at a raised one, sequential
+// and parallel.
+func TestColdNodesIsColdExactStage(t *testing.T) {
+	ctx := context.Background()
+	searched := 0
+	for name, p := range optimalityGrid(t, 1) {
+		for _, limit := range []int{-1, 0, 24} {
+			for _, workers := range []int{1, 2} {
+				o := Options{ExactTaskLimit: limit, Workers: workers, NodeBudget: 100_000}
+				ref, err := RunOptions(ctx, p, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				noisy := o
+				noisy.InitialIncumbent = ref.Assignment
+				noisy.Observer = func(Incumbent) {}
+				noisy.Trace = true
+				noisy.Progress = func(telemetry.SearchProgress) {}
+				for _, co := range []Options{o, noisy} {
+					if got := ColdNodes(ctx, p, co); got != ref.Stats.Nodes {
+						t.Fatalf("%s limit=%d workers=%d: ColdNodes %d, cold Run %d nodes",
+							name, limit, workers, got, ref.Stats.Nodes)
+					}
+				}
+				if ref.Stats.Nodes > 0 {
+					searched++
+				}
+			}
+		}
+	}
+	if searched == 0 {
+		t.Fatal("no instance got a branch-and-bound search")
+	}
+
+	h := Hyper(hardHyper(7))
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if n := ColdNodes(done, h, Options{}); n != 0 {
+		t.Fatalf("ColdNodes on a done context searched %d nodes", n)
+	}
+	if n := ColdNodes(ctx, Problem{}, Options{}); n != 0 {
+		t.Fatalf("ColdNodes on an empty problem searched %d nodes", n)
+	}
+	start := time.Now()
+	ColdNodes(ctx, h, Options{Deadline: 30 * time.Millisecond, ExactTaskLimit: 64, NodeBudget: 1 << 60})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("deadline not honored: %v", elapsed)
 	}
 }
 
