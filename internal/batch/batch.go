@@ -17,14 +17,15 @@
 //
 // Failures are isolated per instance: an empty problem, a panic, or a
 // timeout in one work item is recorded in its Outcome and never poisons
-// its siblings. Makespans are deterministic: for a given instance and
-// options the reported quality does not depend on the batch's worker
-// count or on goroutine timing (deadlines excepted, by nature). For a
-// fixed worker count the schedule itself repeats from run to run: the
-// exact stage's parallel branch and bound runs in deterministic rounds.
-// Across worker counts it may differ among co-optimal schedules, because
-// the worker count sets each solve's share of the cores, and a solve
-// with one core runs the sequential search instead of the rounds.
+// its siblings. Results do not depend on goroutine timing: for a fixed
+// worker count the schedule repeats from run to run (deadlines excepted,
+// by nature), because the exact stage's parallel branch and bound runs
+// in deterministic rounds. The worker count sets each solve's share of
+// the cores, and a solve with one core runs the sequential search instead
+// of the rounds. Across worker counts the makespans therefore agree only
+// while no exact stage stops at its node budget: the two searches stop in
+// different places. Even then the schedules may differ among co-optimal
+// ones.
 package batch
 
 import (
@@ -36,18 +37,6 @@ import (
 
 	"semimatch/internal/registry"
 	"semimatch/internal/solve"
-)
-
-// Defaults for the exact-solve stage of the per-instance policy (shared
-// with the solve package, which implements the policy).
-const (
-	// DefaultExactTaskLimit is the largest instance (in tasks) that gets a
-	// branch-and-bound attempt when Options.ExactTaskLimit is zero.
-	DefaultExactTaskLimit = solve.DefaultExactTaskLimit
-	// DefaultExactNodes is the branch-and-bound node budget when
-	// Options.ExactNodes is zero — small enough to bound each attempt to
-	// tens of milliseconds.
-	DefaultExactNodes = solve.DefaultExactNodes
 )
 
 // Options configures a batch run.
@@ -65,11 +54,11 @@ type Options struct {
 	// Refine post-processes every hypergraph candidate with local search.
 	Refine bool
 	// ExactTaskLimit is the largest instance that also gets an exact
-	// branch-and-bound attempt; 0 means DefaultExactTaskLimit, negative
-	// disables the exact stage entirely.
+	// branch-and-bound attempt; 0 means solve.DefaultExactTaskLimit,
+	// negative disables the exact stage entirely.
 	ExactTaskLimit int
 	// ExactNodes is the branch-and-bound node budget; 0 means
-	// DefaultExactNodes.
+	// solve.DefaultExactNodes.
 	ExactNodes int64
 }
 
@@ -78,13 +67,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) exactNodes() int64 {
-	if o.ExactNodes <= 0 {
-		return DefaultExactNodes
-	}
-	return o.ExactNodes
 }
 
 // Outcome is the per-problem result of RunProblems: the unified solve
@@ -185,7 +167,7 @@ func (r *Runner) solveOne(ctx context.Context, p solve.Problem) (out Outcome) {
 		Portfolio:      r.opts.Algorithms,
 		Refine:         r.opts.Refine,
 		Workers:        r.solveWorkers(),
-		NodeBudget:     r.opts.exactNodes(),
+		NodeBudget:     r.opts.ExactNodes,
 		ExactTaskLimit: r.opts.ExactTaskLimit,
 		Deadline:       r.opts.InstanceTimeout,
 	})

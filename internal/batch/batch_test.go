@@ -93,6 +93,11 @@ func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 			t.Fatalf("instance %d: unexpected errors %v, %v", i, r1[i].Err, rN[i].Err)
 		}
 		a, b := r1[i].Report, rN[i].Report
+		// The claim holds only while no exact stage stops at its node
+		// budget; a budget stop spends exactly the budget.
+		if a.Stats.Nodes >= solve.DefaultExactNodes || b.Stats.Nodes >= solve.DefaultExactNodes {
+			t.Fatalf("instance %d: exact stage stopped at its node budget (%d, %d nodes)", i, a.Stats.Nodes, b.Stats.Nodes)
+		}
 		if a.Makespan != b.Makespan || a.Solver != b.Solver || a.Status != b.Status {
 			t.Fatalf("instance %d: Workers=1 %+v vs Workers=N %+v", i, a, b)
 		}

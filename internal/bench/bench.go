@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -514,12 +513,4 @@ func FormatSPTable(res *SPResult) string {
 	}
 	sb.WriteByte('\n')
 	return sb.String()
-}
-
-// RankByQuality returns algorithm names sorted by average quality
-// (best first) — used to assert the paper's heuristic ranking claims.
-func RankByQuality(avg map[string]float64, names []string) []string {
-	out := append([]string(nil), names...)
-	sort.SliceStable(out, func(i, j int) bool { return avg[out[i]] < avg[out[j]] })
-	return out
 }

@@ -222,14 +222,6 @@ func TestSortedNotWorseThanBasicOnAverage(t *testing.T) {
 	}
 }
 
-func TestRankByQuality(t *testing.T) {
-	avg := map[string]float64{"a": 1.5, "b": 1.2, "c": 1.9}
-	got := RankByQuality(avg, []string{"a", "b", "c"})
-	if got[0] != "b" || got[2] != "c" {
-		t.Fatalf("rank = %v", got)
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	if (Options{}).seeds() != 10 {
 		t.Fatal("default seeds must be 10")

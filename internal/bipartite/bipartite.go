@@ -121,48 +121,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Reverse returns the transpose graph: right vertices become left. Edge
-// weights, if any, are carried over. Counting sort, O(|E|).
-func (g *Graph) Reverse() *Graph {
-	ptr := make([]int32, g.NRight+1)
-	for _, v := range g.Adj {
-		ptr[v+1]++
-	}
-	for i := 0; i < g.NRight; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	adj := make([]int32, len(g.Adj))
-	var w []int64
-	if g.W != nil {
-		w = make([]int64, len(g.W))
-	}
-	next := make([]int32, g.NRight)
-	copy(next, ptr[:g.NRight])
-	for u := 0; u < g.NLeft; u++ {
-		for k := g.Ptr[u]; k < g.Ptr[u+1]; k++ {
-			v := g.Adj[k]
-			pos := next[v]
-			next[v]++
-			adj[pos] = int32(u)
-			if w != nil {
-				w[pos] = g.W[k]
-			}
-		}
-	}
-	return &Graph{NLeft: g.NRight, NRight: g.NLeft, Ptr: ptr, Adj: adj, W: w}
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	h := &Graph{NLeft: g.NLeft, NRight: g.NRight}
-	h.Ptr = append([]int32(nil), g.Ptr...)
-	h.Adj = append([]int32(nil), g.Adj...)
-	if g.W != nil {
-		h.W = append([]int64(nil), g.W...)
-	}
-	return h
-}
-
 // ReplicateRight returns the graph G_D of the exact SINGLEPROC-UNIT
 // algorithm (Sec. IV-A of the paper): each right vertex u is replaced by d
 // copies u_0..u_{d-1}, each inheriting u's full neighborhood. Copy i of
@@ -312,37 +270,4 @@ func NewFromAdjacency(nRight int, rows [][]int) (*Graph, error) {
 		}
 	}
 	return b.Build()
-}
-
-// Stats summarizes a graph for experiment tables.
-type Stats struct {
-	NLeft, NRight int
-	NumEdges      int
-	MinDeg        int // min left degree
-	MaxDeg        int // max left degree
-	AvgDeg        float64
-	Isolated      int // left vertices with no eligible processor
-}
-
-// ComputeStats returns summary statistics of g.
-func ComputeStats(g *Graph) Stats {
-	s := Stats{NLeft: g.NLeft, NRight: g.NRight, NumEdges: g.NumEdges()}
-	if g.NLeft == 0 {
-		return s
-	}
-	s.MinDeg = g.Degree(0)
-	for u := 0; u < g.NLeft; u++ {
-		d := g.Degree(u)
-		if d < s.MinDeg {
-			s.MinDeg = d
-		}
-		if d > s.MaxDeg {
-			s.MaxDeg = d
-		}
-		if d == 0 {
-			s.Isolated++
-		}
-	}
-	s.AvgDeg = float64(g.NumEdges()) / float64(g.NLeft)
-	return s
 }

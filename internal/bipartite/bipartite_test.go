@@ -109,53 +109,6 @@ func TestAllUnitWeightsStayUnit(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := mustGraph(t, 3, [][]int{{0, 2}, {0}, {1, 2}})
-	r := g.Reverse()
-	if r.NLeft != 3 || r.NRight != 3 {
-		t.Fatalf("reverse sizes: %d %d", r.NLeft, r.NRight)
-	}
-	want := [][]int32{{0, 1}, {2}, {0, 2}}
-	for v := 0; v < 3; v++ {
-		if got := r.Neighbors(v); !reflect.DeepEqual(got, want[v]) {
-			t.Fatalf("Reverse row %d = %v, want %v", v, got, want[v])
-		}
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReverseWeighted(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.AddWeightedEdge(0, 0, 5)
-	b.AddWeightedEdge(0, 1, 6)
-	b.AddWeightedEdge(1, 0, 7)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := g.Reverse()
-	if got := r.Weights(0); !reflect.DeepEqual(got, []int64{5, 7}) {
-		t.Fatalf("reverse Weights(0) = %v", got)
-	}
-	if got := r.Weights(1); !reflect.DeepEqual(got, []int64{6}) {
-		t.Fatalf("reverse Weights(1) = %v", got)
-	}
-}
-
-func TestReverseInvolution(t *testing.T) {
-	// Reverse(Reverse(g)) must equal g (rows are kept sorted).
-	f := func(seed int64) bool {
-		g := randomGraph(rand.New(rand.NewSource(seed)), 20, 10, 0.2)
-		rr := g.Reverse().Reverse()
-		return reflect.DeepEqual(g.Ptr, rr.Ptr) && reflect.DeepEqual(g.Adj, rr.Adj)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReplicateRight(t *testing.T) {
 	g := mustGraph(t, 2, [][]int{{0, 1}, {0}})
 	gd := g.ReplicateRight(3)
@@ -211,38 +164,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	b := NewBuilder(1, 2)
-	b.AddWeightedEdge(0, 0, 2)
-	b.AddWeightedEdge(0, 1, 3)
-	g := b.MustBuild()
-	c := g.Clone()
-	c.Adj[0] = 1
-	c.W[0] = 99
-	if g.Adj[0] != 0 || g.W[0] != 2 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	g := mustGraph(t, 4, [][]int{{0, 1, 2}, {}, {3}})
-	s := ComputeStats(g)
-	if s.MinDeg != 0 || s.MaxDeg != 3 || s.Isolated != 1 || s.NumEdges != 4 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.AvgDeg != 4.0/3.0 {
-		t.Fatalf("AvgDeg = %v", s.AvgDeg)
-	}
-}
-
-func TestComputeStatsEmpty(t *testing.T) {
-	g := mustGraph(t, 0, nil)
-	s := ComputeStats(g)
-	if s.NLeft != 0 || s.NumEdges != 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 // randomGraph builds a random bipartite graph where each (u,v) edge exists
 // independently with probability prob. Shared by property tests in this
 // package.
@@ -256,21 +177,6 @@ func randomGraph(rng *rand.Rand, nLeft, nRight int, prob float64) *Graph {
 		}
 	}
 	return b.MustBuild()
-}
-
-func TestReverseEdgeCountProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 1+rng.Intn(30), 1+rng.Intn(30), rng.Float64())
-		r := g.Reverse()
-		if r.NumEdges() != g.NumEdges() {
-			return false
-		}
-		return r.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestReplicateDegreesProperty(t *testing.T) {
@@ -315,14 +221,5 @@ func BenchmarkBuild(b *testing.B) {
 		if _, err := bl.Build(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkReverse(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := randomGraph(rng, 5000, 500, 0.02)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Reverse()
 	}
 }

@@ -210,20 +210,6 @@ type Certificate struct {
 	Witness Witness `json:"witness"`
 }
 
-// ClaimedTier is the tier this certificate would earn if its claims check
-// out — for display before (or without) verification. Verify is the real
-// thing.
-func (c *Certificate) ClaimedTier() Tier {
-	switch c.Witness.Kind {
-	case WitnessAverageLoad, WitnessMaxElement, WitnessPacking, WitnessMatching:
-		return TierVerified
-	case WitnessExhaustive:
-		return TierAttested
-	default:
-		return TierHeuristic
-	}
-}
-
 // Bounds re-derives the two cheap instance-level lower bounds on the
 // optimal makespan: the average-load bound (each task in its cheapest
 // placement, total work spread perfectly over the processors, rounded up)

@@ -310,27 +310,6 @@ func TestCertificateJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClaimedTier: the display tier matches what verification would
-// grant for honest certificates.
-func TestClaimedTier(t *testing.T) {
-	for _, tc := range []struct {
-		kind WitnessKind
-		want Tier
-	}{
-		{WitnessNone, TierHeuristic},
-		{WitnessAverageLoad, TierVerified},
-		{WitnessMaxElement, TierVerified},
-		{WitnessPacking, TierVerified},
-		{WitnessMatching, TierVerified},
-		{WitnessExhaustive, TierAttested},
-	} {
-		c := &Certificate{Witness: Witness{Kind: tc.kind}}
-		if got := c.ClaimedTier(); got != tc.want {
-			t.Fatalf("ClaimedTier(%s) = %s, want %s", tc.kind, got, tc.want)
-		}
-	}
-}
-
 // TestIssuePackingWitness: when neither cheap bound closes the gap but
 // the bin-packing bound does, Issue claims WitnessPacking and Verify
 // re-derives it to TierVerified — no attestation needed.

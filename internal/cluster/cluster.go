@@ -95,10 +95,6 @@ func NormalizePeer(p string) (string, error) {
 // Self returns this process's own normalized base URL.
 func (r *Ring) Self() string { return r.self }
 
-// Peers returns the full normalized peer list (self included), sorted.
-// The returned slice is shared; treat it as read-only.
-func (r *Ring) Peers() []string { return r.peers }
-
 // Size returns the number of replicas in the ring.
 func (r *Ring) Size() int { return len(r.peers) }
 
@@ -116,9 +112,6 @@ func (r *Ring) Owner(key string) string {
 	}
 	return best
 }
-
-// Owns reports whether this process owns key.
-func (r *Ring) Owns(key string) bool { return r.Owner(key) == r.self }
 
 // score is the rendezvous weight of peer for key: the first 8 bytes of
 // SHA-256(peer ‖ NUL ‖ key) as a big-endian uint64. SHA-256 (rather than

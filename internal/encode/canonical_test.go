@@ -248,7 +248,6 @@ func TestCanonicalBipartiteUnitNormalization(t *testing.T) {
 	g2 := b2.MustBuild()
 	// Force the weighted representation even though all weights are 1.
 	if g2.W == nil {
-		g2 = g2.Clone()
 		g2.W = make([]int64, g2.NumEdges())
 		for i := range g2.W {
 			g2.W[i] = 1

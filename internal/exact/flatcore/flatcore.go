@@ -85,9 +85,6 @@ type Bitset []uint64
 // BitsetWords returns the word count needed for n bits.
 func BitsetWords(n int) int { return (n + 63) / 64 }
 
-// NewBitset returns a zeroed bitset holding n bits.
-func NewBitset(n int) Bitset { return make(Bitset, BitsetWords(n)) }
-
 // Set sets bit i.
 func (b Bitset) Set(i int32) { b[i>>6] |= 1 << (uint(i) & 63) }
 

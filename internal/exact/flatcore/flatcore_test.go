@@ -386,7 +386,7 @@ func TestCompletePruneSound(t *testing.T) {
 
 // TestBitset: basic bit operations.
 func TestBitset(t *testing.T) {
-	b := NewBitset(130)
+	b := make(Bitset, BitsetWords(130))
 	for _, i := range []int32{0, 63, 64, 127, 129} {
 		if b.Has(i) {
 			t.Fatalf("bit %d set in fresh bitset", i)
@@ -399,7 +399,7 @@ func TestBitset(t *testing.T) {
 	if b.Has(1) || b.Has(128) {
 		t.Fatal("stray bit")
 	}
-	c := NewBitset(130)
+	c := make(Bitset, BitsetWords(130))
 	if EqualWords(b, c) {
 		t.Fatal("unequal bitsets compare equal")
 	}

@@ -352,8 +352,14 @@ func genFrontier(s *searchState, target int) [][]int32 {
 }
 
 // watchCancel halts the search when ctx ends; the returned release func
-// must be called before reading the result.
+// must be called before reading the result. A context that has already
+// ended halts it at once, so a fast search cannot finish before the
+// watching goroutine first runs.
 func watchCancel(ctx context.Context, sr *search) (release func()) {
+	if ctx.Err() != nil {
+		sr.cancelled.Store(true)
+		sr.cut.Store(-1)
+	}
 	done := ctx.Done()
 	if done == nil {
 		return func() {}

@@ -39,9 +39,6 @@ func NewNetwork(n int) *Network {
 	return &Network{n: n, head: make([][]int32, n)}
 }
 
-// NumVertices returns the vertex count.
-func (g *Network) NumVertices() int { return g.n }
-
 // AddArc adds a directed arc u→v with the given capacity (and its zero-
 // capacity reverse), returning the arc index for flow queries.
 func (g *Network) AddArc(u, v int, capacity int64) int {

@@ -147,38 +147,6 @@ func (h *Hypergraph) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of h.
-func (h *Hypergraph) Clone() *Hypergraph {
-	c := &Hypergraph{NTasks: h.NTasks, NProcs: h.NProcs, unit: h.unit}
-	c.TaskPtr = append([]int32(nil), h.TaskPtr...)
-	c.Edges = append([]int32(nil), h.Edges...)
-	c.PinPtr = append([]int32(nil), h.PinPtr...)
-	c.Pins = append([]int32(nil), h.Pins...)
-	c.Owner = append([]int32(nil), h.Owner...)
-	c.Weight = append([]int64(nil), h.Weight...)
-	return c
-}
-
-// WithWeights returns a copy of h whose hyperedge weights are replaced by w
-// (len w must equal NumEdges; all entries positive).
-func (h *Hypergraph) WithWeights(w []int64) (*Hypergraph, error) {
-	if len(w) != h.NumEdges() {
-		return nil, fmt.Errorf("hypergraph: %d weights for %d hyperedges", len(w), h.NumEdges())
-	}
-	c := h.Clone()
-	copy(c.Weight, w)
-	c.unit = true
-	for _, x := range w {
-		if x <= 0 {
-			return nil, fmt.Errorf("hypergraph: non-positive weight %d", x)
-		}
-		if x != 1 {
-			c.unit = false
-		}
-	}
-	return c, nil
-}
-
 // MinMaxEdgeSize returns the minimum and maximum |h ∩ V2| over all
 // hyperedges. Used by the "related" weight scheme of Sec. V-A2:
 // w_h = ceil(min_s * max_s / s_h).
@@ -198,21 +166,6 @@ func (h *Hypergraph) MinMaxEdgeSize() (minSize, maxSize int) {
 		}
 	}
 	return minSize, maxSize
-}
-
-// ToBipartite projects a hypergraph in which every hyperedge has exactly one
-// processor down to a plain bipartite SINGLEPROC graph. It returns an error
-// if some hyperedge has more than one processor. Weight of edge (t,p) is the
-// hyperedge weight.
-func (h *Hypergraph) ToBipartite() (nTasks, nProcs int, edges [][3]int64, err error) {
-	for e := int32(0); int(e) < h.NumEdges(); e++ {
-		procs := h.EdgeProcs(e)
-		if len(procs) != 1 {
-			return 0, 0, nil, fmt.Errorf("hypergraph: hyperedge %d has %d processors; not a SINGLEPROC instance", e, len(procs))
-		}
-		edges = append(edges, [3]int64{int64(h.Owner[e]), int64(procs[0]), h.Weight[e]})
-	}
-	return h.NTasks, h.NProcs, edges, nil
 }
 
 // FromGraph lifts a SINGLEPROC instance into MULTIPROC form (Sec. II-B):
@@ -461,57 +414,4 @@ func (b *Builder) MustBuild() *Hypergraph {
 		panic(err)
 	}
 	return h
-}
-
-// Stats summarizes a hypergraph for experiment tables (Table I columns plus
-// degree spreads).
-type Stats struct {
-	NTasks, NProcs   int
-	NumEdges         int // |N|
-	NumPins          int // Σ_h |h ∩ V2|
-	MinTaskDeg       int
-	MaxTaskDeg       int
-	AvgTaskDeg       float64
-	MinEdgeSize      int
-	MaxEdgeSize      int
-	AvgEdgeSize      float64
-	MinWeight        int64
-	MaxWeight        int64
-	SingleConfigured int // tasks with exactly one configuration
-}
-
-// ComputeStats returns summary statistics of h.
-func ComputeStats(h *Hypergraph) Stats {
-	s := Stats{NTasks: h.NTasks, NProcs: h.NProcs, NumEdges: h.NumEdges(), NumPins: h.NumPins()}
-	if h.NTasks == 0 {
-		return s
-	}
-	s.MinTaskDeg = h.TaskDegree(0)
-	for t := 0; t < h.NTasks; t++ {
-		d := h.TaskDegree(t)
-		if d < s.MinTaskDeg {
-			s.MinTaskDeg = d
-		}
-		if d > s.MaxTaskDeg {
-			s.MaxTaskDeg = d
-		}
-		if d == 1 {
-			s.SingleConfigured++
-		}
-	}
-	s.AvgTaskDeg = float64(h.NumEdges()) / float64(h.NTasks)
-	if h.NumEdges() > 0 {
-		s.MinEdgeSize, s.MaxEdgeSize = h.MinMaxEdgeSize()
-		s.AvgEdgeSize = float64(h.NumPins()) / float64(h.NumEdges())
-		s.MinWeight, s.MaxWeight = h.Weight[0], h.Weight[0]
-		for _, w := range h.Weight {
-			if w < s.MinWeight {
-				s.MinWeight = w
-			}
-			if w > s.MaxWeight {
-				s.MaxWeight = w
-			}
-		}
-	}
-	return s
 }

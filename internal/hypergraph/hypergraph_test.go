@@ -34,7 +34,7 @@ func fig2(t *testing.T) *Hypergraph {
 func TestFig2Structure(t *testing.T) {
 	h := fig2(t)
 	if h.NTasks != 4 || h.NProcs != 3 || h.NumEdges() != 6 || h.NumPins() != 9 {
-		t.Fatalf("sizes wrong: %+v", ComputeStats(h))
+		t.Fatalf("sizes wrong: %d tasks, %d procs, %d edges, %d pins", h.NTasks, h.NProcs, h.NumEdges(), h.NumPins())
 	}
 	if !h.Unit() {
 		t.Fatal("Fig. 2 instance is unit-weighted")
@@ -137,38 +137,6 @@ func TestWeightsAndUnitFlag(t *testing.T) {
 	}
 }
 
-func TestWithWeights(t *testing.T) {
-	h := fig2(t)
-	w := []int64{2, 1, 3, 1, 1, 5}
-	h2, err := h.WithWeights(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Unit() {
-		t.Fatal("h2 should be weighted")
-	}
-	if h.Weight[0] != 1 {
-		t.Fatal("WithWeights mutated the original")
-	}
-	if err := h2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WithWeights([]int64{1}); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := h.WithWeights([]int64{1, 1, 1, 1, 1, -2}); err == nil {
-		t.Fatal("expected positivity error")
-	}
-	// All-ones restores unit flag.
-	h3, err := h2.WithWeights([]int64{1, 1, 1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h3.Unit() {
-		t.Fatal("all-ones weights must be unit")
-	}
-}
-
 func TestPinsSorted(t *testing.T) {
 	b := NewBuilder(1, 5)
 	b.AddEdge(0, []int{4, 0, 2}, 1)
@@ -178,44 +146,9 @@ func TestPinsSorted(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	h := fig2(t)
-	c := h.Clone()
-	c.Weight[0] = 42
-	c.Pins[0] = 2
-	if h.Weight[0] != 1 || h.Pins[0] == 2 && h.Pins[0] != c.Pins[0] {
-		t.Fatal("Clone shares storage")
-	}
-	if h.Weight[0] == 42 {
-		t.Fatal("Clone shares Weight storage")
-	}
-}
-
-func TestToBipartite(t *testing.T) {
-	b := NewBuilder(2, 3)
-	b.AddEdge(0, []int{0}, 2)
-	b.AddEdge(0, []int{2}, 1)
-	b.AddEdge(1, []int{1}, 3)
-	h := b.MustBuild()
-	nT, nP, edges, err := h.ToBipartite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nT != 2 || nP != 3 || len(edges) != 3 {
-		t.Fatalf("projection wrong: %d %d %v", nT, nP, edges)
-	}
-	if edges[0] != [3]int64{0, 0, 2} {
-		t.Fatalf("edge 0 = %v", edges[0])
-	}
-
-	if _, _, _, err := fig2(t).ToBipartite(); err == nil {
-		t.Fatal("Fig. 2 has multi-processor hyperedges; projection must fail")
-	}
-}
-
 // TestFromGraph: the singleton lift validates, keeps g's edge order as
-// hyperedge ids (edge k ↔ hyperedge k), carries the weights and the unit
-// flag, and round-trips through ToBipartite.
+// hyperedge ids (edge k ↔ hyperedge k), and carries the weights and the
+// unit flag.
 func TestFromGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
@@ -247,10 +180,6 @@ func TestFromGraph(t *testing.T) {
 				}
 			}
 		}
-		nT, nP, edges, err := h.ToBipartite()
-		if err != nil || nT != n || nP != p || len(edges) != g.NumEdges() {
-			t.Fatalf("trial %d: round trip: %d %d %d %v", trial, nT, nP, len(edges), err)
-		}
 	}
 }
 
@@ -277,23 +206,6 @@ func TestEdgesProcsOf(t *testing.T) {
 		if got := EdgesOf(g, bad); got != nil {
 			t.Fatalf("EdgesOf(%v) = %v, want nil", bad, got)
 		}
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	h := fig2(t)
-	s := ComputeStats(h)
-	if s.NumEdges != 6 || s.NumPins != 9 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.MinTaskDeg != 1 || s.MaxTaskDeg != 2 || s.SingleConfigured != 2 {
-		t.Fatalf("degree stats = %+v", s)
-	}
-	if s.MinEdgeSize != 1 || s.MaxEdgeSize != 2 {
-		t.Fatalf("edge size stats = %+v", s)
-	}
-	if s.MinWeight != 1 || s.MaxWeight != 1 {
-		t.Fatalf("weight stats = %+v", s)
 	}
 }
 

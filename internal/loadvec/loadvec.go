@@ -55,10 +55,9 @@ func CompareVec[T Value](a, b []T) int {
 // Tracker maintains per-processor loads plus the same multiset sorted
 // descending, with batch updates and candidate comparison.
 type Tracker[T Value] struct {
-	loads   []T          // by processor index
-	sorted  []T          // descending multiset of loads
-	scratch []T          // the next sorted vector; swapped with sorted on update
-	own     Candidate[T] // SetAll's and AddAll's staging buffers
+	loads   []T // by processor index
+	sorted  []T // descending multiset of loads
+	scratch []T // the next sorted vector; swapped with sorted on update
 }
 
 // New returns a tracker for p processors, all loads zero.
@@ -84,36 +83,6 @@ func (t *Tracker[T]) Len() int { return len(t.loads) }
 
 // Load returns the current load of processor u.
 func (t *Tracker[T]) Load(u int32) T { return t.loads[u] }
-
-// Loads returns the internal per-processor load slice (do not modify).
-func (t *Tracker[T]) Loads() []T { return t.loads }
-
-// Max returns the current maximum load (0 for p = 0).
-func (t *Tracker[T]) Max() T {
-	if len(t.sorted) == 0 {
-		var zero T
-		return zero
-	}
-	return t.sorted[0]
-}
-
-// Sorted returns the internal descending sorted loads (do not modify).
-func (t *Tracker[T]) Sorted() []T { return t.sorted }
-
-// AddAll adds delta to every processor in procs and resorts incrementally.
-// procs must not contain duplicates.
-func (t *Tracker[T]) AddAll(procs []int32, delta T) {
-	t.StageAdd(&t.own, procs, delta)
-	t.Commit(&t.own)
-}
-
-// SetAll sets loads[procs[i]] = newVals[i] and resorts incrementally in
-// O(p + k log k), staging through a candidate the tracker owns. procs must
-// not contain duplicates.
-func (t *Tracker[T]) SetAll(procs []int32, newVals []T) {
-	t.Stage(&t.own, procs, newVals)
-	t.Commit(&t.own)
-}
 
 // Candidate is a hypothetical batch update against a Tracker: processor
 // procs[i] would take value newVals[i]. Stage and StageAdd fill it in
@@ -157,13 +126,6 @@ func (t *Tracker[T]) stage(c *Candidate[T], procs []int32) {
 	sortDesc(c.sortedNew)
 }
 
-// MaxAfter returns the maximum load the tracker would have after applying c.
-func (t *Tracker[T]) MaxAfter(c *Candidate[T]) T {
-	it := mergeIter[T]{base: t.sorted, skip: c.sortedOld, add: c.sortedNew}
-	v, _ := it.next()
-	return v
-}
-
 // Compare lexicographically compares the descending load vectors that would
 // result from applying candidates a and b: -1 if a yields the smaller
 // (better) vector, 0 if identical, +1 otherwise. It walks the two merged
@@ -201,12 +163,6 @@ func (t *Tracker[T]) Commit(c *Candidate[T]) {
 	}
 	t.scratch = t.appendResult(t.scratch[:0], c)
 	t.sorted, t.scratch = t.scratch, t.sorted
-}
-
-// ResultVec materializes the full descending vector that would result from
-// applying c; exported for tests and the naive reference implementations.
-func (t *Tracker[T]) ResultVec(c *Candidate[T]) []T {
-	return t.appendResult(make([]T, 0, len(t.sorted)), c)
 }
 
 // appendResult appends the descending vector c would produce to out.

@@ -20,6 +20,24 @@ func stagedAdd(tr *Tracker[int64], procs []int32, delta int64) *Candidate[int64]
 	return c
 }
 
+// setAll and addAll apply a batch update to tr through a staged candidate.
+func setAll[T Value](tr *Tracker[T], procs []int32, vals []T) {
+	var c Candidate[T]
+	tr.Stage(&c, procs, vals)
+	tr.Commit(&c)
+}
+
+func addAll[T Value](tr *Tracker[T], procs []int32, delta T) {
+	var c Candidate[T]
+	tr.StageAdd(&c, procs, delta)
+	tr.Commit(&c)
+}
+
+// resultVec is the descending vector tr would hold after committing c.
+func resultVec[T Value](tr *Tracker[T], c *Candidate[T]) []T {
+	return tr.appendResult([]T{}, c)
+}
+
 func TestSortedDescAndCompareVec(t *testing.T) {
 	v := SortedDesc([]int64{3, 1, 4, 1, 5})
 	if !reflect.DeepEqual(v, []int64{5, 4, 3, 1, 1}) {
@@ -38,70 +56,70 @@ func TestSortedDescAndCompareVec(t *testing.T) {
 
 func TestTrackerBasics(t *testing.T) {
 	tr := New[int64](4)
-	if tr.Len() != 4 || tr.Max() != 0 {
-		t.Fatalf("fresh tracker wrong: %v", tr.Sorted())
+	if tr.Len() != 4 || tr.sorted[0] != 0 {
+		t.Fatalf("fresh tracker wrong: %v", tr.sorted)
 	}
-	tr.AddAll([]int32{1, 3}, 5)
+	addAll(tr, []int32{1, 3}, 5)
 	if tr.Load(1) != 5 || tr.Load(3) != 5 || tr.Load(0) != 0 {
-		t.Fatalf("loads = %v", tr.Loads())
+		t.Fatalf("loads = %v", tr.loads)
 	}
-	if !reflect.DeepEqual(tr.Sorted(), []int64{5, 5, 0, 0}) {
-		t.Fatalf("sorted = %v", tr.Sorted())
+	if !reflect.DeepEqual(tr.sorted, []int64{5, 5, 0, 0}) {
+		t.Fatalf("sorted = %v", tr.sorted)
 	}
-	tr.AddAll([]int32{1}, 2)
-	if tr.Max() != 7 {
-		t.Fatalf("Max = %d", tr.Max())
+	addAll(tr, []int32{1}, 2)
+	if tr.sorted[0] != 7 {
+		t.Fatalf("Max = %d", tr.sorted[0])
 	}
-	if !reflect.DeepEqual(tr.Sorted(), []int64{7, 5, 0, 0}) {
-		t.Fatalf("sorted = %v", tr.Sorted())
+	if !reflect.DeepEqual(tr.sorted, []int64{7, 5, 0, 0}) {
+		t.Fatalf("sorted = %v", tr.sorted)
 	}
 }
 
 func TestTrackerSetAll(t *testing.T) {
 	tr := New[int64](3)
-	tr.SetAll([]int32{0, 1, 2}, []int64{9, 4, 6})
-	if !reflect.DeepEqual(tr.Sorted(), []int64{9, 6, 4}) {
-		t.Fatalf("sorted = %v", tr.Sorted())
+	setAll(tr, []int32{0, 1, 2}, []int64{9, 4, 6})
+	if !reflect.DeepEqual(tr.sorted, []int64{9, 6, 4}) {
+		t.Fatalf("sorted = %v", tr.sorted)
 	}
-	tr.SetAll([]int32{0}, []int64{1})
-	if !reflect.DeepEqual(tr.Sorted(), []int64{6, 4, 1}) {
-		t.Fatalf("sorted = %v", tr.Sorted())
+	setAll(tr, []int32{0}, []int64{1})
+	if !reflect.DeepEqual(tr.sorted, []int64{6, 4, 1}) {
+		t.Fatalf("sorted = %v", tr.sorted)
 	}
 }
 
 func TestTrackerEmptyBatch(t *testing.T) {
 	tr := New[int64](2)
-	tr.SetAll(nil, nil)
-	if !reflect.DeepEqual(tr.Sorted(), []int64{0, 0}) {
-		t.Fatalf("sorted = %v", tr.Sorted())
+	setAll(tr, nil, nil)
+	if !reflect.DeepEqual(tr.sorted, []int64{0, 0}) {
+		t.Fatalf("sorted = %v", tr.sorted)
 	}
 }
 
 func TestCandidateMaxAfterAndCommit(t *testing.T) {
 	tr := New[int64](3)
-	tr.SetAll([]int32{0, 1, 2}, []int64{5, 3, 1})
+	setAll(tr, []int32{0, 1, 2}, []int64{5, 3, 1})
 	c := stagedAdd(tr, []int32{2}, 10)
-	if tr.MaxAfter(c) != 11 {
-		t.Fatalf("MaxAfter = %d", tr.MaxAfter(c))
+	if got := resultVec(tr, c)[0]; got != 11 {
+		t.Fatalf("max after = %d", got)
 	}
-	if tr.Max() != 5 {
+	if tr.sorted[0] != 5 {
 		t.Fatal("candidate must not mutate tracker")
 	}
 	tr.Commit(c)
-	if tr.Max() != 11 || tr.Load(2) != 11 {
-		t.Fatalf("after commit: max=%d load2=%d", tr.Max(), tr.Load(2))
+	if tr.sorted[0] != 11 || tr.Load(2) != 11 {
+		t.Fatalf("after commit: max=%d load2=%d", tr.sorted[0], tr.Load(2))
 	}
 }
 
 func TestCompareCandidates(t *testing.T) {
 	tr := New[int64](4)
-	tr.SetAll([]int32{0, 1, 2, 3}, []int64{4, 4, 2, 0})
+	setAll(tr, []int32{0, 1, 2, 3}, []int64{4, 4, 2, 0})
 	// a: +1 on proc 3 → vector [4 4 2 1]
 	// b: +1 on proc 2 → vector [4 4 3 0]
 	a := stagedAdd(tr, []int32{3}, 1)
 	b := stagedAdd(tr, []int32{2}, 1)
 	if tr.Compare(a, b) != -1 {
-		t.Fatalf("a should beat b: %v vs %v", tr.ResultVec(a), tr.ResultVec(b))
+		t.Fatalf("a should beat b: %v vs %v", resultVec(tr, a), resultVec(tr, b))
 	}
 	if tr.Compare(b, a) != 1 {
 		t.Fatal("antisymmetry")
@@ -115,56 +133,56 @@ func TestCompareTieOnMaxBrokenLater(t *testing.T) {
 	// Both candidates reach max 6; second-largest decides (the paper's
 	// vector-greedy tie-breaking).
 	tr := New[int64](3)
-	tr.SetAll([]int32{0, 1, 2}, []int64{6, 2, 2})
+	setAll(tr, []int32{0, 1, 2}, []int64{6, 2, 2})
 	a := staged(tr, []int32{1}, []int64{5}) // [6 5 2]
 	b := staged(tr, []int32{1, 2}, []int64{3, 3})
 	// b → [6 3 3]: max ties at 6, then 3 < 5, so b wins.
 	if tr.Compare(b, a) != -1 {
-		t.Fatalf("b should win: %v vs %v", tr.ResultVec(b), tr.ResultVec(a))
+		t.Fatalf("b should win: %v vs %v", resultVec(tr, b), resultVec(tr, a))
 	}
 }
 
 func TestFloatTracker(t *testing.T) {
 	tr := New[float64](3)
-	tr.AddAll([]int32{0, 1}, 0.5)
-	tr.AddAll([]int32{1}, 0.25)
+	addAll(tr, []int32{0, 1}, 0.5)
+	addAll(tr, []int32{1}, 0.25)
 	if tr.Load(1) != 0.75 {
 		t.Fatalf("Load(1) = %v", tr.Load(1))
 	}
-	if !reflect.DeepEqual(tr.Sorted(), []float64{0.75, 0.5, 0}) {
-		t.Fatalf("sorted = %v", tr.Sorted())
+	if !reflect.DeepEqual(tr.sorted, []float64{0.75, 0.5, 0}) {
+		t.Fatalf("sorted = %v", tr.sorted)
 	}
 }
 
 func TestRebuildMatchesIncremental(t *testing.T) {
 	tr := New[int64](5)
-	tr.SetAll([]int32{0, 2, 4}, []int64{7, 7, 1})
-	rebuilt := From(tr.Loads())
-	if !reflect.DeepEqual(tr.Sorted(), rebuilt.Sorted()) {
-		t.Fatalf("incremental %v != rebuilt %v", tr.Sorted(), rebuilt.Sorted())
+	setAll(tr, []int32{0, 2, 4}, []int64{7, 7, 1})
+	rebuilt := From(tr.loads)
+	if !reflect.DeepEqual(tr.sorted, rebuilt.sorted) {
+		t.Fatalf("incremental %v != rebuilt %v", tr.sorted, rebuilt.sorted)
 	}
-	if !reflect.DeepEqual(tr.Loads(), rebuilt.Loads()) {
-		t.Fatalf("From loads %v, want %v", rebuilt.Loads(), tr.Loads())
+	if !reflect.DeepEqual(tr.loads, rebuilt.loads) {
+		t.Fatalf("From loads %v, want %v", rebuilt.loads, tr.loads)
 	}
 }
 
 func TestResultVecMatchesNaive(t *testing.T) {
 	tr := New[int64](6)
-	tr.SetAll([]int32{0, 1, 2, 3, 4, 5}, []int64{9, 7, 7, 3, 1, 0})
+	setAll(tr, []int32{0, 1, 2, 3, 4, 5}, []int64{9, 7, 7, 3, 1, 0})
 	c := staged(tr, []int32{1, 4}, []int64{8, 2})
 	want := SortedDesc([]int64{9, 8, 7, 3, 2, 0})
-	if got := tr.ResultVec(c); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ResultVec = %v, want %v", got, want)
+	if got := resultVec(tr, c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resultVec = %v, want %v", got, want)
 	}
 }
 
 // The zero Candidate is the empty update: it yields the current vector.
 func TestZeroCandidateIsCurrentVector(t *testing.T) {
 	tr := New[int64](3)
-	tr.SetAll([]int32{0, 1, 2}, []int64{4, 2, 2})
+	setAll(tr, []int32{0, 1, 2}, []int64{4, 2, 2})
 	var stay Candidate[int64]
-	if got := tr.ResultVec(&stay); !reflect.DeepEqual(got, tr.Sorted()) {
-		t.Fatalf("ResultVec(zero) = %v, want %v", got, tr.Sorted())
+	if got := resultVec(tr, &stay); !reflect.DeepEqual(got, tr.sorted) {
+		t.Fatalf("resultVec(zero) = %v, want %v", got, tr.sorted)
 	}
 	if tr.Compare(staged(tr, []int32{0}, []int64{3}), &stay) != -1 {
 		t.Fatal("lowering the maximum must beat staying")
@@ -173,8 +191,8 @@ func TestZeroCandidateIsCurrentVector(t *testing.T) {
 		t.Fatal("adding load must lose to staying")
 	}
 	tr.Commit(&stay)
-	if !reflect.DeepEqual(tr.Sorted(), []int64{4, 2, 2}) {
-		t.Fatalf("committing the zero candidate changed the vector: %v", tr.Sorted())
+	if !reflect.DeepEqual(tr.sorted, []int64{4, 2, 2}) {
+		t.Fatalf("committing the zero candidate changed the vector: %v", tr.sorted)
 	}
 }
 
@@ -182,15 +200,15 @@ func TestZeroCandidateIsCurrentVector(t *testing.T) {
 // keep any of its old update.
 func TestRestageShrinks(t *testing.T) {
 	tr := New[int64](5)
-	tr.SetAll([]int32{0, 1, 2, 3, 4}, []int64{5, 4, 3, 2, 1})
+	setAll(tr, []int32{0, 1, 2, 3, 4}, []int64{5, 4, 3, 2, 1})
 	var c Candidate[int64]
 	tr.StageAdd(&c, []int32{0, 1, 2, 3}, 9)
 	tr.StageAdd(&c, []int32{4}, 1)
-	if got, want := tr.ResultVec(&c), []int64{5, 4, 3, 2, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ResultVec = %v, want %v", got, want)
+	if got, want := resultVec(tr, &c), []int64{5, 4, 3, 2, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("resultVec = %v, want %v", got, want)
 	}
 	tr.Commit(&c)
-	if got, want := tr.Sorted(), []int64{5, 4, 3, 2, 2}; !reflect.DeepEqual(got, want) {
+	if got, want := tr.sorted, []int64{5, 4, 3, 2, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after commit: %v, want %v", got, want)
 	}
 }
@@ -215,10 +233,11 @@ func TestCandidatesAllocationFree(t *testing.T) {
 		if tr.Compare(&a, &b) < 0 {
 			a, b = b, a
 		}
-		_ = tr.MaxAfter(&b)
 		tr.Commit(&b)
-		tr.SetAll(procs[:3], vals[:3])
-		tr.AddAll(procs[3:12], 1)
+		tr.Stage(&a, procs[:3], vals[:3])
+		tr.Commit(&a)
+		tr.StageAdd(&a, procs[3:12], 1)
+		tr.Commit(&a)
 	}
 	run()
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
@@ -244,8 +263,8 @@ func TestPropertyIncrementalEqualsNaive(t *testing.T) {
 				vals[i] = rng.Int63n(100)
 				ref[u] = vals[i]
 			}
-			tr.SetAll(ps, vals)
-			if !reflect.DeepEqual(tr.Sorted(), SortedDesc(ref)) {
+			setAll(tr, ps, vals)
+			if !reflect.DeepEqual(tr.sorted, SortedDesc(ref)) {
 				return false
 			}
 		}
@@ -268,7 +287,7 @@ func TestPropertyCompareEqualsNaive(t *testing.T) {
 			initProcs[u] = int32(u)
 			initVals[u] = rng.Int63n(20)
 		}
-		tr.SetAll(initProcs, initVals)
+		setAll(tr, initProcs, initVals)
 		mk := func() *Candidate[int64] {
 			k := 1 + rng.Intn(p)
 			perm := rng.Perm(p)[:k]
@@ -281,15 +300,8 @@ func TestPropertyCompareEqualsNaive(t *testing.T) {
 			return staged(tr, ps, vals)
 		}
 		a, b := mk(), mk()
-		naive := CompareVec(tr.ResultVec(a), tr.ResultVec(b))
-		if tr.Compare(a, b) != naive {
-			return false
-		}
-		// MaxAfter agrees with head of result vector.
-		if va := tr.ResultVec(a); len(va) > 0 && tr.MaxAfter(a) != va[0] {
-			return false
-		}
-		return true
+		naive := CompareVec(resultVec(tr, a), resultVec(tr, b))
+		return tr.Compare(a, b) == naive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -310,8 +322,8 @@ func TestPropertyCommitConsistent(t *testing.T) {
 			procs[u] = int32(u)
 			base[u] = rng.Int63n(10)
 		}
-		tr1.SetAll(procs, base)
-		tr2.SetAll(procs, base)
+		setAll(tr1, procs, base)
+		setAll(tr2, procs, base)
 		k := 1 + rng.Intn(p)
 		ps := make([]int32, k)
 		for i, u := range rng.Perm(p)[:k] {
@@ -320,8 +332,8 @@ func TestPropertyCommitConsistent(t *testing.T) {
 		c1 := stagedAdd(tr1, ps, 3)
 		c2 := stagedAdd(tr2, ps, 3)
 		tr1.Commit(c1)
-		vec := tr2.ResultVec(c2)
-		return reflect.DeepEqual(tr1.Sorted(), vec)
+		vec := resultVec(tr2, c2)
+		return reflect.DeepEqual(tr1.sorted, vec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -338,7 +350,7 @@ func BenchmarkCompareFast(b *testing.B) {
 		procs[u] = int32(u)
 		vals[u] = rng.Int63n(1000)
 	}
-	tr.SetAll(procs, vals)
+	setAll(tr, procs, vals)
 	a := stagedAdd(tr, []int32{1, 5, 9}, 7)
 	c := stagedAdd(tr, []int32{2, 6, 10}, 7)
 	b.ResetTimer()
@@ -365,8 +377,10 @@ func BenchmarkCompareNaive(b *testing.B) {
 func BenchmarkSetAllIncremental(b *testing.B) {
 	const p = 4096
 	tr := New[int64](p)
+	var c Candidate[int64]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.AddAll([]int32{int32(i % p), int32((i + 7) % p)}, 1)
+		tr.StageAdd(&c, []int32{int32(i % p), int32((i + 7) % p)}, 1)
+		tr.Commit(&c)
 	}
 }

@@ -180,13 +180,3 @@ func decodeDiskEntry(key string, data []byte) (*PeerEntry, error) {
 func (dc *diskCache) counters() (hits, misses, writes, writeErrs, reaped uint64) {
 	return dc.hits.Load(), dc.misses.Load(), dc.writes.Load(), dc.writeErrs.Load(), dc.reaped.Load()
 }
-
-// len reports the number of entry files currently on disk (a directory
-// scan; for tests and diagnostics, not the hot path).
-func (dc *diskCache) len() int {
-	names, err := filepath.Glob(filepath.Join(dc.dir, "*.entry"))
-	if err != nil {
-		return 0
-	}
-	return len(names)
-}

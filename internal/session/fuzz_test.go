@@ -2,6 +2,8 @@ package session
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,4 +52,18 @@ func FuzzReadScript(f *testing.F) {
 			t.Fatalf("events %+v round-tripped to %+v", events, events2)
 		}
 	})
+}
+
+// WriteScript emits the NDJSON script form readable by ReadScript.
+func WriteScript(w io.Writer, hdr ScriptHeader, events []Event) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(hdr); err != nil {
+		return err
+	}
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -73,20 +73,6 @@ func ReadScript(r io.Reader) (ScriptHeader, []Event, error) {
 	return hdr, events, nil
 }
 
-// WriteScript emits the NDJSON script form readable by ReadScript.
-func WriteScript(w io.Writer, hdr ScriptHeader, events []Event) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(hdr); err != nil {
-		return err
-	}
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ScriptOptions parameterizes GenerateScript.
 type ScriptOptions struct {
 	// Seed makes the script deterministic; equal options replay equal

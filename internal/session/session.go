@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"semimatch/internal/bipartite"
@@ -223,7 +222,6 @@ type Session struct {
 	subMu   sync.Mutex
 	subs    map[int]chan Push
 	nextSub int
-	dropped atomic.Int64
 }
 
 // New creates a session; Options.Procs must be positive.
@@ -242,9 +240,6 @@ func New(opts Options) (*Session, error) {
 	}
 	return s, nil
 }
-
-// Multi reports the session's problem class.
-func (s *Session) Multi() bool { return s.opts.Multi }
 
 // Apply consumes one event: instant patch, then a bounded warm-started
 // re-solve whose schedule is adopted only when it wins the migration-cost
@@ -642,7 +637,7 @@ func (s *Session) Snapshot() State {
 }
 
 // Subscribe registers a push stream with the given buffer. Pushes to a
-// full buffer are dropped (never blocking an event); Dropped counts them.
+// full buffer are dropped, so a slow subscriber never blocks an event.
 // The returned cancel func unregisters and closes the channel.
 func (s *Session) Subscribe(buf int) (<-chan Push, func()) {
 	if buf < 1 {
@@ -672,27 +667,15 @@ func (s *Session) Subscribe(buf int) (<-chan Push, func()) {
 // the map after draining it.
 func (s *Session) subsClosed() bool { return s.subs == nil }
 
-// Dropped returns how many pushes were discarded on full subscriber
-// buffers.
-func (s *Session) Dropped() int64 { return s.dropped.Load() }
-
 func (s *Session) push(p Push) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	for _, ch := range s.subs {
 		select {
 		case ch <- p:
-		default:
-			s.dropped.Add(1)
+		default: // a full buffer drops the push
 		}
 	}
-}
-
-// Events returns how many events have been applied.
-func (s *Session) Events() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
 }
 
 // Close shuts the session: subscriber channels are closed and further

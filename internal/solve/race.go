@@ -124,9 +124,8 @@ collect:
 }
 
 // runMember runs one race member. Members already race on their own
-// goroutines, so each gets one internal worker (a parallel exact member
-// at one worker is its sequential engine). A panic becomes the member's
-// error, so one malformed-instance crash does not end the race.
+// goroutines, so each gets one internal worker. A panic becomes the
+// member's error, so one malformed-instance crash does not end the race.
 func runMember(ctx context.Context, p Problem, idx int, name string, sol *registry.Solver, doRefine bool) (c candidate) {
 	c.idx = idx
 	defer func() {
@@ -134,7 +133,7 @@ func runMember(ctx context.Context, p Problem, idx int, name string, sol *regist
 			c = candidate{idx: idx, err: fmt.Errorf("solve: %s panicked: %v", name, pv)}
 		}
 	}()
-	a, err := registry.Preferred(sol).SolveInstance(ctx, p.instance(), registry.Options{BnB: exact.Options{Workers: 1}})
+	a, err := sol.SolveInstance(ctx, p.instance(), registry.Options{BnB: exact.Options{Workers: 1}})
 	// An exact member that runs out of budget still hands back its
 	// incumbent, and a race judges schedules, not proofs: keep it.
 	if err != nil && (a == nil || !registry.IncumbentError(err)) {

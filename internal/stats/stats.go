@@ -1,10 +1,9 @@
 // Package stats provides the small statistical toolbox used by the
 // experiment harness: medians over the 10 random instances per parameter
-// set (the paper's aggregation), means, quantiles and ratio formatting.
+// set (the paper's aggregation), means and quantiles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -53,34 +52,6 @@ func Mean[T Number](xs []T) float64 {
 	return sum / float64(len(xs))
 }
 
-// Min returns the minimum of xs; panics on empty input.
-func Min[T Number](xs []T) T {
-	if len(xs) == 0 {
-		panic("stats: min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; panics on empty input.
-func Max[T Number](xs []T) T {
-	if len(xs) == 0 {
-		panic("stats: max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
 // between order statistics; panics on empty input.
 func Quantile[T Number](xs []T, q float64) float64 {
@@ -118,10 +89,4 @@ func Stddev[T Number](xs []T) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(xs)-1))
-}
-
-// Ratio formats a/b with two decimals, the format of the quality columns in
-// Tables II and III. b must be non-zero.
-func Ratio(a, b float64) string {
-	return fmt.Sprintf("%.2f", a/b)
 }

@@ -12,10 +12,10 @@ import (
 
 // Registry is a small, dependency-free metrics registry that renders the
 // Prometheus text exposition format (version 0.0.4). It supports
-// counters, gauges (stored or function-backed) and fixed-bucket
-// histograms. Registration order is preserved in the output; metric
-// names must be unique across the registry (Register panics otherwise —
-// metric wiring is a startup-time, programmer-controlled act).
+// function-backed counters and gauges and fixed-bucket histograms.
+// Registration order is preserved in the output; metric names must be
+// unique across the registry (Register panics otherwise — metric wiring
+// is a startup-time, programmer-controlled act).
 //
 // All operations are safe for concurrent use: observation paths touch
 // only atomics, and a scrape reads a consistent-enough snapshot without
@@ -82,18 +82,11 @@ func formatFloat(v float64) string {
 
 // --- counter ---
 
-// Counter is a monotonically increasing metric.
+// Counter is a monotonically increasing metric whose value is read from
+// fn at scrape time: the layer that counts keeps the count.
 type Counter struct {
 	nm, help string
-	v        atomic.Uint64
-	fn       func() uint64 // function-backed counters read fn instead of v
-}
-
-// Counter registers and returns a stored counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{nm: name, help: help}
-	r.register(c)
-	return c
+	fn       func() uint64
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -102,60 +95,28 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(&Counter{nm: name, help: help, fn: fn})
 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c.fn != nil {
-		return c.fn()
-	}
-	return c.v.Load()
-}
-
 func (c *Counter) name() string { return c.nm }
 
 func (c *Counter) write(w io.Writer) error {
 	if err := header(w, c.nm, c.help, "counter"); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %d\n", c.nm, c.Value())
+	_, err := fmt.Fprintf(w, "%s %d\n", c.nm, c.fn())
 	return err
 }
 
 // --- gauge ---
 
-// Gauge is a metric that can go up and down.
+// Gauge is a metric that can go up and down, read from fn at scrape
+// time.
 type Gauge struct {
 	nm, help string
-	bits     atomic.Uint64 // float64 bits
 	fn       func() float64
-}
-
-// Gauge registers and returns a stored gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{nm: name, help: help}
-	r.register(g)
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&Gauge{nm: name, help: help, fn: fn})
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g.fn != nil {
-		return g.fn()
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 func (g *Gauge) name() string { return g.nm }
@@ -164,7 +125,7 @@ func (g *Gauge) write(w io.Writer) error {
 	if err := header(w, g.nm, g.help, "gauge"); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %s\n", g.nm, formatFloat(g.Value()))
+	_, err := fmt.Fprintf(w, "%s %s\n", g.nm, formatFloat(g.fn()))
 	return err
 }
 
@@ -220,9 +181,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

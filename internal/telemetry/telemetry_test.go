@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -104,11 +105,9 @@ func TestWriteNDJSON(t *testing.T) {
 
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_requests_total", "Total requests.")
-	c.Add(3)
+	r.CounterFunc("test_requests_total", "Total requests.", func() uint64 { return 3 })
 	r.CounterFunc("test_hits_total", "Hits.", func() uint64 { return 7 })
-	g := r.Gauge("test_inflight", "In flight.")
-	g.Set(2.5)
+	r.GaugeFunc("test_inflight", "In flight.", func() float64 { return 2.5 })
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 12 })
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
@@ -140,8 +139,8 @@ func TestRegistryPrometheusText(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if h.Count() != 3 || math.Abs(h.Sum()-100.55) > 1e-9 {
-		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
+	if h.count.Load() != 3 || math.Abs(h.Sum()-100.55) > 1e-9 {
+		t.Fatalf("count=%d sum=%v", h.count.Load(), h.Sum())
 	}
 }
 
@@ -188,13 +187,13 @@ func TestHistogramBucketMonotone(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup_total", "d")
+	r.CounterFunc("dup_total", "d", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate metric name")
 		}
 	}()
-	r.Gauge("dup_total", "d")
+	r.GaugeFunc("dup_total", "d", func() float64 { return 0 })
 }
 
 // TestRegistryRace hammers the registry from concurrent observers and
@@ -202,8 +201,9 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 // under -race in CI.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("race_requests_total", "r")
-	g := r.Gauge("race_inflight", "r")
+	var requests, inflight atomic.Uint64
+	r.CounterFunc("race_requests_total", "r", requests.Load)
+	r.GaugeFunc("race_inflight", "r", func() float64 { return math.Float64frombits(inflight.Load()) })
 	h := r.Histogram("race_latency_seconds", "r", nil)
 	var n sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -211,8 +211,8 @@ func TestRegistryRace(t *testing.T) {
 		go func(i int) {
 			defer n.Done()
 			for j := 0; j < 2000; j++ {
-				c.Inc()
-				g.Set(float64(j))
+				requests.Add(1)
+				inflight.Store(math.Float64bits(float64(j)))
 				h.Observe(float64(j) * 0.001)
 			}
 		}(i)
@@ -231,11 +231,15 @@ func TestRegistryRace(t *testing.T) {
 		}()
 	}
 	n.Wait()
-	if c.Value() != 16000 {
-		t.Fatalf("counter = %d, want 16000", c.Value())
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if h.Count() != 16000 {
-		t.Fatalf("histogram count = %d, want 16000", h.Count())
+	if !strings.Contains(buf.String(), "race_requests_total 16000\n") {
+		t.Fatalf("counter not at 16000:\n%s", buf.String())
+	}
+	if h.count.Load() != 16000 {
+		t.Fatalf("histogram count = %d, want 16000", h.count.Load())
 	}
 }
 

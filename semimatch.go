@@ -405,9 +405,11 @@ func NewBatchRunner(opts BatchOptions) *BatchRunner { return batch.New(opts) }
 // Run's auto policy: a heuristic race first, then — when the instance
 // allows it — an exact attempt (ExactUnit or parallel branch-and-bound),
 // falling back to the best schedule found so far on timeout. Failures are
-// isolated per problem (BatchOutcome.Err); makespans are deterministic in
-// the worker count (schedule identity may vary when the parallel exact
-// stage finds co-optimal schedules). Cancelling ctx stops the batch
+// isolated per problem (BatchOutcome.Err). At a fixed worker count the
+// schedules repeat from run to run. Across worker counts the makespans
+// agree only while no exact stage stops at its node budget, because one
+// worker per solve runs the sequential search and more run the parallel
+// rounds; co-optimal schedules may differ. Cancelling ctx stops the batch
 // promptly, returning partial results alongside the context's error.
 func SolveProblems(ctx context.Context, problems []Problem, opts BatchOptions) ([]BatchOutcome, error) {
 	return batch.New(opts).RunProblems(ctx, problems)
