@@ -224,6 +224,39 @@ func TestParCancelledContext(t *testing.T) {
 	}
 }
 
+// TestPreCancelledSearchAlwaysCancels: a context that has ended before
+// the search starts yields ErrCancelled on every run, even when the
+// search needs only a few nodes and would otherwise finish before the
+// goroutine watching the context first runs. The instance's optimum (11)
+// lies above its root bound (9), so the search must run; with a live
+// context it takes a handful of nodes.
+func TestPreCancelledSearchAlwaysCancels(t *testing.T) {
+	b := bipartite.NewBuilder(3, 2)
+	b.AddWeightedEdge(0, 0, 2)
+	b.AddWeightedEdge(0, 1, 9)
+	b.AddWeightedEdge(1, 0, 9)
+	b.AddWeightedEdge(1, 1, 5)
+	b.AddWeightedEdge(2, 1, 6)
+	g := b.MustBuild()
+	var st SearchStats
+	if _, m, err := SolveSingleProc(context.Background(), g, Options{Workers: 1, Stats: &st}); err != nil || m != 11 || st.Nodes == 0 || st.Bound >= m {
+		t.Fatalf("live context: makespan %d, bound %d, %d nodes, err %v; want 11 above the bound after a search", m, st.Bound, st.Nodes, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		for run := 0; run < 50; run++ {
+			a, m, err := SolveSingleProc(ctx, g, Options{Workers: workers})
+			if !errors.Is(err, ErrCancelled) {
+				t.Fatalf("workers=%d run %d: want ErrCancelled, got %v", workers, run, err)
+			}
+			if vErr := core.ValidateAssignment(g, a); vErr != nil || core.Makespan(g, a) != m {
+				t.Fatalf("workers=%d run %d: incumbent invalid (%v) or makespan %d misreported", workers, run, vErr, m)
+			}
+		}
+	}
+}
+
 func TestParTrivialInstances(t *testing.T) {
 	// Zero tasks.
 	g := bipartite.NewBuilder(0, 3).MustBuild()

@@ -169,6 +169,10 @@ func TestFromGraph(t *testing.T) {
 		if err := h.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		if h.NTasks != n || h.NProcs != p || h.NumEdges() != g.NumEdges() {
+			t.Fatalf("trial %d: %d tasks, %d procs, %d hyperedges; want %d, %d, %d",
+				trial, h.NTasks, h.NProcs, h.NumEdges(), n, p, g.NumEdges())
+		}
 		if h.Unit() != g.Unit() {
 			t.Fatalf("trial %d: unit flag %v, graph unit %v", trial, h.Unit(), g.Unit())
 		}
