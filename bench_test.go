@@ -110,9 +110,9 @@ func ablationHyper(b *testing.B, weights gen.WeightScheme) *semimatch.Hypergraph
 	return h
 }
 
-// BenchmarkAblationVectorFastVsNaive times the incrementally sorted load
-// list (the improvement the paper describes but did not implement) against
-// the naive copy-and-sort variant the paper timed.
+// BenchmarkAblationVectorFastVsNaive times the comparison of candidates on
+// the processors they touch against the naive copy-and-sort variant the
+// paper timed.
 func BenchmarkAblationVectorFastVsNaive(b *testing.B) {
 	h := ablationHyper(b, gen.Related)
 	b.Run("VGH/fast", func(b *testing.B) {

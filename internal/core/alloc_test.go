@@ -23,10 +23,11 @@ func allocHyper(n int) *hypergraph.Hypergraph {
 	return b.MustBuild()
 }
 
-// TestVectorGreedyAllocationBudget keeps the incremental vector greedies
-// free of per-task allocation: a call allocates its result, the task
-// order, the tracker and buffers that grow to the largest configuration,
-// a small constant that is the same for 50 tasks as for 200.
+// TestVectorGreedyAllocationBudget keeps the fast vector greedies free of
+// per-task allocation: a call allocates its result, the task order, the
+// loads and comparison buffers that grow to the largest pair of
+// configurations, a small constant that is the same for 50 tasks as for
+// 200.
 func TestVectorGreedyAllocationBudget(t *testing.T) {
 	const maxAllocs = 64
 	algs := []struct {

@@ -20,8 +20,8 @@
 //
 //   - SortedGreedyHyp (SGH), ExpectedGreedyHyp (EGH), VectorGreedyHyp
 //     (VGH), ExpectedVectorGreedyHyp (EVG) — Algorithms 4–5 plus the two
-//     vector heuristics; each in a naive (paper-literal) and a fast
-//     (incrementally sorted load list) variant.
+//     vector heuristics; the vector ones in a naive (paper-literal) and a
+//     fast variant that compares candidates on the processors they touch.
 //   - LowerBound — the load-balance lower bound LB of Eq. (1).
 //
 // All algorithms are deterministic: tasks are visited in a stable order and

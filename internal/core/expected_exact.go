@@ -109,7 +109,9 @@ func ExpectedGreedyHypExact(h *hypergraph.Hypergraph, opts HyperOptions) (HyperA
 }
 
 // ExpectedVectorGreedyHypExact is ExpectedVectorGreedyHyp with exact
-// scaled-integer expected loads (always using the incremental tracker).
+// scaled-integer expected loads, always through the fast touched-processor
+// comparison (there is no Naive variant; tests hold it to a copy-and-sort
+// reference over the same scaled integers).
 func ExpectedVectorGreedyHypExact(h *hypergraph.Hypergraph) (HyperAssignment, error) {
 	d, err := lcmDegrees(h)
 	if err != nil {

@@ -7,7 +7,53 @@ import (
 	"testing/quick"
 
 	"semimatch/internal/hypergraph"
+	"semimatch/internal/loadvec"
 )
+
+// EVGX runs ExpectedVectorGreedyHypExact in the signature of the other
+// vector greedies, so that the tests here and FuzzVectorGreedies hold it
+// to its reference like them: with opts.Naive it runs
+// expectedVectorExactNaive instead. It panics on the degree lcm error.
+func EVGX(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
+	run := ExpectedVectorGreedyHypExact
+	if opts.Naive {
+		run = expectedVectorExactNaive
+	}
+	a, err := run(h)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// expectedVectorExactNaive is ExpectedVectorGreedyHypExact by copy and
+// sort: each candidate's Algorithm 5 update over the scaled integers is
+// applied to a copy of the whole vector, which is then sorted.
+func expectedVectorExactNaive(h *hypergraph.Hypergraph) (HyperAssignment, error) {
+	d, err := lcmDegrees(h)
+	if err != nil {
+		return nil, err
+	}
+	a := make(HyperAssignment, h.NTasks)
+	o := initExpectedScaled(h, d)
+	tmp := make([]int64, h.NProcs)
+	for _, t := range hyperTaskOrder(h) {
+		bestE := Unassigned
+		var bestVec []int64
+		for _, e := range h.TaskEdges(int(t)) {
+			copy(tmp, o)
+			commitExpectedScaled(h, int(t), e, tmp, d)
+			if vec := loadvec.SortedDesc(tmp); bestE == Unassigned || loadvec.CompareVec(vec, bestVec) < 0 {
+				bestE, bestVec = e, vec
+			}
+		}
+		a[t] = bestE
+		if bestE != Unassigned {
+			commitExpectedScaled(h, int(t), bestE, o, d)
+		}
+	}
+	return a, nil
+}
 
 func TestExactArithmeticValidAndBounded(t *testing.T) {
 	f := func(seed int64) bool {

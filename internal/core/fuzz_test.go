@@ -12,11 +12,11 @@ import (
 	"semimatch/internal/refine"
 )
 
-// FuzzVectorGreedies checks the incremental vector greedies against their
-// Naive copy-and-sort variants, and refine.RefineCtx against a
-// copy-and-sort reference, on instances decoded from the input. With up
-// to 64 processors and configurations of up to 16, the sorted runs pass
-// the 12 elements below which the slices package sorts by insertion.
+// FuzzVectorGreedies checks the fast vector greedies (VGH, EVG and EVG-X)
+// against their copy-and-sort references, and refine.RefineCtx against
+// one of its own, on instances decoded from the input. With up to 64
+// processors and configurations of up to 16, two candidates can touch up
+// to 32 processors between them.
 func FuzzVectorGreedies(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 5, 1, 2, 0, 1, 4, 0, 1, 0, 2, 2})
@@ -30,11 +30,12 @@ func FuzzVectorGreedies(f *testing.F) {
 		}{
 			{"VGH", core.VectorGreedyHyp},
 			{"EVG", core.ExpectedVectorGreedyHyp},
+			{"EVG-X", core.EVGX},
 		} {
 			fast := alg.run(h, core.HyperOptions{})
 			naive := alg.run(h, core.HyperOptions{Naive: true})
 			if !reflect.DeepEqual(fast, naive) {
-				t.Fatalf("%s: incremental %v, naive %v", alg.name, fast, naive)
+				t.Fatalf("%s: fast %v, naive %v", alg.name, fast, naive)
 			}
 		}
 		// Start from every task's first configuration, a poor schedule

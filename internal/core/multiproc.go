@@ -94,11 +94,11 @@ type HyperOptions struct {
 	AfterLoad bool
 	// Naive forces the vector heuristics to materialize and sort the full
 	// load vector per candidate, allocating one per candidate (the
-	// variant the paper implemented and timed), instead of merging each
-	// candidate into the incrementally sorted list through reused buffers
-	// (the improvement the paper describes at the end of Sec. IV-D3).
-	// Assignments are identical; the tests hold the incremental path to
-	// this one.
+	// variant the paper implemented and timed), instead of comparing two
+	// candidates on the processors they touch alone, through reused
+	// buffers (which goes further than the sorted-list improvement the
+	// paper describes at the end of Sec. IV-D3). Assignments are
+	// identical; the tests hold the fast path to this one.
 	Naive bool
 }
 
@@ -221,7 +221,7 @@ func initExpected(h *hypergraph.Hypergraph) []float64 {
 //
 // The arithmetic is performed in a canonical order — first remove every
 // configuration's share in task-edge order, then add the full weight of the
-// chosen hyperedge — so that the naive and the incremental implementations
+// chosen hyperedge — so that the naive and the fast vector implementations
 // produce bit-identical floating-point values and therefore identical
 // assignments even on ties.
 func commitExpected(h *hypergraph.Hypergraph, t int, chosen int32, o []float64) {
@@ -244,29 +244,31 @@ func commitExpected(h *hypergraph.Hypergraph, t int, chosen int32, o []float64) 
 // and so on.
 //
 // With opts.Naive the full vector is copied and sorted per candidate
-// (O(Σ_v d_v · p log p), the variant timed in the paper); otherwise the
-// sorted load list is maintained incrementally and candidates are compared
-// by lazy merge (O(Σ_v d_v · p) worst case, typically far less), staged
-// into two reused candidates.
+// (O(Σ_v d_v · p log p), the variant timed in the paper). Otherwise each
+// candidate is compared with the best so far on the k processors the two
+// touch (loadvec.Comparer; O(Σ_v d_v · k²) at worst, with k at most twice
+// the largest configuration), and committing the choice adds its weight
+// to its processors' loads; no step costs O(p).
 func VectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
 	if opts.Naive {
 		return vectorGreedyNaive(h)
 	}
 	a := make(HyperAssignment, h.NTasks)
-	tr := loadvec.New[int64](h.NProcs)
-	var cand, best loadvec.Candidate[int64]
+	loads := make([]int64, h.NProcs)
+	var c loadvec.Comparer[int64]
 	for _, t := range hyperTaskOrder(h) {
 		bestE := Unassigned
 		for _, e := range h.TaskEdges(int(t)) {
-			tr.StageAdd(&cand, h.EdgeProcs(e), h.Weight[e])
-			if bestE == Unassigned || tr.Compare(&cand, &best) < 0 {
+			if bestE == Unassigned || c.Compare(loads, h.EdgeProcs(e), h.Weight[e], h.EdgeProcs(bestE), h.Weight[bestE]) < 0 {
 				bestE = e
-				cand, best = best, cand
 			}
 		}
 		a[t] = bestE
 		if bestE != Unassigned {
-			tr.Commit(&best)
+			w := h.Weight[bestE]
+			for _, u := range h.EdgeProcs(bestE) {
+				loads[u] += w
+			}
 		}
 	}
 	return a
@@ -312,60 +314,38 @@ func ExpectedVectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperA
 		func(e int32) float64 { return float64(h.Weight[e]) })
 }
 
-// expectedVector is the incremental EVG over the expected loads o, for
-// float64 (EVG) and scaled-integer (EVG-X) loads: share(e) is what
-// hyperedge e adds to each of its processors while its task is undecided,
-// full(e) what it adds once chosen. Each task's candidates are staged over
-// the union of its configurations' processors, with every share removed
-// first and the chosen weight added last, the operation order of
-// commitExpected, so the loads are bit-identical to the naive variant's.
+// expectedVector is the fast EVG over the expected loads o, for float64
+// (EVG) and scaled-integer (EVG-X) loads: share(e) is what hyperedge e
+// adds to each of its processors while its task is undecided, full(e)
+// what it adds once chosen. Each task first takes every share out of o in
+// place, in commitExpected's order; its candidates then differ only in
+// which configuration's processors gain full(e), so they are compared on
+// those processors, and the choice is committed by adding its full
+// weight. The loads, o[u] − shares + w, are bit-identical to the naive
+// variant's.
 func expectedVector[T loadvec.Value](h *hypergraph.Hypergraph, o []T, share, full func(e int32) T) HyperAssignment {
 	a := make(HyperAssignment, h.NTasks)
-	tr := loadvec.From(o)
-
-	// union lists the task's processors; pos[u] is u's index in union
-	// while union[pos[u]] == u, so pos needs no clearing between tasks.
-	var union []int32
-	pos := make([]int32, h.NProcs)
-	var base, vals []T
-	var cand, best loadvec.Candidate[T]
+	var c loadvec.Comparer[T]
 	for _, t := range hyperTaskOrder(h) {
 		edges := h.TaskEdges(int(t))
-		union = union[:0]
-		for _, e := range edges {
-			for _, u := range h.EdgeProcs(e) {
-				if i := pos[u]; int(i) >= len(union) || union[i] != u {
-					pos[u] = int32(len(union))
-					union = append(union, u)
-				}
-			}
-		}
-		base = base[:0]
-		for _, u := range union {
-			base = append(base, tr.Load(u))
-		}
 		for _, e := range edges {
 			s := share(e)
 			for _, u := range h.EdgeProcs(e) {
-				base[pos[u]] -= s
+				o[u] -= s
 			}
 		}
 		bestE := Unassigned
+		var bestW T
 		for _, e := range edges {
-			vals = append(vals[:0], base...)
-			w := full(e)
-			for _, u := range h.EdgeProcs(e) {
-				vals[pos[u]] += w
-			}
-			tr.Stage(&cand, union, vals)
-			if bestE == Unassigned || tr.Compare(&cand, &best) < 0 {
-				bestE = e
-				cand, best = best, cand
+			if w := full(e); bestE == Unassigned || c.Compare(o, h.EdgeProcs(e), w, h.EdgeProcs(bestE), bestW) < 0 {
+				bestE, bestW = e, w
 			}
 		}
 		a[t] = bestE
 		if bestE != Unassigned {
-			tr.Commit(&best)
+			for _, u := range h.EdgeProcs(bestE) {
+				o[u] += bestW
+			}
 		}
 	}
 	return a

@@ -196,33 +196,38 @@ func TestHeuristicsSandwichedByBoundsWeighted(t *testing.T) {
 	}
 }
 
-// The fast (incrementally sorted) and naive (copy+sort) variants must
-// produce identical assignments — including on floating-point ties, thanks
-// to the canonical update order.
-func TestVectorFastEqualsNaive(t *testing.T) {
+// fastEqualsNaive checks on random instances that alg gives identical
+// assignments with and without opts.Naive. An instance has up to 256
+// processors, drawn log-uniformly so that the few-processor, tie-rich
+// instances come up as often as wide ones, up to 300 tasks, and 1–4
+// configurations of up to 12 processors with weights 1–7.
+func fastEqualsNaive(t *testing.T, alg func(*hypergraph.Hypergraph, HyperOptions) HyperAssignment) {
+	t.Helper()
+	seeds := 400
+	if testing.Short() {
+		seeds = 50
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := randomHyper(rng, 1+rng.Intn(25), 1+rng.Intn(8), 4, 4, 7)
-		fast := VectorGreedyHyp(h, HyperOptions{})
-		naive := VectorGreedyHyp(h, HyperOptions{Naive: true})
-		return reflect.DeepEqual(fast, naive)
+		p := 1 + rng.Intn(1<<rng.Intn(9))
+		h := randomHyper(rng, 1+rng.Intn(300), p, 4, 12, 7)
+		return reflect.DeepEqual(alg(h, HyperOptions{}), alg(h, HyperOptions{Naive: true}))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: seeds}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// The fast (touched-processor comparison) and naive (copy+sort) variants
+// must produce identical assignments — including on floating-point ties,
+// thanks to the canonical update order.
+func TestVectorFastEqualsNaive(t *testing.T) {
+	fastEqualsNaive(t, VectorGreedyHyp)
+}
+
 func TestExpectedVectorFastEqualsNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHyper(rng, 1+rng.Intn(25), 1+rng.Intn(8), 4, 4, 7)
-		fast := ExpectedVectorGreedyHyp(h, HyperOptions{})
-		naive := ExpectedVectorGreedyHyp(h, HyperOptions{Naive: true})
-		return reflect.DeepEqual(fast, naive)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("EVG", func(t *testing.T) { fastEqualsNaive(t, ExpectedVectorGreedyHyp) })
+	t.Run("EVG-X", func(t *testing.T) { fastEqualsNaive(t, EVGX) })
 }
 
 func TestHeuristicsDeterministic(t *testing.T) {

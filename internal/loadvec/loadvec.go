@@ -1,24 +1,27 @@
-// Package loadvec maintains processor load vectors sorted in descending
-// order and compares hypothetical updates lexicographically. It is the
-// machinery behind the vector-greedy heuristics of Sec. IV-D3/D4 of the
-// paper: "among the hyperedges, choose the ones that yield the smallest
-// largest load; among the alternatives choose the ones that yield the
-// smallest second largest load and so on".
+// Package loadvec compares processor load vectors sorted in descending
+// order. It is the machinery behind the vector-greedy heuristics of
+// Sec. IV-D3/D4 of the paper: "among the hyperedges, choose the ones that
+// yield the smallest largest load; among the alternatives choose the ones
+// that yield the smallest second largest load and so on".
 //
-// The paper describes (but did not implement) an improved variant that
-// keeps the current load vector sorted as a list and obtains a candidate's
-// sorted vector by merging the few modified positions. Tracker implements
-// exactly that: comparing a candidate costs O(position of first difference
-// + k log k) where k is the number of modified processors, instead of
-// O(p log p) for the naive copy-and-sort.
+// The greedies compare candidates that each add a weight to a few
+// processors of one load vector. Such candidates are compared on the
+// processors they touch alone, without sorting or keeping the whole
+// vector, because of this lemma: if two equal-size multisets A = C ⊎ X and
+// B = C ⊎ Y share a common part C, then A and B, sorted descending,
+// compare lexicographically as X and Y do. Proof: the order of two
+// equal-size multisets is decided at the largest value whose multiplicity
+// differs (the one with more copies of it is larger), and C adds the same
+// amount to both multiplicities. The processors neither candidate touches
+// are such a common part, and so is a touched processor that ends at the
+// same value under both.
 //
-// Nothing on that path allocates once its buffers have grown: a Candidate
-// is staged in place into buffers it keeps between uses, and the tracker
-// merges updates through buffers of its own. A greedy keeps two
-// candidates, the best so far and the one being staged, and swaps them.
-//
-// The tracker is generic over int64 (actual loads, VGH) and float64
-// (expected loads o(u), EVG).
+// Comparing two candidates that touch k processors between them sorts k
+// values by insertion, O(k²) at worst but fast for the few processors a
+// configuration has, and allocates nothing once a Comparer's buffers have
+// grown. The package is generic over int64 (actual loads for VGH and
+// refinement, scaled expected loads for EVG-X) and float64 (expected loads
+// o(u), EVG).
 package loadvec
 
 import "slices"
@@ -31,10 +34,18 @@ type Value interface {
 
 // SortedDesc returns a copy of loads sorted in descending order — the naive
 // building block (used by the reference implementations and for testing the
-// incremental path).
+// touched-set comparison).
 func SortedDesc[T Value](loads []T) []T {
 	s := append([]T(nil), loads...)
-	sortDesc(s)
+	slices.SortFunc(s, func(a, b T) int {
+		switch {
+		case a > b:
+			return -1
+		case a < b:
+			return 1
+		}
+		return 0
+	})
 	return s
 }
 
@@ -52,179 +63,53 @@ func CompareVec[T Value](a, b []T) int {
 	return 0
 }
 
-// Tracker maintains per-processor loads plus the same multiset sorted
-// descending, with batch updates and candidate comparison.
-type Tracker[T Value] struct {
-	loads   []T // by processor index
-	sorted  []T // descending multiset of loads
-	scratch []T // the next sorted vector; swapped with sorted on update
+// Comparer compares hypothetical updates of a load vector. Its zero value
+// is ready to use; it keeps two buffers between calls so that comparing
+// does not allocate once they have grown.
+type Comparer[T Value] struct {
+	a, b []T
 }
 
-// New returns a tracker for p processors, all loads zero.
-func New[T Value](p int) *Tracker[T] {
-	return &Tracker[T]{
-		loads:   make([]T, p),
-		sorted:  make([]T, p),
-		scratch: make([]T, p),
-	}
-}
-
-// From returns a tracker whose processor u starts with load loads[u].
-func From[T Value](loads []T) *Tracker[T] {
-	t := New[T](len(loads))
-	copy(t.loads, loads)
-	copy(t.sorted, loads)
-	sortDesc(t.sorted)
-	return t
-}
-
-// Len returns the number of processors.
-func (t *Tracker[T]) Len() int { return len(t.loads) }
-
-// Load returns the current load of processor u.
-func (t *Tracker[T]) Load(u int32) T { return t.loads[u] }
-
-// Candidate is a hypothetical batch update against a Tracker: processor
-// procs[i] would take value newVals[i]. Stage and StageAdd fill it in
-// place against the tracker's current state, reusing its buffers; it stays
-// valid until the tracker changes. A candidate staged with no processors,
-// like the zero Candidate, changes nothing: comparing with it compares
-// with the current vector.
-type Candidate[T Value] struct {
-	procs     []int32
-	newVals   []T
-	sortedOld []T // descending, current values of procs
-	sortedNew []T // descending, hypothetical values of procs
-}
-
-// Stage makes c the hypothetical update procs[i] → newVals[i]. procs must
-// not contain duplicates; c copies procs and newVals.
-func (t *Tracker[T]) Stage(c *Candidate[T], procs []int32, newVals []T) {
-	c.newVals = append(c.newVals[:0], newVals...)
-	t.stage(c, procs)
-}
-
-// StageAdd makes c the hypothetical update "add delta to every processor
-// in procs".
-func (t *Tracker[T]) StageAdd(c *Candidate[T], procs []int32, delta T) {
-	c.newVals = c.newVals[:0]
-	for _, u := range procs {
-		c.newVals = append(c.newVals, t.loads[u]+delta)
-	}
-	t.stage(c, procs)
-}
-
-// stage fills in c's processors and sorted views from c.newVals.
-func (t *Tracker[T]) stage(c *Candidate[T], procs []int32) {
-	c.procs = append(c.procs[:0], procs...)
-	c.sortedOld = c.sortedOld[:0]
-	for _, u := range procs {
-		c.sortedOld = append(c.sortedOld, t.loads[u])
-	}
-	c.sortedNew = append(c.sortedNew[:0], c.newVals...)
-	sortDesc(c.sortedOld)
-	sortDesc(c.sortedNew)
-}
-
-// Compare lexicographically compares the descending load vectors that would
-// result from applying candidates a and b: -1 if a yields the smaller
-// (better) vector, 0 if identical, +1 otherwise. It walks the two merged
-// views in lockstep and stops at the first difference.
-func (t *Tracker[T]) Compare(a, b *Candidate[T]) int {
-	ia := mergeIter[T]{base: t.sorted, skip: a.sortedOld, add: a.sortedNew}
-	ib := mergeIter[T]{base: t.sorted, skip: b.sortedOld, add: b.sortedNew}
-	for {
-		va, oka := ia.next()
-		vb, okb := ib.next()
-		if !oka || !okb {
-			switch {
-			case oka == okb:
-				return 0
-			case okb:
-				return -1 // a shorter: impossible for same tracker, defensive
-			default:
-				return 1
-			}
-		}
+// Compare compares the descending load vectors that result from adding
+// da to loads[u] for every processor u in a, and from adding db to
+// loads[u] for every u in b: -1 if a's vector is the smaller (better), 0
+// if they are equal, +1 otherwise. It equals
+// CompareVec(SortedDesc(loads after a), SortedDesc(loads after b)) but
+// looks only at the processors in a or b. a and b must be sorted
+// ascending without duplicates, as hyperedge pins are; either may be
+// empty, the update that changes nothing. loads is not modified.
+func (c *Comparer[T]) Compare(loads []T, a []int32, da T, b []int32, db T) int {
+	va, vb := c.a[:0], c.b[:0]
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var u int32
+		x, y := da, db // what u gains under a and under b
 		switch {
-		case va < vb:
-			return -1
-		case va > vb:
-			return 1
+		case j == len(b) || (i < len(a) && a[i] < b[j]): // only a touches u
+			u, y = a[i], 0
+			i++
+		case i == len(a) || b[j] < a[i]: // only b touches u
+			u, x = b[j], 0
+			j++
+		default: // both touch u
+			u = a[i]
+			i++
+			j++
+		}
+		if x, y = loads[u]+x, loads[u]+y; x != y {
+			va, vb = insertDesc(va, x), insertDesc(vb, y)
 		}
 	}
+	c.a, c.b = va, vb
+	return CompareVec(va, vb)
 }
 
-// Commit applies candidate c to the tracker, merging its sorted views into
-// the sorted vector in O(p).
-func (t *Tracker[T]) Commit(c *Candidate[T]) {
-	for i, u := range c.procs {
-		t.loads[u] = c.newVals[i]
+// insertDesc inserts v into the descending slice s.
+func insertDesc[T Value](s []T, v T) []T {
+	s = append(s, v)
+	i := len(s) - 1
+	for ; i > 0 && s[i-1] < v; i-- {
+		s[i] = s[i-1]
 	}
-	t.scratch = t.appendResult(t.scratch[:0], c)
-	t.sorted, t.scratch = t.scratch, t.sorted
-}
-
-// appendResult appends the descending vector c would produce to out.
-func (t *Tracker[T]) appendResult(out []T, c *Candidate[T]) []T {
-	it := mergeIter[T]{base: t.sorted, skip: c.sortedOld, add: c.sortedNew}
-	for v, ok := it.next(); ok; v, ok = it.next() {
-		out = append(out, v)
-	}
-	return out
-}
-
-// mergeIter yields, in descending order, the multiset
-// (base \ skip) ∪ add, where base, skip and add are descending and skip is
-// a sub-multiset of base. Each skip value cancels exactly one equal base
-// occurrence; because equal values are interchangeable in a multiset,
-// cancelling the first encountered occurrence is correct.
-type mergeIter[T Value] struct {
-	base, skip, add []T
-	bi, si, ai      int
-}
-
-func (it *mergeIter[T]) next() (T, bool) {
-	// Advance base past cancelled entries.
-	for it.bi < len(it.base) && it.si < len(it.skip) && it.base[it.bi] == it.skip[it.si] {
-		it.bi++
-		it.si++
-	}
-	hasBase := it.bi < len(it.base)
-	hasAdd := it.ai < len(it.add)
-	switch {
-	case hasBase && hasAdd:
-		if it.add[it.ai] >= it.base[it.bi] {
-			v := it.add[it.ai]
-			it.ai++
-			return v, true
-		}
-		v := it.base[it.bi]
-		it.bi++
-		return v, true
-	case hasBase:
-		v := it.base[it.bi]
-		it.bi++
-		return v, true
-	case hasAdd:
-		v := it.add[it.ai]
-		it.ai++
-		return v, true
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
-// sortDesc sorts s in descending order without reflection.
-func sortDesc[T Value](s []T) {
-	slices.SortFunc(s, func(a, b T) int {
-		switch {
-		case a > b:
-			return -1
-		case a < b:
-			return 1
-		}
-		return 0
-	})
+	s[i] = v
+	return s
 }

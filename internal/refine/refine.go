@@ -4,6 +4,11 @@
 // repeatedly moves a single task to a different configuration whenever the
 // move lexicographically decreases the descending load vector (the same
 // order the vector-greedy heuristics optimize), until a local optimum.
+// Like the vector greedies, it compares a move with staying put on the
+// processors of the two configurations alone (loadvec.Comparer), over a
+// plain per-processor load slice, so a task costs O(d · k²) at worst for
+// d configurations touching k processors between two of them, and never
+// O(p).
 //
 // Properties (tested):
 //   - never increases the makespan;
@@ -57,9 +62,8 @@ func RefineCtx(ctx context.Context, h *hypergraph.Hypergraph, a core.HyperAssign
 	done := ctx.Done()
 	sinceCheck := 0
 
-	tr := loadvec.From(core.HyperLoads(h, cur))
-	m := mover{pos: make([]int32, h.NProcs)}
-	var cand, best loadvec.Candidate[int64]
+	loads := core.HyperLoads(h, cur)
+	var c loadvec.Comparer[int64]
 
 scan:
 	for {
@@ -85,23 +89,24 @@ scan:
 			if len(edges) == 1 {
 				continue
 			}
-			// A move must strictly improve on staying put, the empty
-			// update; later moves must beat the best move so far.
+			// Take the task off its processors. Staying put is then
+			// putting it back on curEdge, and every move competes with
+			// it, and with the best move so far, on the processors the
+			// two touch. A move must be strictly better to win.
 			curEdge := cur[t]
+			for _, u := range h.EdgeProcs(curEdge) {
+				loads[u] -= h.Weight[curEdge]
+			}
 			bestEdge := curEdge
-			tr.Stage(&best, nil, nil)
 			for _, e := range edges {
-				if e == curEdge {
-					continue
-				}
-				m.stage(tr, &cand, h.EdgeProcs(curEdge), h.Weight[curEdge], h.EdgeProcs(e), h.Weight[e])
-				if tr.Compare(&cand, &best) < 0 {
+				if e != curEdge && c.Compare(loads, h.EdgeProcs(e), h.Weight[e], h.EdgeProcs(bestEdge), h.Weight[bestEdge]) < 0 {
 					bestEdge = e
-					cand, best = best, cand
 				}
 			}
+			for _, u := range h.EdgeProcs(bestEdge) {
+				loads[u] += h.Weight[bestEdge]
+			}
 			if bestEdge != curEdge {
-				tr.Commit(&best)
 				cur[t] = bestEdge
 				res.Moves++
 				improved = true
@@ -114,34 +119,4 @@ scan:
 	res.Assignment = cur
 	res.After = core.HyperMakespan(h, cur)
 	return res
-}
-
-// mover stages single-task moves without allocating: procs and vals
-// collect the processors a move touches and their loads after it, and
-// pos[u] is u's index in procs while procs[pos[u]] == u.
-type mover struct {
-	procs []int32
-	vals  []int64
-	pos   []int32
-}
-
-// stage makes c the move of a task from its configuration on processors
-// from, of weight wFrom, to the one on processors to, of weight wTo.
-func (m *mover) stage(tr *loadvec.Tracker[int64], c *loadvec.Candidate[int64], from []int32, wFrom int64, to []int32, wTo int64) {
-	m.procs, m.vals = m.procs[:0], m.vals[:0]
-	for _, u := range from {
-		m.pos[u] = int32(len(m.procs))
-		m.procs = append(m.procs, u)
-		m.vals = append(m.vals, tr.Load(u)-wFrom)
-	}
-	for _, u := range to {
-		if i := m.pos[u]; int(i) < len(m.procs) && m.procs[i] == u {
-			m.vals[i] += wTo
-			continue
-		}
-		m.pos[u] = int32(len(m.procs))
-		m.procs = append(m.procs, u)
-		m.vals = append(m.vals, tr.Load(u)+wTo)
-	}
-	tr.Stage(c, m.procs, m.vals)
 }

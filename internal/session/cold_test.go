@@ -75,7 +75,7 @@ func TestColdNodesMatchFullColdSolve(t *testing.T) {
 func TestSessionEventAllocationBudget(t *testing.T) {
 	const (
 		events    = 200
-		maxAllocs = 280
+		maxAllocs = 240
 	)
 	script := GenerateScript(ScriptOptions{Seed: 0, Events: events, Procs: 4, Multi: true, MaxWeight: 30})
 	run := func() {

@@ -1,12 +1,9 @@
 // Package stats provides the small statistical toolbox used by the
 // experiment harness: medians over the 10 random instances per parameter
-// set (the paper's aggregation), means and quantiles.
+// set (the paper's aggregation) and means.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Number is the constraint for the summary helpers.
 type Number interface {
@@ -50,43 +47,4 @@ func Mean[T Number](xs []T) float64 {
 		sum += float64(x)
 	}
 	return sum / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
-// between order statistics; panics on empty input.
-func Quantile[T Number](xs []T, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	s := append([]T(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if len(s) == 1 {
-		return float64(s[0])
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return float64(s[lo])
-	}
-	frac := pos - float64(lo)
-	return float64(s[lo])*(1-frac) + float64(s[hi])*frac
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two samples.
-func Stddev[T Number](xs []T) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := float64(x) - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
 }
