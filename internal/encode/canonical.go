@@ -42,11 +42,26 @@ import (
 // maps back to h as original[t] = e with perm[e] = canonical[t].
 // Canonicalizing a canonical instance is the identity.
 func CanonicalHypergraph(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []int32, error) {
-	if err := h.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("encode: canonicalize hypergraph: %w", err)
+	order, err := canonicalOrder(h)
+	if err != nil {
+		return nil, nil, err
 	}
-	m := h.NumEdges()
-	order := make([]int32, 0, m) // canonical id -> original edge id
+	perm := make([]int32, len(order))
+	for canonID, origID := range order {
+		perm[origID] = int32(canonID)
+	}
+	return h.PermuteEdges(order), perm, nil
+}
+
+// canonicalOrder validates h and returns its hyperedges in canonical
+// order: order[i] is h's id of canonical hyperedge i. Task t's canonical
+// hyperedges are order[h.TaskPtr[t]:h.TaskPtr[t+1]], sorted by weight,
+// then processor set, with ties keeping h's order.
+func canonicalOrder(h *hypergraph.Hypergraph) ([]int32, error) {
+	if err := h.Validate(); err != nil {
+		return nil, fmt.Errorf("encode: canonicalize hypergraph: %w", err)
+	}
+	order := make([]int32, 0, h.NumEdges())
 	for t := 0; t < h.NTasks; t++ {
 		start := len(order)
 		order = append(order, h.TaskEdges(t)...)
@@ -57,11 +72,7 @@ func CanonicalHypergraph(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []in
 			return slices.Compare(h.EdgeProcs(a), h.EdgeProcs(b))
 		})
 	}
-	perm := make([]int32, m)
-	for canonID, origID := range order {
-		perm[origID] = int32(canonID)
-	}
-	return h.PermuteEdges(order), perm, nil
+	return order, nil
 }
 
 // CanonicalBipartite returns the canonical form of g: rows sorted by
@@ -92,11 +103,14 @@ func CanonicalBipartite(g *bipartite.Graph) (*bipartite.Graph, error) {
 // reordered processors within a configuration) share a fingerprint, and
 // any structural or weight difference changes it.
 func FingerprintHypergraph(h *hypergraph.Hypergraph) (string, error) {
-	canon, _, err := CanonicalHypergraph(h)
+	order, err := canonicalOrder(h)
 	if err != nil {
 		return "", err
 	}
-	return FingerprintCanonicalHypergraph(canon), nil
+	// The canonical text, written from h in canonical order: the same
+	// bytes as AppendHypergraph of CanonicalHypergraph(h), without the
+	// canonical copy.
+	return hexSum(appendHypergraphOrder(fingerprintBuf(h), h, order)), nil
 }
 
 // FingerprintCanonicalHypergraph hashes an instance that is already in
@@ -106,9 +120,13 @@ func FingerprintHypergraph(h *hypergraph.Hypergraph) (string, error) {
 // Passing a non-canonical instance yields a hash that will not match its
 // isomorphs.
 func FingerprintCanonicalHypergraph(canon *hypergraph.Hypergraph) string {
-	// Room for short numbers, so the text is written without regrowing.
-	buf := make([]byte, 0, 32+12*canon.NumEdges()+4*canon.NumPins())
-	return hexSum(AppendHypergraph(buf, canon))
+	return hexSum(AppendHypergraph(fingerprintBuf(canon), canon))
+}
+
+// fingerprintBuf has room for h's text with short numbers, so the text is
+// written without regrowing.
+func fingerprintBuf(h *hypergraph.Hypergraph) []byte {
+	return make([]byte, 0, 32+12*h.NumEdges()+4*h.NumPins())
 }
 
 // FingerprintBipartite is FingerprintHypergraph for bipartite instances.

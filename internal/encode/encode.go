@@ -159,6 +159,14 @@ func parseBipartite(l *lexer) (*bipartite.Graph, error) {
 // AppendHypergraph appends h's hypergraph text encoding to dst and
 // returns the extended buffer.
 func AppendHypergraph(dst []byte, h *hypergraph.Hypergraph) []byte {
+	return appendHypergraphOrder(dst, h, h.Edges)
+}
+
+// appendHypergraphOrder is AppendHypergraph listing task t's hyperedges
+// as edges[h.TaskPtr[t]:h.TaskPtr[t+1]]. With h.Edges that is h's own
+// order; with another order of the same per-task blocks it is the text
+// of h with its hyperedges renumbered in that order.
+func appendHypergraphOrder(dst []byte, h *hypergraph.Hypergraph, edges []int32) []byte {
 	dst = append(dst, "hypergraph "...)
 	dst = strconv.AppendInt(dst, int64(h.NTasks), 10)
 	dst = append(dst, ' ')
@@ -167,7 +175,7 @@ func AppendHypergraph(dst []byte, h *hypergraph.Hypergraph) []byte {
 	dst = strconv.AppendInt(dst, int64(h.NumEdges()), 10)
 	dst = append(dst, '\n')
 	for t := 0; t < h.NTasks; t++ {
-		for _, e := range h.TaskEdges(t) {
+		for _, e := range edges[h.TaskPtr[t]:h.TaskPtr[t+1]] {
 			procs := h.EdgeProcs(e)
 			dst = strconv.AppendInt(dst, int64(t), 10)
 			dst = append(dst, ' ')
@@ -212,7 +220,11 @@ func parseHypergraph(l *lexer) (*hypergraph.Hypergraph, error) {
 		n > MaxDim || p > MaxDim || m > MaxDim {
 		return nil, fmt.Errorf("encode: bad sizes in header (limit %d)", MaxDim)
 	}
-	b := hypergraph.NewBuilder(n, p)
+	// Room for the m hyperedges the header declares, but never for more
+	// than the rest of the body can hold: a hyperedge line takes at least
+	// six bytes ("t w k" and its newline).
+	edges := min(m, (len(l.data)+1)/6)
+	b := hypergraph.NewBuilderSize(n, p, edges, edges)
 	var procs []int32 // one line's processors; AddEdge32 copies them
 	for l.next() {
 		fields := l.fields

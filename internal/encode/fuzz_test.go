@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -131,6 +132,76 @@ func builderCanonical(t *testing.T, h *hypergraph.Hypergraph) (*hypergraph.Hyper
 		t.Fatalf("reference build: %v", err)
 	}
 	return canon, perm
+}
+
+// fingerprintTwoStep is the reference fingerprint: the canonical copy,
+// then the hash of its text. FingerprintHypergraph must agree with it
+// without building the copy.
+func fingerprintTwoStep(t *testing.T, h *hypergraph.Hypergraph) string {
+	t.Helper()
+	canon, _, err := CanonicalHypergraph(h)
+	if err != nil {
+		t.Fatalf("reference canonicalize: %v", err)
+	}
+	return FingerprintCanonicalHypergraph(canon)
+}
+
+// FuzzFingerprintHypergraph holds the direct fingerprint to the two-step
+// reference on random hypergraphs (weights and processor sets drawn from
+// small ranges, so ties and repeated configurations are common) and on
+// isomorphs whose configurations and processors are listed in shuffled
+// order, which must share the fingerprint.
+func FuzzFingerprintHypergraph(f *testing.F) {
+	f.Add(int64(1), int64(2), uint8(5), uint8(3), uint8(3))
+	f.Add(int64(7), int64(0), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(42), int64(9), uint8(40), uint8(8), uint8(5))
+	f.Fuzz(func(t *testing.T, seed, shuffle int64, nTasks, nProcs, maxDeg uint8) {
+		n, p, deg := int(nTasks%64), 1+int(nProcs%16), 1+int(maxDeg%8)
+		rng := rand.New(rand.NewSource(seed))
+		type config struct {
+			procs []int
+			w     int64
+		}
+		tasks := make([][]config, n)
+		for i := range tasks {
+			for j := 1 + rng.Intn(deg); j > 0; j-- {
+				procs := rng.Perm(p)[:1+rng.Intn(min(p, 3))]
+				tasks[i] = append(tasks[i], config{procs, 1 + rng.Int63n(4)})
+			}
+		}
+		build := func(order *rand.Rand) *hypergraph.Hypergraph {
+			b := hypergraph.NewBuilder(n, p)
+			for i, cfgs := range tasks {
+				if order != nil {
+					cfgs = slices.Clone(cfgs)
+					order.Shuffle(len(cfgs), func(a, b int) { cfgs[a], cfgs[b] = cfgs[b], cfgs[a] })
+				}
+				for _, c := range cfgs {
+					procs := slices.Clone(c.procs)
+					if order != nil {
+						order.Shuffle(len(procs), func(a, b int) { procs[a], procs[b] = procs[b], procs[a] })
+					}
+					b.AddEdge(i, procs, c.w)
+				}
+			}
+			return b.MustBuild()
+		}
+		h, iso := build(nil), build(rand.New(rand.NewSource(shuffle)))
+		fp, err := FingerprintHypergraph(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fingerprintTwoStep(t, h); fp != want {
+			t.Fatalf("FingerprintHypergraph = %s, two-step reference %s", fp, want)
+		}
+		isoFP, err := FingerprintHypergraph(iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fingerprintTwoStep(t, iso); isoFP != want || isoFP != fp {
+			t.Fatalf("shuffled isomorph: FingerprintHypergraph = %s, two-step %s, original %s", isoFP, want, fp)
+		}
+	})
 }
 
 // FuzzFields checks the lexer against the definition it replaces: the

@@ -353,31 +353,32 @@ func genFrontier(s *searchState, target int) [][]int32 {
 
 // watchCancel halts the search when ctx ends; the returned release func
 // must be called before reading the result. A context that has already
-// ended halts it at once, so a fast search cannot finish before the
-// watching goroutine first runs.
+// ended halts it at once, so a fast search cannot finish before a
+// cancellation callback first runs. Otherwise the halt is a
+// context.AfterFunc callback, which starts no goroutine unless ctx ends:
+// release unregisters it, and waits for it only if it has already begun.
 func watchCancel(ctx context.Context, sr *search) (release func()) {
-	if ctx.Err() != nil {
+	halt := func() {
 		sr.cancelled.Store(true)
 		sr.cut.Store(-1)
 	}
-	done := ctx.Done()
-	if done == nil {
+	if ctx.Err() != nil {
+		halt()
 		return func() {}
 	}
-	quit := make(chan struct{})
-	var once sync.Once
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		select {
-		case <-done:
-			sr.cancelled.Store(true)
-			sr.cut.Store(-1)
-		case <-quit:
+	if ctx.Done() == nil {
+		return func() {}
+	}
+	halted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		halt()
+		close(halted)
+	})
+	return func() {
+		if !stop() {
+			<-halted
 		}
-	}()
-	return func() { once.Do(func() { close(quit) }); wg.Wait() }
+	}
 }
 
 // searchState is one worker's mutable search state over the shared

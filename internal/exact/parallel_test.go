@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -253,6 +254,55 @@ func TestPreCancelledSearchAlwaysCancels(t *testing.T) {
 			if vErr := core.ValidateAssignment(g, a); vErr != nil || core.Makespan(g, a) != m {
 				t.Fatalf("workers=%d run %d: incumbent invalid (%v) or makespan %d misreported", workers, run, vErr, m)
 			}
+		}
+	}
+}
+
+// TestSearchLeavesNoGoroutine: searches under a cancellable context, as
+// a served request's are, leave no goroutine behind them at one worker or
+// at several, and a cancellation that lands mid-search still ends the
+// search with ErrCancelled and a valid incumbent.
+func TestSearchLeavesNoGoroutine(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	h := randomHyper(rng, 12, 4, 3, 3, 9)
+	hard := hardHyper()
+	for _, workers := range []int{1, 4} {
+		baseline := runtime.NumGoroutine()
+		for run := 0; run < 200; run++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var st SearchStats
+			_, _, err := SolveMultiProc(ctx, h, Options{Workers: workers, Stats: &st})
+			cancel()
+			if err != nil || st.Nodes == 0 {
+				t.Fatalf("workers=%d run %d: %d nodes, err %v; want a search", workers, run, st.Nodes, err)
+			}
+		}
+		// A goroutine that has signalled its end may not have exited yet.
+		for wait := 0; runtime.NumGoroutine() > baseline && wait < 100; wait++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("workers=%d: %d goroutines after 200 searches, %d before", workers, n, baseline)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		checkpoints := 0
+		a, m, err := SolveMultiProc(ctx, hard, Options{
+			Workers:  workers,
+			MaxNodes: 1 << 60,
+			Progress: func(telemetry.SearchProgress) {
+				if checkpoints++; checkpoints == 3 {
+					cancel()
+				}
+			},
+			ProgressInterval: time.Nanosecond,
+		})
+		cancel()
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("workers=%d: cancelled after %d checkpoints: want ErrCancelled, got %v", workers, checkpoints, err)
+		}
+		if vErr := core.ValidateHyperAssignment(hard, a); vErr != nil || core.HyperMakespan(hard, a) != m {
+			t.Fatalf("workers=%d: incumbent invalid (%v) or makespan %d misreported", workers, vErr, m)
 		}
 	}
 }

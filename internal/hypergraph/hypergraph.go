@@ -290,14 +290,27 @@ type Builder struct {
 	owners         []int32
 	weights        []int64
 	// The processor sets, concatenated in insertion order: set i is
-	// pins[pinEnd[i-1]:pinEnd[i]] (from 0 for i = 0).
+	// pins[pinPtr[i]:pinPtr[i+1]], and pinPtr starts with 0.
 	pins   []int32
-	pinEnd []int32
+	pinPtr []int32
 }
 
 // NewBuilder returns a Builder for nTasks tasks and nProcs processors.
 func NewBuilder(nTasks, nProcs int) *Builder {
-	return &Builder{nTasks: nTasks, nProcs: nProcs}
+	return NewBuilderSize(nTasks, nProcs, 0, 0)
+}
+
+// NewBuilderSize is NewBuilder with room for edges hyperedges holding
+// pins processor slots in all, so adding that many grows nothing.
+func NewBuilderSize(nTasks, nProcs, edges, pins int) *Builder {
+	return &Builder{
+		nTasks:  nTasks,
+		nProcs:  nProcs,
+		owners:  make([]int32, 0, edges),
+		weights: make([]int64, 0, edges),
+		pins:    make([]int32, 0, pins),
+		pinPtr:  make([]int32, 1, edges+1),
+	}
 }
 
 // AddEdge records a configuration for task t: it may run on all processors
@@ -319,31 +332,35 @@ func (b *Builder) AddEdge32(t int32, procs []int32, w int64) {
 func (b *Builder) addEdge(t int32, w int64) {
 	b.owners = append(b.owners, t)
 	b.weights = append(b.weights, w)
-	b.pinEnd = append(b.pinEnd, int32(len(b.pins)))
+	b.pinPtr = append(b.pinPtr, int32(len(b.pins)))
 }
 
 // procSet returns the processor set of the old-th recorded hyperedge.
 func (b *Builder) procSet(old int) []int32 {
-	start := int32(0)
-	if old > 0 {
-		start = b.pinEnd[old-1]
-	}
-	return b.pins[start:b.pinEnd[old]]
+	return b.pins[b.pinPtr[old]:b.pinPtr[old+1]]
 }
 
 // NumEdges returns the number of hyperedges recorded so far.
 func (b *Builder) NumEdges() int { return len(b.owners) }
 
-// Build validates and assembles the hypergraph.
+// Build validates and assembles the hypergraph. Each processor set is
+// sorted in the builder's copy. When the hyperedges were added in task
+// order, the hypergraph shares the builder's arrays instead of copying
+// them: a later AddEdge only appends past the shared part, so the
+// hypergraph stays immutable.
 func (b *Builder) Build() (*Hypergraph, error) {
 	m := len(b.owners)
 	h := &Hypergraph{NTasks: b.nTasks, NProcs: b.nProcs, unit: true}
 	h.TaskPtr = make([]int32, b.nTasks+1)
-	for _, t := range b.owners {
+	grouped := true
+	for old, t := range b.owners {
 		if t < 0 || int(t) >= b.nTasks {
 			return nil, fmt.Errorf("hypergraph: task %d out of range [0,%d)", t, b.nTasks)
 		}
 		h.TaskPtr[t+1]++
+		if old > 0 && t < b.owners[old-1] {
+			grouped = false
+		}
 	}
 	for t := 0; t < b.nTasks; t++ {
 		if h.TaskPtr[t+1] == 0 {
@@ -351,7 +368,52 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		}
 		h.TaskPtr[t+1] += h.TaskPtr[t]
 	}
-	// Renumber hyperedges grouped by task, preserving insertion order.
+	for _, w := range b.weights {
+		if w <= 0 {
+			return nil, fmt.Errorf("hypergraph: non-positive weight %d", w)
+		}
+		if w != 1 {
+			h.unit = false
+		}
+	}
+	for old := 0; old < m; old++ {
+		procs := b.procSet(old)
+		if len(procs) == 0 {
+			return nil, fmt.Errorf("hypergraph: empty processor set on a configuration of task %d", b.owners[old])
+		}
+		if !slices.IsSorted(procs) {
+			slices.Sort(procs) // a set shared by an earlier Build is sorted: never written
+		}
+		for i, u := range procs {
+			if u < 0 || int(u) >= b.nProcs {
+				return nil, fmt.Errorf("hypergraph: processor %d out of range [0,%d)", u, b.nProcs)
+			}
+			if i > 0 && procs[i-1] == u {
+				return nil, fmt.Errorf("hypergraph: duplicate processor %d in a configuration of task %d", u, b.owners[old])
+			}
+		}
+	}
+	if grouped {
+		h.Owner, h.Weight = slices.Clip(b.owners), slices.Clip(b.weights)
+		h.Pins, h.PinPtr = slices.Clip(b.pins), slices.Clip(b.pinPtr)
+	} else {
+		b.regroup(h)
+	}
+	h.Edges = make([]int32, m)
+	for e := range h.Edges {
+		h.Edges[e] = int32(e) // identity: edges are grouped by task already
+	}
+	if err := h.Validate(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// regroup fills h's hyperedge arrays from hyperedges added out of task
+// order: new ids run in task order, then insertion order. h.TaskPtr must
+// already be set.
+func (b *Builder) regroup(h *Hypergraph) {
+	m := len(b.owners)
 	perm := make([]int32, m) // perm[old] = new id
 	next := make([]int32, b.nTasks)
 	copy(next, h.TaskPtr[:b.nTasks])
@@ -361,50 +423,19 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	}
 	h.Owner = make([]int32, m)
 	h.Weight = make([]int64, m)
-	h.Edges = make([]int32, m)
-	sizes := make([]int32, m)
-	for old := 0; old < m; old++ {
-		e := perm[old]
+	h.PinPtr = make([]int32, m+1)
+	for old, e := range perm {
 		h.Owner[e] = b.owners[old]
 		h.Weight[e] = b.weights[old]
-		if b.weights[old] <= 0 {
-			return nil, fmt.Errorf("hypergraph: non-positive weight %d", b.weights[old])
-		}
-		if b.weights[old] != 1 {
-			h.unit = false
-		}
-		sizes[e] = int32(len(b.procSet(old)))
+		h.PinPtr[e+1] = int32(len(b.procSet(old)))
 	}
-	for e := int32(0); int(e) < m; e++ {
-		h.Edges[e] = e // identity: edges are grouped by task already
-	}
-	h.PinPtr = make([]int32, m+1)
 	for e := 0; e < m; e++ {
-		h.PinPtr[e+1] = h.PinPtr[e] + sizes[e]
+		h.PinPtr[e+1] += h.PinPtr[e]
 	}
-	h.Pins = make([]int32, h.PinPtr[m])
-	for old := 0; old < m; old++ {
-		e := perm[old]
-		procs := b.procSet(old)
-		if len(procs) == 0 {
-			return nil, fmt.Errorf("hypergraph: empty processor set on a configuration of task %d", b.owners[old])
-		}
-		dst := h.Pins[h.PinPtr[e]:h.PinPtr[e+1]]
-		copy(dst, procs)
-		slices.Sort(dst)
-		for i, u := range dst {
-			if u < 0 || int(u) >= b.nProcs {
-				return nil, fmt.Errorf("hypergraph: processor %d out of range [0,%d)", u, b.nProcs)
-			}
-			if i > 0 && dst[i-1] == u {
-				return nil, fmt.Errorf("hypergraph: duplicate processor %d in a configuration of task %d", u, b.owners[old])
-			}
-		}
+	h.Pins = make([]int32, len(b.pins))
+	for old, e := range perm {
+		copy(h.Pins[h.PinPtr[e]:], b.procSet(old))
 	}
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // MustBuild is Build that panics on error; for tests and fixed literals.

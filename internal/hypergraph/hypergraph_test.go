@@ -78,6 +78,65 @@ func TestBuilderInsertionOrderAcrossTasks(t *testing.T) {
 	}
 }
 
+// TestBuilderSharedBuildStaysImmutable: a Build of hyperedges added in
+// task order shares the builder's arrays. Adding and building more must
+// leave the first hypergraph as it was, and a presized builder must
+// equal a plain one.
+func TestBuilderSharedBuildStaysImmutable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, p = 30, 6
+	var edges, pins int
+	type cfg struct {
+		procs []int
+		w     int64
+	}
+	cfgs := make([][]cfg, n)
+	for task := range cfgs {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			procs := rng.Perm(p)[:1+rng.Intn(p)] // unsorted, as callers may pass them
+			cfgs[task] = append(cfgs[task], cfg{procs, 1 + rng.Int63n(9)})
+			edges++
+			pins += len(procs)
+		}
+	}
+	// Room for the configurations and for the two hyperedges AllocsPerRun
+	// adds (a warm-up run and a measured one).
+	plain, sized := NewBuilder(n+1, p), NewBuilderSize(n+1, p, edges+2, pins+2)
+	for task, cs := range cfgs {
+		for _, c := range cs {
+			plain.AddEdge(task, c.procs, c.w)
+			sized.AddEdge(task, c.procs, c.w)
+		}
+	}
+	plain.AddEdge(n, []int{0}, 1)
+	plain.AddEdge(n, []int{0}, 1)
+	if allocs := testing.AllocsPerRun(1, func() { sized.AddEdge(n, []int{0}, 1) }); allocs != 0 {
+		t.Fatalf("presized builder allocated %v times on an edge it had room for", allocs)
+	}
+	h1 := sized.MustBuild()
+	if want := plain.MustBuild(); !reflect.DeepEqual(h1, want) {
+		t.Fatalf("presized build differs from a plain one")
+	}
+	snapshot := *h1
+	for _, f := range []*[]int32{&snapshot.TaskPtr, &snapshot.Edges, &snapshot.PinPtr, &snapshot.Pins, &snapshot.Owner} {
+		*f = slices.Clone(*f)
+	}
+	snapshot.Weight = slices.Clone(snapshot.Weight)
+	// More hyperedges, one of them out of task order, then a second Build.
+	sized.AddEdge(0, []int{5, 1, 3}, 7)
+	sized.AddEdge(n, []int{4, 2}, 2)
+	h2 := sized.MustBuild()
+	if !reflect.DeepEqual(*h1, snapshot) {
+		t.Fatal("a later AddEdge and Build changed an earlier hypergraph")
+	}
+	if err := h1.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if h2.NumEdges() != h1.NumEdges()+2 || h2.TaskDegree(0) != h1.TaskDegree(0)+1 {
+		t.Fatalf("second build has %d hyperedges, task 0 degree %d", h2.NumEdges(), h2.TaskDegree(0))
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -443,19 +443,26 @@ func (s *Service) Solve(ctx context.Context, instance any, algorithm string) (*R
 	outcome := "error"
 	defer func() { s.emitTrace(rs, outcome) }()
 
+	// The key's budget class is that of the deadline the request runs
+	// under. A context without one runs under DefaultDeadline, but its
+	// timeout context is made only after a cache miss: a hit needs no
+	// timer.
+	key := req.fp + "|" + req.alg + "|" + budgetClass(ctx, s.opts.DefaultDeadline)
 	ictx := ctx
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && s.opts.DefaultDeadline > 0 {
-		var cancel context.CancelFunc
-		ictx, cancel = context.WithTimeout(ctx, s.opts.DefaultDeadline)
-		defer cancel()
-	}
-	key := req.fp + "|" + req.alg + "|" + budgetClass(ictx)
+	_, hasDeadline := ctx.Deadline()
+	needTimeout := !hasDeadline && s.opts.DefaultDeadline > 0
 
 	var f *flight
 	for {
 		if res, ok := s.cache.get(key); ok {
 			outcome = "cache-hit"
 			return req.deliver(res, "memory"), nil
+		}
+		if needTimeout {
+			var cancel context.CancelFunc
+			ictx, cancel = context.WithTimeout(ctx, s.opts.DefaultDeadline)
+			defer cancel()
+			needTimeout = false
 		}
 
 		// Single flight: the first request for a key becomes the leader
@@ -831,15 +838,19 @@ func sourceLabel(rep *solve.Report) string {
 	return rep.Solver
 }
 
-// budgetClass buckets a context's remaining budget into a coarse class so
-// cache keys distinguish "answers computed under a tight deadline" from
-// unconstrained ones without fragmenting the cache per-millisecond.
-func budgetClass(ctx context.Context) string {
-	d, ok := ctx.Deadline()
-	if !ok {
+// budgetClass buckets a request's budget into a coarse class so cache
+// keys distinguish "answers computed under a tight deadline" from
+// unconstrained ones without fragmenting the cache per-millisecond. The
+// budget is ctx's remaining time, or def when ctx has no deadline (none
+// when def ≤ 0).
+func budgetClass(ctx context.Context, def time.Duration) string {
+	rem := def
+	if d, ok := ctx.Deadline(); ok {
+		rem = time.Until(d)
+	} else if def <= 0 {
 		return "inf"
 	}
-	switch rem := time.Until(d); {
+	switch {
 	case rem <= 100*time.Millisecond:
 		return "le100ms"
 	case rem <= 500*time.Millisecond:

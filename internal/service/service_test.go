@@ -431,7 +431,7 @@ func TestServiceConcurrentStress(t *testing.T) {
 }
 
 func TestBudgetClass(t *testing.T) {
-	if got := budgetClass(context.Background()); got != "inf" {
+	if got := budgetClass(context.Background(), 0); got != "inf" {
 		t.Fatalf("no deadline: %q", got)
 	}
 	cases := []struct {
@@ -446,9 +446,78 @@ func TestBudgetClass(t *testing.T) {
 	}
 	for _, c := range cases {
 		ctx, cancel := context.WithTimeout(context.Background(), c.d)
-		if got := budgetClass(ctx); got != c.want {
+		if got := budgetClass(ctx, 0); got != c.want {
 			t.Errorf("budgetClass(%v) = %q, want %q", c.d, got, c.want)
 		}
+		// A deadline of the context's own wins over the default.
+		if got := budgetClass(ctx, time.Hour); got != c.want {
+			t.Errorf("budgetClass(%v, 1h default) = %q, want %q", c.d, got, c.want)
+		}
 		cancel()
+	}
+}
+
+// TestBudgetClassDefaultDeadline pins the budget class of a request
+// without a deadline to the one a context with the default deadline
+// gets, boundaries included: deriving it from DefaultDeadline instead of
+// from a timeout context must not change a cache key.
+func TestBudgetClassDefaultDeadline(t *testing.T) {
+	for _, def := range []time.Duration{
+		50 * time.Millisecond, 100 * time.Millisecond, 400 * time.Millisecond,
+		500 * time.Millisecond, 1500 * time.Millisecond, 2 * time.Second,
+		9 * time.Second, 10 * time.Second, time.Minute,
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), def)
+		want := budgetClass(ctx, 0)
+		cancel()
+		if got := budgetClass(context.Background(), def); got != want {
+			t.Errorf("default %v: class %q, a %v timeout context's %q", def, got, def, want)
+		}
+	}
+}
+
+// TestDefaultDeadlineKeepsKey: a request without a deadline, answered
+// under DefaultDeadline, stores its result under the key of a request
+// whose context carries that deadline, so the second one is a hit.
+func TestDefaultDeadlineKeepsKey(t *testing.T) {
+	s := New(Options{DefaultDeadline: 2 * time.Second})
+	h := testHyper(t)
+	r1, err := s.Solve(context.Background(), h, "EVG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Cached {
+		t.Fatal("first solve reported cached")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	r2, err := s.Solve(ctx, h, "EVG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r2.Cached {
+		t.Fatal("a request under the default deadline's own value missed the cache")
+	}
+}
+
+// TestCacheHitAllocations pins what a memory-tier hit allocates, under
+// DefaultDeadline and a context without a deadline: canonicalizing the
+// request and delivering the result, but no timeout context or timer.
+func TestCacheHitAllocations(t *testing.T) {
+	const maxAllocs = 22
+	s := New(Options{DefaultDeadline: 2 * time.Second})
+	h := testHyper(t)
+	ctx := context.Background()
+	if _, err := s.Solve(ctx, h, "EVG"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if r, err := s.Solve(ctx, h, "EVG"); err != nil || !r.Cached {
+			t.Fatalf("hit: cached=%v err=%v", r != nil && r.Cached, err)
+		}
+	})
+	t.Logf("a cache hit allocates %.0f times", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a cache hit allocates %.0f times, budget %d", allocs, maxAllocs)
 	}
 }

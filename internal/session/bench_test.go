@@ -12,10 +12,13 @@ import (
 // and one solver worker.
 // One op is one script, from opening the session to closing it; the
 // reported ns/event, B/event and allocs/event divide the ops by their
-// events. The scripts are generated before the clock starts.
+// events. The scripts are generated before the clock starts. Events run
+// under a cancellable context, as semiserve applies them under the
+// request's context, so the cost of watching for cancellation is counted.
 func BenchmarkSessionEvent(b *testing.B) {
 	const events = 200
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	scripts := make([][]Event, b.N)
 	for i := range scripts {
 		scripts[i] = GenerateScript(ScriptOptions{Seed: int64(i), Events: events, Procs: 4, Multi: true, MaxWeight: 30})

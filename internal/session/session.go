@@ -517,13 +517,17 @@ func (s *Session) buildProblem() (solve.Problem, []int32, []int32, error) {
 	warm := make([]int32, n)
 	ptr := make([]int32, n)
 	var next int32
+	pins := 0
 	for i, lt := range s.tasks {
 		ptr[i] = next
 		warm[i] = next + lt.cfg
 		next += int32(len(lt.configs))
+		for _, c := range lt.configs {
+			pins += len(c.Procs)
+		}
 	}
 	if s.opts.Multi {
-		b := hypergraph.NewBuilder(n, s.opts.Procs)
+		b := hypergraph.NewBuilderSize(n, s.opts.Procs, int(next), pins)
 		for i, lt := range s.tasks {
 			for _, c := range lt.configs {
 				b.AddEdge32(int32(i), c.Procs, c.Weight)

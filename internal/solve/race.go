@@ -38,12 +38,24 @@ type candidate struct {
 // background with its result discarded; RunOptions then reports the
 // schedule truncated, since ctx has ended. The race returns ctx's error
 // only when ctx was already done when it began.
+//
+// With one worker there is nothing to run beside the caller, so the
+// members run on the caller's goroutine, one after another in lineup
+// order, with no goroutine hand-off. There is then no running member to
+// leave behind: when ctx ends while member k ≥ 2 runs, the race returns
+// after that member finishes and has been judged, not at once.
 func race(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, error) {
 	defaults := registry.Names(registry.Heuristics(p.Class()))
 	names, solvers, err := registry.ResolveClass(p.Class(), o.Portfolio, defaults)
 	if err != nil {
 		return nil, fmt.Errorf("solve: %w", err)
 	}
+	return raceMembers(ctx, p, o, obs, names, solvers)
+}
+
+// raceMembers is race over resolved members: solvers[i] runs under
+// names[i], and lineup order is index order.
+func raceMembers(ctx context.Context, p Problem, o Options, obs *obsState, names []string, solvers []*registry.Solver) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("solve: %w", err)
 	}
@@ -62,6 +74,10 @@ func race(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, er
 	launch := func() {
 		i := started
 		started++
+		if workers == 1 {
+			results <- runMember(ctx, p, i, names[i], solvers[i], o.Refine)
+			return
+		}
 		go func() { results <- runMember(ctx, p, i, names[i], solvers[i], o.Refine) }()
 	}
 	for started < workers {
@@ -124,8 +140,9 @@ collect:
 }
 
 // runMember runs one race member. Members already race on their own
-// goroutines, so each gets one internal worker. A panic becomes the
-// member's error, so one malformed-instance crash does not end the race.
+// goroutines or run one after another, so each gets one internal worker.
+// A panic becomes the member's error, so one malformed-instance crash
+// does not end the race.
 func runMember(ctx context.Context, p Problem, idx int, name string, sol *registry.Solver, doRefine bool) (c candidate) {
 	c.idx = idx
 	defer func() {

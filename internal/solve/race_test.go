@@ -3,12 +3,15 @@ package solve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"semimatch/internal/bipartite"
+	"semimatch/internal/core"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/loadvec"
 	"semimatch/internal/registry"
@@ -298,6 +301,140 @@ func TestRaceContextAlreadyDone(t *testing.T) {
 				t.Fatalf("done context: report %v, err %v; want nil and context.Canceled", rep, err)
 			}
 		})
+	}
+}
+
+// TestRaceOneWorkerMatchesFourOnGrid: on the optimality grid, the race
+// run inline at one worker and on goroutines at four returns the same
+// winner and schedule, with the observer seeing the same improvements.
+func TestRaceOneWorkerMatchesFourOnGrid(t *testing.T) {
+	seeds := int64(3)
+	if testing.Short() {
+		seeds = 1
+	}
+	for name, p := range optimalityGrid(t, seeds) {
+		var seen [2][]string
+		var reps [2]*Report
+		for i, w := range []int{1, 4} {
+			reps[i] = raceOnly(t, p, WithWorkers(w), WithObserver(func(inc Incumbent) {
+				seen[i] = append(seen[i], inc.Solver)
+			}))
+		}
+		if reps[0].Solver != reps[1].Solver || !slices.Equal(reps[0].Assignment, reps[1].Assignment) {
+			t.Fatalf("%s: winner %q at 1 worker, %q at 4, or their schedules differ", name, reps[0].Solver, reps[1].Solver)
+		}
+		// At four workers members finish in any order, so only the
+		// improvements' last word, the winner, is comparable; at one
+		// worker they arrive in lineup order.
+		order := lineup(p.Class())
+		last := -1
+		for _, s := range seen[0][:len(seen[0])-1] {
+			i := slices.Index(order, s)
+			if i <= last {
+				t.Fatalf("%s: one-worker observer saw %v, not in lineup order %v", name, seen[0], order)
+			}
+			last = i
+		}
+	}
+}
+
+// stepHyper has one task whose configuration i on processor 0 weighs
+// 10 - 2i, so member i of a fakeLineup, which picks configuration i,
+// improves on every member before it.
+func stepHyper(members int) Problem {
+	b := hypergraph.NewBuilder(1, 1)
+	for i := 0; i < members; i++ {
+		b.AddEdge(0, []int{0}, int64(10-2*i))
+	}
+	return Hyper(b.MustBuild())
+}
+
+// fakeLineup returns members solvers for stepHyper: member i records its
+// start in started, runs hook(i) when set, and picks configuration i.
+func fakeLineup(members int, started *[]int, hook func(i int)) ([]string, []*registry.Solver) {
+	var mu sync.Mutex
+	names := make([]string, members)
+	solvers := make([]*registry.Solver, members)
+	for i := range solvers {
+		i := i
+		names[i] = fmt.Sprintf("fake%d", i)
+		solvers[i] = &registry.Solver{
+			Name:  names[i],
+			Class: registry.MultiProc,
+			SolveHyper: func(_ context.Context, h *hypergraph.Hypergraph, _ registry.Options) (core.HyperAssignment, error) {
+				mu.Lock()
+				*started = append(*started, i)
+				mu.Unlock()
+				if hook != nil {
+					hook(i)
+				}
+				return core.HyperAssignment{h.TaskEdges(0)[i]}, nil
+			},
+		}
+	}
+	return names, solvers
+}
+
+// TestRaceOneWorkerRunsInline: at one worker the members run in lineup
+// order on the caller's goroutine, and the observer sees them in that
+// order.
+func TestRaceOneWorkerRunsInline(t *testing.T) {
+	const members = 4
+	var started []int
+	names, solvers := fakeLineup(members, &started, nil)
+	var seen []string
+	obs := newObsState(func(inc Incumbent) { seen = append(seen, inc.Solver) }, time.Now())
+	rep, err := raceMembers(context.Background(), stepHyper(members), Options{Workers: 1}, obs, names, solvers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(started, []int{0, 1, 2, 3}) || !slices.Equal(seen, names) {
+		t.Fatalf("members started %v, observer saw %v; want lineup order %v", started, seen, names)
+	}
+	if rep.Solver != names[members-1] {
+		t.Fatalf("winner %q, want the last and best member %s", rep.Solver, names[members-1])
+	}
+}
+
+// TestRaceOneWorkerCancelStopsBeforeNextMember: a context cancelled from
+// inside the observer call for the first member's schedule ends the race
+// before the second member starts, with the first member's schedule.
+func TestRaceOneWorkerCancelStopsBeforeNextMember(t *testing.T) {
+	const members = 3
+	var started []int
+	names, solvers := fakeLineup(members, &started, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obs := newObsState(func(Incumbent) { cancel() }, time.Now())
+	rep, err := raceMembers(ctx, stepHyper(members), Options{Workers: 1}, obs, names, solvers)
+	if err != nil {
+		t.Fatalf("cancelled after the first member: %v, want its schedule", err)
+	}
+	if !slices.Equal(started, []int{0}) || rep.Solver != names[0] {
+		t.Fatalf("members started %v, winner %q; want only %s", started, rep.Solver, names[0])
+	}
+}
+
+// TestRaceMemberPanicIsItsError: a panicking member becomes that
+// member's error at one worker and at several. The race still judges
+// the others, and with no other candidate it returns the error.
+func TestRaceMemberPanicIsItsError(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		var started []int
+		names, solvers := fakeLineup(3, &started, func(i int) {
+			if i != 1 {
+				panic("boom")
+			}
+		})
+		p := stepHyper(3)
+		rep, err := raceMembers(context.Background(), p, Options{Workers: w}, nil, names, solvers)
+		if err != nil || rep.Solver != names[1] {
+			t.Fatalf("workers=%d: report %v, err %v; want %s's schedule", w, rep, err, names[1])
+		}
+		_, err = raceMembers(context.Background(), p, Options{Workers: w}, nil, names[:1], solvers[:1])
+		if err == nil || !strings.Contains(err.Error(), names[0]+" panicked: boom") {
+			t.Fatalf("workers=%d: lone panicking member: err %v, want its panic", w, err)
+		}
 	}
 }
 
