@@ -2,15 +2,10 @@ package main
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
-	"semimatch/internal/bipartite"
 	"semimatch/internal/cluster"
-	"semimatch/internal/encode"
-	"semimatch/internal/hypergraph"
 	"semimatch/internal/service"
 )
 
@@ -35,73 +30,6 @@ func (p *peerAdapter) Fetch(ctx context.Context, peer, key string) (*service.Pee
 		return nil, false, err
 	}
 	return &e, true, nil
-}
-
-// forwardCounters are the HTTP layer's routing counters, surfaced as
-// semimatch_peer_forwards_total / semimatch_peer_forward_errors_total.
-type forwardCounters struct {
-	forwards      atomic.Uint64
-	forwardErrors atomic.Uint64
-}
-
-// fingerprintOf computes the routing key of a parsed instance — the same
-// canonical fingerprint the service keys its cache by, so the replica
-// the ring picks is exactly the one whose cache can already hold the
-// answer. An unfingerprintable instance returns "" and is handled
-// locally (service.Solve will reject it with a proper error).
-func fingerprintOf(instance any) string {
-	switch v := instance.(type) {
-	case *hypergraph.Hypergraph:
-		fp, err := encode.FingerprintHypergraph(v)
-		if err != nil {
-			return ""
-		}
-		return fp
-	case *bipartite.Graph:
-		fp, err := encode.FingerprintBipartite(v)
-		if err != nil {
-			return ""
-		}
-		return fp
-	default:
-		return ""
-	}
-}
-
-// maybeForward routes one solve request to the replica owning its
-// fingerprint. It returns true when the peer's response was relayed and
-// the request is done. Requests that already hopped once (HopHeader) are
-// never re-forwarded — a stale or disagreeing peer list degrades to one
-// extra hop, not a loop — and a transport failure falls back to a local
-// solve, so a dead replica costs latency, not availability.
-func (s *server) maybeForward(w http.ResponseWriter, r *http.Request, body []byte, instance any) bool {
-	if s.ring == nil || !s.forward || r.Header.Get(cluster.HopHeader) != "" {
-		return false
-	}
-	fp := fingerprintOf(instance)
-	if fp == "" {
-		return false
-	}
-	owner := s.ring.Owner(fp)
-	if owner == s.ring.Self() {
-		return false
-	}
-	resp, err := s.client.Forward(r.Context(), owner, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
-	if err != nil {
-		s.fwd.forwardErrors.Add(1)
-		return false
-	}
-	defer resp.Body.Close()
-	s.fwd.forwards.Add(1)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	// The owner is named in a response header so clients (and the CI
-	// smoke test) can observe routing without scraping two /metrics.
-	w.Header().Set("X-Semimatch-Forwarded-To", owner)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return true
 }
 
 // handlePeerCache answers GET /internal/cache/{key}: the entry under the

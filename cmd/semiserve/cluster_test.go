@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -31,7 +30,7 @@ type replica struct {
 // listeners. The listeners are created first so every replica's base URL
 // is known before any ring is built — the same order of operations a
 // deployment with a static fleet config has.
-func startFleet(t *testing.T, n int, forward bool) []*replica {
+func startFleet(t *testing.T, n int) []*replica {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -49,11 +48,8 @@ func startFleet(t *testing.T, n int, forward bool) []*replica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		client := cluster.NewClient(cluster.ClientOptions{})
-		svc := service.New(service.Options{Peers: &peerAdapter{ring: ring, client: client}})
-		ts := httptest.NewUnstartedServer(newServer(svc, serverConfig{
-			ring: ring, client: client, forward: forward,
-		}))
+		svc := service.New(service.Options{Peers: &peerAdapter{ring: ring, client: cluster.NewClient()}})
+		ts := httptest.NewUnstartedServer(newServer(svc, serverConfig{}))
 		ts.Listener.Close()
 		ts.Listener = listeners[i]
 		ts.Start()
@@ -64,7 +60,7 @@ func startFleet(t *testing.T, n int, forward bool) []*replica {
 }
 
 // ownerOf splits a fleet into the replica owning the given instance text
-// and the others, using the same ring the replicas route by.
+// and the others, using the same ring the replicas' peer tiers ask by.
 func ownerOf(t *testing.T, reps []*replica, instanceText string) (owner *replica, others []*replica) {
 	t.Helper()
 	h, err := encode.ReadHypergraph(strings.NewReader(instanceText))
@@ -118,10 +114,9 @@ func scrapeMetric(t *testing.T, base, family string) string {
 // TestFleetCrossReplicaVerifiedHit is the acceptance criterion: an entry
 // solved on replica A answers an isomorphic request on replica B as a
 // verified "peer" hit — B re-verifies the certificate, runs no solve of
-// its own, and admits the entry to its own cache. Forwarding is off, so
-// the peer-cache tier (not request routing) must carry the entry across.
+// its own, and admits the entry to its own cache.
 func TestFleetCrossReplicaVerifiedHit(t *testing.T) {
-	reps := startFleet(t, 3, false)
+	reps := startFleet(t, 3)
 	owner, others := ownerOf(t, reps, tinyHyper)
 
 	code, ra, raw := postSolve(t, owner.ts.URL+"/solve", tinyHyper)
@@ -205,12 +200,12 @@ func fleetCounter(t *testing.T, reps []*replica, family string) float64 {
 }
 
 // TestFleetWarmLoad: concurrent clients post repeats and isomorphs of a
-// warm working set to both replicas of a peering fleet (forwarding off).
+// warm working set to both replicas of a peering fleet.
 // Each instance was solved once by its owner, so every answer comes from
 // a cache tier — the replica's own memory, or the owner's entry carried
 // across as a verified peer hit — and the fleet runs no further solve.
 func TestFleetWarmLoad(t *testing.T) {
-	reps := startFleet(t, 2, false)
+	reps := startFleet(t, 2)
 	var bodies [][2]string // each warm instance and its restatement
 	for seed := int64(1); seed <= 4; seed++ {
 		// 12 tasks, which the auto policy solves in well under a millisecond.
@@ -277,66 +272,42 @@ func TestFleetWarmLoad(t *testing.T) {
 	}
 }
 
-// TestFleetForwarding: with forwarding on, a request posted to a
-// non-owner is relayed to the owning replica (single hop, named in the
-// response header) and the owner does the solving; the same instance
-// posted again becomes the owner's memory hit even though the client
-// never talked to the owner directly.
-func TestFleetForwarding(t *testing.T) {
-	reps := startFleet(t, 3, true)
+// TestFleetAnswersLocally: a request posted to a replica that does not
+// own its instance is answered by that replica, from the owner's
+// verified entry. Nothing is relayed: the response carries no routing
+// header, and the owner runs no solve for it.
+func TestFleetAnswersLocally(t *testing.T) {
+	reps := startFleet(t, 3)
 	owner, others := ownerOf(t, reps, tinyHyper)
 	b := others[0]
+	if code, r, raw := postSolve(t, owner.url+"/solve", tinyHyper); code != http.StatusOK || r.CacheTier != "none" {
+		t.Fatalf("owner solve: %d tier %q %s", code, r.CacheTier, raw)
+	}
+	ownerSolves := scrapeMetric(t, owner.url, "semimatch_solves_total")
 
-	resp, err := http.Post(b.ts.URL+"/solve", "text/plain", strings.NewReader(tinyHyper))
+	resp, err := http.Post(b.url+"/solve", "text/plain", strings.NewReader(tinyHyper))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
+	var r solveResponse
+	err = json.NewDecoder(resp.Body).Decode(&r)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("forwarded solve: %d %s", resp.StatusCode, buf.String())
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("non-owner solve: status %d, decode %v", resp.StatusCode, err)
 	}
-	if got := resp.Header.Get("X-Semimatch-Forwarded-To"); got != owner.url {
-		t.Fatalf("forwarded to %q, owner is %q", got, owner.url)
+	if r.CacheTier != "peer" || !r.Cached {
+		t.Fatalf("non-owner cache_tier = %q, want peer", r.CacheTier)
 	}
-	if stA, stB := owner.svc.Stats(), b.svc.Stats(); stA.Solves != 1 || stB.Solves != 0 {
-		t.Fatalf("owner solves=%d, forwarder solves=%d, want 1/0", stA.Solves, stB.Solves)
+	for name := range resp.Header {
+		if strings.HasPrefix(name, "X-Semimatch-") {
+			t.Fatalf("response carries routing header %s: %q", name, resp.Header.Get(name))
+		}
 	}
-	if line := scrapeMetric(t, b.ts.URL, "semimatch_peer_forwards_total"); line != "semimatch_peer_forwards_total 1" {
-		t.Fatalf("forwarder /metrics = %q", line)
+	if st := b.svc.Stats(); st.PeerHits != 1 || st.Solves != 0 {
+		t.Fatalf("receiving replica peer_hits=%d solves=%d, want 1/0", st.PeerHits, st.Solves)
 	}
-
-	// Second post through the same non-owner: the owner answers from its
-	// memory cache, proving isomorphic traffic converges on one replica.
-	_, r2, _ := postSolve(t, b.ts.URL+"/solve", tinyHyperIso)
-	if r2.CacheTier != "memory" {
-		t.Fatalf("second forwarded request cache_tier = %q, want memory", r2.CacheTier)
-	}
-
-	// A request that already hopped once must be answered locally — but
-	// the peer-cache tier still finds the owner's entry, so the hop guard
-	// costs one cache fetch, not a duplicated solve.
-	req, err := http.NewRequest(http.MethodPost, b.ts.URL+"/solve", strings.NewReader(tinyHyper))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(cluster.HopHeader, "1")
-	hresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hbuf bytes.Buffer
-	hbuf.ReadFrom(hresp.Body)
-	hresp.Body.Close()
-	if hresp.Header.Get("X-Semimatch-Forwarded-To") != "" {
-		t.Fatal("hop-guarded request was forwarded again")
-	}
-	if !strings.Contains(hbuf.String(), `"cache_tier":"peer"`) {
-		t.Fatalf("hop-guarded request body = %s, want a peer-tier answer", hbuf.String())
-	}
-	if st := b.svc.Stats(); st.Solves != 0 {
-		t.Fatalf("hop-guarded request re-solved on the non-owner (solves=%d)", st.Solves)
+	if got := scrapeMetric(t, owner.url, "semimatch_solves_total"); got != ownerSolves {
+		t.Fatalf("owner solves moved: %q → %q", ownerSolves, got)
 	}
 }
 
@@ -344,7 +315,7 @@ func TestFleetForwarding(t *testing.T) {
 // non-owner's peer fetch is a clean miss and the request degrades to a
 // local fresh solve — peering can never lose a request.
 func TestFleetColdPeerMiss(t *testing.T) {
-	reps := startFleet(t, 3, false)
+	reps := startFleet(t, 3)
 	_, others := ownerOf(t, reps, tinyHyper)
 	b := others[0]
 

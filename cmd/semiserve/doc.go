@@ -10,10 +10,10 @@
 // without ever trusting stale or tampered files.
 //
 // With -peers/-self, N semiserve processes form a shared-nothing fleet:
-// requests route by instance fingerprint over a rendezvous-hash ring
-// (internal/cluster), and replicas exchange verified cache entries, so
-// adding processes multiplies both solve throughput and effective cache
-// capacity — see "Clustering" below.
+// each replica answers its own requests, and a replica that misses asks
+// the fingerprint's owner on a rendezvous-hash ring (internal/cluster)
+// for its verified cache entry, so adding processes multiplies solve
+// throughput and shares every cached answer — see "Clustering" below.
 //
 // Usage:
 //
@@ -302,22 +302,14 @@
 // on which replica owns each instance fingerprint with no coordination,
 // and removing a replica remaps only its own ~1/N share of keys.
 // Because fingerprints are canonical (isomorphic instances hash equal),
-// all restatements of one instance converge on one replica's cache and
-// single-flight group no matter where clients post them.
+// all restatements of one instance share one owner.
 //
-// Two cooperating mechanisms use the ring:
-//
-// Request forwarding (-forward, default true): a /solve request whose
-// fingerprint another replica owns is relayed there in one hop, marked
-// with an X-Semimatch-Hop header so the receiving replica always answers
-// locally — a stale peer list degrades to one extra hop, never a loop.
-// The relayed response carries X-Semimatch-Forwarded-To naming the
-// owner; a transport failure falls back to a local solve, so a dead
-// replica costs latency, not availability. With -forward=false every
-// replica answers its own traffic and relies on cache peering alone.
-//
-// Cache peering (always on with -peers): on a local memory+disk miss,
-// the single-flight leader asks the owning replica for its entry over
+// Every replica answers every /solve it receives itself: from its
+// memory tier, then its disk tier, then the owner's verified entry, and
+// only then with a fresh local solve. The ring decides nothing but
+// which replica that third tier asks. On a local memory+disk miss, the
+// single-flight leader of a replica that does not own the fingerprint
+// fetches the owner's entry over
 //
 //	GET /internal/cache/{key}
 //

@@ -32,9 +32,8 @@ func main() {
 	doPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	maxSessions := flag.Int("sessions", 64, "max concurrently open dynamic sessions (0 disables the /session endpoints)")
 	sessionIdle := flag.Duration("session-idle", 5*time.Minute, "evict sessions with no events and no open stream for this long (0 = never)")
-	peersList := flag.String("peers", "", "comma-separated base URLs of the fleet's replicas (self may be included); enables fingerprint-sharded routing and cache peering, requires -self")
+	peersList := flag.String("peers", "", "comma-separated base URLs of the fleet's replicas (self may be included); enables cache peering, requires -self")
 	selfURL := flag.String("self", "", "this replica's own base URL as peers reach it (e.g. http://10.0.0.3:8080); required with -peers")
-	doForward := flag.Bool("forward", true, "with -peers: forward solve requests whose fingerprint another replica owns (false = always answer locally, relying on cache peering alone)")
 	peerTimeout := flag.Duration("peer-timeout", service.DefaultPeerTimeout, "cap on one peer cache fetch (further tightened to half the request's remaining deadline)")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -75,24 +74,21 @@ func main() {
 		traceW = f
 	}
 
-	// The cluster layer: one ring and one bounded client shared by the
-	// service's peer-cache tier and the HTTP layer's request forwarding.
-	var ring *cluster.Ring
-	var peerClient *cluster.Client
+	// The cluster layer: the ring names each fingerprint's owner, and the
+	// service's peer-cache tier fetches the owner's entry through a
+	// bounded client.
 	var peerCache service.PeerCache
 	if *peersList != "" {
 		if *selfURL == "" {
 			fmt.Fprintln(os.Stderr, "semiserve: -peers requires -self (this replica's own base URL)")
 			os.Exit(2)
 		}
-		var err error
-		ring, err = cluster.NewRing(*selfURL, strings.Split(*peersList, ","))
+		ring, err := cluster.NewRing(*selfURL, strings.Split(*peersList, ","))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "semiserve: -peers: %v\n", err)
 			os.Exit(2)
 		}
-		peerClient = cluster.NewClient(cluster.ClientOptions{FetchTimeout: *peerTimeout})
-		peerCache = &peerAdapter{ring: ring, client: peerClient}
+		peerCache = &peerAdapter{ring: ring, client: cluster.NewClient()}
 	}
 
 	svc := service.New(service.Options{
@@ -133,9 +129,6 @@ func main() {
 			maxBody:     *maxBody,
 			logger:      logger,
 			pprof:       *doPprof,
-			ring:        ring,
-			client:      peerClient,
-			forward:     *doForward,
 			sessions:    *maxSessions,
 			sessionIdle: *sessionIdle,
 			trace:       traceW != nil,

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"semimatch/internal/cluster"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/registry"
 	"semimatch/internal/sched"
@@ -47,15 +46,6 @@ type serverConfig struct {
 	logger *slog.Logger
 	// pprof mounts net/http/pprof under /debug/pprof/.
 	pprof bool
-	// ring and client enable the cluster layer (-peers/-self): the
-	// /internal/cache peer endpoint and, with forward, fingerprint-
-	// sharded request routing. Both nil means a standalone server.
-	ring   *cluster.Ring
-	client *cluster.Client
-	// forward routes solve requests for non-owned fingerprints to the
-	// owning replica; false serves everything locally and relies on
-	// cache peering alone.
-	forward bool
 	// sessions caps concurrently open dynamic sessions (-sessions); 0
 	// disables the /session endpoints entirely.
 	sessions int
@@ -83,11 +73,6 @@ type server struct {
 	// large instances is shed before it burns that cost. nil means
 	// unlimited.
 	inflight chan struct{}
-	// Cluster layer (nil ring = standalone): see serverConfig.
-	ring    *cluster.Ring
-	client  *cluster.Client
-	forward bool
-	fwd     forwardCounters
 	// sessions owns the dynamic-session endpoints; nil when disabled.
 	sessions *sessionManager
 }
@@ -99,7 +84,6 @@ type server struct {
 func newServer(svc *service.Service, cfg serverConfig) http.Handler {
 	s := &server{
 		svc: svc, maxDeadline: cfg.maxDeadline, maxBody: cfg.maxBody, log: cfg.logger,
-		ring: cfg.ring, client: cfg.client, forward: cfg.forward,
 	}
 	if s.maxBody <= 0 {
 		s.maxBody = defaultMaxBody
@@ -109,10 +93,6 @@ func newServer(svc *service.Service, cfg serverConfig) http.Handler {
 	}
 	s.reqLatency = svc.Metrics().Histogram("semimatch_http_request_seconds",
 		"HTTP request latency, handler entry to response end.", nil)
-	s.svc.Metrics().CounterFunc("semimatch_peer_forwards_total",
-		"Solve requests forwarded to the replica owning their fingerprint.", s.fwd.forwards.Load)
-	s.svc.Metrics().CounterFunc("semimatch_peer_forward_errors_total",
-		"Forward attempts that failed in transport (answered locally instead).", s.fwd.forwardErrors.Load)
 	if cfg.sessions > 0 {
 		s.sessions = newSessionManager(svc, cfg.sessions, cfg.sessionIdle, cfg.trace)
 	}
@@ -299,10 +279,6 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		info = &reqInfo{}
 	}
 	info.alg = r.URL.Query().Get("alg")
-	if s.maybeForward(w, r, body, instance) {
-		info.tier = "forwarded"
-		return
-	}
 	res, err := s.svc.Solve(ctx, instance, info.alg)
 	if err != nil {
 		status := http.StatusInternalServerError

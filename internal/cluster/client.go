@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,56 +10,25 @@ import (
 	"time"
 )
 
-// HopHeader marks a request that has already been routed once. A replica
-// receiving it must answer locally — never forward again — so a stale or
-// disagreeing peer list degrades to one extra hop, not a forwarding loop.
-const HopHeader = "X-Semimatch-Hop"
+// maxConnsPerPeer bounds connections (idle + active) to one peer. Peer
+// traffic is a cache side-channel, not the serving path; a small bound
+// keeps a slow peer from absorbing this replica's file descriptors.
+const maxConnsPerPeer = 8
 
-// DefaultMaxConnsPerPeer bounds concurrent connections to one peer when
-// ClientOptions.MaxConnsPerPeer is zero. Peer traffic is a cache
-// side-channel, not the serving path; a small bound keeps a slow peer
-// from absorbing this replica's file descriptors.
-const DefaultMaxConnsPerPeer = 8
-
-// DefaultFetchTimeout caps one peer cache fetch when the caller's context
-// carries no deadline of its own.
-const DefaultFetchTimeout = 2 * time.Second
-
-// ClientOptions configures a Client; the zero value uses the defaults
-// above.
-type ClientOptions struct {
-	// MaxConnsPerPeer bounds connections (idle + active) per peer.
-	MaxConnsPerPeer int
-	// FetchTimeout is the per-fetch cap applied when the request context
-	// has no deadline; contexts with deadlines always win (they are
-	// derived from the caller's own budget — see Service.PeerTimeout).
-	FetchTimeout time.Duration
-}
-
-// Client is the bounded HTTP client replicas use to reach each other:
-// cache-entry fetches and single-hop request forwarding. Safe for
-// concurrent use.
+// Client is the bounded HTTP client replicas use to fetch each other's
+// cache entries. Safe for concurrent use.
 type Client struct {
-	hc           *http.Client
-	fetchTimeout time.Duration
+	hc *http.Client
 }
 
 // NewClient builds a peering client with its own bounded transport.
-func NewClient(o ClientOptions) *Client {
-	conns := o.MaxConnsPerPeer
-	if conns <= 0 {
-		conns = DefaultMaxConnsPerPeer
-	}
-	ft := o.FetchTimeout
-	if ft <= 0 {
-		ft = DefaultFetchTimeout
-	}
+func NewClient() *Client {
 	tr := &http.Transport{
-		MaxConnsPerHost:     conns,
-		MaxIdleConnsPerHost: conns,
+		MaxConnsPerHost:     maxConnsPerPeer,
+		MaxIdleConnsPerHost: maxConnsPerPeer,
 		IdleConnTimeout:     90 * time.Second,
 	}
-	return &Client{hc: &http.Client{Transport: tr}, fetchTimeout: ft}
+	return &Client{hc: &http.Client{Transport: tr}}
 }
 
 // CacheKeyPath is the URL path of one peer-cache entry; the key is
@@ -72,21 +40,16 @@ func CacheKeyPath(key string) string {
 // FetchEntry asks peer for its cached entry under key (GET
 // /internal/cache/{key}) and decodes the JSON body into `into`.
 // A 404 is a clean miss (false, nil); any other failure — transport,
-// unexpected status, undecodable body — is an error. The context's
-// deadline bounds the whole exchange; without one, FetchTimeout applies.
+// unexpected status, undecodable body — is an error. The context bounds
+// the whole exchange; the service's peer tier always gives it a deadline
+// (service.Options.PeerTimeout).
 // The returned entry is whatever the peer claims: callers must verify it
 // (certificate and all) before trusting or caching anything.
 func (c *Client) FetchEntry(ctx context.Context, peer, key string, into any) (bool, error) {
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.fetchTimeout)
-		defer cancel()
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+CacheKeyPath(key), nil)
 	if err != nil {
 		return false, fmt.Errorf("cluster: fetch %s: %w", peer, err)
 	}
-	req.Header.Set(HopHeader, "1")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return false, fmt.Errorf("cluster: fetch %s: %w", peer, err)
@@ -106,25 +69,4 @@ func (c *Client) FetchEntry(ctx context.Context, peer, key string, into any) (bo
 		return false, fmt.Errorf("cluster: fetch %s: decoding entry: %w", peer, err)
 	}
 	return true, nil
-}
-
-// Forward relays one solve request body to the owning peer, marked with
-// HopHeader so the peer answers locally. pathAndQuery carries the
-// original path and query string (the deadline override travels with
-// it). The caller owns the response and must close its body; a transport
-// error leaves the caller free to fall back to a local solve.
-func (c *Client) Forward(ctx context.Context, peer, pathAndQuery, contentType string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+pathAndQuery, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: forward %s: %w", peer, err)
-	}
-	req.Header.Set(HopHeader, "1")
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: forward %s: %w", peer, err)
-	}
-	return resp, nil
 }

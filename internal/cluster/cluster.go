@@ -1,18 +1,22 @@
-// Package cluster is the shared-nothing scale-out layer: fingerprint-
-// sharded request routing over a static fleet of semiserve replicas, and
-// the bounded HTTP client replicas use to talk to each other.
+// Package cluster is the shared-nothing scale-out layer: the ownership
+// ring over a static fleet of semiserve replicas, and the bounded HTTP
+// client replicas use to fetch each other's cache entries.
 //
-// Routing is rendezvous (highest-random-weight) hashing: every replica
+// Every replica answers every request it receives itself. The ring
+// decides one thing: which replica owns an instance fingerprint, and so
+// which replica's cache a non-owner asks (GET /internal/cache/{key})
+// after its own memory and disk tiers miss.
+//
+// Ownership is rendezvous (highest-random-weight) hashing: every replica
 // independently scores each peer against an instance fingerprint
 // (SHA-256 over peer‖fingerprint) and the highest score owns the key.
 // Because scores are pairwise-independent, the ring needs no coordination
 // — any two processes configured with the same peer list agree on every
 // owner — and removing one peer remaps exactly that peer's keys (~1/N of
-// the space) while every other key keeps its owner. PR 3's canonical
-// fingerprinting makes the routing semantic: isomorphic instances hash
-// equal, so they land on the same shard, the same single-flight group,
-// and the same verified cache entry no matter which replica a client
-// happened to ask.
+// the space) while every other key keeps its owner. Canonical
+// fingerprinting makes ownership semantic: isomorphic instances hash
+// equal, so they share one owner and one verified cache entry no matter
+// which replica a client happened to ask.
 //
 // The package is deliberately service-agnostic: it knows URLs, keys and
 // JSON payloads, not solve results. Verification of anything a peer

@@ -252,20 +252,6 @@ func Heuristics(c Class) []*Solver {
 	return out
 }
 
-// Find returns the class's solvers of the given kind in ascending cost
-// order (registration order among equals) — the capability query behind
-// policies like "cheapest exact solver for this class".
-func Find(c Class, k Kind) []*Solver {
-	var out []*Solver
-	for _, s := range ByClass(c) {
-		if s.Kind == k {
-			out = append(out, s)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
-}
-
 // Names extracts the canonical names of a solver list.
 func Names(solvers []*Solver) []string {
 	out := make([]string, len(solvers))

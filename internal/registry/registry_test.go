@@ -133,29 +133,21 @@ func TestUnknownNameSuggests(t *testing.T) {
 	}
 }
 
-func TestFindOrdersByCost(t *testing.T) {
-	exacts := Find(SingleProc, Exact)
-	if len(exacts) != 4 {
-		t.Fatalf("want 4 SINGLEPROC exact solvers, got %v", Names(exacts))
-	}
-	for i := 1; i < len(exacts); i++ {
-		if exacts[i-1].Cost > exacts[i].Cost {
-			t.Fatalf("Find not cost-ordered: %v", Names(exacts))
-		}
-	}
-	mp := Find(MultiProc, Exact)
-	if got, want := Names(mp), []string{"BnB-MP", "BnB-MP-Par"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("MULTIPROC exact = %v, want %v", got, want)
-	}
-}
-
 func TestPreferredUpgradesToParallel(t *testing.T) {
-	seq, err := LookupClass(MultiProc, "BnB-MP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Preferred(seq); got.Name != "BnB-MP-Par" || !got.Parallel {
-		t.Fatalf("Preferred(BnB-MP) = %v, want BnB-MP-Par", got.Name)
+	for _, tc := range []struct {
+		class     Class
+		seq, want string
+	}{
+		{SingleProc, "BnB-SP", "BnB-SP-Par"},
+		{MultiProc, "BnB-MP", "BnB-MP-Par"},
+	} {
+		seq, err := LookupClass(tc.class, tc.seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Preferred(seq); got.Name != tc.want || !got.Parallel || got.Class != tc.class {
+			t.Fatalf("Preferred(%s) = %v, want %s", tc.seq, got.Name, tc.want)
+		}
 	}
 	sgh, err := LookupClass(MultiProc, "SGH")
 	if err != nil {

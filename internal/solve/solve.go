@@ -441,31 +441,42 @@ func runAuto(ctx context.Context, p Problem, o Options, obs *obsState) (*Report,
 	return rep, err
 }
 
+// The auto policy's exact-stage candidates, resolved once: the polynomial
+// ExactUnit for unit SINGLEPROC instances, and each class's branch and
+// bound through its registered parallel counterpart.
+var (
+	exactUnit = mustLookup(registry.SingleProc, "ExactUnit")
+	exactSP   = registry.Preferred(mustLookup(registry.SingleProc, "BnB-SP"))
+	exactMP   = registry.Preferred(mustLookup(registry.MultiProc, "BnB-MP"))
+)
+
+// mustLookup resolves a name the catalog registers at init; a miss is a
+// bug in the catalog, not in any input.
+func mustLookup(c registry.Class, name string) *registry.Solver {
+	s, err := registry.LookupClass(c, name)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // exactSolver is the auto policy's exact-stage choice for p, or nil when p
-// gets no exact attempt. A unit SINGLEPROC instance gets the cheapest
-// exact solver (the polynomial ExactUnit) at any size; every other
-// instance gets the exponential branch and bound, through its parallel
-// counterpart, only up to limit tasks.
+// gets no exact attempt. A unit SINGLEPROC instance gets ExactUnit at any
+// size; every other instance gets the exponential branch and bound only
+// up to limit tasks.
 func exactSolver(p Problem, limit int) *registry.Solver {
-	if limit <= 0 {
+	switch {
+	case limit <= 0:
 		return nil
-	}
-	exacts := registry.Find(p.Class(), registry.Exact)
-	if p.g != nil && p.g.Unit() {
-		if len(exacts) == 0 {
-			return nil
-		}
-		return exacts[0]
-	}
-	if p.NTasks() > limit {
+	case p.g != nil && p.g.Unit():
+		return exactUnit
+	case p.NTasks() > limit:
 		return nil
+	case p.Class() == registry.SingleProc:
+		return exactSP
+	default:
+		return exactMP
 	}
-	for _, s := range exacts {
-		if s.Cost == registry.CostExponential {
-			return registry.Preferred(s)
-		}
-	}
-	return nil
 }
 
 // exactStage is the auto policy's exact attempt: it runs exactSearch and

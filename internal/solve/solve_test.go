@@ -207,6 +207,40 @@ func TestRunAutoUnitGraphUsesExactUnit(t *testing.T) {
 	}
 }
 
+// TestExactSolverChoice pins the auto policy's exact-stage choice: unit
+// SINGLEPROC instances get ExactUnit at any size, other instances each
+// class's parallel branch and bound up to the task limit, and nothing
+// above it or under a negative limit.
+func TestExactSolverChoice(t *testing.T) {
+	unit := Bipartite(unitGraph(t, 3))
+	weighted := Bipartite(weightedGraph(1, 10, 4, 3, 20))
+	multi := Hyper(randomHyper(1, 10, 4, 3, 2, 20))
+	for _, tc := range []struct {
+		name  string
+		p     Problem
+		limit int
+		want  string
+	}{
+		{"unit within limit", unit, 100, "ExactUnit"},
+		{"unit above limit", unit, unit.NTasks() - 1, "ExactUnit"},
+		{"weighted SINGLEPROC", weighted, 10, "BnB-SP-Par"},
+		{"MULTIPROC", multi, 10, "BnB-MP-Par"},
+		{"weighted above limit", weighted, 9, ""},
+		{"MULTIPROC above limit", multi, 9, ""},
+		{"unit negative limit", unit, -1, ""},
+		{"weighted negative limit", weighted, -1, ""},
+		{"MULTIPROC negative limit", multi, -1, ""},
+	} {
+		got := ""
+		if s := exactSolver(tc.p, tc.limit); s != nil {
+			got = s.Name
+		}
+		if got != tc.want {
+			t.Errorf("%s: exactSolver = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestColdNodesIsColdExactStage: ColdNodes counts exactly the nodes of
 // the exact stage a cold Run performs — whatever warm start, observer,
 // trace or progress hook the options carry — on both classes, with the
