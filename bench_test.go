@@ -110,33 +110,6 @@ func ablationHyper(b *testing.B, weights gen.WeightScheme) *semimatch.Hypergraph
 	return h
 }
 
-// BenchmarkAblationVectorFastVsNaive times the comparison of candidates on
-// the processors they touch against the naive copy-and-sort variant the
-// paper timed.
-func BenchmarkAblationVectorFastVsNaive(b *testing.B) {
-	h := ablationHyper(b, gen.Related)
-	b.Run("VGH/fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.VectorGreedyHyp(h, core.HyperOptions{})
-		}
-	})
-	b.Run("VGH/naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.VectorGreedyHyp(h, core.HyperOptions{Naive: true})
-		}
-	})
-	b.Run("EVG/fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.ExpectedVectorGreedyHyp(h, core.HyperOptions{})
-		}
-	})
-	b.Run("EVG/naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.ExpectedVectorGreedyHyp(h, core.HyperOptions{Naive: true})
-		}
-	})
-}
-
 // BenchmarkAblationExactSearch times the exact SINGLEPROC-UNIT algorithm
 // across search strategies and feasibility testers: the paper's literal
 // incremental+replication algorithm vs the bisection+capacitated variant.

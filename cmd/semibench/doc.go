@@ -16,7 +16,6 @@
 //	semibench -quick              # reduced grid (3 seeds, 2 sizes)
 //	semibench -seeds 5 -workers 1 # methodology knobs
 //	semibench -timeout 30s        # abort cleanly when the budget expires
-//	semibench -naive              # naive vector heuristics (ablation)
 //	semibench -alg SGH,EVG        # restrict algorithm columns
 //	semibench -list-algorithms    # print the solver catalog and exit
 //	semibench -list-algorithms -json  # catalog as NDJSON (one SolverRecord per line,

@@ -24,7 +24,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced grid: 2 sizes, 3 seeds")
 	seeds := flag.Int("seeds", 0, "instances per parameter set (default 10, paper's setting)")
 	workers := flag.Int("workers", 0, "worker pool size (default GOMAXPROCS; 1 for timing-grade runs)")
-	naive := flag.Bool("naive", false, "use the naive O(p log p) vector heuristics (ablation)")
 	d := flag.Int("d", 10, "degree parameter for SINGLEPROC tables")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
 	algs := flag.String("alg", "", "comma-separated algorithm columns (default: the registry's heuristic lineup)")
@@ -84,7 +83,7 @@ func main() {
 		return
 	}
 
-	opts := bench.Options{Quick: *quick, Seeds: *seeds, Workers: *workers, Naive: *naive}
+	opts := bench.Options{Quick: *quick, Seeds: *seeds, Workers: *workers}
 	if *algs != "" {
 		for _, a := range strings.Split(*algs, ",") {
 			if a = strings.TrimSpace(a); a != "" {

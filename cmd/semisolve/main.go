@@ -257,11 +257,10 @@ func writeNamed(data []byte, p solve.Problem, rep *solve.Report, refined, jsonOu
 	if err != nil {
 		return err
 	}
-	s, err := in.ScheduleOf(p.Hypergraph(), core.HyperAssignment(rep.Assignment))
+	s, err := in.ScheduleOf(p.Hypergraph(), rep)
 	if err != nil {
 		return err
 	}
-	s.Optimal = rep.Status == solve.StatusOptimal
 	if jsonOut {
 		label := rep.Solver
 		if refined {

@@ -85,9 +85,12 @@
 // heuristics basic/sorted/double-sorted/expected (bipartite) and
 // SGH/VGH/EGH/EVG (hypergraph), the Eq. (1) lower bound, the paper's
 // random instance generators and worst-case families, and a scheduling
-// front end (named tasks and processors, Gantt charts). The
-// branch-and-bound solvers for small NP-hard instances, sequential and
-// parallel (deterministic rounds), are reached through Run with WithAlgorithm
+// front end (named tasks and processors, Gantt charts). The front end's
+// Solve and SolveByName run through Run with the named algorithm, so a
+// Schedule carries the Report's status and certificate, and it is
+// Optimal exactly when the certificate proves it. The branch-and-bound
+// solvers for small NP-hard instances, sequential and parallel
+// (deterministic rounds), are reached through Run with WithAlgorithm
 // ("BnB-SP", "BnB-MP", "bnb-par", ...), as are the heuristic race alone
 // (the auto policy with WithExactLimit(-1)) and local-search refinement
 // (WithRefine).

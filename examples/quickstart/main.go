@@ -67,7 +67,7 @@ func main() {
 			log.Fatalf("%v: %v", alg, err)
 		}
 		fmt.Printf("%-6s makespan %d", alg, s.Makespan)
-		if s.Optimal {
+		if s.Optimal() {
 			fmt.Print("  (proven optimal)")
 		}
 		fmt.Println()

@@ -41,9 +41,6 @@ type Options struct {
 	Quick bool
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Naive switches the vector heuristics to their naive
-	// implementations (ablation).
-	Naive bool
 	// SizesOverride replaces the size grid entirely (tests, custom runs).
 	SizesOverride []SizeRow
 	// Algorithms replaces the default table columns. Names resolve
@@ -217,8 +214,7 @@ func RunHyperTable(ctx context.Context, weights gen.WeightScheme, o Options) (*H
 		for ai, name := range algs {
 			start := time.Now()
 			a, err := sols[ai].SolveHyper(ctx, h, registry.Options{
-				Hyper: core.HyperOptions{Naive: o.Naive},
-				BnB:   exact.Options{MaxNodes: o.exactNodes},
+				BnB: exact.Options{MaxNodes: o.exactNodes},
 			})
 			// A budget-truncated exact column still reports its incumbent's
 			// quality; anything else fails the run.

@@ -102,10 +102,9 @@ func qualityJSON(t *testing.T, table any) string {
 	return string(b)
 }
 
-func TestNaiveMatchesFastQuality(t *testing.T) {
-	// Neither the ablation switch nor the worker count may change the
-	// results, only speed — identities that hold at any scale, so tiny
-	// instances suffice. Ten seeds a row give the averages an order of
+func TestWorkersMatchHyperQuality(t *testing.T) {
+	// The worker count may not change the results, only speed — an
+	// identity that holds at any scale, so tiny instances suffice. Ten seeds a row give the averages an order of
 	// summation to depend on; -short keeps two.
 	tiny := Options{Seeds: 10, SizesOverride: tinySizes, Workers: 1}
 	if testing.Short() {
@@ -122,10 +121,6 @@ func TestNaiveMatchesFastQuality(t *testing.T) {
 	tiny.Workers = 4
 	if got := run(); got != want {
 		t.Fatalf("4 workers:\n%s\n1 worker:\n%s", got, want)
-	}
-	tiny.Naive = true
-	if got := run(); got != want {
-		t.Fatalf("naive:\n%s\nfast:\n%s", got, want)
 	}
 }
 

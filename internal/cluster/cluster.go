@@ -99,9 +99,6 @@ func NormalizePeer(p string) (string, error) {
 // Self returns this process's own normalized base URL.
 func (r *Ring) Self() string { return r.self }
 
-// Size returns the number of replicas in the ring.
-func (r *Ring) Size() int { return len(r.peers) }
-
 // Owner returns the peer that owns key (an instance fingerprint):
 // the highest rendezvous score, with the lexicographically smallest peer
 // breaking exact score ties so ownership is total and deterministic.

@@ -49,8 +49,8 @@ func TestRingDeterministicAcrossProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Size() != 5 || b.Size() != 5 {
-		t.Fatalf("ring sizes = %d, %d, want 5", a.Size(), b.Size())
+	if len(a.peers) != 5 || len(b.peers) != 5 {
+		t.Fatalf("ring sizes = %d, %d, want 5", len(a.peers), len(b.peers))
 	}
 	for _, key := range mkKeys(2000) {
 		if ao, bo := a.Owner(key), b.Owner(key); ao != bo {

@@ -20,8 +20,9 @@
 //
 //   - SortedGreedyHyp (SGH), ExpectedGreedyHyp (EGH), VectorGreedyHyp
 //     (VGH), ExpectedVectorGreedyHyp (EVG) — Algorithms 4–5 plus the two
-//     vector heuristics; the vector ones in a naive (paper-literal) and a
-//     fast variant that compares candidates on the processors they touch.
+//     vector heuristics; the vector ones compare candidates on the
+//     processors they touch, where the paper copies and sorts the whole
+//     load vector (the tests keep that variant as their reference).
 //   - LowerBound — the load-balance lower bound LB of Eq. (1).
 //
 // All algorithms are deterministic: tasks are visited in a stable order and

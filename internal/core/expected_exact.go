@@ -109,9 +109,9 @@ func ExpectedGreedyHypExact(h *hypergraph.Hypergraph, opts HyperOptions) (HyperA
 }
 
 // ExpectedVectorGreedyHypExact is ExpectedVectorGreedyHyp with exact
-// scaled-integer expected loads, always through the fast touched-processor
-// comparison (there is no Naive variant; tests hold it to a copy-and-sort
-// reference over the same scaled integers).
+// scaled-integer expected loads, through the same touched-processor
+// comparison (tests hold it to a copy-and-sort reference over the same
+// scaled integers).
 func ExpectedVectorGreedyHypExact(h *hypergraph.Hypergraph) (HyperAssignment, error) {
 	d, err := lcmDegrees(h)
 	if err != nil {

@@ -10,20 +10,16 @@ import (
 	"semimatch/internal/loadvec"
 )
 
-// EVGX runs ExpectedVectorGreedyHypExact in the signature of the other
-// vector greedies, so that the tests here and FuzzVectorGreedies hold it
-// to its reference like them: with opts.Naive it runs
-// expectedVectorExactNaive instead. It panics on the degree lcm error.
-func EVGX(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
-	run := ExpectedVectorGreedyHypExact
-	if opts.Naive {
-		run = expectedVectorExactNaive
+// mustLCM adapts an EVG-X variant to the signature of the other vector
+// greedies. It panics on the degree lcm error.
+func mustLCM(run func(*hypergraph.Hypergraph) (HyperAssignment, error)) func(*hypergraph.Hypergraph) HyperAssignment {
+	return func(h *hypergraph.Hypergraph) HyperAssignment {
+		a, err := run(h)
+		if err != nil {
+			panic(err)
+		}
+		return a
 	}
-	a, err := run(h)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // expectedVectorExactNaive is ExpectedVectorGreedyHypExact by copy and

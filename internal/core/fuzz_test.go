@@ -24,18 +24,10 @@ func FuzzVectorGreedies(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{31, 12, 3, 13, 1, 0, 0}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := fuzzHyper(data)
-		for _, alg := range []struct {
-			name string
-			run  func(*hypergraph.Hypergraph, core.HyperOptions) core.HyperAssignment
-		}{
-			{"VGH", core.VectorGreedyHyp},
-			{"EVG", core.ExpectedVectorGreedyHyp},
-			{"EVG-X", core.EVGX},
-		} {
-			fast := alg.run(h, core.HyperOptions{})
-			naive := alg.run(h, core.HyperOptions{Naive: true})
+		for _, alg := range core.VectorGreedies {
+			fast, naive := alg.Fast(h), alg.Naive(h)
 			if !reflect.DeepEqual(fast, naive) {
-				t.Fatalf("%s: fast %v, naive %v", alg.name, fast, naive)
+				t.Fatalf("%s: fast %v, naive %v", alg.Name, fast, naive)
 			}
 		}
 		// Start from every task's first configuration, a poor schedule

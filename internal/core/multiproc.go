@@ -92,14 +92,6 @@ type HyperOptions struct {
 	// min over h of max_{u∈h} l(u) to min over h of max_{u∈h} (l(u)+w_h).
 	// Identical when all candidate weights are equal; an ablation knob.
 	AfterLoad bool
-	// Naive forces the vector heuristics to materialize and sort the full
-	// load vector per candidate, allocating one per candidate (the
-	// variant the paper implemented and timed), instead of comparing two
-	// candidates on the processors they touch alone, through reused
-	// buffers (which goes further than the sorted-list improvement the
-	// paper describes at the end of Sec. IV-D3). Assignments are
-	// identical; the tests hold the fast path to this one.
-	Naive bool
 }
 
 // hyperTaskOrder returns task indices by non-decreasing configuration
@@ -243,16 +235,13 @@ func commitExpected(h *hypergraph.Hypergraph, t int, chosen int32, o []float64) 
 // descending load vector: smallest maximum load, ties by second-largest,
 // and so on.
 //
-// With opts.Naive the full vector is copied and sorted per candidate
-// (O(Σ_v d_v · p log p), the variant timed in the paper). Otherwise each
+// The paper's variant copies and sorts the full vector per candidate
+// (O(Σ_v d_v · p log p)); the tests keep it as the reference. Here each
 // candidate is compared with the best so far on the k processors the two
 // touch (loadvec.Comparer; O(Σ_v d_v · k²) at worst, with k at most twice
 // the largest configuration), and committing the choice adds its weight
 // to its processors' loads; no step costs O(p).
 func VectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
-	if opts.Naive {
-		return vectorGreedyNaive(h)
-	}
 	a := make(HyperAssignment, h.NTasks)
 	loads := make([]int64, h.NProcs)
 	var c loadvec.Comparer[int64]
@@ -274,41 +263,11 @@ func VectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignmen
 	return a
 }
 
-func vectorGreedyNaive(h *hypergraph.Hypergraph) HyperAssignment {
-	a := make(HyperAssignment, h.NTasks)
-	loads := make([]int64, h.NProcs)
-	tmp := make([]int64, h.NProcs)
-	for _, t := range hyperTaskOrder(h) {
-		bestE := Unassigned
-		var bestVec []int64
-		for _, e := range h.TaskEdges(int(t)) {
-			copy(tmp, loads)
-			w := h.Weight[e]
-			for _, u := range h.EdgeProcs(e) {
-				tmp[u] += w
-			}
-			vec := loadvec.SortedDesc(tmp)
-			if bestE == Unassigned || loadvec.CompareVec(vec, bestVec) < 0 {
-				bestE, bestVec = e, vec
-			}
-		}
-		a[t] = bestE
-		w := h.Weight[bestE]
-		for _, u := range h.EdgeProcs(bestE) {
-			loads[u] += w
-		}
-	}
-	return a
-}
-
 // ExpectedVectorGreedyHyp (EVG, Sec. IV-D4) combines the expected and
 // vector strategies: for each candidate hyperedge the task's whole
 // probability mass is tentatively collapsed onto it, and the resulting
 // expected-load vectors are compared lexicographically.
 func ExpectedVectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
-	if opts.Naive {
-		return expectedVectorNaive(h)
-	}
 	return expectedVector(h, initExpected(h),
 		func(e int32) float64 { return float64(h.Weight[e]) / float64(h.TaskDegree(int(h.Owner[e]))) },
 		func(e int32) float64 { return float64(h.Weight[e]) })
@@ -347,40 +306,6 @@ func expectedVector[T loadvec.Value](h *hypergraph.Hypergraph, o []T, share, ful
 				o[u] += bestW
 			}
 		}
-	}
-	return a
-}
-
-func expectedVectorNaive(h *hypergraph.Hypergraph) HyperAssignment {
-	a := make(HyperAssignment, h.NTasks)
-	o := initExpected(h)
-	tmp := make([]float64, h.NProcs)
-	for _, t := range hyperTaskOrder(h) {
-		edges := h.TaskEdges(int(t))
-		d := float64(len(edges))
-		bestE := Unassigned
-		var bestVec []float64
-		for _, e := range edges {
-			// Tentatively realize e: Algorithm 5's update applied to a
-			// copy, in the canonical operation order of commitExpected.
-			copy(tmp, o)
-			for _, e2 := range edges {
-				share := float64(h.Weight[e2]) / d
-				for _, u := range h.EdgeProcs(e2) {
-					tmp[u] -= share
-				}
-			}
-			w := float64(h.Weight[e])
-			for _, u := range h.EdgeProcs(e) {
-				tmp[u] += w
-			}
-			vec := loadvec.SortedDesc(tmp)
-			if bestE == Unassigned || loadvec.CompareVec(vec, bestVec) < 0 {
-				bestE, bestVec = e, vec
-			}
-		}
-		a[t] = bestE
-		commitExpected(h, int(t), bestE, o)
 	}
 	return a
 }

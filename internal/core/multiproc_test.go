@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"semimatch/internal/hypergraph"
+	"semimatch/internal/loadvec"
 )
 
 // fig2 is the hypergraph of Fig. 2 (0-based).
@@ -196,12 +197,91 @@ func TestHeuristicsSandwichedByBoundsWeighted(t *testing.T) {
 	}
 }
 
-// fastEqualsNaive checks on random instances that alg gives identical
-// assignments with and without opts.Naive. An instance has up to 256
-// processors, drawn log-uniformly so that the few-processor, tie-rich
-// instances come up as often as wide ones, up to 300 tasks, and 1–4
-// configurations of up to 12 processors with weights 1–7.
-func fastEqualsNaive(t *testing.T, alg func(*hypergraph.Hypergraph, HyperOptions) HyperAssignment) {
+// VectorGreedies pairs each fast vector greedy with its copy-and-sort
+// reference, for the tests here and FuzzVectorGreedies: the two must
+// give identical assignments.
+var VectorGreedies = []struct {
+	Name        string
+	Fast, Naive func(*hypergraph.Hypergraph) HyperAssignment
+}{
+	{"VGH", func(h *hypergraph.Hypergraph) HyperAssignment { return VectorGreedyHyp(h, HyperOptions{}) }, vectorGreedyNaive},
+	{"EVG", func(h *hypergraph.Hypergraph) HyperAssignment { return ExpectedVectorGreedyHyp(h, HyperOptions{}) }, expectedVectorNaive},
+	{"EVG-X", mustLCM(ExpectedVectorGreedyHypExact), mustLCM(expectedVectorExactNaive)},
+}
+
+// vectorGreedyNaive is VectorGreedyHyp by copy and sort, the variant the
+// paper implemented and timed: each candidate's loads are materialized in
+// a copy of the whole vector, which is then sorted.
+func vectorGreedyNaive(h *hypergraph.Hypergraph) HyperAssignment {
+	a := make(HyperAssignment, h.NTasks)
+	loads := make([]int64, h.NProcs)
+	tmp := make([]int64, h.NProcs)
+	for _, t := range hyperTaskOrder(h) {
+		bestE := Unassigned
+		var bestVec []int64
+		for _, e := range h.TaskEdges(int(t)) {
+			copy(tmp, loads)
+			w := h.Weight[e]
+			for _, u := range h.EdgeProcs(e) {
+				tmp[u] += w
+			}
+			vec := loadvec.SortedDesc(tmp)
+			if bestE == Unassigned || loadvec.CompareVec(vec, bestVec) < 0 {
+				bestE, bestVec = e, vec
+			}
+		}
+		a[t] = bestE
+		w := h.Weight[bestE]
+		for _, u := range h.EdgeProcs(bestE) {
+			loads[u] += w
+		}
+	}
+	return a
+}
+
+// expectedVectorNaive is ExpectedVectorGreedyHyp by copy and sort: each
+// candidate's Algorithm 5 update is applied to a copy of the whole
+// vector, which is then sorted.
+func expectedVectorNaive(h *hypergraph.Hypergraph) HyperAssignment {
+	a := make(HyperAssignment, h.NTasks)
+	o := initExpected(h)
+	tmp := make([]float64, h.NProcs)
+	for _, t := range hyperTaskOrder(h) {
+		edges := h.TaskEdges(int(t))
+		d := float64(len(edges))
+		bestE := Unassigned
+		var bestVec []float64
+		for _, e := range edges {
+			// Tentatively realize e: Algorithm 5's update applied to a
+			// copy, in the canonical operation order of commitExpected.
+			copy(tmp, o)
+			for _, e2 := range edges {
+				share := float64(h.Weight[e2]) / d
+				for _, u := range h.EdgeProcs(e2) {
+					tmp[u] -= share
+				}
+			}
+			w := float64(h.Weight[e])
+			for _, u := range h.EdgeProcs(e) {
+				tmp[u] += w
+			}
+			vec := loadvec.SortedDesc(tmp)
+			if bestE == Unassigned || loadvec.CompareVec(vec, bestVec) < 0 {
+				bestE, bestVec = e, vec
+			}
+		}
+		a[t] = bestE
+		commitExpected(h, int(t), bestE, o)
+	}
+	return a
+}
+
+// fastEqualsNaive checks on random instances that fast and naive give
+// identical assignments. An instance has up to 256 processors, drawn
+// log-uniformly so that the few-processor, tie-rich instances come up as
+// often as wide ones, up to 300 tasks, and 1–4 configurations of up to 12
+// processors with weights 1–7.
+func fastEqualsNaive(t *testing.T, fast, naive func(*hypergraph.Hypergraph) HyperAssignment) {
 	t.Helper()
 	seeds := 400
 	if testing.Short() {
@@ -211,7 +291,7 @@ func fastEqualsNaive(t *testing.T, alg func(*hypergraph.Hypergraph, HyperOptions
 		rng := rand.New(rand.NewSource(seed))
 		p := 1 + rng.Intn(1<<rng.Intn(9))
 		h := randomHyper(rng, 1+rng.Intn(300), p, 4, 12, 7)
-		return reflect.DeepEqual(alg(h, HyperOptions{}), alg(h, HyperOptions{Naive: true}))
+		return reflect.DeepEqual(fast(h), naive(h))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: seeds}); err != nil {
 		t.Fatal(err)
@@ -222,12 +302,13 @@ func fastEqualsNaive(t *testing.T, alg func(*hypergraph.Hypergraph, HyperOptions
 // must produce identical assignments — including on floating-point ties,
 // thanks to the canonical update order.
 func TestVectorFastEqualsNaive(t *testing.T) {
-	fastEqualsNaive(t, VectorGreedyHyp)
+	fastEqualsNaive(t, VectorGreedies[0].Fast, VectorGreedies[0].Naive)
 }
 
 func TestExpectedVectorFastEqualsNaive(t *testing.T) {
-	t.Run("EVG", func(t *testing.T) { fastEqualsNaive(t, ExpectedVectorGreedyHyp) })
-	t.Run("EVG-X", func(t *testing.T) { fastEqualsNaive(t, EVGX) })
+	for _, alg := range VectorGreedies[1:] {
+		t.Run(alg.Name, func(t *testing.T) { fastEqualsNaive(t, alg.Fast, alg.Naive) })
+	}
 }
 
 func TestHeuristicsDeterministic(t *testing.T) {
@@ -317,7 +398,7 @@ func BenchmarkVGHNaive(b *testing.B) {
 	h := benchHyper(b, 5120, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		VectorGreedyHyp(h, HyperOptions{Naive: true})
+		vectorGreedyNaive(h)
 	}
 }
 
@@ -333,7 +414,7 @@ func BenchmarkEVGNaive(b *testing.B) {
 	h := benchHyper(b, 5120, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExpectedVectorGreedyHyp(h, HyperOptions{Naive: true})
+		expectedVectorNaive(h)
 	}
 }
 

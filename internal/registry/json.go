@@ -30,7 +30,7 @@ func (s *Solver) Record() SolverRecord {
 		Kind:     s.Kind.String(),
 		Cost:     s.Cost.String(),
 		Aux:      s.Aux,
-		Optimal:  s.Optimal(),
+		Optimal:  s.Kind == Exact,
 		Parallel: s.Parallel,
 		Summary:  s.Summary,
 	}

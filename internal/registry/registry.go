@@ -111,7 +111,7 @@ func (c Cost) String() string {
 type Options struct {
 	// Greedy tunes the bipartite greedy heuristics.
 	Greedy core.GreedyOptions
-	// Hyper tunes the hypergraph heuristics (Naive, AfterLoad ablations).
+	// Hyper tunes the hypergraph heuristics (the AfterLoad ablation).
 	Hyper core.HyperOptions
 	// Exact configures the polynomial SINGLEPROC-UNIT solver.
 	Exact core.ExactOptions
@@ -159,10 +159,6 @@ type Solver struct {
 	// the same incumbent convention.
 	SolveHyper func(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, error)
 }
-
-// Optimal reports whether a nil-error result from this solver is provably
-// optimal.
-func (s *Solver) Optimal() bool { return s.Kind == Exact }
 
 // SolveInstance is the class-generic dispatch: it routes a *bipartite.Graph
 // to SolveSingle and a *hypergraph.Hypergraph to SolveHyper, returning the

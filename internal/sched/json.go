@@ -142,7 +142,7 @@ func (s *Schedule) WriteJSON(w io.Writer, algorithm string) error {
 	out := scheduleJSON{
 		Algorithm: algorithm,
 		Makespan:  s.Makespan,
-		Optimal:   s.Optimal,
+		Optimal:   s.Optimal(),
 		Loads:     make(map[string]int64, len(s.Loads)),
 	}
 	for p, l := range s.Loads {

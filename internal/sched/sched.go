@@ -1,9 +1,11 @@
 // Package sched is the scheduling-domain view of the graph problems: named
 // tasks with execution-time configurations over named processors, the
 // MULTIPROC model of Sec. II. It converts instances to the hypergraph
-// representation, runs the semi-matching heuristics (or the exact solver),
-// and turns the chosen semi-matching back into an executable schedule with
-// a discrete-event timeline and a textual Gantt chart.
+// representation, solves them with a named registry solver through
+// solve.RunOptions (the one solve path, which issues the certificate that
+// decides optimality), and turns the chosen semi-matching back into an
+// executable schedule with a discrete-event timeline and a textual Gantt
+// chart.
 //
 // The timeline also serves as an end-to-end validator: task parts are
 // placed on concrete time slots, and the simulated span must equal the
@@ -16,12 +18,16 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
+	"semimatch/internal/cert"
 	"semimatch/internal/core"
+	"semimatch/internal/exact"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/registry"
+	"semimatch/internal/solve"
 )
 
 // Config is one execution option of a task: run on all of Procs, taking
@@ -86,7 +92,9 @@ const (
 	// performer on weighted instances.
 	ExpectedVectorGreedy
 	// Exact runs the branch-and-bound solver; only viable for small
-	// instances (it returns an error if the node budget is exceeded).
+	// instances. Its schedule is proven optimal; a search that stops at
+	// its node budget without a certificate proving its incumbent
+	// optimal is an error wrapping exact.ErrLimit.
 	Exact
 )
 
@@ -108,15 +116,20 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Schedule is a solved instance: each task's chosen configuration plus the
-// derived loads.
+// Schedule is a solved instance: each task's chosen configuration, the
+// derived loads, and the status and certificate of the solve.Report it
+// maps.
 type Schedule struct {
-	Instance *Instance
-	Choice   []int // Choice[t] = index into Tasks[t].Configs
-	Loads    []int64
-	Makespan int64
-	Optimal  bool // true when produced by the exact solver
+	Instance    *Instance
+	Choice      []int // Choice[t] = index into Tasks[t].Configs
+	Loads       []int64
+	Makespan    int64
+	Status      solve.Status      // derived from Certificate
+	Certificate *cert.Certificate // cert.Verify checks it against in.Hypergraph()
 }
+
+// Optimal reports a schedule its certificate proves optimal.
+func (s *Schedule) Optimal() bool { return s.Status == solve.StatusOptimal }
 
 // Solve schedules the instance with the chosen algorithm. The enum maps
 // through the solver registry via its String() name, so the set of valid
@@ -126,10 +139,18 @@ func Solve(in *Instance, alg Algorithm) (*Schedule, error) {
 }
 
 // SolveByName schedules the instance with any registered MULTIPROC solver
-// — canonical name or alias. Unknown names yield the registry's
-// suggested-names error.
+// — canonical name or alias — through solve.RunOptions, so the schedule
+// carries the Report's status and certificate. Unknown names yield the
+// registry's suggested-names error.
 func SolveByName(in *Instance, name string) (*Schedule, error) {
-	sol, err := registry.LookupClass(registry.MultiProc, name)
+	return solveOptions(in, solve.Options{Algorithm: name})
+}
+
+// solveOptions is SolveByName with resolved options. An exact solver's
+// schedule that its certificate does not prove optimal (the search
+// stopped at its node budget) is an error.
+func solveOptions(in *Instance, o solve.Options) (*Schedule, error) {
+	sol, err := registry.LookupClass(registry.MultiProc, o.Algorithm)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
@@ -137,41 +158,30 @@ func SolveByName(in *Instance, name string) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := sol.SolveHyper(context.Background(), h, registry.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("sched: %s: %w", sol.Name, err)
-	}
-	s, err := in.ScheduleOf(h, a)
+	rep, err := solve.RunOptions(context.Background(), solve.Hyper(h), o)
 	if err != nil {
 		return nil, err
 	}
-	s.Optimal = sol.Optimal()
-	return s, nil
+	if sol.Kind == registry.Exact && !rep.Optimal() {
+		return nil, fmt.Errorf("sched: %s: %w", sol.Name, exact.ErrLimit)
+	}
+	return in.ScheduleOf(h, rep)
 }
 
-// ScheduleOf maps a task → hyperedge assignment of h, the instance's
-// Hypergraph(), back to the named form: Choice[t] is the index of a[t]
-// among task t's configurations. The assignment is validated first.
-func (in *Instance) ScheduleOf(h *hypergraph.Hypergraph, a core.HyperAssignment) (*Schedule, error) {
-	if err := core.ValidateHyperAssignment(h, a); err != nil {
+// ScheduleOf maps rep, a Run on h (the instance's Hypergraph()), back to
+// the named form: Choice[t] is the index of rep.Assignment[t] among task
+// t's configurations, and the loads, makespan, status and certificate
+// are the Report's. The assignment is validated first.
+func (in *Instance) ScheduleOf(h *hypergraph.Hypergraph, rep *solve.Report) (*Schedule, error) {
+	if err := core.ValidateHyperAssignment(h, rep.Assignment); err != nil {
 		return nil, fmt.Errorf("sched: internal error: %w", err)
 	}
-	s := &Schedule{Instance: in, Choice: make([]int, len(in.Tasks))}
-	for t := range in.Tasks {
-		found := -1
-		for j, e := range h.TaskEdges(t) {
-			if e == a[t] {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("sched: internal error: edge %d not among task %d's configurations", a[t], t)
-		}
-		s.Choice[t] = found
+	s := &Schedule{Instance: in, Choice: make([]int, len(in.Tasks)), Loads: rep.Loads,
+		Makespan: rep.Makespan, Status: rep.Status, Certificate: rep.Certificate}
+	for t, e := range rep.Assignment {
+		// Validation put e among task t's hyperedges.
+		s.Choice[t] = slices.Index(h.TaskEdges(t), e)
 	}
-	s.Loads = core.HyperLoads(h, a)
-	s.Makespan = core.HyperMakespan(h, a)
 	return s, nil
 }
 

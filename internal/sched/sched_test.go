@@ -1,10 +1,17 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"semimatch/internal/cert"
+	"semimatch/internal/exact"
+	"semimatch/internal/registry"
+	"semimatch/internal/solve"
 )
 
 // cluster builds a small heterogeneous instance: two CPUs and a GPU;
@@ -67,7 +74,7 @@ func TestSolveAllAlgorithms(t *testing.T) {
 		}
 		if alg == Exact {
 			exactM = s.Makespan
-			if !s.Optimal {
+			if !s.Optimal() {
 				t.Fatal("exact must mark Optimal")
 			}
 		}
@@ -170,25 +177,31 @@ func TestLoadReport(t *testing.T) {
 	}
 }
 
+// randomInstance draws 2–6 processors and 1–maxTasks tasks of 1–3
+// configurations, each on a random processor subset for 1–9 time units.
+func randomInstance(rng *rand.Rand, maxTasks int) *Instance {
+	nProcs := 2 + rng.Intn(5)
+	names := make([]string, nProcs)
+	for i := range names {
+		names[i] = "p"
+	}
+	in := NewInstance(names...)
+	nTasks := 1 + rng.Intn(maxTasks)
+	for t := 0; t < nTasks; t++ {
+		nCfg := 1 + rng.Intn(3)
+		cfgs := make([]Config, nCfg)
+		for j := range cfgs {
+			k := 1 + rng.Intn(nProcs)
+			cfgs[j] = Config{Procs: rng.Perm(nProcs)[:k], Time: 1 + rng.Int63n(9)}
+		}
+		in.AddTask("t", cfgs...)
+	}
+	return in
+}
+
 func TestPropertySimulationSpanEqualsMakespan(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nProcs := 2 + rng.Intn(5)
-		names := make([]string, nProcs)
-		for i := range names {
-			names[i] = "p"
-		}
-		in := NewInstance(names...)
-		nTasks := 1 + rng.Intn(12)
-		for t := 0; t < nTasks; t++ {
-			nCfg := 1 + rng.Intn(3)
-			cfgs := make([]Config, nCfg)
-			for j := range cfgs {
-				k := 1 + rng.Intn(nProcs)
-				cfgs[j] = Config{Procs: rng.Perm(nProcs)[:k], Time: 1 + rng.Int63n(9)}
-			}
-			in.AddTask("t", cfgs...)
-		}
+		in := randomInstance(rand.New(rand.NewSource(seed)), 12)
 		for _, alg := range []Algorithm{SortedGreedy, ExpectedGreedy, VectorGreedy, ExpectedVectorGreedy} {
 			s, err := Solve(in, alg)
 			if err != nil {
@@ -203,5 +216,92 @@ func TestPropertySimulationSpanEqualsMakespan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSolveByNameMatchesRun: for every MULTIPROC registry name and alias,
+// the scheduling front end gives the answer of Run with that algorithm —
+// the same choice, makespan and status — on seeded small instances, and
+// its schedule simulates to a valid timeline and carries a certificate
+// that verifies.
+func TestSolveByNameMatchesRun(t *testing.T) {
+	var names []string
+	for _, sol := range registry.ByClass(registry.MultiProc) {
+		names = append(names, sol.Name)
+		names = append(names, sol.Aliases...)
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 20; i++ {
+		in := randomInstance(rng, 8)
+		h, err := in.Hypergraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			s, err := SolveByName(in, name)
+			if err != nil {
+				t.Fatalf("instance %d, %s: %v", i, name, err)
+			}
+			rep, err := solve.Run(context.Background(), solve.Hyper(h), solve.WithAlgorithm(name))
+			if err != nil {
+				t.Fatalf("instance %d, %s: Run: %v", i, name, err)
+			}
+			for task, e := range rep.Assignment {
+				if h.TaskEdges(task)[s.Choice[task]] != e {
+					t.Fatalf("instance %d, %s: task %d takes configuration %d, Run takes hyperedge %d",
+						i, name, task, s.Choice[task], e)
+				}
+			}
+			if s.Makespan != rep.Makespan || s.Status != rep.Status {
+				t.Fatalf("instance %d, %s: makespan %d (%v), Run %d (%v)",
+					i, name, s.Makespan, s.Status, rep.Makespan, rep.Status)
+			}
+			if err := s.Simulate().Validate(s); err != nil {
+				t.Fatalf("instance %d, %s: %v", i, name, err)
+			}
+			tier, err := cert.Verify(h, s.Certificate)
+			if err != nil || s.Optimal() && tier < cert.TierAttested {
+				t.Fatalf("instance %d, %s: certificate verifies at %v (%v), status %v", i, name, tier, err, s.Status)
+			}
+		}
+	}
+}
+
+// TestNamedExactBudgetStop pins the named exact contract: a search that
+// stops at its node budget is an error wrapping exact.ErrLimit unless the
+// certificate proves its incumbent optimal anyway, in which case the
+// schedule is served as optimal. Heuristics are never refused.
+func TestNamedExactBudgetStop(t *testing.T) {
+	const budget = 20
+	rng := rand.New(rand.NewSource(7))
+	stopped := 0
+	for i := 0; i < 40; i++ {
+		in := randomInstance(rng, 14)
+		h, err := in.Hypergraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"BnB-MP", "BnB-MP-Par", "EVG"} {
+			o := solve.Options{Algorithm: name, NodeBudget: budget, Workers: 2}
+			rep, err := solve.RunOptions(context.Background(), solve.Hyper(h), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := solveOptions(in, o)
+			refused := name != "EVG" && !rep.Optimal()
+			switch {
+			case refused && !errors.Is(err, exact.ErrLimit):
+				t.Fatalf("instance %d, %s: unproven schedule (status %v) served: %v", i, name, rep.Status, err)
+			case refused:
+				stopped++
+			case err != nil:
+				t.Fatalf("instance %d, %s: %v", i, name, err)
+			case s.Status != rep.Status || s.Makespan != rep.Makespan:
+				t.Fatalf("instance %d, %s: makespan %d (%v), Run %d (%v)", i, name, s.Makespan, s.Status, rep.Makespan, rep.Status)
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatalf("no search stopped at %d nodes; the test needs harder instances", budget)
 	}
 }

@@ -76,7 +76,7 @@ func TestColdNodesMatchFullColdSolve(t *testing.T) {
 func TestSessionEventAllocationBudget(t *testing.T) {
 	const (
 		events    = 200
-		maxAllocs = 170
+		maxAllocs = 139
 	)
 	script := GenerateScript(ScriptOptions{Seed: 0, Events: events, Procs: 4, Multi: true, MaxWeight: 30})
 	ctx, cancel := context.WithCancel(context.Background())

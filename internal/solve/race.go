@@ -45,17 +45,18 @@ type candidate struct {
 // leave behind: when ctx ends while member k ≥ 2 runs, the race returns
 // after that member finishes and has been judged, not at once.
 func race(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, error) {
-	defaults := registry.Names(registry.Heuristics(p.Class()))
-	names, solvers, err := registry.ResolveClass(p.Class(), o.Portfolio, defaults)
-	if err != nil {
-		return nil, fmt.Errorf("solve: %w", err)
+	solvers := defaultLineup[p.Class()]
+	if len(o.Portfolio) > 0 {
+		var err error
+		if _, solvers, err = registry.ResolveClass(p.Class(), o.Portfolio, nil); err != nil {
+			return nil, fmt.Errorf("solve: %w", err)
+		}
 	}
-	return raceMembers(ctx, p, o, obs, names, solvers)
+	return raceMembers(ctx, p, o, obs, solvers)
 }
 
-// raceMembers is race over resolved members: solvers[i] runs under
-// names[i], and lineup order is index order.
-func raceMembers(ctx context.Context, p Problem, o Options, obs *obsState, names []string, solvers []*registry.Solver) (*Report, error) {
+// raceMembers is race over resolved members, in lineup order.
+func raceMembers(ctx context.Context, p Problem, o Options, obs *obsState, solvers []*registry.Solver) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("solve: %w", err)
 	}
@@ -75,10 +76,10 @@ func raceMembers(ctx context.Context, p Problem, o Options, obs *obsState, names
 		i := started
 		started++
 		if workers == 1 {
-			results <- runMember(ctx, p, i, names[i], solvers[i], o.Refine)
+			results <- runMember(ctx, p, i, solvers[i], o.Refine)
 			return
 		}
-		go func() { results <- runMember(ctx, p, i, names[i], solvers[i], o.Refine) }()
+		go func() { results <- runMember(ctx, p, i, solvers[i], o.Refine) }()
 	}
 	for started < workers {
 		launch()
@@ -100,7 +101,7 @@ func raceMembers(ctx context.Context, p Problem, o Options, obs *obsState, names
 		} else if cmp := loadvec.CompareVec(c.vec, best.vec); cmp < 0 || (cmp == 0 && c.idx < best.idx) {
 			best = c
 		}
-		obs.emit(names[c.idx], vecMakespan(c.vec), c.a, false)
+		obs.emit(solvers[c.idx].Name, vecMakespan(c.vec), c.a, false)
 	}
 	done := ctx.Done()
 collect:
@@ -133,7 +134,7 @@ collect:
 		}
 		return nil, fmt.Errorf("solve: no heuristic finished: %w", ctx.Err())
 	}
-	rep := &Report{Solver: names[best.idx], Assignment: best.a, stageMakespan: vecMakespan(best.vec)}
+	rep := &Report{Solver: solvers[best.idx].Name, Assignment: best.a, stageMakespan: vecMakespan(best.vec)}
 	span.SetAttr("winner", rep.Solver)
 	span.SetAttr("makespan", rep.stageMakespan)
 	return rep, nil
@@ -143,18 +144,18 @@ collect:
 // goroutines or run one after another, so each gets one internal worker.
 // A panic becomes the member's error, so one malformed-instance crash
 // does not end the race.
-func runMember(ctx context.Context, p Problem, idx int, name string, sol *registry.Solver, doRefine bool) (c candidate) {
+func runMember(ctx context.Context, p Problem, idx int, sol *registry.Solver, doRefine bool) (c candidate) {
 	c.idx = idx
 	defer func() {
 		if pv := recover(); pv != nil {
-			c = candidate{idx: idx, err: fmt.Errorf("solve: %s panicked: %v", name, pv)}
+			c = candidate{idx: idx, err: fmt.Errorf("solve: %s panicked: %v", sol.Name, pv)}
 		}
 	}()
 	a, err := sol.SolveInstance(ctx, p.instance(), registry.Options{BnB: exact.Options{Workers: 1}})
 	// An exact member that runs out of budget still hands back its
 	// incumbent, and a race judges schedules, not proofs: keep it.
 	if err != nil && (a == nil || !registry.IncumbentError(err)) {
-		c.err = fmt.Errorf("solve: %s: %w", name, err)
+		c.err = fmt.Errorf("solve: %s: %w", sol.Name, err)
 		return c
 	}
 	if doRefine && p.Class() == registry.MultiProc {

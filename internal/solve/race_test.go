@@ -384,7 +384,7 @@ func TestRaceOneWorkerRunsInline(t *testing.T) {
 	names, solvers := fakeLineup(members, &started, nil)
 	var seen []string
 	obs := newObsState(func(inc Incumbent) { seen = append(seen, inc.Solver) }, time.Now())
-	rep, err := raceMembers(context.Background(), stepHyper(members), Options{Workers: 1}, obs, names, solvers)
+	rep, err := raceMembers(context.Background(), stepHyper(members), Options{Workers: 1}, obs, solvers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestRaceOneWorkerCancelStopsBeforeNextMember(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := newObsState(func(Incumbent) { cancel() }, time.Now())
-	rep, err := raceMembers(ctx, stepHyper(members), Options{Workers: 1}, obs, names, solvers)
+	rep, err := raceMembers(ctx, stepHyper(members), Options{Workers: 1}, obs, solvers)
 	if err != nil {
 		t.Fatalf("cancelled after the first member: %v, want its schedule", err)
 	}
@@ -427,11 +427,11 @@ func TestRaceMemberPanicIsItsError(t *testing.T) {
 			}
 		})
 		p := stepHyper(3)
-		rep, err := raceMembers(context.Background(), p, Options{Workers: w}, nil, names, solvers)
+		rep, err := raceMembers(context.Background(), p, Options{Workers: w}, nil, solvers)
 		if err != nil || rep.Solver != names[1] {
 			t.Fatalf("workers=%d: report %v, err %v; want %s's schedule", w, rep, err, names[1])
 		}
-		_, err = raceMembers(context.Background(), p, Options{Workers: w}, nil, names[:1], solvers[:1])
+		_, err = raceMembers(context.Background(), p, Options{Workers: w}, nil, solvers[:1])
 		if err == nil || !strings.Contains(err.Error(), names[0]+" panicked: boom") {
 			t.Fatalf("workers=%d: lone panicking member: err %v, want its panic", w, err)
 		}

@@ -416,7 +416,7 @@ func runNamed(ctx context.Context, p Problem, o Options, obs *obsState) (*Report
 		return nil, fmt.Errorf("solve: %s: %w", sol.Name, err)
 	}
 	// A search cut short keeps its incumbent, unproven.
-	rep.proved = err == nil && sol.Optimal()
+	rep.proved = err == nil && sol.Kind == registry.Exact
 	if o.Refine && p.Class() == registry.MultiProc {
 		rs := o.trace.StartChild("refine")
 		refined := refine.RefineCtx(ctx, p.h, core.HyperAssignment(a), refine.Options{}).Assignment
@@ -441,10 +441,15 @@ func runAuto(ctx context.Context, p Problem, o Options, obs *obsState) (*Report,
 	return rep, err
 }
 
-// The auto policy's exact-stage candidates, resolved once: the polynomial
-// ExactUnit for unit SINGLEPROC instances, and each class's branch and
-// bound through its registered parallel counterpart.
+// The auto policy's solvers, resolved once since the catalog is fixed
+// after init: each class's default race lineup (indexed by class), the
+// polynomial ExactUnit for unit SINGLEPROC instances, and each class's
+// branch and bound through its registered parallel counterpart.
 var (
+	defaultLineup = [...][]*registry.Solver{
+		registry.SingleProc: registry.Heuristics(registry.SingleProc),
+		registry.MultiProc:  registry.Heuristics(registry.MultiProc),
+	}
 	exactUnit = mustLookup(registry.SingleProc, "ExactUnit")
 	exactSP   = registry.Preferred(mustLookup(registry.SingleProc, "BnB-SP"))
 	exactMP   = registry.Preferred(mustLookup(registry.MultiProc, "BnB-MP"))

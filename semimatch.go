@@ -468,7 +468,8 @@ type Task = sched.Task
 // Instance is a named MULTIPROC scheduling instance.
 type Instance = sched.Instance
 
-// Schedule is a solved instance.
+// Schedule is a solved instance, with the status and certificate of the
+// Run that solved it.
 type Schedule = sched.Schedule
 
 // Timeline is the discrete-event realization of a schedule.
@@ -490,8 +491,8 @@ const (
 // names.
 func NewInstance(procNames ...string) *Instance { return sched.NewInstance(procNames...) }
 
-// Solve schedules an instance; the Algorithm enum maps through the solver
-// registry.
+// Solve schedules an instance through Run; the Algorithm enum maps
+// through the solver registry.
 var Solve = sched.Solve
 
 // SolveByName schedules an instance with any registered MULTIPROC solver,

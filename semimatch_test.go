@@ -96,7 +96,7 @@ func TestSchedulingFrontEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Optimal {
+	if !s.Optimal() {
 		t.Fatal("exact schedule must be optimal")
 	}
 	tl := s.Simulate()
@@ -107,6 +107,36 @@ func TestSchedulingFrontEnd(t *testing.T) {
 	tl.Gantt(&sb, s)
 	if !strings.Contains(sb.String(), "p0") {
 		t.Fatalf("gantt output:\n%s", sb.String())
+	}
+}
+
+// TestReadmeQuickStartProvenOptimal solves the README's quick-start
+// instance as the README does. EVG's makespan 6 is encode's only
+// configuration, so the max-element bound proves it optimal, and the
+// schedule's certificate says so to an independent verifier.
+func TestReadmeQuickStartProvenOptimal(t *testing.T) {
+	in := semimatch.NewInstance("cpu0", "cpu1", "gpu")
+	in.AddTask("render",
+		semimatch.Config{Procs: []int{0}, Time: 8},
+		semimatch.Config{Procs: []int{0, 2}, Time: 3})
+	in.AddTask("encode", semimatch.Config{Procs: []int{1}, Time: 6})
+	s, err := semimatch.Solve(in, semimatch.ExpectedVectorGreedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan != 6 || !s.Optimal() || s.Status != semimatch.StatusOptimal {
+		t.Fatalf("makespan %d, status %v; want 6, optimal", s.Makespan, s.Status)
+	}
+	h, err := in.Hypergraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Certificate == nil {
+		t.Fatal("schedule carries no certificate")
+	}
+	tier, err := semimatch.Verify(h, s.Certificate)
+	if err != nil || tier != semimatch.TierVerified {
+		t.Fatalf("Verify = %v, %v; want %v", tier, err, semimatch.TierVerified)
 	}
 }
 
@@ -298,7 +328,7 @@ func TestSolverDiscovery(t *testing.T) {
 		t.Fatal("unknown solver must error")
 	}
 	exact, err := semimatch.LookupClassSolver(semimatch.ClassSingleProc, "exact")
-	if err != nil || exact.Name != "ExactUnit" || !exact.Optimal() {
+	if err != nil || exact.Name != "ExactUnit" || exact.Kind != semimatch.KindExact {
 		t.Fatalf("LookupClassSolver(SINGLEPROC, exact) = %v, %v", exact, err)
 	}
 
