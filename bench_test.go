@@ -13,7 +13,6 @@ import (
 
 	"semimatch"
 	"semimatch/internal/bench"
-	"semimatch/internal/core"
 	"semimatch/internal/gen"
 )
 
@@ -84,72 +83,15 @@ func BenchmarkFig3Chain(b *testing.B) {
 		g := semimatch.Chain(k)
 		b.Run(fmt.Sprintf("k=%d/sorted", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				semimatch.SortedGreedy(g, semimatch.GreedyOptions{})
+				semimatch.SortedGreedy(g)
 			}
 		})
 		b.Run(fmt.Sprintf("k=%d/exact", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := semimatch.ExactUnit(g, semimatch.ExactOptions{}); err != nil {
+				if _, _, err := semimatch.ExactUnit(g); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// --- Ablation benches (design choices called out in DESIGN.md §4) ---
-
-func ablationHyper(b *testing.B, weights gen.WeightScheme) *semimatch.Hypergraph {
-	b.Helper()
-	h, err := gen.Hypergraph(gen.HyperParams{
-		Gen: gen.FewgManyg, N: 1280, P: 256, Dv: 5, Dh: 10, G: 32, Weights: weights,
-	}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return h
-}
-
-// BenchmarkAblationExactSearch times the exact SINGLEPROC-UNIT algorithm
-// across search strategies and feasibility testers: the paper's literal
-// incremental+replication algorithm vs the bisection+capacitated variant.
-func BenchmarkAblationExactSearch(b *testing.B) {
-	g, err := gen.Bipartite(gen.FewgManyg, 5120, 256, 32, 10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		opts core.ExactOptions
-	}{
-		{"incremental+replicate(paper)", core.ExactOptions{Strategy: core.SearchIncremental, Tester: core.TestReplicate}},
-		{"incremental+capacitated", core.ExactOptions{Strategy: core.SearchIncremental, Tester: core.TestCapacitated}},
-		{"bisection+replicate", core.ExactOptions{Strategy: core.SearchBisection, Tester: core.TestReplicate}},
-		{"bisection+capacitated", core.ExactOptions{Strategy: core.SearchBisection, Tester: core.TestCapacitated}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ExactUnit(g, c.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAfterLoad times (and lets one inspect) the paper's
-// pre-add selection rule vs the after-load rule on weighted instances.
-func BenchmarkAblationAfterLoad(b *testing.B) {
-	h := ablationHyper(b, gen.Related)
-	b.Run("SGH/paper-rule", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SortedGreedyHyp(h, core.HyperOptions{})
-		}
-	})
-	b.Run("SGH/after-load", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SortedGreedyHyp(h, core.HyperOptions{AfterLoad: true})
-		}
-	})
 }

@@ -67,7 +67,7 @@ func runMakespan(t *testing.T, p semimatch.Problem, alg string, extra ...semimat
 func TestCompatSingleProcHeuristics(t *testing.T) {
 	type entry struct {
 		name string
-		fn   func(*semimatch.Graph, semimatch.GreedyOptions) semimatch.Assignment
+		fn   func(*semimatch.Graph) semimatch.Assignment
 	}
 	entries := []entry{
 		{"basic", semimatch.BasicGreedy},
@@ -79,7 +79,7 @@ func TestCompatSingleProcHeuristics(t *testing.T) {
 		g := seededGraph(t, seed)
 		p := semimatch.GraphProblem(g)
 		for _, e := range entries {
-			old := semimatch.Makespan(g, e.fn(g, semimatch.GreedyOptions{}))
+			old := semimatch.Makespan(g, e.fn(g))
 			if got := runMakespan(t, p, e.name); got != old {
 				t.Fatalf("seed %d %s: flat %d, Run %d", seed, e.name, old, got)
 			}
@@ -104,7 +104,7 @@ func TestCompatSingleProcExact(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := seededGraph(t, seed)
 		p := semimatch.GraphProblem(g)
-		_, opt, err := semimatch.ExactUnit(g, semimatch.ExactOptions{})
+		_, opt, err := semimatch.ExactUnit(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestCompatSingleProcExact(t *testing.T) {
 func TestCompatMultiProc(t *testing.T) {
 	type entry struct {
 		name string
-		fn   func(*semimatch.Hypergraph, semimatch.HyperOptions) semimatch.HyperAssignment
+		fn   func(*semimatch.Hypergraph) semimatch.HyperAssignment
 	}
 	entries := []entry{
 		{"SGH", semimatch.SortedGreedyHyp},
@@ -147,12 +147,12 @@ func TestCompatMultiProc(t *testing.T) {
 		h := seededHyper(t, seed, 40)
 		p := semimatch.HypergraphProblem(h)
 		for _, e := range entries {
-			old := semimatch.HyperMakespan(h, e.fn(h, semimatch.HyperOptions{}))
+			old := semimatch.HyperMakespan(h, e.fn(h))
 			if got := runMakespan(t, p, e.name); got != old {
 				t.Fatalf("seed %d %s: flat %d, Run %d", seed, e.name, old, got)
 			}
 		}
-		if a, err := semimatch.ExpectedGreedyHypExact(h, semimatch.HyperOptions{}); err != nil {
+		if a, err := semimatch.ExpectedGreedyHypExact(h); err != nil {
 			t.Fatal(err)
 		} else if old := semimatch.HyperMakespan(h, a); old != runMakespan(t, p, "EGH-X") {
 			t.Fatalf("seed %d EGH-X mismatch", seed)
@@ -261,7 +261,7 @@ func TestCompatServiceAndFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := semimatch.HyperMakespan(h, semimatch.ExpectedVectorGreedyHyp(h, semimatch.HyperOptions{}))
+	want := semimatch.HyperMakespan(h, semimatch.ExpectedVectorGreedyHyp(h))
 	if res.Makespan != want {
 		t.Fatalf("service EVG %d, flat EVG %d", res.Makespan, want)
 	}
@@ -274,7 +274,6 @@ func TestCompatServiceAndFingerprint(t *testing.T) {
 func TestCompatSymbolLedger(t *testing.T) {
 	var (
 		_ semimatch.Solver          //nolint
-		_ semimatch.SolverOptions   //nolint
 		_ semimatch.SolverClass     //nolint
 		_ semimatch.SolverKind      //nolint
 		_ semimatch.SolverCost      //nolint
@@ -283,9 +282,6 @@ func TestCompatSymbolLedger(t *testing.T) {
 		_ semimatch.Hypergraph      //nolint
 		_ semimatch.Assignment      //nolint
 		_ semimatch.HyperAssignment //nolint
-		_ semimatch.GreedyOptions   //nolint
-		_ semimatch.HyperOptions    //nolint
-		_ semimatch.ExactOptions    //nolint
 		_ semimatch.OnlineScheduler //nolint
 		_ semimatch.BatchOptions    //nolint
 		_ semimatch.BatchRunner     //nolint
@@ -335,8 +331,6 @@ func TestCompatSymbolLedger(t *testing.T) {
 		semimatch.ClassSingleProc, semimatch.ClassMultiProc,
 		semimatch.KindHeuristic, semimatch.KindExact, semimatch.KindOnline,
 		semimatch.CostNearLinear, semimatch.CostPolynomial, semimatch.CostExponential,
-		semimatch.SearchIncremental, semimatch.SearchBisection,
-		semimatch.TestCapacitated, semimatch.TestReplicate, semimatch.TestReplicateHK,
 		semimatch.HiLo, semimatch.FewgManyg, semimatch.Unit, semimatch.Related, semimatch.Random,
 		semimatch.SGH, semimatch.EGH, semimatch.VGH,
 		semimatch.ExpectedVectorGreedy, semimatch.ExactSchedule,

@@ -80,8 +80,8 @@
 // # Direct algorithm access
 //
 // The paper's algorithms remain addressable directly: the exact
-// SINGLEPROC-UNIT solver (ExactUnit, deadline search over capacitated
-// matchings; HarveyOptimal as an independent baseline), the greedy
+// SINGLEPROC-UNIT solver (ExactUnit, a bisection on the deadline D over
+// capacitated matchings; HarveyOptimal as an independent baseline), the greedy
 // heuristics basic/sorted/double-sorted/expected (bipartite) and
 // SGH/VGH/EGH/EVG (hypergraph), the Eq. (1) lower bound, the paper's
 // random instance generators and worst-case families, and a scheduling

@@ -79,10 +79,10 @@ func ExampleExactUnit() {
 	b.AddEdge(1, 0)
 	g, _ := b.Build()
 
-	basic := semimatch.BasicGreedy(g, semimatch.GreedyOptions{})
+	basic := semimatch.BasicGreedy(g)
 	fmt.Println("basic-greedy makespan:", semimatch.Makespan(g, basic))
 
-	_, opt, _ := semimatch.ExactUnit(g, semimatch.ExactOptions{})
+	_, opt, _ := semimatch.ExactUnit(g)
 	fmt.Println("optimal makespan:", opt)
 	// Output:
 	// basic-greedy makespan: 2
@@ -99,7 +99,7 @@ func ExampleLowerBound() {
 	h, _ := b.Build()
 
 	fmt.Println("lower bound:", semimatch.LowerBound(h))
-	a := semimatch.ExpectedVectorGreedyHyp(h, semimatch.HyperOptions{})
+	a := semimatch.ExpectedVectorGreedyHyp(h)
 	fmt.Println("EVG makespan:", semimatch.HyperMakespan(h, a))
 	// Output:
 	// lower bound: 3
@@ -128,9 +128,9 @@ func ExampleSolve() {
 // bound exactly.
 func ExampleChain() {
 	g := semimatch.Chain(5)
-	sorted := semimatch.SortedGreedy(g, semimatch.GreedyOptions{})
+	sorted := semimatch.SortedGreedy(g)
 	fmt.Println("sorted-greedy:", semimatch.Makespan(g, sorted))
-	_, opt, _ := semimatch.ExactUnit(g, semimatch.ExactOptions{})
+	_, opt, _ := semimatch.ExactUnit(g)
 	fmt.Println("optimal:", opt)
 	// Output:
 	// sorted-greedy: 5

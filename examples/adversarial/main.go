@@ -17,11 +17,11 @@ import (
 
 func main() {
 	report := func(name string, g *semimatch.Graph) {
-		basic := semimatch.Makespan(g, semimatch.BasicGreedy(g, semimatch.GreedyOptions{}))
-		sorted := semimatch.Makespan(g, semimatch.SortedGreedy(g, semimatch.GreedyOptions{}))
-		double := semimatch.Makespan(g, semimatch.DoubleSorted(g, semimatch.GreedyOptions{}))
-		expected := semimatch.Makespan(g, semimatch.ExpectedGreedy(g, semimatch.GreedyOptions{}))
-		_, opt, err := semimatch.ExactUnit(g, semimatch.ExactOptions{})
+		basic := semimatch.Makespan(g, semimatch.BasicGreedy(g))
+		sorted := semimatch.Makespan(g, semimatch.SortedGreedy(g))
+		double := semimatch.Makespan(g, semimatch.DoubleSorted(g))
+		expected := semimatch.Makespan(g, semimatch.ExpectedGreedy(g))
+		_, opt, err := semimatch.ExactUnit(g)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("dispatch burst: %d requests over %d servers (%d eligibility edges)\n\n",
 		requests, servers, g.NumEdges())
 
-	exactA, opt, err := semimatch.ExactUnit(g, semimatch.ExactOptions{})
+	exactA, opt, err := semimatch.ExactUnit(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 
 	type heur struct {
 		name string
-		f    func(*semimatch.Graph, semimatch.GreedyOptions) semimatch.Assignment
+		f    func(*semimatch.Graph) semimatch.Assignment
 	}
 	for _, h := range []heur{
 		{"basic-greedy", semimatch.BasicGreedy},
@@ -54,7 +54,7 @@ func main() {
 		{"double-sorted", semimatch.DoubleSorted},
 		{"expected-greedy", semimatch.ExpectedGreedy},
 	} {
-		a := h.f(g, semimatch.GreedyOptions{})
+		a := h.f(g)
 		m := semimatch.Makespan(g, a)
 		fmt.Printf("%-16s makespan %4d  (%.3f x OPT)\n", h.name, m, float64(m)/float64(opt))
 	}
@@ -91,7 +91,7 @@ func main() {
 	if !rep.Optimal() {
 		status = "best found within node budget"
 	}
-	gm := semimatch.Makespan(wg, semimatch.SortedGreedy(wg, semimatch.GreedyOptions{}))
+	gm := semimatch.Makespan(wg, semimatch.SortedGreedy(wg))
 	fmt.Printf("  branch-and-bound: %d (%s)\n", optW, status)
 	fmt.Printf("  sorted-greedy:    %d (%.3f x)\n", gm, float64(gm)/float64(optW))
 }

@@ -1,6 +1,7 @@
 package adversarial
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 
 func TestFig1Claims(t *testing.T) {
 	g := Fig1()
-	a := core.BasicGreedy(g, core.GreedyOptions{})
+	a := core.BasicGreedy(g)
 	if m := core.Makespan(g, a); m != 2 {
 		t.Fatalf("basic-greedy = %d, want 2", m)
 	}
-	_, opt, err := core.ExactUnit(g, core.ExactOptions{})
+	_, opt, err := core.ExactUnit(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +41,15 @@ func TestChainGreedyTrap(t *testing.T) {
 	// Fig. 3's claim: basic- and sorted-greedy reach makespan k; OPT = 1.
 	for k := 2; k <= 6; k++ {
 		g := Chain(k)
-		basic := core.BasicGreedy(g, core.GreedyOptions{})
+		basic := core.BasicGreedy(g)
 		if m := core.Makespan(g, basic); m != int64(k) {
 			t.Fatalf("k=%d: basic-greedy = %d, want %d", k, m, k)
 		}
-		sorted := core.SortedGreedy(g, core.GreedyOptions{})
+		sorted := core.SortedGreedy(g)
 		if m := core.Makespan(g, sorted); m != int64(k) {
 			t.Fatalf("k=%d: sorted-greedy = %d, want %d", k, m, k)
 		}
-		_, opt, err := core.ExactUnit(g, core.ExactOptions{})
+		_, opt, err := core.ExactUnit(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestChainDoubleSortedEscapes(t *testing.T) {
 	// On the bare chain the in-degree tie-break rescues double-sorted
 	// (that is exactly why the paper extends the example in ChainPlus).
 	g := Chain(3)
-	a := core.DoubleSorted(g, core.GreedyOptions{})
+	a := core.DoubleSorted(g)
 	if m := core.Makespan(g, a); m != 1 {
 		t.Fatalf("double-sorted on Chain(3) = %d, want 1", m)
 	}
@@ -89,11 +90,11 @@ func TestChainPlusTrapsDoubleSorted(t *testing.T) {
 			t.Fatalf("P%d in-degree %d, want 3", p, rdeg[p])
 		}
 	}
-	a := core.DoubleSorted(g, core.GreedyOptions{})
+	a := core.DoubleSorted(g)
 	if m := core.Makespan(g, a); m != 3 {
 		t.Fatalf("double-sorted = %d, want 3 (the trap)", m)
 	}
-	_, opt, err := core.ExactUnit(g, core.ExactOptions{})
+	_, opt, err := core.ExactUnit(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +119,15 @@ func TestExpectedTrapTrapsExpectedGreedy(t *testing.T) {
 			t.Fatalf("P%d in-degree %d, want 3", p, rdeg[p])
 		}
 	}
-	a := core.ExpectedGreedy(g, core.GreedyOptions{})
+	a := core.ExpectedGreedy(g)
 	if m := core.Makespan(g, a); m != 3 {
 		t.Fatalf("expected-greedy = %d, want 3 (the trap)", m)
 	}
-	b := core.DoubleSorted(g, core.GreedyOptions{})
+	b := core.DoubleSorted(g)
 	if m := core.Makespan(g, b); m != 3 {
 		t.Fatalf("double-sorted = %d, want 3", m)
 	}
-	_, opt, err := core.ExactUnit(g, core.ExactOptions{})
+	_, opt, err := core.ExactUnit(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestExpectedGreedyEscapesChainPlus(t *testing.T) {
 	// full collapse: it must beat double-sorted's makespan 3 or match the
 	// optimum. We assert it is strictly better than the trap.
 	g := ChainPlus()
-	a := core.ExpectedGreedy(g, core.GreedyOptions{})
+	a := core.ExpectedGreedy(g)
 	if m := core.Makespan(g, a); m >= 3 {
 		t.Fatalf("expected-greedy = %d, want < 3", m)
 	}

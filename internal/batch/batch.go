@@ -118,7 +118,7 @@ func (r *Runner) validate(problems []solve.Problem) error {
 			continue
 		}
 		checked[c] = true
-		if _, _, err := registry.ResolveClass(c, r.opts.Algorithms, nil); err != nil {
+		if _, _, err := registry.ResolveClass(c, r.opts.Algorithms); err != nil {
 			return fmt.Errorf("batch: %w", err)
 		}
 	}

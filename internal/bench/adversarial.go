@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -32,12 +33,12 @@ func RunAdversarial(maxK int) []AdvRow {
 	for k := 2; k <= maxK; k++ {
 		g := adversarial.Chain(k)
 		row := AdvRow{K: k, Tasks: g.NLeft, Procs: g.NRight}
-		row.Basic = core.Makespan(g, core.BasicGreedy(g, core.GreedyOptions{}))
-		row.Sorted = core.Makespan(g, core.SortedGreedy(g, core.GreedyOptions{}))
-		row.Double = core.Makespan(g, core.DoubleSorted(g, core.GreedyOptions{}))
-		row.Expected = core.Makespan(g, core.ExpectedGreedy(g, core.GreedyOptions{}))
+		row.Basic = core.Makespan(g, core.BasicGreedy(g))
+		row.Sorted = core.Makespan(g, core.SortedGreedy(g))
+		row.Double = core.Makespan(g, core.DoubleSorted(g))
+		row.Expected = core.Makespan(g, core.ExpectedGreedy(g))
 		start := time.Now()
-		_, opt, err := core.ExactUnit(g, core.ExactOptions{})
+		_, opt, err := core.ExactUnit(context.Background(), g)
 		row.ExactTime = time.Since(start)
 		if err != nil {
 			// Chain instances never fail; make the corruption visible.

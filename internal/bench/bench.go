@@ -127,11 +127,15 @@ var Families = []Family{
 // registry's MULTIPROC heuristic lineup.
 var HyperAlgorithms = registry.Names(registry.Heuristics(registry.MultiProc))
 
-// resolveAlgorithms maps table column names to registry solvers and their
-// canonical names; unknown names yield the registry's suggested-names
-// error rather than a panic deep inside a worker.
+// resolveAlgorithms maps table column names, def when names is empty, to
+// registry solvers and their canonical names; unknown names yield the
+// registry's suggested-names error rather than a panic deep inside a
+// worker.
 func resolveAlgorithms(class registry.Class, names, def []string) ([]string, []*registry.Solver, error) {
-	algs, sols, err := registry.ResolveClass(class, names, def)
+	if len(names) == 0 {
+		names = def
+	}
+	algs, sols, err := registry.ResolveClass(class, names)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: %w", err)
 	}
@@ -213,9 +217,7 @@ func RunHyperTable(ctx context.Context, weights gen.WeightScheme, o Options) (*H
 		}
 		for ai, name := range algs {
 			start := time.Now()
-			a, err := sols[ai].SolveHyper(ctx, h, registry.Options{
-				BnB: exact.Options{MaxNodes: o.exactNodes},
-			})
+			a, err := sols[ai].SolveHyper(ctx, h, exact.Options{MaxNodes: o.exactNodes})
 			// A budget-truncated exact column still reports its incumbent's
 			// quality; anything else fails the run.
 			if err != nil && (a == nil || !registry.IncumbentError(err)) {
@@ -400,9 +402,7 @@ func RunSingleProc(ctx context.Context, generator gen.Generator, d, g int, o Opt
 			return err
 		}
 		start := time.Now()
-		_, opt, err := core.ExactUnit(gr, core.ExactOptions{
-			Strategy: core.SearchBisection, Tester: core.TestCapacitated,
-		})
+		_, opt, err := core.ExactUnit(ctx, gr)
 		exactTime := time.Since(start)
 		if err != nil {
 			return err
@@ -416,7 +416,7 @@ func RunSingleProc(ctx context.Context, generator gen.Generator, d, g int, o Opt
 		}
 		for ai, name := range algs {
 			t0 := time.Now()
-			a, err := sols[ai].SolveSingle(ctx, gr, registry.Options{})
+			a, err := sols[ai].SolveSingle(ctx, gr, exact.Options{})
 			if err != nil && (a == nil || !registry.IncumbentError(err)) {
 				return fmt.Errorf("bench: %s on seed %d: %w", name, j.seed, err)
 			}

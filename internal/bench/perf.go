@@ -318,15 +318,13 @@ func RunPerf(ctx context.Context, o PerfOptions) (*PerfReport, error) {
 			}
 			measure := func(sol *registry.Solver, workers int) (PerfCase, error) {
 				var st exact.SearchStats
-				opts := registry.Options{
-					BnB: exact.Options{MaxNodes: o.maxNodes(), Stats: &st, Workers: workers},
-				}
+				opts := exact.Options{MaxNodes: o.maxNodes(), Stats: &st, Workers: workers}
 				var tr *telemetry.Span
 				if o.Trace {
 					tr = telemetry.StartSpan("bench-solve")
 					tr.SetAttr("case", caseName)
 					tr.SetAttr("solver", sol.Name)
-					opts.BnB.Trace = tr
+					opts.Trace = tr
 				}
 				start := time.Now()
 				var m int64

@@ -125,7 +125,9 @@ func (g *Graph) Validate() error {
 // algorithm (Sec. IV-A of the paper): each right vertex u is replaced by d
 // copies u_0..u_{d-1}, each inheriting u's full neighborhood. Copy i of
 // right vertex v has index v*d + i. Weights are dropped (the construction is
-// only meaningful for the unit problem).
+// only meaningful for the unit problem). core.ExactUnit matches with
+// capacity d instead; the tests' copy of the paper's literal algorithm
+// builds G_D with this.
 func (g *Graph) ReplicateRight(d int) *Graph {
 	if d < 1 {
 		panic("bipartite: ReplicateRight requires d >= 1")

@@ -34,8 +34,8 @@ func TestVectorGreedyAllocationBudget(t *testing.T) {
 		name string
 		run  func(*hypergraph.Hypergraph)
 	}{
-		{"VGH", func(h *hypergraph.Hypergraph) { VectorGreedyHyp(h, HyperOptions{}) }},
-		{"EVG", func(h *hypergraph.Hypergraph) { ExpectedVectorGreedyHyp(h, HyperOptions{}) }},
+		{"VGH", func(h *hypergraph.Hypergraph) { VectorGreedyHyp(h) }},
+		{"EVG", func(h *hypergraph.Hypergraph) { ExpectedVectorGreedyHyp(h) }},
 		{"EVG-X", func(h *hypergraph.Hypergraph) {
 			if _, err := ExpectedVectorGreedyHypExact(h); err != nil {
 				t.Fatal(err)

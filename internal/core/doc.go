@@ -8,10 +8,11 @@
 //     greedy heuristics (Algorithms 1–3). They accept weighted graphs too;
 //     on unit graphs they are exactly the paper's algorithms.
 //   - ExactUnit — the exact polynomial-time algorithm for SINGLEPROC-UNIT:
-//     binary-search or incremental search on the deadline D, testing
-//     feasibility with a maximum-matching computation on the graph where
-//     every processor has capacity D (either by materializing the paper's
-//     D-fold replicated graph G_D, or directly with a capacitated matcher).
+//     bisection on the deadline D, testing feasibility with the
+//     capacitated Hopcroft–Karp matcher on the graph where every processor
+//     has capacity D, in place of the paper's D-fold replicated graph G_D.
+//     The paper's literal search (D = 1, 2, … over G_D with push-relabel)
+//     is kept in the tests as a reference.
 //   - HarveyOptimal — the cost-reducing-path optimal semi-matching
 //     algorithm of Harvey, Ladner, Lovász & Tamir [14], as an independent
 //     exact baseline.

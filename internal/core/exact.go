@@ -1,58 +1,34 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"semimatch/internal/bipartite"
 	"semimatch/internal/matching"
 )
 
-// SearchStrategy selects how ExactUnit explores deadlines D.
-type SearchStrategy int
-
-const (
-	// SearchIncremental tries D = 1, 2, 3, … exactly as Sec. IV-A
-	// describes. Best when the optimal makespan is small.
-	SearchIncremental SearchStrategy = iota
-	// SearchBisection binary-searches D between ⌈n/p⌉ and the makespan of
-	// sorted-greedy — the improvement the paper notes would yield a better
-	// worst-case bound.
-	SearchBisection
-)
-
-// FeasibilityTester selects how the "can all tasks be scheduled with
-// deadline D?" question is answered.
-type FeasibilityTester int
-
-const (
-	// TestCapacitated runs the capacitated Hopcroft–Karp matcher with
-	// right-vertex capacity D on the original graph (no replication).
-	TestCapacitated FeasibilityTester = iota
-	// TestReplicate materializes the paper's replicated graph G_D (D
-	// copies of every processor) and runs the push-relabel matcher on it —
-	// the literal algorithm of Sec. IV-A.
-	TestReplicate
-	// TestReplicateHK is TestReplicate with Hopcroft–Karp instead of
-	// push-relabel (cross-checking the matcher choice).
-	TestReplicateHK
-)
-
-// ExactOptions configures ExactUnit. The zero value is the recommended
-// fast configuration (bisection + capacitated matching).
-type ExactOptions struct {
-	Strategy SearchStrategy
-	Tester   FeasibilityTester
-}
-
 // ExactUnit solves SINGLEPROC-UNIT exactly (Sec. IV-A): it finds the
 // minimum D such that a matching covering all tasks exists when every
 // processor may take up to D tasks, and returns the corresponding
 // assignment together with D (the optimal makespan).
 //
+// D is bisected between ⌈n/p⌉ and the makespan of sorted-greedy, the
+// improvement the paper notes would give a better worst-case bound than
+// trying D = 1, 2, 3, …. Each probe runs the capacitated Hopcroft–Karp
+// matcher with right-vertex capacity D on g itself instead of
+// materializing the paper's D-fold replicated graph G_D. The assignment
+// returned is the matcher's at D = OPT, so the incremental search would
+// return the same one.
+//
+// ctx is checked before each probe. Once it has ended, ExactUnit returns
+// the best feasible assignment found so far (sorted-greedy's, or the
+// last feasible probe's), its makespan, and ctx.Err().
+//
 // Returns an error if some task has an empty eligibility set (then no
 // finite makespan exists) or if the graph is weighted (the construction is
 // only exact for unit weights; weighted SINGLEPROC is NP-complete).
-func ExactUnit(g *bipartite.Graph, opts ExactOptions) (Assignment, int64, error) {
+func ExactUnit(ctx context.Context, g *bipartite.Graph) (Assignment, int64, error) {
 	if !g.Unit() {
 		return nil, 0, fmt.Errorf("core: ExactUnit requires a unit-weighted graph")
 	}
@@ -68,89 +44,48 @@ func ExactUnit(g *bipartite.Graph, opts ExactOptions) (Assignment, int64, error)
 		return nil, 0, fmt.Errorf("core: no processors")
 	}
 
-	try := func(d int) Assignment { return tryDeadline(g, d, opts.Tester) }
-
-	switch opts.Strategy {
-	case SearchIncremental:
-		for d := 1; d <= g.NLeft; d++ {
-			if a := try(d); a != nil {
-				return a, int64(d), nil
-			}
+	lo := (g.NLeft + g.NRight - 1) / g.NRight // ⌈n/p⌉ ≤ OPT
+	incumbent := SortedGreedy(g)
+	hi := max(int(Makespan(g, incumbent)), lo)
+	// probe tries deadline d once ctx allows it; a feasible answer
+	// becomes the incumbent.
+	probe := func(d int) (Assignment, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		// Unreachable: d = NLeft always succeeds when no task is isolated.
-		return nil, 0, fmt.Errorf("core: internal error, no deadline up to n feasible")
-
-	case SearchBisection:
-		lo := (g.NLeft + g.NRight - 1) / g.NRight // ⌈n/p⌉ ≤ OPT
-		if lo < 1 {
-			lo = 1
-		}
-		ub := SortedGreedy(g, GreedyOptions{})
-		hi := int(Makespan(g, ub))
-		if hi < lo {
-			hi = lo
-		}
-		best := Assignment(nil)
-		bestD := hi
-		// Invariant: hi is feasible (greedy witnesses it) — but we still
-		// verify, because the witness also provides the assignment when the
-		// search bottoms out.
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if a := try(mid); a != nil {
-				best, bestD = a, mid
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		if best == nil || bestD != lo {
-			a := try(lo)
-			if a == nil {
-				return nil, 0, fmt.Errorf("core: internal error, bisection lost feasibility at %d", lo)
-			}
-			best, bestD = a, lo
-		}
-		return best, int64(bestD), nil
-
-	default:
-		return nil, 0, fmt.Errorf("core: unknown search strategy %d", opts.Strategy)
-	}
-}
-
-// tryDeadline reports whether all tasks can be matched when each processor
-// has capacity d, returning the assignment or nil.
-func tryDeadline(g *bipartite.Graph, d int, tester FeasibilityTester) Assignment {
-	switch tester {
-	case TestCapacitated:
-		m := matching.HopcroftKarpCap(wrapGraph(g), d)
+		m := matching.HopcroftKarpCap(matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj), d)
 		if matching.Cardinality(m) != g.NLeft {
-			return nil
+			return nil, nil
 		}
-		return Assignment(m)
-
-	case TestReplicate, TestReplicateHK:
-		gd := g.ReplicateRight(d)
-		var m []int32
-		if tester == TestReplicate {
-			m = matching.PushRelabel(wrapGraph(gd))
+		incumbent = m
+		return m, nil
+	}
+	// Invariant: hi is feasible (sorted-greedy witnesses it), and once a
+	// probe succeeds, best is the matcher's assignment at hi.
+	var best Assignment
+	for lo < hi {
+		mid := (lo + hi) / 2
+		a, err := probe(mid)
+		if err != nil {
+			return incumbent, Makespan(g, incumbent), err
+		}
+		if a != nil {
+			best, hi = a, mid
 		} else {
-			m = matching.HopcroftKarp(wrapGraph(gd))
+			lo = mid + 1
 		}
-		if matching.Cardinality(m) != g.NLeft {
-			return nil
-		}
-		a := make(Assignment, g.NLeft)
-		for t := range a {
-			a[t] = m[t] / int32(d) // copy v*d+i belongs to processor v
-		}
-		return a
-
-	default:
-		panic(fmt.Sprintf("core: unknown feasibility tester %d", tester))
 	}
-}
-
-func wrapGraph(g *bipartite.Graph) matching.Graph {
-	return matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj)
+	if best == nil {
+		// No probe below the greedy makespan succeeded: the matcher's
+		// assignment at OPT = hi is still owed.
+		a, err := probe(hi)
+		if err != nil {
+			return incumbent, Makespan(g, incumbent), err
+		}
+		if a == nil {
+			return nil, 0, fmt.Errorf("core: internal error, bisection lost feasibility at %d", hi)
+		}
+		best = a
+	}
+	return best, int64(hi), nil
 }

@@ -78,7 +78,7 @@ func commitExpectedScaled(h *hypergraph.Hypergraph, t int, chosen int32, o []int
 
 // ExpectedGreedyHypExact is ExpectedGreedyHyp with exact scaled-integer
 // expected loads.
-func ExpectedGreedyHypExact(h *hypergraph.Hypergraph, opts HyperOptions) (HyperAssignment, error) {
+func ExpectedGreedyHypExact(h *hypergraph.Hypergraph) (HyperAssignment, error) {
 	d, err := lcmDegrees(h)
 	if err != nil {
 		return nil, err
@@ -94,9 +94,6 @@ func ExpectedGreedyHypExact(h *hypergraph.Hypergraph, opts HyperOptions) (HyperA
 				if o[u] > key {
 					key = o[u]
 				}
-			}
-			if opts.AfterLoad {
-				key += h.Weight[e] * d
 			}
 			if bestE == Unassigned || key < bestKey {
 				bestE, bestKey = e, key

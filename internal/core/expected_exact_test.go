@@ -55,7 +55,7 @@ func TestExactArithmeticValidAndBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHyper(rng, 1+rng.Intn(25), 1+rng.Intn(8), 4, 4, 9)
-		a1, err := ExpectedGreedyHypExact(h, HyperOptions{})
+		a1, err := ExpectedGreedyHypExact(h)
 		if err != nil || ValidateHyperAssignment(h, a1) != nil {
 			return false
 		}
@@ -102,15 +102,15 @@ func TestExactMatchesFloatOnSmallDegrees(t *testing.T) {
 			}
 		}
 		h := b.MustBuild()
-		af := ExpectedGreedyHyp(h, HyperOptions{})
-		ax, err := ExpectedGreedyHypExact(h, HyperOptions{})
+		af := ExpectedGreedyHyp(h)
+		ax, err := ExpectedGreedyHypExact(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(af, ax) {
 			t.Fatalf("trial %d: float %v != exact %v (power-of-two degrees must agree)", trial, af, ax)
 		}
-		vf := ExpectedVectorGreedyHyp(h, HyperOptions{})
+		vf := ExpectedVectorGreedyHyp(h)
 		vx, err := ExpectedVectorGreedyHypExact(h)
 		if err != nil {
 			t.Fatal(err)
@@ -128,8 +128,8 @@ func TestExactQualityCloseToFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		h := randomHyper(rng, 60, 10, 4, 4, 9)
-		mf := HyperMakespan(h, ExpectedGreedyHyp(h, HyperOptions{}))
-		ax, err := ExpectedGreedyHypExact(h, HyperOptions{})
+		mf := HyperMakespan(h, ExpectedGreedyHyp(h))
+		ax, err := ExpectedGreedyHypExact(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestLcmDegreesOverflowGuard(t *testing.T) {
 		}
 	}
 	h := b.MustBuild()
-	if _, err := ExpectedGreedyHypExact(h, HyperOptions{}); err == nil {
+	if _, err := ExpectedGreedyHypExact(h); err == nil {
 		t.Fatal("expected overflow guard to trip")
 	}
 }

@@ -14,7 +14,8 @@ import (
 // constraints. LPTGreedy orders tasks by non-increasing weight (ties:
 // smaller degree first, then index) and assigns each to the eligible
 // processor minimizing the post-assignment load — an extension baseline
-// beyond the paper, ablated in bench_test.go.
+// beyond the paper, compared with the degree-order greedies in
+// lpt_test.go.
 
 // taskWeight returns the representative weight of task t: its minimum
 // edge weight (1 for unit graphs). The minimum is the intrinsic size of
@@ -56,11 +57,30 @@ func LPTGreedy(g *bipartite.Graph) Assignment {
 	}
 	loads := make([]int64, g.NRight)
 	for _, t := range order {
-		// After-load rule: with heterogeneous weights the post-assignment
-		// load is the meaningful key (LPT semantics).
-		a[t] = pickMinLoad(g, int(t), loads, GreedyOptions{AfterLoad: true})
+		a[t] = pickMinPostLoad(g, int(t), loads)
 	}
 	return a
+}
+
+// pickMinPostLoad assigns task t to the eligible processor with the
+// smallest load after the assignment, l(u)+w: with heterogeneous weights
+// the post-assignment load is the meaningful key (LPT semantics). It
+// updates loads and returns the processor (Unassigned for isolated
+// tasks); ties break toward the first edge in row order.
+func pickMinPostLoad(g *bipartite.Graph, t int, loads []int64) int32 {
+	row := g.Neighbors(t)
+	if len(row) == 0 {
+		return Unassigned
+	}
+	best, bestKey := -1, int64(0)
+	for i, p := range row {
+		if key := loads[p] + edgeWeightAt(g, t, i); best == -1 || key < bestKey {
+			best, bestKey = i, key
+		}
+	}
+	p := row[best]
+	loads[p] += edgeWeightAt(g, t, best)
+	return p
 }
 
 // LowerBoundSingle is the weighted SINGLEPROC analogue of Eq. (1): the

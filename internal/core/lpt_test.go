@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,7 +81,7 @@ func TestLPTOnUnitEqualsSortedishQuality(t *testing.T) {
 		if err := ValidateAssignment(g, a); err != nil {
 			t.Fatal(err)
 		}
-		_, opt, err := ExactUnit(g, ExactOptions{})
+		_, opt, err := ExactUnit(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestLPTBeatsDegreeOrderOnWeighted(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		g := randomWeightedGraph(rng, 60, 6, 3, 20)
 		lptTotal += Makespan(g, LPTGreedy(g))
-		sortedTotal += Makespan(g, SortedGreedy(g, GreedyOptions{}))
+		sortedTotal += Makespan(g, SortedGreedy(g))
 	}
 	if lptTotal > sortedTotal {
 		t.Fatalf("LPT total %d worse than degree-sorted %d", lptTotal, sortedTotal)

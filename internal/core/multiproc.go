@@ -85,15 +85,6 @@ func LowerBound(h *hypergraph.Hypergraph) int64 {
 	return (total + p - 1) / p
 }
 
-// HyperOptions tunes the MULTIPROC heuristics. The zero value reproduces
-// the paper's algorithms with the fast load-vector machinery.
-type HyperOptions struct {
-	// AfterLoad switches the SGH/EGH selection rule from the paper's
-	// min over h of max_{u∈h} l(u) to min over h of max_{u∈h} (l(u)+w_h).
-	// Identical when all candidate weights are equal; an ablation knob.
-	AfterLoad bool
-}
-
 // hyperTaskOrder returns task indices by non-decreasing configuration
 // count, ties by index: a stable counting sort on degree, O(n + max
 // degree).
@@ -129,7 +120,7 @@ func hyperTaskOrder(h *hypergraph.Hypergraph) []int32 {
 // each picks the hyperedge minimizing the maximum current load over its
 // processors, ties to the task's first hyperedge. A task without
 // hyperedges stays Unassigned. O(Σ_h |h|) after sorting.
-func SortedGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
+func SortedGreedyHyp(h *hypergraph.Hypergraph) HyperAssignment {
 	a := make(HyperAssignment, h.NTasks)
 	loads := make([]int64, h.NProcs)
 	for _, t := range hyperTaskOrder(h) {
@@ -141,9 +132,6 @@ func SortedGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignmen
 				if loads[u] > key {
 					key = loads[u]
 				}
-			}
-			if opts.AfterLoad {
-				key += h.Weight[e]
 			}
 			if bestE == Unassigned || key < bestKey {
 				bestE, bestKey = e, key
@@ -166,7 +154,7 @@ func SortedGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignmen
 // to each of its processors. Choosing h collapses the distribution.
 // O(Σ_h |h|) because updates touch each hyperedge a constant number of
 // times.
-func ExpectedGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
+func ExpectedGreedyHyp(h *hypergraph.Hypergraph) HyperAssignment {
 	a := make(HyperAssignment, h.NTasks)
 	o := initExpected(h)
 	for _, t := range hyperTaskOrder(h) {
@@ -178,9 +166,6 @@ func ExpectedGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignm
 				if o[u] > key {
 					key = o[u]
 				}
-			}
-			if opts.AfterLoad {
-				key += float64(h.Weight[e])
 			}
 			if bestE == Unassigned || key < bestKey {
 				bestE, bestKey = e, key
@@ -241,7 +226,7 @@ func commitExpected(h *hypergraph.Hypergraph, t int, chosen int32, o []float64) 
 // touch (loadvec.Comparer; O(Σ_v d_v · k²) at worst, with k at most twice
 // the largest configuration), and committing the choice adds its weight
 // to its processors' loads; no step costs O(p).
-func VectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
+func VectorGreedyHyp(h *hypergraph.Hypergraph) HyperAssignment {
 	a := make(HyperAssignment, h.NTasks)
 	loads := make([]int64, h.NProcs)
 	var c loadvec.Comparer[int64]
@@ -267,7 +252,7 @@ func VectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignmen
 // vector strategies: for each candidate hyperedge the task's whole
 // probability mass is tentatively collapsed onto it, and the resulting
 // expected-load vectors are compared lexicographically.
-func ExpectedVectorGreedyHyp(h *hypergraph.Hypergraph, opts HyperOptions) HyperAssignment {
+func ExpectedVectorGreedyHyp(h *hypergraph.Hypergraph) HyperAssignment {
 	return expectedVector(h, initExpected(h),
 		func(e int32) float64 { return float64(h.Weight[e]) / float64(h.TaskDegree(int(h.Owner[e]))) },
 		func(e int32) float64 { return float64(h.Weight[e]) })

@@ -27,7 +27,7 @@ func fig2(t testing.TB) *hypergraph.Hypergraph {
 
 var hyperAlgorithms = []struct {
 	name string
-	f    func(*hypergraph.Hypergraph, HyperOptions) HyperAssignment
+	f    func(*hypergraph.Hypergraph) HyperAssignment
 }{
 	{"SGH", SortedGreedyHyp},
 	{"VGH", VectorGreedyHyp},
@@ -41,7 +41,7 @@ func TestFig2AllHeuristicsValid(t *testing.T) {
 	// P2 entirely: T0→{P0} or T0→{P1,P2}? best is T0→P0... then T1→{P0,P1}
 	// puts 1 on P0,P1). Any valid schedule has makespan ≥ 2.
 	for _, alg := range hyperAlgorithms {
-		a := alg.f(h, HyperOptions{})
+		a := alg.f(h)
 		if err := ValidateHyperAssignment(h, a); err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
@@ -165,7 +165,7 @@ func TestHeuristicsSandwichedByBoundsUnit(t *testing.T) {
 			t.Fatalf("trial %d: LB %d exceeds OPT %d", trial, lb, opt)
 		}
 		for _, alg := range hyperAlgorithms {
-			a := alg.f(h, HyperOptions{})
+			a := alg.f(h)
 			if err := ValidateHyperAssignment(h, a); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, alg.name, err)
 			}
@@ -186,7 +186,7 @@ func TestHeuristicsSandwichedByBoundsWeighted(t *testing.T) {
 			t.Fatalf("trial %d: LB %d exceeds OPT %d", trial, lb, opt)
 		}
 		for _, alg := range hyperAlgorithms {
-			a := alg.f(h, HyperOptions{})
+			a := alg.f(h)
 			if err := ValidateHyperAssignment(h, a); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, alg.name, err)
 			}
@@ -204,8 +204,8 @@ var VectorGreedies = []struct {
 	Name        string
 	Fast, Naive func(*hypergraph.Hypergraph) HyperAssignment
 }{
-	{"VGH", func(h *hypergraph.Hypergraph) HyperAssignment { return VectorGreedyHyp(h, HyperOptions{}) }, vectorGreedyNaive},
-	{"EVG", func(h *hypergraph.Hypergraph) HyperAssignment { return ExpectedVectorGreedyHyp(h, HyperOptions{}) }, expectedVectorNaive},
+	{"VGH", VectorGreedyHyp, vectorGreedyNaive},
+	{"EVG", ExpectedVectorGreedyHyp, expectedVectorNaive},
 	{"EVG-X", mustLCM(ExpectedVectorGreedyHypExact), mustLCM(expectedVectorExactNaive)},
 }
 
@@ -315,8 +315,8 @@ func TestHeuristicsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	h := randomHyper(rng, 40, 8, 4, 4, 5)
 	for _, alg := range hyperAlgorithms {
-		a := alg.f(h, HyperOptions{})
-		b := alg.f(h, HyperOptions{})
+		a := alg.f(h)
+		b := alg.f(h)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s not deterministic", alg.name)
 		}
@@ -330,30 +330,10 @@ func TestSingleConfigTasksForced(t *testing.T) {
 	b.AddEdge(1, []int{0, 1}, 1)
 	h := b.MustBuild()
 	for _, alg := range hyperAlgorithms {
-		a := alg.f(h, HyperOptions{})
+		a := alg.f(h)
 		if a[0] != h.TaskEdges(0)[0] {
 			t.Fatalf("%s: forced task not assigned its only configuration", alg.name)
 		}
-	}
-}
-
-func TestAfterLoadAblationDiffers(t *testing.T) {
-	// An instance where the paper rule (pre-add loads) and the after-load
-	// rule choose differently for SGH: task with two configurations, one
-	// on an empty processor but heavy, one on an empty processor but
-	// light; pre-add ties (both max current load 0) → first edge; after
-	// load picks the light one.
-	b := hypergraph.NewBuilder(1, 2)
-	b.AddEdge(0, []int{0}, 10)
-	b.AddEdge(0, []int{1}, 1)
-	h := b.MustBuild()
-	pre := SortedGreedyHyp(h, HyperOptions{})
-	post := SortedGreedyHyp(h, HyperOptions{AfterLoad: true})
-	if pre[0] == post[0] {
-		t.Fatal("expected the ablation to change the choice")
-	}
-	if HyperMakespan(h, post) != 1 {
-		t.Fatalf("after-load should pick the light configuration")
 	}
 }
 
@@ -374,7 +354,7 @@ func BenchmarkSGH(b *testing.B) {
 	h := benchHyper(b, 5120, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SortedGreedyHyp(h, HyperOptions{})
+		SortedGreedyHyp(h)
 	}
 }
 
@@ -382,7 +362,7 @@ func BenchmarkEGH(b *testing.B) {
 	h := benchHyper(b, 5120, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExpectedGreedyHyp(h, HyperOptions{})
+		ExpectedGreedyHyp(h)
 	}
 }
 
@@ -390,7 +370,7 @@ func BenchmarkVGHFast(b *testing.B) {
 	h := benchHyper(b, 5120, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		VectorGreedyHyp(h, HyperOptions{})
+		VectorGreedyHyp(h)
 	}
 }
 
@@ -406,7 +386,7 @@ func BenchmarkEVGFast(b *testing.B) {
 	h := benchHyper(b, 5120, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExpectedVectorGreedyHyp(h, HyperOptions{})
+		ExpectedVectorGreedyHyp(h)
 	}
 }
 

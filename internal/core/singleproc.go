@@ -78,15 +78,6 @@ func edgeWeightOf(g *bipartite.Graph, t int, p int32) int64 {
 	return 0
 }
 
-// GreedyOptions tunes the greedy heuristics. The zero value reproduces the
-// paper's algorithms exactly.
-type GreedyOptions struct {
-	// AfterLoad selects edges by the load the processor would have *after*
-	// the assignment (l(u)+w) instead of the paper's current-load rule
-	// (l(u)). Identical on unit graphs; an ablation knob for weighted ones.
-	AfterLoad bool
-}
-
 // tasksByDegree returns task indices sorted by non-decreasing out-degree,
 // ties by index (a stable order, as "schedule the tasks that have less
 // freedom first" requires a fixed order for reproducibility).
@@ -103,11 +94,11 @@ func tasksByDegree(g *bipartite.Graph) []int32 {
 
 // BasicGreedy is Algorithm 1: visit tasks in index order and assign each to
 // the eligible processor with the smallest current load. O(|E|).
-func BasicGreedy(g *bipartite.Graph, opts GreedyOptions) Assignment {
+func BasicGreedy(g *bipartite.Graph) Assignment {
 	a := make(Assignment, g.NLeft)
 	loads := make([]int64, g.NRight)
 	for t := 0; t < g.NLeft; t++ {
-		a[t] = pickMinLoad(g, t, loads, opts)
+		a[t] = pickMinLoad(g, t, loads)
 	}
 	return a
 }
@@ -119,46 +110,42 @@ func BasicGreedy(g *bipartite.Graph, opts GreedyOptions) Assignment {
 // load, and configurations keep row order, so ties still go to the
 // lowest processor. Isolated tasks stay Unassigned.
 // O(|E| + |V1| log |V1|).
-func SortedGreedy(g *bipartite.Graph, opts GreedyOptions) Assignment {
-	a := SortedGreedyHyp(hypergraph.FromGraph(g), HyperOptions{AfterLoad: opts.AfterLoad})
+func SortedGreedy(g *bipartite.Graph) Assignment {
+	a := SortedGreedyHyp(hypergraph.FromGraph(g))
 	return hypergraph.ProcsOf(g, a)
 }
 
 // pickMinLoad assigns task t to its minimum-load eligible processor,
 // updates loads, and returns the processor (Unassigned for isolated tasks).
 // Ties break toward the first edge in row order (lowest processor index).
-func pickMinLoad(g *bipartite.Graph, t int, loads []int64, opts GreedyOptions) int32 {
+func pickMinLoad(g *bipartite.Graph, t int, loads []int64) int32 {
 	row := g.Neighbors(t)
 	if len(row) == 0 {
 		return Unassigned
 	}
-	w := g.Weights(t)
-	weightAt := func(i int) int64 {
-		if w == nil {
-			return 1
-		}
-		return w[i]
-	}
-	best := -1
-	var bestKey int64
+	best := 0
 	for i, p := range row {
-		key := loads[p]
-		if opts.AfterLoad {
-			key += weightAt(i)
-		}
-		if best == -1 || key < bestKey {
-			best, bestKey = i, key
+		if loads[p] < loads[row[best]] {
+			best = i
 		}
 	}
 	p := row[best]
-	loads[p] += weightAt(best)
+	loads[p] += edgeWeightAt(g, t, best)
 	return p
+}
+
+// edgeWeightAt returns the weight of task t's i-th edge (1 on unit graphs).
+func edgeWeightAt(g *bipartite.Graph, t, i int) int64 {
+	if w := g.Weights(t); w != nil {
+		return w[i]
+	}
+	return 1
 }
 
 // DoubleSorted is Algorithm 2: sorted-greedy where load ties additionally
 // prefer the processor with the smaller in-degree d_u. O(|E|) after the
 // degree computation.
-func DoubleSorted(g *bipartite.Graph, opts GreedyOptions) Assignment {
+func DoubleSorted(g *bipartite.Graph) Assignment {
 	a := make(Assignment, g.NLeft)
 	for i := range a {
 		a[i] = Unassigned
@@ -170,27 +157,15 @@ func DoubleSorted(g *bipartite.Graph, opts GreedyOptions) Assignment {
 		if len(row) == 0 {
 			continue
 		}
-		w := g.Weights(int(t))
-		weightAt := func(i int) int64 {
-			if w == nil {
-				return 1
-			}
-			return w[i]
-		}
-		best := -1
-		var bestKey int64
-		var bestDeg int32
+		best := 0
 		for i, p := range row {
-			key := loads[p]
-			if opts.AfterLoad {
-				key += weightAt(i)
-			}
-			if best == -1 || key < bestKey || (key == bestKey && rdeg[p] < bestDeg) {
-				best, bestKey, bestDeg = i, key, rdeg[p]
+			q := row[best]
+			if loads[p] < loads[q] || (loads[p] == loads[q] && rdeg[p] < rdeg[q]) {
+				best = i
 			}
 		}
 		p := row[best]
-		loads[p] += weightAt(best)
+		loads[p] += edgeWeightAt(g, int(t), best)
 		a[t] = p
 	}
 	return a
@@ -201,7 +176,7 @@ func DoubleSorted(g *bipartite.Graph, opts GreedyOptions) Assignment {
 // every remaining task chose uniformly at random among its options.
 // Assigning v to u collapses that distribution: u gains w − w/d_v and every
 // other neighbor of v loses its w'/d_v share. O(|E|).
-func ExpectedGreedy(g *bipartite.Graph, opts GreedyOptions) Assignment {
+func ExpectedGreedy(g *bipartite.Graph) Assignment {
 	a := make(Assignment, g.NLeft)
 	for i := range a {
 		a[i] = Unassigned
@@ -235,15 +210,10 @@ func ExpectedGreedy(g *bipartite.Graph, opts GreedyOptions) Assignment {
 			}
 			return float64(w[i])
 		}
-		best := -1
-		bestKey := 0.0
+		best := 0
 		for i, p := range row {
-			key := o[p]
-			if opts.AfterLoad {
-				key += weightAt(i)
-			}
-			if best == -1 || key < bestKey {
-				best, bestKey = i, key
+			if o[p] < o[row[best]] {
+				best = i
 			}
 		}
 		p := row[best]
@@ -274,7 +244,7 @@ func HarveyOptimal(g *bipartite.Graph) (Assignment, error) {
 	}
 	// Start from sorted-greedy (any semi-matching works; a good start
 	// shortens the reduction phase).
-	a := SortedGreedy(g, GreedyOptions{})
+	a := SortedGreedy(g)
 	loads := make([]int64, g.NRight)
 	for t := 0; t < g.NLeft; t++ {
 		loads[a[t]]++

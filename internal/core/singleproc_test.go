@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"semimatch/internal/bipartite"
+	"semimatch/internal/matching"
 )
 
 // fig1 is the toy instance of Fig. 1: T0 → {P0,P1}, T1 → {P0}.
@@ -23,7 +26,7 @@ func TestFig1BasicGreedyTrap(t *testing.T) {
 	// Basic greedy visits T0 first, ties break to P0, then T1 is forced
 	// onto P0: makespan 2, twice the optimum — the paper's motivating
 	// example for sorting.
-	a := BasicGreedy(g, GreedyOptions{})
+	a := BasicGreedy(g)
 	if err := ValidateAssignment(g, a); err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +34,12 @@ func TestFig1BasicGreedyTrap(t *testing.T) {
 		t.Fatalf("basic-greedy makespan = %d, want 2 (the trap)", Makespan(g, a))
 	}
 	// Sorted greedy schedules the degree-1 task first and is optimal.
-	for name, alg := range map[string]func(*bipartite.Graph, GreedyOptions) Assignment{
+	for name, alg := range map[string]func(*bipartite.Graph) Assignment{
 		"sorted":   SortedGreedy,
 		"double":   DoubleSorted,
 		"expected": ExpectedGreedy,
 	} {
-		a := alg(g, GreedyOptions{})
+		a := alg(g)
 		if err := ValidateAssignment(g, a); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -137,51 +140,44 @@ func bruteOptimal(g *bipartite.Graph) int64 {
 	return best
 }
 
-func TestExactUnitAllVariantsAgreeWithBruteForce(t *testing.T) {
+func TestExactUnitAgreesWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	variants := []ExactOptions{
-		{SearchIncremental, TestCapacitated},
-		{SearchIncremental, TestReplicate},
-		{SearchIncremental, TestReplicateHK},
-		{SearchBisection, TestCapacitated},
-		{SearchBisection, TestReplicate},
-		{SearchBisection, TestReplicateHK},
-	}
 	for trial := 0; trial < 60; trial++ {
 		g := randomUnitGraph(rng, 1+rng.Intn(8), 1+rng.Intn(4), 3)
 		want := bruteOptimal(g)
-		for _, opt := range variants {
-			a, d, err := ExactUnit(g, opt)
-			if err != nil {
-				t.Fatalf("trial %d %+v: %v", trial, opt, err)
-			}
-			if err := ValidateAssignment(g, a); err != nil {
-				t.Fatalf("trial %d %+v: %v", trial, opt, err)
-			}
-			if d != want {
-				t.Fatalf("trial %d %+v: D=%d, want %d", trial, opt, d, want)
-			}
-			if m := Makespan(g, a); m != d {
-				t.Fatalf("trial %d %+v: assignment makespan %d != reported %d", trial, opt, m, d)
-			}
+		a, d, err := ExactUnit(context.Background(), g)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := ValidateAssignment(g, a); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if d != want {
+			t.Fatalf("trial %d: D=%d, want %d", trial, d, want)
+		}
+		if m := Makespan(g, a); m != d {
+			t.Fatalf("trial %d: assignment makespan %d != reported %d", trial, m, d)
 		}
 	}
 }
 
+// TestExactUnitLargerCrossCheck: on larger graphs ExactUnit's assignment
+// is the capacitated matcher's at its D, and no matching covers every
+// task at D−1.
 func TestExactUnitLargerCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		g := randomUnitGraph(rng, 200+rng.Intn(200), 5+rng.Intn(20), 4)
-		_, d1, err := ExactUnit(g, ExactOptions{SearchBisection, TestCapacitated})
+		a, d, err := ExactUnit(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, d2, err := ExactUnit(g, ExactOptions{SearchIncremental, TestReplicate})
-		if err != nil {
-			t.Fatal(err)
+		w := matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj)
+		if m := matching.HopcroftKarpCap(w, int(d)); !slices.Equal(a, Assignment(m)) {
+			t.Fatalf("trial %d: assignment is not the matcher's at D=%d", trial, d)
 		}
-		if d1 != d2 {
-			t.Fatalf("trial %d: bisection/cap=%d vs incremental/replicate=%d", trial, d1, d2)
+		if d > 1 && matching.Cardinality(matching.HopcroftKarpCap(w, int(d)-1)) == g.NLeft {
+			t.Fatalf("trial %d: D=%d is not minimal", trial, d)
 		}
 	}
 }
@@ -192,13 +188,13 @@ func TestExactUnitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ExactUnit(g, ExactOptions{}); err == nil {
+	if _, _, err := ExactUnit(context.Background(), g); err == nil {
 		t.Fatal("isolated task accepted")
 	}
 	// Weighted graph.
 	b := bipartite.NewBuilder(1, 1)
 	b.AddWeightedEdge(0, 0, 2)
-	if _, _, err := ExactUnit(b.MustBuild(), ExactOptions{}); err == nil {
+	if _, _, err := ExactUnit(context.Background(), b.MustBuild()); err == nil {
 		t.Fatal("weighted graph accepted")
 	}
 	// Empty graph is trivially feasible with makespan 0.
@@ -206,7 +202,7 @@ func TestExactUnitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, d, err := ExactUnit(empty, ExactOptions{}); err != nil || d != 0 {
+	if _, d, err := ExactUnit(context.Background(), empty); err != nil || d != 0 {
 		t.Fatalf("empty graph: d=%d err=%v", d, err)
 	}
 }
@@ -221,14 +217,11 @@ func TestGreediesLeaveIsolatedTaskUnassigned(t *testing.T) {
 	b.AddWeightedEdge(0, 1, 5)
 	b.AddWeightedEdge(2, 1, 2)
 	g := b.MustBuild()
-	for name, alg := range map[string]func(*bipartite.Graph, GreedyOptions) Assignment{
+	for name, alg := range map[string]func(*bipartite.Graph) Assignment{
 		"basic": BasicGreedy, "sorted": SortedGreedy, "double": DoubleSorted, "expected": ExpectedGreedy,
 	} {
-		for _, afterLoad := range []bool{false, true} {
-			a := alg(g, GreedyOptions{AfterLoad: afterLoad})
-			if a[1] != Unassigned || a[0] == Unassigned || a[2] != 1 {
-				t.Fatalf("%s (AfterLoad %v): %v, want task 1 unassigned and the others placed", name, afterLoad, a)
-			}
+		if a := alg(g); a[1] != Unassigned || a[0] == Unassigned || a[2] != 1 {
+			t.Fatalf("%s: %v, want task 1 unassigned and the others placed", name, a)
 		}
 	}
 }
@@ -237,14 +230,14 @@ func TestGreedyNeverBeatsExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomUnitGraph(rng, 1+rng.Intn(30), 1+rng.Intn(8), 4)
-		_, opt, err := ExactUnit(g, ExactOptions{})
+		_, opt, err := ExactUnit(context.Background(), g)
 		if err != nil {
 			return false
 		}
-		for _, alg := range []func(*bipartite.Graph, GreedyOptions) Assignment{
+		for _, alg := range []func(*bipartite.Graph) Assignment{
 			BasicGreedy, SortedGreedy, DoubleSorted, ExpectedGreedy,
 		} {
-			a := alg(g, GreedyOptions{})
+			a := alg(g)
 			if ValidateAssignment(g, a) != nil {
 				return false
 			}
@@ -270,7 +263,7 @@ func TestHarveyOptimalMatchesExact(t *testing.T) {
 		if err := ValidateAssignment(g, a); err != nil {
 			t.Fatal(err)
 		}
-		_, opt, err := ExactUnit(g, ExactOptions{})
+		_, opt, err := ExactUnit(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,24 +281,6 @@ func TestHarveyRejectsWeighted(t *testing.T) {
 	}
 }
 
-func TestGreedyAfterLoadOnWeighted(t *testing.T) {
-	// Weighted instance where the after-load rule matters: T0 can go to
-	// P0 (weight 10) or P1 (weight 1); both loads 0. Paper rule picks P0
-	// (current load tie → lowest index); after-load rule picks P1.
-	b := bipartite.NewBuilder(1, 2)
-	b.AddWeightedEdge(0, 0, 10)
-	b.AddWeightedEdge(0, 1, 1)
-	g := b.MustBuild()
-	a1 := BasicGreedy(g, GreedyOptions{})
-	if a1[0] != 0 {
-		t.Fatalf("paper rule picked %d, want 0", a1[0])
-	}
-	a2 := BasicGreedy(g, GreedyOptions{AfterLoad: true})
-	if a2[0] != 1 {
-		t.Fatalf("after-load rule picked %d, want 1", a2[0])
-	}
-}
-
 func TestDegreeSortStability(t *testing.T) {
 	// Tasks with equal degree must be visited in index order: with all
 	// loads equal the assignment must be reproducible.
@@ -313,8 +288,8 @@ func TestDegreeSortStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := SortedGreedy(g, GreedyOptions{})
-	b := SortedGreedy(g, GreedyOptions{})
+	a := SortedGreedy(g)
+	b := SortedGreedy(g)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("non-deterministic assignment")
@@ -333,7 +308,7 @@ func TestExpectedGreedyFinalLoadsInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		g := randomUnitGraph(rng, 10+rng.Intn(50), 2+rng.Intn(8), 5)
-		a := ExpectedGreedy(g, GreedyOptions{})
+		a := ExpectedGreedy(g)
 		if err := ValidateAssignment(g, a); err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +323,7 @@ func BenchmarkSortedGreedy(b *testing.B) {
 	g := randomUnitGraph(rng, 20480, 1024, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SortedGreedy(g, GreedyOptions{})
+		SortedGreedy(g)
 	}
 }
 
@@ -357,27 +332,16 @@ func BenchmarkExpectedGreedy(b *testing.B) {
 	g := randomUnitGraph(rng, 20480, 1024, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExpectedGreedy(g, GreedyOptions{})
+		ExpectedGreedy(g)
 	}
 }
 
-func BenchmarkExactUnitBisectionCap(b *testing.B) {
+func BenchmarkExactUnit(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomUnitGraph(rng, 20480, 256, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ExactUnit(g, ExactOptions{SearchBisection, TestCapacitated}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExactUnitIncrementalReplicate(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomUnitGraph(rng, 5120, 256, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ExactUnit(g, ExactOptions{SearchIncremental, TestReplicate}); err != nil {
+		if _, _, err := ExactUnit(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -238,7 +238,7 @@ func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.Hy
 	pr := flatcore.CompileMP(h)
 	compileSpan(opts.Trace, compileStart, pr.BoundsWall)
 	gs := opts.Trace.StartChild("greedy")
-	inc := core.SortedGreedyHyp(h, core.HyperOptions{})
+	inc := core.SortedGreedyHyp(h)
 	m0 := core.HyperMakespan(h, inc)
 	gs.SetAttr("makespan", m0)
 	var warm bool

@@ -75,7 +75,7 @@ func TestSolveSingleProcUnitMatchesPolynomialExact(t *testing.T) {
 		if core.Makespan(g, a) != m {
 			t.Fatalf("reported %d != assignment makespan %d", m, core.Makespan(g, a))
 		}
-		_, want, err := core.ExactUnit(g, core.ExactOptions{})
+		_, want, err := core.ExactUnit(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,10 +236,10 @@ func TestSolveMultiProcSandwich(t *testing.T) {
 		if core.LowerBound(h) > opt {
 			return false
 		}
-		for _, alg := range []func(*hypergraph.Hypergraph, core.HyperOptions) core.HyperAssignment{
+		for _, alg := range []func(*hypergraph.Hypergraph) core.HyperAssignment{
 			core.SortedGreedyHyp, core.VectorGreedyHyp, core.ExpectedGreedyHyp, core.ExpectedVectorGreedyHyp,
 		} {
-			if core.HyperMakespan(h, alg(h, core.HyperOptions{})) < opt {
+			if core.HyperMakespan(h, alg(h)) < opt {
 				return false
 			}
 		}

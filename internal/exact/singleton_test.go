@@ -20,9 +20,9 @@ import (
 
 // sortedGreedyRef is Algorithm 1 in sorted order written directly on the
 // graph: tasks by non-decreasing degree (ties by index), each on the
-// eligible processor with the smallest current (or, with afterLoad,
-// resulting) load, ties to the lowest processor.
-func sortedGreedyRef(g *bipartite.Graph, afterLoad bool) []int32 {
+// eligible processor with the smallest current load, ties to the lowest
+// processor.
+func sortedGreedyRef(g *bipartite.Graph) []int32 {
 	order := make([]int, g.NLeft)
 	for i := range order {
 		order[i] = i
@@ -35,11 +35,7 @@ func sortedGreedyRef(g *bipartite.Graph, afterLoad bool) []int32 {
 		var bestKey, bestW int64
 		for k, u := range g.Neighbors(t) {
 			w := g.EdgeWeight(g.Ptr[t] + int32(k))
-			key := loads[u]
-			if afterLoad {
-				key += w
-			}
-			if a[t] == core.Unassigned || key < bestKey {
+			if key := loads[u]; a[t] == core.Unassigned || key < bestKey {
 				a[t], bestKey, bestW = u, key, w
 			}
 		}
@@ -58,13 +54,12 @@ func TestSingletonGreedyMatches(t *testing.T) {
 		if trial%2 == 1 {
 			g = randomUnitGraph(rng, n, p, 4)
 		}
-		afterLoad := trial%4 >= 2
-		want := sortedGreedyRef(g, afterLoad)
-		edges := core.SortedGreedyHyp(hypergraph.FromGraph(g), core.HyperOptions{AfterLoad: afterLoad})
+		want := sortedGreedyRef(g)
+		edges := core.SortedGreedyHyp(hypergraph.FromGraph(g))
 		if got := hypergraph.ProcsOf(g, edges); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: singleton greedy %v, SINGLEPROC greedy %v", trial, got, want)
 		}
-		if got := core.SortedGreedy(g, core.GreedyOptions{AfterLoad: afterLoad}); !slices.Equal(got, want) {
+		if got := core.SortedGreedy(g); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: SortedGreedy %v, reference %v", trial, got, want)
 		}
 	}
@@ -79,7 +74,7 @@ func TestSingleProcObserverEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedyM := core.Makespan(g, core.SortedGreedy(g, core.GreedyOptions{}))
+		greedyM := core.Makespan(g, core.SortedGreedy(g))
 		for _, workers := range []int{1, 3} {
 			var seen []int64
 			a, m, err := SolveSingleProc(context.Background(), g, Options{

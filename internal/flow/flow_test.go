@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -81,7 +82,7 @@ func TestFlowMatchingEqualsHopcroftKarp(t *testing.T) {
 		g := b.MustBuild()
 		net, s, t2, _ := MatchingNetwork(g, 1)
 		flowCard := net.MaxFlow(s, t2)
-		m := matching.HopcroftKarp(matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj))
+		m := matching.HopcroftKarpCap(matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj), 1)
 		return int(flowCard) == matching.Cardinality(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -110,9 +111,13 @@ func TestFeasibleDeadline(t *testing.T) {
 	}
 }
 
+// TestExactViaFlowMatchesCore: on 300 random unit graphs (up to 60
+// tasks and 12 processors, each task eligible on 1–4 of them) the flow
+// bisection, core.ExactUnit and the paper's literal algorithm find the
+// same optimum (checkExactUnit).
 func TestExactViaFlowMatchesCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		n, p := 1+rng.Intn(60), 1+rng.Intn(12)
 		b := bipartite.NewBuilder(n, p)
 		for task := 0; task < n; task++ {
@@ -124,24 +129,7 @@ func TestExactViaFlowMatchesCore(t *testing.T) {
 				b.AddEdge(task, v)
 			}
 		}
-		g := b.MustBuild()
-		a, d1, err := ExactUnitViaFlow(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.ValidateAssignment(g, core.Assignment(a)); err != nil {
-			t.Fatal(err)
-		}
-		if m := core.Makespan(g, core.Assignment(a)); m != d1 {
-			t.Fatalf("assignment makespan %d != reported %d", m, d1)
-		}
-		_, d2, err := core.ExactUnit(g, core.ExactOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d1 != d2 {
-			t.Fatalf("trial %d: flow %d vs matching %d", trial, d1, d2)
-		}
+		checkExactUnit(t, b.MustBuild())
 	}
 }
 
@@ -174,7 +162,7 @@ func TestExactViaFlowOnGeneratedInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, d2, err := core.ExactUnit(g, core.ExactOptions{})
+		_, d2, err := core.ExactUnit(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -111,7 +112,7 @@ func TestHiLoUniquePerfectMatchingSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d, err := core.ExactUnit(g, core.ExactOptions{})
+	_, d, err := core.ExactUnit(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

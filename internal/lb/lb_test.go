@@ -1,11 +1,12 @@
 package lb
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"semimatch/internal/bipartite"
-	"semimatch/internal/flow"
+	"semimatch/internal/core"
 	"semimatch/internal/hypergraph"
 )
 
@@ -217,7 +218,7 @@ func TestMatchingGraphUnitExact(t *testing.T) {
 			}
 		}
 		g := b.MustBuild()
-		_, opt, err := flow.ExactUnitViaFlow(g)
+		_, opt, err := core.ExactUnit(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,16 +5,19 @@
 //
 // Provided algorithms:
 //
-//   - HopcroftKarp: phase-based shortest augmenting paths, O(√V·E).
-//   - Kuhn: DFS augmenting paths with the standard "lookahead" speedup.
+//   - HopcroftKarpCap: phase-based shortest augmenting paths, O(√V·E),
+//     generalized to right-vertex capacity c (each right vertex may be
+//     matched up to c times). core.ExactUnit runs it with c = D in place
+//     of physically replicating right vertices.
 //   - PushRelabel: FIFO push-relabel specialized to unit-capacity bipartite
-//     graphs, with the gap heuristic (the paper's choice [15]).
+//     graphs, with the gap heuristic (the paper's choice [15]); the tests'
+//     copy of the paper's literal algorithm runs it on the replicated
+//     graph G_D.
 //   - KarpSipser: the degree-1-first greedy initialization heuristic used by
 //     practical matching codes [16]; returns a maximal (not maximum)
 //     matching.
-//   - HopcroftKarpCap: capacity-c generalization (each right vertex may be
-//     matched up to c times) used by the exact semi-matching algorithm in
-//     place of physically replicating right vertices.
+//
+// The tests keep plain Hopcroft–Karp and Kuhn's algorithm as references.
 //
 // All return a left-oriented matching: matchL[u] is the right vertex matched
 // to left vertex u, or -1. Use Cardinality to count matched vertices.
@@ -138,72 +141,10 @@ func KarpSipser(g Graph) []int32 {
 	return matchL
 }
 
-// Kuhn computes a maximum matching using DFS augmenting paths with
-// lookahead: before recursing, each left vertex first scans for a directly
-// free right neighbor. Worst case O(V·E); fast in practice when seeded with
-// Karp–Sipser.
-func Kuhn(g Graph) []int32 {
-	nL, nR := g.LeftCount(), g.RightCount()
-	matchL := KarpSipser(g)
-	matchR := make([]int32, nR)
-	for i := range matchR {
-		matchR[i] = unmatched
-	}
-	for u := 0; u < nL; u++ {
-		if matchL[u] != unmatched {
-			matchR[matchL[u]] = int32(u)
-		}
-	}
-	visited := make([]int32, nR) // stamp per phase to avoid clearing
-	stamp := int32(0)
-
-	var tryAugment func(u int32) bool
-	tryAugment = func(u int32) bool {
-		// Lookahead pass.
-		for _, v := range g.Row(int(u)) {
-			if matchR[v] == unmatched {
-				matchL[u] = v
-				matchR[v] = u
-				return true
-			}
-		}
-		// Recursive pass.
-		for _, v := range g.Row(int(u)) {
-			if visited[v] == stamp {
-				continue
-			}
-			visited[v] = stamp
-			if tryAugment(matchR[v]) {
-				matchL[u] = v
-				matchR[v] = u
-				return true
-			}
-		}
-		return false
-	}
-	for i := range visited {
-		visited[i] = -1
-	}
-	for u := int32(0); int(u) < nL; u++ {
-		if matchL[u] == unmatched {
-			stamp++
-			tryAugment(u)
-		}
-	}
-	return matchL
-}
-
-// HopcroftKarp computes a maximum matching in O(√V · E): BFS builds layers
-// from free left vertices, DFS extracts a maximal set of vertex-disjoint
-// shortest augmenting paths, repeat. Seeded with Karp–Sipser.
-func HopcroftKarp(g Graph) []int32 {
-	return hopcroftKarp(g, 1, true)
-}
-
 // HopcroftKarpCap computes a maximum "semi-matching" where each right vertex
 // may be matched to up to cap left vertices (a degree-constrained subgraph,
-// equivalently max-flow with right capacities). For cap=1 this is exactly
-// HopcroftKarp. The exact SINGLEPROC-UNIT algorithm asks: can all tasks be
+// equivalently max-flow with right capacities). For cap=1 it is plain
+// Hopcroft–Karp, seeded with Karp–Sipser. The exact SINGLEPROC-UNIT algorithm asks: can all tasks be
 // matched when every processor has capacity D? This routine answers it
 // without materializing the D-fold replicated graph of the paper.
 func HopcroftKarpCap(g Graph, cap int) []int32 {

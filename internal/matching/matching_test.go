@@ -258,11 +258,11 @@ func verifyCap(t *testing.T, g Graph, m []int32, c int) {
 }
 
 func TestCapEqualsReplication(t *testing.T) {
-	// cap=1 must agree with plain HK.
+	// cap=1 must agree with a plain maximum matcher.
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		g := randomAdj(rng, 1+rng.Intn(12), 1+rng.Intn(8), rng.Float64()*0.6)
-		m1 := HopcroftKarp(g)
+		m1 := Kuhn(g)
 		mc := HopcroftKarpCap(g, 1)
 		verifyCap(t, g, mc, 1)
 		if Cardinality(m1) != Cardinality(mc) {

@@ -14,6 +14,7 @@
 package online
 
 import (
+	"context"
 	"fmt"
 
 	"semimatch/internal/bipartite"
@@ -121,7 +122,7 @@ func CompetitiveRatio(g *bipartite.Graph) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	_, opt, err := core.ExactUnit(g, core.ExactOptions{})
+	_, opt, err := core.ExactUnit(context.Background(), g)
 	if err != nil {
 		return 0, err
 	}

@@ -51,7 +51,7 @@ func TestReplayEqualsBasicGreedyOnUnit(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a2 := core.BasicGreedy(g, core.GreedyOptions{})
+		a2 := core.BasicGreedy(g)
 		if m1 != core.Makespan(g, a2) {
 			return false
 		}

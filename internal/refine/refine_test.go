@@ -34,7 +34,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHyper(rng, 1+rng.Intn(30), 1+rng.Intn(8), 4, 4, 9)
-		a := core.SortedGreedyHyp(h, core.HyperOptions{})
+		a := core.SortedGreedyHyp(h)
 		res := RefineCtx(context.Background(), h, a, Options{})
 		if core.ValidateHyperAssignment(h, res.Assignment) != nil {
 			return false
@@ -55,7 +55,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 func TestRefineDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	h := randomHyper(rng, 20, 5, 3, 3, 5)
-	a := core.SortedGreedyHyp(h, core.HyperOptions{})
+	a := core.SortedGreedyHyp(h)
 	snapshot := append(core.HyperAssignment(nil), a...)
 	RefineCtx(context.Background(), h, a, Options{})
 	for i := range a {
@@ -70,7 +70,7 @@ func TestRefineReachesLocalOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		h := randomHyper(rng, 1+rng.Intn(25), 2+rng.Intn(6), 4, 3, 7)
-		a := core.SortedGreedyHyp(h, core.HyperOptions{})
+		a := core.SortedGreedyHyp(h)
 		r1 := RefineCtx(context.Background(), h, a, Options{})
 		r2 := RefineCtx(context.Background(), h, r1.Assignment, Options{})
 		if r2.Moves != 0 {
@@ -86,7 +86,7 @@ func TestRefineFindsObviousMove(t *testing.T) {
 	b.AddEdge(0, []int{0}, 10)
 	b.AddEdge(0, []int{1}, 1)
 	h := b.MustBuild()
-	a := core.SortedGreedyHyp(h, core.HyperOptions{})
+	a := core.SortedGreedyHyp(h)
 	if core.HyperMakespan(h, a) != 10 {
 		t.Fatalf("setup: greedy should fall into the trap, got %d", core.HyperMakespan(h, a))
 	}
@@ -99,7 +99,7 @@ func TestRefineFindsObviousMove(t *testing.T) {
 func TestRefineRespectsMaxRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	h := randomHyper(rng, 40, 4, 4, 3, 9)
-	a := core.SortedGreedyHyp(h, core.HyperOptions{})
+	a := core.SortedGreedyHyp(h)
 	res := RefineCtx(context.Background(), h, a, Options{MaxRounds: 1})
 	if res.Rounds != 1 {
 		t.Fatalf("rounds = %d", res.Rounds)
@@ -111,7 +111,7 @@ func TestRefineSingleConfigTasksUntouched(t *testing.T) {
 	b.AddEdge(0, []int{0}, 5)
 	b.AddEdge(1, []int{0}, 5)
 	h := b.MustBuild()
-	a := core.SortedGreedyHyp(h, core.HyperOptions{})
+	a := core.SortedGreedyHyp(h)
 	res := RefineCtx(context.Background(), h, a, Options{})
 	if res.Moves != 0 || res.After != 10 {
 		t.Fatalf("forced tasks must stay: moves=%d after=%d", res.Moves, res.After)
@@ -125,7 +125,7 @@ func TestRefineClosesGapTowardOptimal(t *testing.T) {
 	improvedTotal := 0
 	for trial := 0; trial < 40; trial++ {
 		h := randomHyper(rng, 1+rng.Intn(9), 2+rng.Intn(4), 3, 3, 9)
-		a := core.SortedGreedyHyp(h, core.HyperOptions{})
+		a := core.SortedGreedyHyp(h)
 		res := RefineCtx(context.Background(), h, a, Options{})
 		_, opt, err := exact.SolveMultiProc(context.Background(), h, exact.Options{Workers: 1})
 		if err != nil {
@@ -144,7 +144,7 @@ func TestRefineClosesGapTowardOptimal(t *testing.T) {
 func BenchmarkRefineAfterSGH(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	h := randomHyper(rng, 5120, 256, 5, 10, 20)
-	a := core.SortedGreedyHyp(h, core.HyperOptions{})
+	a := core.SortedGreedyHyp(h)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RefineCtx(context.Background(), h, a, Options{})
@@ -154,7 +154,7 @@ func BenchmarkRefineAfterSGH(b *testing.B) {
 func TestRefineCtxCancelledStopsEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := randomHyper(rng, 500, 16, 5, 4, 50)
-	a := core.SortedGreedyHyp(h, core.HyperOptions{})
+	a := core.SortedGreedyHyp(h)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -175,7 +175,7 @@ func TestRefineCtxCancelledStopsEarly(t *testing.T) {
 func TestRefineCtxBackgroundMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	h := randomHyper(rng, 80, 8, 4, 3, 9)
-	a := core.SortedGreedyHyp(h, core.HyperOptions{})
+	a := core.SortedGreedyHyp(h)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	plain := RefineCtx(context.Background(), h, a, Options{})

@@ -17,7 +17,7 @@ type SolverRecord struct {
 	Cost     string   `json:"cost"`  // near-linear | polynomial | exponential
 	Aux      bool     `json:"aux,omitempty"`
 	Optimal  bool     `json:"optimal"`            // a nil-error result is provably optimal
-	Parallel bool     `json:"parallel,omitempty"` // scales with SolverOptions.BnB.Workers
+	Parallel bool     `json:"parallel,omitempty"` // scales with exact.Options.Workers
 	Summary  string   `json:"summary"`
 }
 

@@ -105,23 +105,6 @@ func (c Cost) String() string {
 	}
 }
 
-// Options carries every per-solver tuning knob; each solver reads only the
-// field that concerns it, and the zero value is the paper's behaviour
-// everywhere.
-type Options struct {
-	// Greedy tunes the bipartite greedy heuristics.
-	Greedy core.GreedyOptions
-	// Hyper tunes the hypergraph heuristics (the AfterLoad ablation).
-	Hyper core.HyperOptions
-	// Exact configures the polynomial SINGLEPROC-UNIT solver.
-	Exact core.ExactOptions
-	// BnB bounds the branch-and-bound searches. BnB.Workers sets the
-	// worker count of the parallel solvers (BnB-SP-Par, BnB-MP-Par; 0
-	// means GOMAXPROCS); the sequential BnB-SP and BnB-MP always run one
-	// worker.
-	BnB exact.Options
-}
-
 // Solver is one self-describing catalog entry. Exactly one of SolveSingle
 // and SolveHyper is non-nil, matching Class.
 type Solver struct {
@@ -141,7 +124,7 @@ type Solver struct {
 	// excluded from default portfolios and benchmark tables but still
 	// addressable by name.
 	Aux bool
-	// Parallel marks solvers that scale with Options.BnB.Workers
+	// Parallel marks solvers that scale with exact.Options.Workers
 	// (internal search workers).
 	Parallel bool
 	// ParallelAlt names this solver's parallel counterpart in the same
@@ -153,11 +136,14 @@ type Solver struct {
 
 	// SolveSingle solves a bipartite instance (Class == SingleProc).
 	// Exact solvers may return a valid-but-unproven incumbent alongside a
-	// budget error.
-	SolveSingle func(ctx context.Context, g *bipartite.Graph, opts Options) (core.Assignment, error)
+	// budget or cancellation error. opts bounds the branch-and-bound
+	// solvers (opts.Workers sets the worker count of the parallel ones,
+	// 0 meaning GOMAXPROCS; the sequential BnB-SP and BnB-MP always run
+	// one worker); every other solver ignores it.
+	SolveSingle func(ctx context.Context, g *bipartite.Graph, opts exact.Options) (core.Assignment, error)
 	// SolveHyper solves a hypergraph instance (Class == MultiProc), with
-	// the same incumbent convention.
-	SolveHyper func(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.HyperAssignment, error)
+	// the same incumbent and options conventions.
+	SolveHyper func(ctx context.Context, h *hypergraph.Hypergraph, opts exact.Options) (core.HyperAssignment, error)
 }
 
 // SolveInstance is the class-generic dispatch: it routes a *bipartite.Graph
@@ -167,7 +153,7 @@ type Solver struct {
 // hypergraph handed to a SINGLEPROC solver, or vice versa — is a
 // descriptive error, not a panic. This is the entry point the unified
 // solve layer (internal/solve) runs every named algorithm through.
-func (s *Solver) SolveInstance(ctx context.Context, instance any, opts Options) ([]int32, error) {
+func (s *Solver) SolveInstance(ctx context.Context, instance any, opts exact.Options) ([]int32, error) {
 	switch v := instance.(type) {
 	case *bipartite.Graph:
 		if s.SolveSingle == nil {
@@ -257,15 +243,11 @@ func Names(solvers []*Solver) []string {
 	return out
 }
 
-// ResolveClass maps algorithm names to solvers of one class, falling back
-// to defaults when names is empty, and returns the canonical name list
-// alongside. The first unknown name aborts with the suggested-names error.
-// Portfolio membership, benchmark columns and batch validation all
-// resolve through this one loop.
-func ResolveClass(c Class, names, defaults []string) ([]string, []*Solver, error) {
-	if len(names) == 0 {
-		names = defaults
-	}
+// ResolveClass maps algorithm names to solvers of one class and returns
+// the canonical name list alongside. The first unknown name aborts with
+// the suggested-names error. Portfolio membership, benchmark columns and
+// batch validation all resolve through this one loop.
+func ResolveClass(c Class, names []string) ([]string, []*Solver, error) {
 	solvers := make([]*Solver, len(names))
 	for i, name := range names {
 		s, err := LookupClass(c, name)

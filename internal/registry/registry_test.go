@@ -2,12 +2,14 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"semimatch/internal/bipartite"
 	"semimatch/internal/core"
+	"semimatch/internal/exact"
 	"semimatch/internal/hypergraph"
 )
 
@@ -185,7 +187,7 @@ func TestEverySolverSolves(t *testing.T) {
 	for _, s := range Solvers() {
 		switch s.Class {
 		case SingleProc:
-			a, err := s.SolveSingle(ctx, g, Options{})
+			a, err := s.SolveSingle(ctx, g, exact.Options{})
 			if err != nil {
 				t.Errorf("%s: %v", s.Name, err)
 				continue
@@ -194,7 +196,7 @@ func TestEverySolverSolves(t *testing.T) {
 				t.Errorf("%s: invalid assignment: %v", s.Name, err)
 			}
 		case MultiProc:
-			a, err := s.SolveHyper(ctx, h, Options{})
+			a, err := s.SolveHyper(ctx, h, exact.Options{})
 			if err != nil {
 				t.Errorf("%s: %v", s.Name, err)
 				continue
@@ -203,5 +205,31 @@ func TestEverySolverSolves(t *testing.T) {
 				t.Errorf("%s: invalid assignment: %v", s.Name, err)
 			}
 		}
+	}
+}
+
+// TestExactUnitCancelledKeepsIncumbent: under an already-ended context
+// ExactUnit answers at once with a valid schedule (sorted-greedy's) and
+// an error wrapping exact.ErrCancelled and the context's error, which
+// IncumbentError accepts, so the schedule is kept rather than discarded.
+func TestExactUnitCancelledKeepsIncumbent(t *testing.T) {
+	b := bipartite.NewBuilder(6, 3)
+	for task := 0; task < 6; task++ {
+		b.AddEdge(task, task%3)
+		b.AddEdge(task, (task+1)%3)
+	}
+	g := b.MustBuild()
+	s, err := LookupClass(SingleProc, "ExactUnit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := s.SolveSingle(ctx, g, exact.Options{})
+	if !IncumbentError(err) || !errors.Is(err, exact.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want one wrapping exact.ErrCancelled and context.Canceled", err)
+	}
+	if err := core.ValidateAssignment(g, a); err != nil {
+		t.Fatalf("incumbent: %v", err)
 	}
 }

@@ -51,3 +51,63 @@ func TestSingleProcSessionGolden(t *testing.T) {
 		t.Fatalf("SINGLEPROC session digest over %d lines = %s, want %s", lines, got, singleProcSessionDigest)
 	}
 }
+
+// multiProcSessionDigest is the SHA-256 that TestMultiProcSessionGolden
+// computes over 40 seeded 200-event MULTIPROC scripts with the perfbench
+// session workload's settings. It pins, per event, the report (Elapsed
+// zeroed), every pushed incumbent (Elapsed zeroed), the re-solve's
+// certificate and the post-event snapshot.
+const multiProcSessionDigest = "1117e34f4eede1897665bfe9bad81f3d9f4de987d7bd2733ce576e9fa3d5d2e7"
+
+// TestMultiProcSessionGolden replays GenerateScript seeds 0–39 (200
+// events, 4 processors, MULTIPROC, weights ≤ 30) into sessions with
+// λ = 1, one worker and the cold comparison, and checks the digest.
+func TestMultiProcSessionGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 8,000 session events")
+	}
+	sum := sha256.New()
+	write := func(v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Write(append(b, '\n'))
+	}
+	events, incumbents := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		s, err := New(Options{Procs: 4, Multi: true, Lambda: 1, CompareCold: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushes, cancel := s.Subscribe(1 << 12)
+		script := GenerateScript(ScriptOptions{Seed: seed, Events: 200, Procs: 4, Multi: true, MaxWeight: 30})
+		for i, ev := range script {
+			rep, err := s.Apply(context.Background(), ev)
+			if err != nil {
+				t.Fatalf("seed %d event %d: %v", seed, i, err)
+			}
+			for len(pushes) > 0 {
+				p := <-pushes
+				if p.Kind == "incumbent" {
+					inc := *p.Incumbent
+					inc.Elapsed = 0
+					write(inc)
+					incumbents++
+				}
+			}
+			rep.Elapsed = 0
+			write(rep)
+			if rep.Report != nil {
+				write(rep.Report.Certificate)
+			}
+			write(s.Snapshot())
+			events++
+		}
+		cancel()
+		s.Close()
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != multiProcSessionDigest {
+		t.Fatalf("MULTIPROC session digest over %d events and %d incumbents = %s, want %s", events, incumbents, got, multiProcSessionDigest)
+	}
+}

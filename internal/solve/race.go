@@ -48,7 +48,7 @@ func race(ctx context.Context, p Problem, o Options, obs *obsState) (*Report, er
 	solvers := defaultLineup[p.Class()]
 	if len(o.Portfolio) > 0 {
 		var err error
-		if _, solvers, err = registry.ResolveClass(p.Class(), o.Portfolio, nil); err != nil {
+		if _, solvers, err = registry.ResolveClass(p.Class(), o.Portfolio); err != nil {
 			return nil, fmt.Errorf("solve: %w", err)
 		}
 	}
@@ -151,7 +151,7 @@ func runMember(ctx context.Context, p Problem, idx int, sol *registry.Solver, do
 			c = candidate{idx: idx, err: fmt.Errorf("solve: %s panicked: %v", sol.Name, pv)}
 		}
 	}()
-	a, err := sol.SolveInstance(ctx, p.instance(), registry.Options{BnB: exact.Options{Workers: 1}})
+	a, err := sol.SolveInstance(ctx, p.instance(), exact.Options{Workers: 1})
 	// An exact member that runs out of budget still hands back its
 	// incumbent, and a race judges schedules, not proofs: keep it.
 	if err != nil && (a == nil || !registry.IncumbentError(err)) {

@@ -12,6 +12,7 @@ import (
 
 	"semimatch/internal/bipartite"
 	"semimatch/internal/core"
+	"semimatch/internal/exact"
 	"semimatch/internal/hypergraph"
 	"semimatch/internal/loadvec"
 	"semimatch/internal/registry"
@@ -186,7 +187,7 @@ func TestRaceSubset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := sol.SolveInstance(context.Background(), p.instance(), registry.Options{})
+			a, err := sol.SolveInstance(context.Background(), p.instance(), exact.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +362,7 @@ func fakeLineup(members int, started *[]int, hook func(i int)) ([]string, []*reg
 		solvers[i] = &registry.Solver{
 			Name:  names[i],
 			Class: registry.MultiProc,
-			SolveHyper: func(_ context.Context, h *hypergraph.Hypergraph, _ registry.Options) (core.HyperAssignment, error) {
+			SolveHyper: func(_ context.Context, h *hypergraph.Hypergraph, _ exact.Options) (core.HyperAssignment, error) {
 				mu.Lock()
 				*started = append(*started, i)
 				mu.Unlock()

@@ -397,19 +397,20 @@ func runNamed(ctx context.Context, p Problem, o Options, obs *obsState) (*Report
 		return nil, fmt.Errorf("solve: %w", err)
 	}
 	rep := &Report{Solver: sol.Name}
-	var ropts registry.Options
-	ropts.BnB.Workers = o.Workers
-	ropts.BnB.MaxNodes = o.NodeBudget
-	ropts.BnB.InitialIncumbent = o.InitialIncumbent
-	ropts.BnB.Stats = &rep.Stats
-	// The engine's phase spans (compile, greedy, search) attach directly
-	// under the solve root on the named path — there is no policy staging
-	// to group them under.
-	ropts.BnB.Trace = o.trace
-	ropts.BnB.Progress = o.Progress
-	ropts.BnB.ProgressInterval = o.ProgressInterval
+	ropts := exact.Options{
+		Workers:          o.Workers,
+		MaxNodes:         o.NodeBudget,
+		InitialIncumbent: o.InitialIncumbent,
+		Stats:            &rep.Stats,
+		// The engine's phase spans (compile, greedy, search) attach
+		// directly under the solve root on the named path — there is no
+		// policy staging to group them under.
+		Trace:            o.trace,
+		Progress:         o.Progress,
+		ProgressInterval: o.ProgressInterval,
+	}
 	if obs.active() {
-		ropts.BnB.Observer = obs.exactFn(sol.Name)
+		ropts.Observer = obs.exactFn(sol.Name)
 	}
 	a, err := sol.SolveInstance(ctx, p.instance(), ropts)
 	if err != nil && (a == nil || !registry.IncumbentError(err)) {
@@ -513,19 +514,17 @@ func exactSearch(ctx context.Context, p Problem, o Options, obs *obsState, stats
 	span := o.trace.StartChild("exact")
 	span.SetAttr("solver", sol.Name)
 	defer span.End()
-	ropts := registry.Options{
-		BnB: exact.Options{
-			MaxNodes:         o.exactNodes(),
-			InitialIncumbent: o.InitialIncumbent,
-			Stats:            stats,
-			Trace:            span,
-			Progress:         o.Progress,
-			ProgressInterval: o.ProgressInterval,
-			Workers:          o.Workers,
-		},
+	ropts := exact.Options{
+		MaxNodes:         o.exactNodes(),
+		InitialIncumbent: o.InitialIncumbent,
+		Stats:            stats,
+		Trace:            span,
+		Progress:         o.Progress,
+		ProgressInterval: o.ProgressInterval,
+		Workers:          o.Workers,
 	}
 	if obs.active() {
-		ropts.BnB.Observer = obs.exactFn(sol.Name)
+		ropts.Observer = obs.exactFn(sol.Name)
 	}
 	a, err := sol.SolveInstance(ctx, p.instance(), ropts)
 	return sol, a, err

@@ -199,12 +199,38 @@ func TestRunAutoUnitGraphUsesExactUnit(t *testing.T) {
 	if rep.Status != StatusOptimal {
 		t.Fatalf("unit auto status %v, want optimal", rep.Status)
 	}
-	_, want, err := core.ExactUnit(g, core.ExactOptions{})
+	_, want, err := core.ExactUnit(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Makespan != want {
 		t.Fatalf("auto makespan %d, ExactUnit %d", rep.Makespan, want)
+	}
+}
+
+// TestExactUnitScales: a unit SINGLEPROC instance of 20,000 tasks on 10
+// processors, each task eligible on 1–3 of them, is proven optimal within
+// a 2 s deadline. ExactUnit bisects the deadline D, so it runs O(log n)
+// matchings where counting D up from 1 runs one per value below the
+// optimum (about 2,000 here). Under the race detector one matching can
+// outlast the deadline, so only the status is checked there.
+func TestExactUnitScales(t *testing.T) {
+	g := weightedGraph(1, 20000, 10, 3, 1)
+	if !g.Unit() {
+		t.Fatal("instance is not unit")
+	}
+	const deadline = 2 * time.Second
+	start := time.Now()
+	rep, err := RunOptions(context.Background(), Bipartite(g), Options{Deadline: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > deadline && !raceDetector {
+		t.Fatalf("Run took %v, past its %v deadline", elapsed, deadline)
+	}
+	checkReport(t, Bipartite(g), rep)
+	if rep.Status != StatusOptimal {
+		t.Fatalf("status %v, want optimal", rep.Status)
 	}
 }
 

@@ -202,10 +202,6 @@ func CertBounds(instance any) (avg, maxElem int64, err error) { return cert.Boun
 // and the CLIs) resolve algorithms through the registry.
 type Solver = registry.Solver
 
-// SolverOptions carries per-solver tuning knobs for Solver.SolveSingle /
-// Solver.SolveHyper; the zero value is the paper's behaviour everywhere.
-type SolverOptions = registry.Options
-
 // SolverClass is the problem class a solver accepts.
 type SolverClass = registry.Class
 
@@ -277,26 +273,6 @@ type Assignment = core.Assignment
 // semi-matching).
 type HyperAssignment = core.HyperAssignment
 
-// GreedyOptions tunes the bipartite greedy heuristics; the zero value is
-// the paper's behaviour.
-type GreedyOptions = core.GreedyOptions
-
-// HyperOptions tunes the hypergraph heuristics; the zero value is the
-// paper's behaviour with the fast load-vector machinery.
-type HyperOptions = core.HyperOptions
-
-// ExactOptions configures the exact SINGLEPROC-UNIT algorithm.
-type ExactOptions = core.ExactOptions
-
-// Search strategies and feasibility testers for ExactUnit.
-const (
-	SearchIncremental = core.SearchIncremental
-	SearchBisection   = core.SearchBisection
-	TestCapacitated   = core.TestCapacitated
-	TestReplicate     = core.TestReplicate
-	TestReplicateHK   = core.TestReplicateHK
-)
-
 // SINGLEPROC heuristics (Sec. IV-B).
 var (
 	BasicGreedy    = core.BasicGreedy
@@ -313,9 +289,11 @@ var LPTGreedy = core.LPTGreedy
 // max(⌈Σw/p⌉, max w).
 var LowerBoundSingle = core.LowerBoundSingle
 
-// ExactUnit solves SINGLEPROC-UNIT optimally (Sec. IV-A) and returns the
-// assignment and the optimal makespan.
-var ExactUnit = core.ExactUnit
+// ExactUnit solves SINGLEPROC-UNIT optimally (Sec. IV-A) by bisecting the
+// deadline D over capacitated matchings, and returns the assignment and
+// the optimal makespan. It runs to the end; Run runs the same search
+// under its context and deadline.
+func ExactUnit(g *Graph) (Assignment, int64, error) { return core.ExactUnit(context.Background(), g) }
 
 // HarveyOptimal is the cost-reducing-path optimal semi-matching algorithm
 // of Harvey et al., an independent exact SINGLEPROC-UNIT baseline.
@@ -367,8 +345,9 @@ var (
 )
 
 // BnBOptions bounds the branch-and-bound search of the BnB-SP/BnB-MP
-// solvers and their -Par counterparts (SolverOptions.BnB); Run fills it
-// from its options.
+// solvers and their -Par counterparts: it is the options argument of
+// Solver.SolveSingle and Solver.SolveHyper, which every other solver
+// ignores. Run fills it from its options.
 type BnBOptions = exact.Options
 
 // BnBStats reports how much work a branch-and-bound search did

@@ -23,7 +23,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, opt, err := semimatch.ExactUnit(g, semimatch.ExactOptions{})
+	a, opt, err := semimatch.ExactUnit(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := semimatch.ValidateAssignment(g, a); err != nil {
 		t.Fatal(err)
 	}
-	if m := semimatch.Makespan(g, semimatch.SortedGreedy(g, semimatch.GreedyOptions{})); m < opt {
+	if m := semimatch.Makespan(g, semimatch.SortedGreedy(g)); m < opt {
 		t.Fatalf("greedy %d below optimum %d", m, opt)
 	}
 
@@ -61,7 +61,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	lb := semimatch.LowerBound(h)
-	ha := semimatch.ExpectedVectorGreedyHyp(h, semimatch.HyperOptions{})
+	ha := semimatch.ExpectedVectorGreedyHyp(h)
 	if err := semimatch.ValidateHyperAssignment(h, ha); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestExtensionsThroughFacade(t *testing.T) {
 	if err := semimatch.ValidateHyperAssignment(h, res.Assignment); err != nil {
 		t.Fatal(err)
 	}
-	sgh := semimatch.HyperMakespan(h, semimatch.SortedGreedyHyp(h, semimatch.HyperOptions{}))
+	sgh := semimatch.HyperMakespan(h, semimatch.SortedGreedyHyp(h))
 	if res.Makespan > sgh {
 		t.Fatalf("portfolio %d worse than SGH %d", res.Makespan, sgh)
 	}
@@ -219,8 +219,8 @@ func TestExtensionsThroughFacade(t *testing.T) {
 
 func TestAdversarialThroughFacade(t *testing.T) {
 	g := semimatch.Chain(4)
-	sorted := semimatch.Makespan(g, semimatch.SortedGreedy(g, semimatch.GreedyOptions{}))
-	_, opt, err := semimatch.ExactUnit(g, semimatch.ExactOptions{})
+	sorted := semimatch.Makespan(g, semimatch.SortedGreedy(g))
+	_, opt, err := semimatch.ExactUnit(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestSolverDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sol.SolveHyper(context.Background(), h, semimatch.SolverOptions{})
+	a, err := sol.SolveHyper(context.Background(), h, semimatch.BnBOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
