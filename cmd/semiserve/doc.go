@@ -1,10 +1,11 @@
 // Command semiserve is the solving-as-a-service HTTP front end: a
 // long-running server over internal/service that canonicalizes and
 // fingerprints every posted instance, answers repeats (including
-// isomorphic reorderings) from a sharded LRU result cache backed by an
-// optional durable disk tier, deduplicates concurrent identical requests
-// into one solve, and sheds load with 429 once its admission queue is
-// full. Every complete result carries a verifiable certificate
+// isomorphic reorderings) from a sharded LRU result cache (index-linked
+// slots holding each result flat, so collections do not walk its
+// entries) backed by an optional durable disk tier, deduplicates
+// concurrent identical requests into one solve, and sheds load with 429
+// once its admission queue is full. Every complete result carries a verifiable certificate
 // (internal/cert); the service re-verifies certificates before caching
 // and before serving from disk, so a restart warms the cache from disk
 // without ever trusting stale or tampered files.

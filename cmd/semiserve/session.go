@@ -241,10 +241,12 @@ type eventsResponse struct {
 func (s *server) handleSessionEvents(w http.ResponseWriter, r *http.Request, ls *liveSession) {
 	m := s.sessions
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.maxBody))
-	// The line buffer grows from the scanner's small default only as far
-	// as a line needs. The body holds at most -max-body bytes; the one
-	// byte more lets a line that fills the whole body still reach EOF.
-	sc.Buffer(nil, int(s.maxBody)+1)
+	// The line buffer starts at the body's declared length (one event is
+	// a few hundred bytes), at most the scanner's 4 KiB default, and grows
+	// only as far as a line needs. The body holds at most -max-body
+	// bytes; the one byte more lets a line that fills the whole body
+	// still reach EOF.
+	sc.Buffer(make([]byte, 0, eventBufSize(r.ContentLength)), int(s.maxBody)+1)
 	var resp eventsResponse
 	line := 0
 	for sc.Scan() {
@@ -298,6 +300,18 @@ func (s *server) handleSessionEvents(w http.ResponseWriter, r *http.Request, ls 
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// eventBufSize is the start size of an events body's line buffer: the
+// declared body length plus the byte that lets the scanner see EOF
+// without growing, capped at bufio's default start size; a body of
+// unknown length starts at the cap.
+func eventBufSize(contentLength int64) int {
+	const maxStart = 4096
+	if contentLength < 0 || contentLength >= maxStart {
+		return maxStart
+	}
+	return int(contentLength) + 1
 }
 
 // incumbentWire is the SSE form of a solve.Incumbent.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -603,5 +604,61 @@ func TestSessionEventTraceColdSearch(t *testing.T) {
 	}
 	if !sawNodes {
 		t.Fatal("no event ran a cold search")
+	}
+}
+
+// TestSessionEventBytes pins the bytes one one-line events request
+// allocates end to end through the handler: decoding the line, applying
+// the event (a one-task re-solve) and writing the report. The events
+// body's line buffer starts at the body's length, so the request does
+// not pay bufio's 4 KiB default buffer; a regression to it adds about
+// 3.5 KiB, past the margin.
+func TestSessionEventBytes(t *testing.T) {
+	// Measured at 10,496 bytes per request (go1.24.0, amd64), so the
+	// budget leaves about 1 KiB of margin.
+	const maxBytes = 11500
+	if raceDetector {
+		t.Skip("the race detector changes what a request allocates")
+	}
+	h := newServer(service.New(service.Options{}), serverConfig{sessions: 1, sessionIdle: time.Minute})
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	hdr, _ := json.Marshal(session.ScriptHeader{Procs: 2, Multi: true})
+	rec := post("/session", hdr)
+	var created sessionCreated
+	if err := json.NewDecoder(rec.Body).Decode(&created); err != nil || rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d, %v", rec.Code, err)
+	}
+	path := "/session/" + created.ID + "/events"
+	arrive, _ := json.Marshal(session.Event{Op: "arrive", Task: &session.TaskSpec{
+		ID: "a", Configs: []session.Config{{Procs: []int32{0}, Weight: 3}, {Procs: []int32{0, 1}, Weight: 2}},
+	}})
+	if rec := post(path, append(arrive, '\n')); rec.Code != http.StatusOK {
+		t.Fatalf("arrive: status %d: %s", rec.Code, rec.Body)
+	}
+	var bodies [2][]byte
+	for i, w := range []int64{4, 3} {
+		b, _ := json.Marshal(session.Event{Op: "reweigh", ID: "a", Weight: w})
+		bodies[i] = append(b, '\n')
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	for i := 0; i < 20; i++ { // warm up
+		post(path, bodies[i%2])
+	}
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if rec := post(path, bodies[i%2]); rec.Code != http.StatusOK {
+			t.Fatalf("reweigh: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a one-line events request allocates %d bytes", per)
+	if per > maxBytes {
+		t.Errorf("a one-line events request allocates %d bytes, budget %d", per, maxBytes)
 	}
 }

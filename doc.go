@@ -116,7 +116,10 @@
 // builds on it: a long-running, concurrency-safe solving service with a
 // sharded LRU result cache keyed by (fingerprint, algorithm, budget
 // class), single-flight deduplication and bounded-queue admission
-// control. Both encodings flow through one request path onto Run:
+// control. The cache's shards are index-linked slots that hold each
+// result flat, with no per-entry result object, so a full cache adds
+// little to every garbage collection. Both encodings flow through one
+// request path onto Run:
 //
 //	svc := semimatch.NewService(semimatch.ServiceOptions{})
 //	res, err := svc.Solve(ctx, h, "")     // auto policy; or any registry name

@@ -19,8 +19,9 @@ package encode
 //
 // The fingerprint is the SHA-256 of the canonical text encoding (the
 // AppendBipartite / AppendHypergraph output, which is deterministic), hex
-// encoded. The textual header ("bipartite" / "hypergraph") keeps the two
-// instance kinds from ever colliding. Disk-cache entries and fleet routing
+// encoded; the text is streamed into the hash, never held whole. The
+// textual header ("bipartite" / "hypergraph") keeps the two instance
+// kinds from ever colliding. Disk-cache entries and fleet routing
 // are keyed by the fingerprint, so the text encoding must not change by a
 // single byte (fingerprint_test.go pins known values).
 
@@ -42,7 +43,7 @@ import (
 // maps back to h as original[t] = e with perm[e] = canonical[t].
 // Canonicalizing a canonical instance is the identity.
 func CanonicalHypergraph(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []int32, error) {
-	order, err := canonicalOrder(h)
+	order, err := CanonicalOrder(h)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,11 +54,13 @@ func CanonicalHypergraph(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []in
 	return h.PermuteEdges(order), perm, nil
 }
 
-// canonicalOrder validates h and returns its hyperedges in canonical
-// order: order[i] is h's id of canonical hyperedge i. Task t's canonical
-// hyperedges are order[h.TaskPtr[t]:h.TaskPtr[t+1]], sorted by weight,
-// then processor set, with ties keeping h's order.
-func canonicalOrder(h *hypergraph.Hypergraph) ([]int32, error) {
+// CanonicalOrder validates h and returns its hyperedges in canonical
+// order: order[i] is h's id of canonical hyperedge i, so h.PermuteEdges(
+// order) is the canonical form and order maps a canonical assignment back
+// to h's numbering. Task t's canonical hyperedges are
+// order[h.TaskPtr[t]:h.TaskPtr[t+1]], sorted by weight, then processor
+// set, with ties keeping h's order.
+func CanonicalOrder(h *hypergraph.Hypergraph) ([]int32, error) {
 	if err := h.Validate(); err != nil {
 		return nil, fmt.Errorf("encode: canonicalize hypergraph: %w", err)
 	}
@@ -103,30 +106,22 @@ func CanonicalBipartite(g *bipartite.Graph) (*bipartite.Graph, error) {
 // reordered processors within a configuration) share a fingerprint, and
 // any structural or weight difference changes it.
 func FingerprintHypergraph(h *hypergraph.Hypergraph) (string, error) {
-	order, err := canonicalOrder(h)
+	order, err := CanonicalOrder(h)
 	if err != nil {
 		return "", err
 	}
-	// The canonical text, written from h in canonical order: the same
-	// bytes as AppendHypergraph of CanonicalHypergraph(h), without the
-	// canonical copy.
-	return hexSum(appendHypergraphOrder(fingerprintBuf(h), h, order)), nil
+	return FingerprintOrder(h, order), nil
 }
 
-// FingerprintCanonicalHypergraph hashes an instance that is already in
-// canonical form (as produced by CanonicalHypergraph), skipping the
-// re-canonicalization FingerprintHypergraph would do — for callers on a
-// hot path that canonicalize once and need both the form and the hash.
-// Passing a non-canonical instance yields a hash that will not match its
-// isomorphs.
-func FingerprintCanonicalHypergraph(canon *hypergraph.Hypergraph) string {
-	return hexSum(AppendHypergraph(fingerprintBuf(canon), canon))
-}
-
-// fingerprintBuf has room for h's text with short numbers, so the text is
-// written without regrowing.
-func fingerprintBuf(h *hypergraph.Hypergraph) []byte {
-	return make([]byte, 0, 32+12*h.NumEdges()+4*h.NumPins())
+// FingerprintOrder hashes h's text with its hyperedges listed in order:
+// with order = CanonicalOrder(h) it is h's fingerprint, the hash of
+// AppendHypergraph of h.PermuteEdges(order), computed without that copy;
+// with order = h.Edges it hashes h as given, which is the fingerprint
+// when h is already canonical.
+func FingerprintOrder(h *hypergraph.Hypergraph, order []int32) string {
+	w := hashWriter(32 + 12*h.NumEdges() + 4*h.NumPins())
+	w.hypergraph(h, order)
+	return w.sum()
 }
 
 // FingerprintBipartite is FingerprintHypergraph for bipartite instances.
@@ -138,15 +133,26 @@ func FingerprintBipartite(g *bipartite.Graph) (string, error) {
 	return FingerprintCanonicalBipartite(canon), nil
 }
 
-// FingerprintCanonicalBipartite is FingerprintCanonicalHypergraph for
-// bipartite instances already in canonical form.
+// FingerprintCanonicalBipartite is the fingerprint of a bipartite
+// instance already in canonical form (as CanonicalBipartite returns it).
 func FingerprintCanonicalBipartite(canon *bipartite.Graph) string {
-	buf := make([]byte, 0, 32+12*canon.NumEdges())
-	return hexSum(AppendBipartite(buf, canon))
+	w := hashWriter(32 + 12*canon.NumEdges())
+	w.bipartite(canon)
+	return w.sum()
 }
 
-// hexSum returns the hex-encoded SHA-256 of text.
-func hexSum(text []byte) string {
-	sum := sha256.Sum256(text)
-	return hex.EncodeToString(sum[:])
+// hashWriter is a textWriter that streams into SHA-256 through a buffer
+// of about flushAt bytes, or of size bytes when the whole text, written
+// with short numbers, fits in less.
+func hashWriter(size int) textWriter {
+	return textWriter{buf: make([]byte, 0, min(size, 2*flushAt)), h: sha256.New()}
+}
+
+// sum is the hex-encoded SHA-256 of all text w has written.
+func (w *textWriter) sum() string {
+	w.h.Write(w.buf)
+	w.buf = w.h.Sum(w.buf[:0]) // the buffer's room holds the sum, so no allocation
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], w.buf)
+	return string(text[:])
 }

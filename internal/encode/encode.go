@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"strconv"
 	"unicode"
@@ -71,29 +72,58 @@ func Parse(data []byte) (any, error) {
 // AppendBipartite appends g's bipartite text encoding to dst and returns
 // the extended buffer.
 func AppendBipartite(dst []byte, g *bipartite.Graph) []byte {
-	kind := " unit\n"
-	if !g.Unit() {
-		kind = " weighted\n"
+	w := textWriter{buf: dst}
+	w.bipartite(g)
+	return w.buf
+}
+
+// textWriter writes the text encodings a line at a time. With a nil
+// hash, buf collects the whole text; otherwise each full buffer is fed to
+// the hash and reused, so hashing an instance never holds its text.
+type textWriter struct {
+	buf []byte
+	h   hash.Hash
+}
+
+// flushAt is the fill at which a hashing textWriter feeds its buffer to
+// the hash; a line longer than the rest of the buffer grows it once.
+const flushAt = 512
+
+func (w *textWriter) int(v int64) { w.buf = strconv.AppendInt(w.buf, v, 10) }
+
+func (w *textWriter) endLine() {
+	w.buf = append(w.buf, '\n')
+	if w.h != nil && len(w.buf) >= flushAt {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
 	}
-	dst = append(dst, "bipartite "...)
-	dst = strconv.AppendInt(dst, int64(g.NLeft), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(g.NRight), 10)
-	dst = append(dst, kind...)
+}
+
+// bipartite writes g's bipartite text encoding.
+func (w *textWriter) bipartite(g *bipartite.Graph) {
+	kind := " unit"
+	if !g.Unit() {
+		kind = " weighted"
+	}
+	w.buf = append(w.buf, "bipartite "...)
+	w.int(int64(g.NLeft))
+	w.buf = append(w.buf, ' ')
+	w.int(int64(g.NRight))
+	w.buf = append(w.buf, kind...)
+	w.endLine()
 	for t := 0; t < g.NLeft; t++ {
 		ws := g.Weights(t)
 		for i, p := range g.Neighbors(t) {
-			dst = strconv.AppendInt(dst, int64(t), 10)
-			dst = append(dst, ' ')
-			dst = strconv.AppendInt(dst, int64(p), 10)
+			w.int(int64(t))
+			w.buf = append(w.buf, ' ')
+			w.int(int64(p))
 			if ws != nil {
-				dst = append(dst, ' ')
-				dst = strconv.AppendInt(dst, ws[i], 10)
+				w.buf = append(w.buf, ' ')
+				w.int(ws[i])
 			}
-			dst = append(dst, '\n')
+			w.endLine()
 		}
 	}
-	return dst
 }
 
 // WriteBipartite writes g in the bipartite text format.
@@ -159,37 +189,38 @@ func parseBipartite(l *lexer) (*bipartite.Graph, error) {
 // AppendHypergraph appends h's hypergraph text encoding to dst and
 // returns the extended buffer.
 func AppendHypergraph(dst []byte, h *hypergraph.Hypergraph) []byte {
-	return appendHypergraphOrder(dst, h, h.Edges)
+	w := textWriter{buf: dst}
+	w.hypergraph(h, h.Edges)
+	return w.buf
 }
 
-// appendHypergraphOrder is AppendHypergraph listing task t's hyperedges
-// as edges[h.TaskPtr[t]:h.TaskPtr[t+1]]. With h.Edges that is h's own
-// order; with another order of the same per-task blocks it is the text
-// of h with its hyperedges renumbered in that order.
-func appendHypergraphOrder(dst []byte, h *hypergraph.Hypergraph, edges []int32) []byte {
-	dst = append(dst, "hypergraph "...)
-	dst = strconv.AppendInt(dst, int64(h.NTasks), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(h.NProcs), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(h.NumEdges()), 10)
-	dst = append(dst, '\n')
+// hypergraph writes h's hypergraph text encoding, listing task t's
+// hyperedges as edges[h.TaskPtr[t]:h.TaskPtr[t+1]]. With h.Edges that is
+// h's own order; with another order of the same per-task blocks it is the
+// text of h with its hyperedges renumbered in that order.
+func (w *textWriter) hypergraph(h *hypergraph.Hypergraph, edges []int32) {
+	w.buf = append(w.buf, "hypergraph "...)
+	w.int(int64(h.NTasks))
+	w.buf = append(w.buf, ' ')
+	w.int(int64(h.NProcs))
+	w.buf = append(w.buf, ' ')
+	w.int(int64(h.NumEdges()))
+	w.endLine()
 	for t := 0; t < h.NTasks; t++ {
 		for _, e := range edges[h.TaskPtr[t]:h.TaskPtr[t+1]] {
 			procs := h.EdgeProcs(e)
-			dst = strconv.AppendInt(dst, int64(t), 10)
-			dst = append(dst, ' ')
-			dst = strconv.AppendInt(dst, h.Weight[e], 10)
-			dst = append(dst, ' ')
-			dst = strconv.AppendInt(dst, int64(len(procs)), 10)
+			w.int(int64(t))
+			w.buf = append(w.buf, ' ')
+			w.int(h.Weight[e])
+			w.buf = append(w.buf, ' ')
+			w.int(int64(len(procs)))
 			for _, u := range procs {
-				dst = append(dst, ' ')
-				dst = strconv.AppendInt(dst, int64(u), 10)
+				w.buf = append(w.buf, ' ')
+				w.int(int64(u))
 			}
-			dst = append(dst, '\n')
+			w.endLine()
 		}
 	}
-	return dst
 }
 
 // WriteHypergraph writes h in the hypergraph text format.

@@ -18,7 +18,7 @@ func frontDoor(body []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return FingerprintCanonicalHypergraph(canon), nil
+	return FingerprintOrder(canon, canon.Edges), nil
 }
 
 var frontDoorSink string

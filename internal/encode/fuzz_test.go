@@ -143,7 +143,7 @@ func fingerprintTwoStep(t *testing.T, h *hypergraph.Hypergraph) string {
 	if err != nil {
 		t.Fatalf("reference canonicalize: %v", err)
 	}
-	return FingerprintCanonicalHypergraph(canon)
+	return FingerprintOrder(canon, canon.Edges)
 }
 
 // FuzzFingerprintHypergraph holds the direct fingerprint to the two-step

@@ -10,7 +10,9 @@
 // translated back to each requester's own hyperedge numbering. Results
 // are cached in a sharded LRU keyed by (fingerprint, algorithm, budget
 // class), and N concurrent requests for the same key trigger exactly one
-// solve (single-flight deduplication).
+// solve (single-flight deduplication). The LRU is index-linked slots that
+// store each result flat, with no per-entry result object, so a garbage
+// collection does not walk the cache's entries (see lruCache).
 //
 // Admission control keeps the service responsive under overload: at most
 // QueueDepth solves may be in flight (queued or running, cache hits and
@@ -378,12 +380,17 @@ func New(opts Options) *Service {
 type request struct {
 	kind  string
 	class registry.Class
-	g     *bipartite.Graph       // canonical form (bipartite requests)
-	h     *hypergraph.Hypergraph // canonical form (hypergraph requests)
-	inv   []int32                // canonical edge id → requester edge id
-	alg   string                 // canonical solver name or autoAlg: the key and result label
-	fp    string                 // canonical fingerprint
-	trace *telemetry.Span        // request span; nil without a TraceWriter
+	g     *bipartite.Graph // canonical form (bipartite requests)
+	// src is a hypergraph request's own instance and inv its canonical
+	// order: canonical edge id → requester edge id. The canonical form h =
+	// src.PermuteEdges(inv) is built only when a solve or a verification
+	// needs it (see hyper); a cache hit needs only the fingerprint and inv.
+	src   *hypergraph.Hypergraph
+	h     *hypergraph.Hypergraph
+	inv   []int32
+	alg   string          // canonical solver name or autoAlg: the key and result label
+	fp    string          // canonical fingerprint
+	trace *telemetry.Span // request span; nil without a TraceWriter
 }
 
 // autoAlg is the algorithm label of auto-policy requests. Auto answers key
@@ -400,12 +407,21 @@ func (req *request) algorithm() string {
 	return req.alg
 }
 
+// hyper returns a hypergraph request's canonical form, building it on
+// first use.
+func (req *request) hyper() *hypergraph.Hypergraph {
+	if req.h == nil {
+		req.h = req.src.PermuteEdges(req.inv)
+	}
+	return req.h
+}
+
 // problem wraps the canonical instance as a solve.Problem for dispatch.
 func (req *request) problem() solve.Problem {
 	if req.g != nil {
 		return solve.Bipartite(req.g)
 	}
-	return solve.Hyper(req.h)
+	return solve.Hyper(req.hyper())
 }
 
 // instance returns the canonical instance for certificate verification.
@@ -413,7 +429,7 @@ func (req *request) instance() any {
 	if req.g != nil {
 		return req.g
 	}
-	return req.h
+	return req.hyper()
 }
 
 // Solve answers one request. instance must be a *semimatch
@@ -456,7 +472,7 @@ func (s *Service) Solve(ctx context.Context, instance any, algorithm string) (*R
 	for {
 		if res, ok := s.cache.get(key); ok {
 			outcome = "cache-hit"
-			return req.deliver(res, "memory"), nil
+			return req.adapt(res, "memory"), nil // get's copy is this request's own
 		}
 		if needTimeout {
 			var cancel context.CancelFunc
@@ -660,17 +676,14 @@ func (s *Service) newRequest(instance any, algorithm string) (*request, error) {
 		if v == nil {
 			return nil, fmt.Errorf("%w: nil hypergraph", ErrBadInstance)
 		}
-		canon, perm, err := encode.CanonicalHypergraph(v)
+		// CanonicalOrder validates v, which covers what Problem.Validate
+		// checks of a hypergraph: every task has a configuration.
+		order, err := encode.CanonicalOrder(v)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 		}
-		fp := encode.FingerprintCanonicalHypergraph(canon)
-		inv := make([]int32, len(perm))
-		for orig, c := range perm {
-			inv[c] = int32(orig)
-		}
 		req.kind, req.class = "hypergraph", registry.MultiProc
-		req.h, req.inv, req.fp = canon, inv, fp
+		req.src, req.inv, req.fp = v, order, encode.FingerprintOrder(v, order)
 	case *bipartite.Graph:
 		if v == nil {
 			return nil, fmt.Errorf("%w: nil graph", ErrBadInstance)
@@ -679,14 +692,13 @@ func (s *Service) newRequest(instance any, algorithm string) (*request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 		}
-		fp := encode.FingerprintCanonicalBipartite(canon)
 		req.kind, req.class = "bipartite", registry.SingleProc
-		req.g, req.fp = canon, fp
+		req.g, req.fp = canon, encode.FingerprintCanonicalBipartite(canon)
+		if err := req.problem().Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
+		}
 	default:
 		return nil, fmt.Errorf("%w: unsupported instance type %T", ErrBadInstance, instance)
-	}
-	if err := req.problem().Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInstance, err)
 	}
 
 	req.alg = autoAlg
@@ -702,34 +714,44 @@ func (s *Service) newRequest(instance any, algorithm string) (*request, error) {
 	return req, nil
 }
 
-// deliver adapts a (possibly shared, canonical-numbered) result to one
-// requester: hypergraph assignments are translated to the requester's own
-// hyperedge numbering, and the cache tier ("memory", "disk", "peer" or
-// "none" for a fresh solve) is stamped.
+// deliver adapts a shared result (a leader's, which its followers and
+// the cache tiers also hold) to one requester: it copies res, and res's
+// certificate when adapt renumbers it, and adapts the copy.
 func (req *request) deliver(res *Result, tier string) *Result {
 	out := *res
-	out.Cached = tier != "" && tier != "none"
-	out.Tier = tier
-	if out.Cached {
-		out.Elapsed = 0 // the documented "≈0 for hits": no solve ran
+	if req.inv != nil && out.Assignment != nil && out.Certificate != nil {
+		c := *out.Certificate
+		out.Certificate = &c
 	}
-	if req.inv != nil && out.Assignment != nil {
-		a := make([]int32, len(out.Assignment))
-		for t, c := range out.Assignment {
+	return req.adapt(&out, tier)
+}
+
+// adapt adapts a canonical-numbered result to one requester, in place:
+// res and its Certificate must be this request's own (the slices need
+// not be; they are replaced, never written). Hypergraph assignments are
+// translated to the requester's own hyperedge numbering, and the cache
+// tier ("memory", "disk", "peer" or "none" for a fresh solve) is stamped.
+func (req *request) adapt(res *Result, tier string) *Result {
+	res.Cached = tier != "" && tier != "none"
+	res.Tier = tier
+	if res.Cached {
+		res.Elapsed = 0 // the documented "≈0 for hits": no solve ran
+	}
+	if req.inv != nil && res.Assignment != nil {
+		a := make([]int32, len(res.Assignment))
+		for t, c := range res.Assignment {
 			a[t] = req.inv[c]
 		}
-		out.Assignment = a
-		if out.Certificate != nil {
+		res.Assignment = a
+		if res.Certificate != nil {
 			// The certificate travels in the requester's numbering too, so
 			// cert.Verify accepts it against the requester's own instance
 			// (the fingerprint is isomorphism-invariant; the schedule is
 			// the same one, renamed).
-			c := *out.Certificate
-			c.Assignment = a
-			out.Certificate = &c
+			res.Certificate.Assignment = a
 		}
 	}
-	return &out
+	return res
 }
 
 // admitAndSolve applies admission control around the dispatch stage.

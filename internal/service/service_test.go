@@ -504,7 +504,7 @@ func TestDefaultDeadlineKeepsKey(t *testing.T) {
 // DefaultDeadline and a context without a deadline: canonicalizing the
 // request and delivering the result, but no timeout context or timer.
 func TestCacheHitAllocations(t *testing.T) {
-	const maxAllocs = 22
+	const maxAllocs = 12
 	s := New(Options{DefaultDeadline: 2 * time.Second})
 	h := testHyper(t)
 	ctx := context.Background()

@@ -68,28 +68,9 @@ func raceMembers(ctx context.Context, p Problem, o Options, obs *obsState, solve
 
 	span := o.trace.StartChild("race")
 	defer span.End()
-	// One slot per member, so a member finishing after the race has
-	// returned never blocks.
-	results := make(chan candidate, len(solvers))
-	started := 0
-	launch := func() {
-		i := started
-		started++
-		if workers == 1 {
-			results <- runMember(ctx, p, i, solvers[i], o.Refine)
-			return
-		}
-		go func() { results <- runMember(ctx, p, i, solvers[i], o.Refine) }()
-	}
-	for started < workers {
-		launch()
-	}
-
 	best := candidate{idx: -1}
 	var firstErr candidate
-	judged := 0
 	judge := func(c candidate) {
-		judged++
 		if c.err != nil {
 			if firstErr.err == nil || c.idx < firstErr.idx {
 				firstErr = c
@@ -103,29 +84,17 @@ func raceMembers(ctx context.Context, p Problem, o Options, obs *obsState, solve
 		}
 		obs.emit(solvers[c.idx].Name, vecMakespan(c.vec), c.a, false)
 	}
-	done := ctx.Done()
-collect:
-	for judged < started {
-		select {
-		case c := <-results:
-			judge(c)
-			if started < len(solvers) && ctx.Err() == nil {
-				launch()
+	if workers == 1 {
+		// Each member runs on the caller's goroutine and is judged as it
+		// returns; no member starts once ctx has ended.
+		for i, sol := range solvers {
+			if i > 0 && ctx.Err() != nil {
+				break
 			}
-		case <-done:
-			if best.idx < 0 {
-				done = nil // nothing to return yet: wait for a running member
-				continue
-			}
-			for {
-				select {
-				case c := <-results:
-					judge(c)
-				default:
-					break collect
-				}
-			}
+			judge(runMember(ctx, p, i, sol, o.Refine))
 		}
+	} else {
+		raceParallel(ctx, p, o.Refine, solvers, workers, judge)
 	}
 
 	if best.idx < 0 {
@@ -138,6 +107,55 @@ collect:
 	span.SetAttr("winner", rep.Solver)
 	span.SetAttr("makespan", rep.stageMakespan)
 	return rep, nil
+}
+
+// raceParallel runs the members on up to workers goroutines, launching
+// the next as one finishes, and judges each candidate on the caller's
+// goroutine. Once ctx has ended it launches no more and returns as soon
+// as a candidate has been judged, leaving running members to finish in
+// the background.
+func raceParallel(ctx context.Context, p Problem, doRefine bool, solvers []*registry.Solver, workers int, judge func(candidate)) {
+	// One slot per member, so a member finishing after the race has
+	// returned never blocks.
+	results := make(chan candidate, len(solvers))
+	started := 0
+	launch := func() {
+		i := started
+		started++
+		go func() { results <- runMember(ctx, p, i, solvers[i], doRefine) }()
+	}
+	for started < workers {
+		launch()
+	}
+	judged, found := 0, false
+	take := func(c candidate) {
+		judged++
+		found = found || c.err == nil
+		judge(c)
+	}
+	done := ctx.Done()
+	for judged < started {
+		select {
+		case c := <-results:
+			take(c)
+			if started < len(solvers) && ctx.Err() == nil {
+				launch()
+			}
+		case <-done:
+			if !found {
+				done = nil // nothing to return yet: wait for a running member
+				continue
+			}
+			for {
+				select {
+				case c := <-results:
+					take(c)
+				default:
+					return
+				}
+			}
+		}
+	}
 }
 
 // runMember runs one race member. Members already race on their own
