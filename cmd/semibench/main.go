@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -149,7 +150,7 @@ func main() {
 		return
 	}
 
-	runTables(ctx, opts, *table, *quick, *d, *jsonOut, *timeout)
+	runTables(ctx, os.Stdout, opts, *table, *quick, *d, *jsonOut, *timeout)
 }
 
 // writeBenchReport writes one machine-readable perf report to path.
@@ -233,7 +234,7 @@ func nextSnapshotPath(out string) (string, int) {
 	return fmt.Sprintf("%s_%d.json", base, next), next
 }
 
-func runTables(ctx context.Context, opts bench.Options, table string, quick bool, d int, jsonOut bool, timeout time.Duration) {
+func runTables(ctx context.Context, out io.Writer, opts bench.Options, table string, quick bool, d int, jsonOut bool, timeout time.Duration) {
 	run := func(name string, f func() error) {
 		err := f()
 		if err == nil {
@@ -266,15 +267,15 @@ func runTables(ctx context.Context, opts bench.Options, table string, quick bool
 				hyperCache[weights] = res
 			}
 			if jsonOut {
-				return bench.WriteJSON(os.Stdout, res.JSON(label))
+				return bench.WriteJSON(out, res.JSON(label))
 			}
-			fmt.Println(heading)
+			fmt.Fprintln(out, heading)
 			if statsView {
-				fmt.Print(bench.FormatHyperStats(res))
+				fmt.Fprint(out, bench.FormatHyperStats(res))
 			} else {
-				fmt.Print(bench.FormatHyperTable(res))
+				fmt.Fprint(out, bench.FormatHyperTable(res))
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 			return nil
 		})
 	}
@@ -299,11 +300,11 @@ func runTables(ctx context.Context, opts bench.Options, table string, quick bool
 			}
 			rows := bench.RunAdversarial(maxK)
 			if jsonOut {
-				return bench.WriteJSON(os.Stdout, bench.AdversarialJSON(rows))
+				return bench.WriteJSON(out, bench.AdversarialJSON(rows))
 			}
-			fmt.Println("== Fig. 3: Chain(k) worst-case scaling ==")
-			fmt.Print(bench.FormatAdversarial(rows))
-			fmt.Println()
+			fmt.Fprintln(out, "== Fig. 3: Chain(k) worst-case scaling ==")
+			fmt.Fprint(out, bench.FormatAdversarial(rows))
+			fmt.Fprintln(out)
 			return nil
 		})
 	}
@@ -317,11 +318,11 @@ func runTables(ctx context.Context, opts bench.Options, table string, quick bool
 						return err
 					}
 					if jsonOut {
-						return bench.WriteJSON(os.Stdout, res.JSON())
+						return bench.WriteJSON(out, res.JSON())
 					}
-					fmt.Printf("== SINGLEPROC-UNIT: %s, d=%d, g=%d ==\n", generator, d, g)
-					fmt.Print(bench.FormatSPTable(res))
-					fmt.Println()
+					fmt.Fprintf(out, "== SINGLEPROC-UNIT: %s, d=%d, g=%d ==\n", generator, d, g)
+					fmt.Fprint(out, bench.FormatSPTable(res))
+					fmt.Fprintln(out)
 					return nil
 				})
 			}

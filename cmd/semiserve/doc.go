@@ -217,7 +217,10 @@
 // ring) and are evicted after -session-idle without events, reads or an
 // open stream. Session re-solves acquire the same admission slots as
 // /solve requests — one shared capacity — and run single-worker, so
-// per-event node counts are deterministic. An overloaded service skips
+// per-event node counts are deterministic. Each re-solve runs under the
+// server's -deadline, whatever node_budget and exact_task_limit the
+// header asks for; one it cuts short keeps its best schedule so far.
+// An overloaded service skips
 // the re-solve (the patched schedule stands, solve_status
 // "overloaded") rather than queue-jumping. With -ledger, each adopted
 // or attempted re-solve appends a ledger record with source "session";

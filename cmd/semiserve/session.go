@@ -162,7 +162,10 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// One admission slot per re-solve: a session's solve runs alone, and
 	// with one worker the engine's node accounting is deterministic, so
 	// warm-vs-cold comparisons (compare_cold) measure pruning, not luck.
+	// The server's -deadline bounds each re-solve, whatever node budget
+	// and task limit the header asks for.
 	opts.Workers = 1
+	opts.Deadline = m.svc.DefaultDeadline()
 	opts.Trace = m.trace
 	opts.Acquire = m.svc.AcquireSolveSlot
 	sess, err := session.New(opts)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -660,5 +661,35 @@ func TestSessionEventBytes(t *testing.T) {
 	t.Logf("a one-line events request allocates %d bytes", per)
 	if per > maxBytes {
 		t.Errorf("a one-line events request allocates %d bytes, budget %d", per, maxBytes)
+	}
+}
+
+// TestSessionResolveObeysServerDeadline: a session's re-solves run under
+// the server's -deadline, so a header with an unbounded node budget and
+// task limit cannot make one event search until the client hangs up.
+// The last event completes a 24-task, 3-processor number-partitioning
+// instance whose warm-started branch and bound takes seconds without a
+// deadline.
+func TestSessionResolveObeysServerDeadline(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	ts := httptest.NewServer(newServer(service.New(service.Options{DefaultDeadline: deadline}), serverConfig{sessions: 1}))
+	t.Cleanup(ts.Close)
+	id := createSession(t, ts.URL, session.ScriptHeader{Procs: 3, Multi: true, NodeBudget: 1 << 62, ExactTaskLimit: 1000})
+	rng := rand.New(rand.NewSource(7))
+	events := make([]session.Event, 24)
+	for i := range events {
+		w := 100_000_000 + rng.Int63n(900_000_000)
+		events[i] = session.Event{Op: "arrive", Task: &session.TaskSpec{ID: fmt.Sprint("t", i), Configs: []session.Config{
+			{Procs: []int32{0}, Weight: w}, {Procs: []int32{1}, Weight: w}, {Procs: []int32{2}, Weight: w},
+		}}}
+	}
+	reps := postEvents(t, ts.URL, id, events)
+	last := reps[len(reps)-1]
+	if last.SolveStatus != "truncated" {
+		t.Fatalf("last event: solve status %q after %v, want truncated", last.SolveStatus, last.Elapsed)
+	}
+	// The margin covers the patch, the race and a slow (-race) build.
+	if last.Elapsed > deadline+time.Second {
+		t.Fatalf("last event took %v under a %v server deadline", last.Elapsed, deadline)
 	}
 }

@@ -199,7 +199,7 @@ func TestCompatSolveBatch(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		problems = append(problems, semimatch.HypergraphProblem(seededHyper(t, seed+20, 8+int(seed))))
 	}
-	outs, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{Refine: true})
+	outs, err := semimatch.SolveProblems(context.Background(), problems, semimatch.WithRefine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +283,6 @@ func TestCompatSymbolLedger(t *testing.T) {
 		_ semimatch.Assignment      //nolint
 		_ semimatch.HyperAssignment //nolint
 		_ semimatch.OnlineScheduler //nolint
-		_ semimatch.BatchOptions    //nolint
-		_ semimatch.BatchRunner     //nolint
 		_ semimatch.BnBOptions      //nolint
 		_ semimatch.BnBStats        //nolint
 		_ semimatch.Generator       //nolint
@@ -314,7 +312,7 @@ func TestCompatSymbolLedger(t *testing.T) {
 		semimatch.NewOnlineScheduler, semimatch.OnlineReplay, semimatch.OnlineCompetitiveRatio,
 		semimatch.Loads, semimatch.Makespan, semimatch.ValidateAssignment,
 		semimatch.HyperLoads, semimatch.HyperMakespan, semimatch.ValidateHyperAssignment,
-		semimatch.NewBatchRunner, semimatch.SolveProblems,
+		semimatch.SolveProblems,
 		semimatch.GenerateBipartite, semimatch.GenerateHypergraph,
 		semimatch.Fig1, semimatch.Chain, semimatch.ChainPlus, semimatch.ExpectedTrap,
 		semimatch.NewInstance, semimatch.Solve, semimatch.SolveByName,

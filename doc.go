@@ -69,12 +69,12 @@
 //
 // SolveProblems shards many Problems — both classes freely mixed — across
 // a GOMAXPROCS-wide worker pool with per-problem error isolation; each
-// problem runs the auto policy:
+// problem runs Run with the same options, by default the auto policy:
 //
-//	outcomes, err := semimatch.SolveProblems(ctx, problems, semimatch.BatchOptions{
-//	    Refine: true,                       // local search on every candidate
-//	    InstanceTimeout: time.Second,       // per-problem budget
-//	})
+//	outcomes, err := semimatch.SolveProblems(ctx, problems,
+//	    semimatch.WithRefine(),              // local search on every candidate
+//	    semimatch.WithDeadline(time.Second), // per-problem budget
+//	)
 //	// outcomes[i].Report.Makespan, .Status, outcomes[i].Err ...
 //
 // # Direct algorithm access

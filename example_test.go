@@ -57,7 +57,7 @@ func ExampleSolveProblems() {
 		semimatch.GraphProblem(g),
 		semimatch.HypergraphProblem(h),
 	}
-	outcomes, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{})
+	outcomes, err := semimatch.SolveProblems(context.Background(), problems)
 	if err != nil {
 		panic(err)
 	}
@@ -169,7 +169,7 @@ func ExampleSolveProblems_refine() {
 		problems = append(problems, semimatch.HypergraphProblem(h))
 	}
 
-	outcomes, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{Refine: true})
+	outcomes, err := semimatch.SolveProblems(context.Background(), problems, semimatch.WithRefine())
 	if err != nil {
 		panic(err)
 	}

@@ -1,9 +1,9 @@
 // Package batch solves many instances at once on a worker pool — the
 // sharding/batching layer that turns the per-instance solvers into a
-// throughput-oriented subsystem. Since the unified solve API landed, the
-// batch is class-generic: a work item is a solve.Problem (SINGLEPROC
-// bipartite or MULTIPROC hypergraph, freely mixed in one batch), and each
-// one runs the solve package's auto policy:
+// throughput-oriented subsystem. A work item is a solve.Problem
+// (SINGLEPROC bipartite or MULTIPROC hypergraph, freely mixed in one
+// batch), and each one runs solve.RunOptions under the batch's options,
+// by default the auto policy:
 //
 //  1. heuristic race first — the class's greedy lineup, raced on the
 //     solve's share of the cores — which always produces a schedule
@@ -20,8 +20,8 @@
 // its siblings. Results do not depend on goroutine timing: for a fixed
 // worker count the schedule repeats from run to run (deadlines excepted,
 // by nature), because the exact stage's parallel branch and bound runs
-// in deterministic rounds. The worker count sets each solve's share of
-// the cores, and a solve with one core runs the sequential search instead
+// in deterministic rounds. The worker count is each solve's share of the
+// cores, and a solve with one worker runs the sequential search instead
 // of the rounds. Across worker counts the makespans therefore agree only
 // while no exact stage stops at its node budget: the two searches stop in
 // different places. Even then the schedules may differ among co-optimal
@@ -39,40 +39,10 @@ import (
 	"semimatch/internal/solve"
 )
 
-// Options configures a batch run.
-type Options struct {
-	// Workers bounds the pool; 0 means GOMAXPROCS.
-	Workers int
-	// InstanceTimeout is a per-instance deadline layered under the batch
-	// context; 0 means none. When it expires the instance keeps the best
-	// schedule found so far.
-	InstanceTimeout time.Duration
-	// Algorithms restricts the heuristic-race stage; nil means the
-	// class's full default lineup. Names resolve in each problem class
-	// present in the batch, so a mixed batch needs names valid in both.
-	Algorithms []string
-	// Refine post-processes every hypergraph candidate with local search.
-	Refine bool
-	// ExactTaskLimit is the largest instance that also gets an exact
-	// branch-and-bound attempt; 0 means solve.DefaultExactTaskLimit,
-	// negative disables the exact stage entirely.
-	ExactTaskLimit int
-	// ExactNodes is the branch-and-bound node budget; 0 means
-	// solve.DefaultExactNodes.
-	ExactNodes int64
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Outcome is the per-problem result of RunProblems: the unified solve
-// Report, or this problem's failure. Exactly one of the two is nil —
-// except when the auto policy's exact stage failed unexpectedly, in which
-// case the heuristic-stage Report accompanies the error.
+// Outcome is the per-problem result of Solve: the unified solve Report,
+// or this problem's failure. Exactly one of the two is nil — except when
+// the auto policy's exact stage failed unexpectedly, in which case the
+// heuristic-stage Report accompanies the error.
 type Outcome struct {
 	Report *solve.Report
 	Err    error
@@ -81,31 +51,57 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
-// Runner is a reusable batch solver.
-type Runner struct {
-	opts Options
-}
-
-// New returns a Runner with the given options.
-func New(opts Options) *Runner { return &Runner{opts: opts} }
-
-// solveWorkers budgets each solve's internal parallelism (its heuristic
-// race and exact stage) so the batch as a whole stays at roughly
-// GOMAXPROCS goroutines: the pool already owns workers() cores, so each
-// in-flight solve gets the leftover share, at least 1. At 1 the exact
-// stage runs the sequential search; from 2 up, the rounds.
-func (r *Runner) solveWorkers() int {
-	if w := runtime.GOMAXPROCS(0) / r.opts.workers(); w > 1 {
-		return w
+// Solve solves every problem — SINGLEPROC and MULTIPROC freely mixed —
+// with solve.RunOptions under o, and returns one Outcome per problem, in
+// input order. o applies to each problem on its own: o.Deadline bounds
+// each solve, o.NodeBudget each exact stage, and a warm start
+// (o.InitialIncumbent) is ignored by every problem it does not fit.
+//
+// o.Workers is each solve's worker count. With none set each solve gets
+// one worker and the pool runs GOMAXPROCS solves at once; with w set
+// each solve gets w workers and the pool runs max(1, GOMAXPROCS/w).
+// o.Observer and o.Progress are therefore called from concurrent solves:
+// each solve's calls are serialized, but calls from different solves may
+// overlap.
+//
+// A configuration error (o.Algorithm, or a name in o.Portfolio, unknown
+// in some problem's class) fails the whole batch up front with nil
+// results; per-problem failures land in the matching Outcome.Err. When
+// ctx is cancelled mid-batch Solve returns promptly with the partial
+// results alongside ctx's error: in-flight solvers stop at their next
+// context poll (keeping their best schedule so far) and problems that
+// never started carry a "not started" error.
+func Solve(ctx context.Context, problems []solve.Problem, o solve.Options) ([]Outcome, error) {
+	if err := validate(problems, o); err != nil {
+		return nil, err
 	}
-	return 1
+	pool := runtime.GOMAXPROCS(0)
+	if o.Workers > 0 {
+		pool = max(1, pool/o.Workers)
+	} else {
+		o.Workers = 1
+	}
+	outs := make([]Outcome, len(problems))
+	started := make([]bool, len(problems))
+	err := ForEach(ctx, pool, len(problems), func(ctx context.Context, i int) error {
+		started[i] = true
+		outs[i] = solveOne(ctx, problems[i], o)
+		return nil
+	})
+	for i := range outs {
+		if !started[i] {
+			outs[i] = Outcome{Err: fmt.Errorf("batch: not started: %w", ctx.Err())}
+		}
+	}
+	return outs, err
 }
 
-// validate fails fast on algorithm names that do not resolve in the
-// class of some problem in the batch, so a bad Options value is an
-// upfront error rather than N per-instance ones.
-func (r *Runner) validate(problems []solve.Problem) error {
-	if len(r.opts.Algorithms) == 0 {
+// validate fails fast on an algorithm name that does not resolve in the
+// class of some problem in the batch, so a bad option is one upfront
+// error rather than N per-instance ones. o.Portfolio is checked only
+// without o.Algorithm, which overrides it.
+func validate(problems []solve.Problem, o solve.Options) error {
+	if o.Algorithm == "" && len(o.Portfolio) == 0 {
 		return nil
 	}
 	var checked [2]bool
@@ -118,44 +114,22 @@ func (r *Runner) validate(problems []solve.Problem) error {
 			continue
 		}
 		checked[c] = true
-		if _, _, err := registry.ResolveClass(c, r.opts.Algorithms); err != nil {
+		var err error
+		if o.Algorithm != "" {
+			_, err = registry.LookupClass(c, o.Algorithm)
+		} else {
+			_, _, err = registry.ResolveClass(c, o.Portfolio)
+		}
+		if err != nil {
 			return fmt.Errorf("batch: %w", err)
 		}
 	}
 	return nil
 }
 
-// RunProblems solves every problem — SINGLEPROC and MULTIPROC freely
-// mixed — and returns one Outcome per problem, in input order. A
-// configuration error (an algorithm name unknown in some problem's class)
-// fails the whole batch up front with nil results; per-problem failures
-// land in the matching Outcome.Err. When ctx is cancelled mid-batch
-// RunProblems returns promptly with the partial results alongside ctx's
-// error: in-flight solvers stop at their next context poll (keeping their
-// best schedule so far) and problems that never started carry a "not
-// started" error.
-func (r *Runner) RunProblems(ctx context.Context, problems []solve.Problem) ([]Outcome, error) {
-	if err := r.validate(problems); err != nil {
-		return nil, err
-	}
-	outs := make([]Outcome, len(problems))
-	started := make([]bool, len(problems))
-	err := ForEach(ctx, r.opts.workers(), len(problems), func(ctx context.Context, i int) error {
-		started[i] = true
-		outs[i] = r.solveOne(ctx, problems[i])
-		return nil
-	})
-	for i := range outs {
-		if !started[i] {
-			outs[i] = Outcome{Err: fmt.Errorf("batch: not started: %w", ctx.Err())}
-		}
-	}
-	return outs, err
-}
-
-// solveOne applies the per-instance policy (solve.RunOptions). It never
-// lets a failure escape: panics and errors end up in the Outcome.
-func (r *Runner) solveOne(ctx context.Context, p solve.Problem) (out Outcome) {
+// solveOne solves one problem. It never lets a failure escape: panics
+// and errors end up in the Outcome.
+func solveOne(ctx context.Context, p solve.Problem, o solve.Options) (out Outcome) {
 	start := time.Now()
 	defer func() {
 		if pv := recover(); pv != nil {
@@ -163,19 +137,12 @@ func (r *Runner) solveOne(ctx context.Context, p solve.Problem) (out Outcome) {
 		}
 		out.Elapsed = time.Since(start)
 	}()
-	rep, err := solve.RunOptions(ctx, p, solve.Options{
-		Portfolio:      r.opts.Algorithms,
-		Refine:         r.opts.Refine,
-		Workers:        r.solveWorkers(),
-		NodeBudget:     r.opts.ExactNodes,
-		ExactTaskLimit: r.opts.ExactTaskLimit,
-		Deadline:       r.opts.InstanceTimeout,
-	})
+	rep, err := solve.RunOptions(ctx, p, o)
 	return Outcome{Report: rep, Err: err}
 }
 
 // ForEach runs fn(ctx, i) for every index in [0, n) on a pool of workers —
-// the sharding primitive under Runner, exported for other fan-out loops
+// the sharding primitive under Solve, exported for other fan-out loops
 // (the bench harness drives its experiment grids through it). It stops
 // dispatching when ctx is cancelled or fn returns an error (in-flight
 // calls get a context cancelled at that point) and returns the first

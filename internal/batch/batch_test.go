@@ -80,8 +80,8 @@ func hyperProblems(instances []*hypergraph.Hypergraph) []solve.Problem {
 
 func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 	instances := mixedBatch(100)
-	r1, err1 := New(Options{Workers: 1, Refine: true}).RunProblems(context.Background(), hyperProblems(instances))
-	rN, errN := New(Options{Workers: runtime.GOMAXPROCS(0), Refine: true}).RunProblems(context.Background(), hyperProblems(instances))
+	r1, err1 := Solve(context.Background(), hyperProblems(instances), solve.Options{Workers: 1, Refine: true})
+	rN, errN := Solve(context.Background(), hyperProblems(instances), solve.Options{Workers: runtime.GOMAXPROCS(0), Refine: true})
 	if err1 != nil || errN != nil {
 		t.Fatal(err1, errN)
 	}
@@ -115,21 +115,21 @@ func TestBatchResultsIndependentOfWorkerCount(t *testing.T) {
 
 func TestBatchCancelMidBatchStopsPromptly(t *testing.T) {
 	// Every instance pins a worker in an effectively unbounded
-	// branch-and-bound; only cancellation can end the batch early.
-	// Workers is pinned below the instance count so some instances are
-	// still queued at cancel time on any machine, however many cores.
-	instances := make([]*hypergraph.Hypergraph, 32)
+	// branch-and-bound; only cancellation can end the batch early. The
+	// pool runs GOMAXPROCS one-worker solves at once, so twice as many
+	// instances leave some still queued at cancel time on any machine.
+	instances := make([]*hypergraph.Hypergraph, max(32, 2*runtime.GOMAXPROCS(0)))
 	for i := range instances {
 		instances[i] = hardHyper(int64(i))
 	}
-	r := New(Options{Workers: 4, ExactTaskLimit: 64, ExactNodes: 1 << 60})
+	o := solve.Options{ExactTaskLimit: 64, NodeBudget: 1 << 60}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	results, err := r.RunProblems(ctx, hyperProblems(instances))
+	results, err := Solve(ctx, hyperProblems(instances), o)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -170,7 +170,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 	// contain the panic to this instance.
 	broken := &hypergraph.Hypergraph{NTasks: 4, NProcs: 2}
 	instances := []*hypergraph.Hypergraph{good1, nil, good2, broken}
-	results, err := New(Options{Workers: 2}).RunProblems(context.Background(), hyperProblems(instances))
+	results, err := Solve(context.Background(), hyperProblems(instances), solve.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,11 @@ func TestBatchErrorIsolation(t *testing.T) {
 
 func TestBatchUnknownAlgorithmFailsFast(t *testing.T) {
 	instances := mixedBatch(3)
-	results, err := New(Options{Algorithms: []string{"nope"}}).RunProblems(context.Background(), hyperProblems(instances))
-	if err == nil || results != nil {
-		t.Fatalf("want upfront config error, got results=%v err=%v", results, err)
+	for _, o := range []solve.Options{{Portfolio: []string{"nope"}}, {Algorithm: "nope"}} {
+		results, err := Solve(context.Background(), hyperProblems(instances), o)
+		if err == nil || results != nil {
+			t.Fatalf("%+v: want upfront config error, got results=%v err=%v", o, results, err)
+		}
 	}
 }
 
@@ -204,11 +206,11 @@ func TestBatchExactStageProvesOptimality(t *testing.T) {
 	for i := range instances {
 		instances[i] = randomHyper(rng, 2+rng.Intn(10), 2+rng.Intn(3), 3, 3, 6)
 	}
-	withExact, err := New(Options{Refine: true}).RunProblems(context.Background(), hyperProblems(instances))
+	withExact, err := Solve(context.Background(), hyperProblems(instances), solve.Options{Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heuristicOnly, err := New(Options{Refine: true, ExactTaskLimit: -1}).RunProblems(context.Background(), hyperProblems(instances))
+	heuristicOnly, err := Solve(context.Background(), hyperProblems(instances), solve.Options{Refine: true, ExactTaskLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +241,11 @@ func TestBatchExactStageProvesOptimality(t *testing.T) {
 
 func TestBatchInstanceTimeoutFallsBackToHeuristic(t *testing.T) {
 	// One hard instance with an unbounded node budget: without the
-	// per-instance timeout this would never finish.
+	// per-instance deadline this would never finish.
 	instances := []*hypergraph.Hypergraph{hardHyper(7)}
-	r := New(Options{ExactTaskLimit: 64, ExactNodes: 1 << 60, InstanceTimeout: 20 * time.Millisecond})
+	o := solve.Options{ExactTaskLimit: 64, NodeBudget: 1 << 60, Deadline: 20 * time.Millisecond}
 	start := time.Now()
-	results, err := r.RunProblems(context.Background(), hyperProblems(instances))
+	results, err := Solve(context.Background(), hyperProblems(instances), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +282,7 @@ func randomGraph(rng *rand.Rand, nTasks, nProcs, maxDeg int, maxW int64) *bipart
 }
 
 // TestBatchSingleProcProblems: SINGLEPROC batching through the
-// class-generic runner. Unit instances get the polynomial ExactUnit
+// class-generic Solve. Unit instances get the polynomial ExactUnit
 // proof, small weighted ones the branch-and-bound attempt.
 func TestBatchSingleProcProblems(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -292,7 +294,7 @@ func TestBatchSingleProcProblems(t *testing.T) {
 			problems = append(problems, solve.Bipartite(randomGraph(rng, 6+rng.Intn(8), 2+rng.Intn(3), 3, 9)))
 		}
 	}
-	outs, err := New(Options{}).RunProblems(context.Background(), problems)
+	outs, err := Solve(context.Background(), problems, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestBatchMixedClasses(t *testing.T) {
 		solve.Bipartite(randomGraph(rng, 8, 3, 2, 9)),
 		solve.Hyper(randomHyper(rng, 30, 6, 3, 3, 12)),
 	}
-	outs, err := New(Options{Workers: 2}).RunProblems(context.Background(), problems)
+	outs, err := Solve(context.Background(), problems, solve.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

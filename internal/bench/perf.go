@@ -256,7 +256,8 @@ func PerfGraph(f PerfFamily, seed int64) (*bipartite.Graph, error) {
 	return b.Build()
 }
 
-// perfSolvers resolves the sequential/parallel solver pair for a class.
+// perfSolvers resolves the sequential/parallel solver pair for a class:
+// BnB-SP and BnB-SP-Par, or BnB-MP and BnB-MP-Par.
 func perfSolvers(c registry.Class) (seq, par *registry.Solver, err error) {
 	name := "BnB-SP"
 	if c == registry.MultiProc {
@@ -265,9 +266,8 @@ func perfSolvers(c registry.Class) (seq, par *registry.Solver, err error) {
 	if seq, err = registry.LookupClass(c, name); err != nil {
 		return nil, nil, err
 	}
-	par = registry.Preferred(seq)
-	if par == seq {
-		return nil, nil, fmt.Errorf("bench: %s has no parallel counterpart registered", name)
+	if par, err = registry.LookupClass(c, name+"-Par"); err != nil {
+		return nil, nil, err
 	}
 	return seq, par, nil
 }

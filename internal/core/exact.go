@@ -21,9 +21,10 @@ import (
 // returned is the matcher's at D = OPT, so the incremental search would
 // return the same one.
 //
-// ctx is checked before each probe. Once it has ended, ExactUnit returns
-// the best feasible assignment found so far (sorted-greedy's, or the
-// last feasible probe's), its makespan, and ctx.Err().
+// ctx is checked between the matcher's phases, inside each probe. Once
+// it has ended, ExactUnit returns the best feasible assignment found so
+// far (sorted-greedy's, or the last feasible probe's), its makespan, and
+// ctx.Err().
 //
 // Returns an error if some task has an empty eligibility set (then no
 // finite makespan exists) or if the graph is weighted (the construction is
@@ -47,13 +48,13 @@ func ExactUnit(ctx context.Context, g *bipartite.Graph) (Assignment, int64, erro
 	lo := (g.NLeft + g.NRight - 1) / g.NRight // ⌈n/p⌉ ≤ OPT
 	incumbent := SortedGreedy(g)
 	hi := max(int(Makespan(g, incumbent)), lo)
-	// probe tries deadline d once ctx allows it; a feasible answer
+	// probe tries deadline d while ctx allows it; a feasible answer
 	// becomes the incumbent.
 	probe := func(d int) (Assignment, error) {
-		if err := ctx.Err(); err != nil {
+		m, err := matching.HopcroftKarpCap(ctx, matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj), d)
+		if err != nil {
 			return nil, err
 		}
-		m := matching.HopcroftKarpCap(matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj), d)
 		if matching.Cardinality(m) != g.NLeft {
 			return nil, nil
 		}

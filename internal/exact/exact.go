@@ -89,14 +89,11 @@ type Options struct {
 	Trace *telemetry.Span
 	// Progress, when non-nil, receives periodic SearchProgress snapshots
 	// during the search, polled at the same checkpoints as Observer (never
-	// per node) and rate-limited by ProgressInterval, so node counts are
-	// identical with and without the hook. One final snapshot is
-	// delivered when the search ends. Calls come one at a time; the
+	// per node) and at most one per telemetry.ProgressInterval, so node
+	// counts are identical with and without the hook. One final snapshot
+	// is delivered when the search ends. Calls come one at a time; the
 	// callback must return quickly and must not panic.
 	Progress telemetry.ProgressFunc
-	// ProgressInterval is the minimum wall time between Progress
-	// snapshots; 0 means telemetry.DefaultProgressInterval.
-	ProgressInterval time.Duration
 }
 
 // SearchStats reports how much work a branch-and-bound search did — the
@@ -248,7 +245,7 @@ func solve(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (core.Hy
 	gs.End()
 	sr := newSearch(inc, m0, pr.Bounds.Root(), opts.maxNodes(), workers)
 	sr.obsFn = opts.Observer
-	sr.setProgress(opts.Progress, opts.ProgressInterval)
+	sr.setProgress(opts.Progress)
 	sr.observe() // the initial greedy incumbent
 	ss := startSearchSpan(opts.Trace, sr)
 	if !sr.closed {

@@ -127,17 +127,18 @@ func newSearch(incumbent []int32, m, rootLB, maxNodes int64, workers int) *searc
 	return sr
 }
 
+// progressEvery is the minimum wall time between progress snapshots;
+// tests lower it to see a snapshot at every checkpoint.
+var progressEvery = telemetry.ProgressInterval
+
 // setProgress installs the periodic progress hook before the search
 // starts.
-func (sr *search) setProgress(fn telemetry.ProgressFunc, every time.Duration) {
+func (sr *search) setProgress(fn telemetry.ProgressFunc) {
 	if fn == nil {
 		return
 	}
-	if every <= 0 {
-		every = telemetry.DefaultProgressInterval
-	}
 	sr.progFn = fn
-	sr.progEvery = every
+	sr.progEvery = progressEvery
 	sr.progStart = time.Now()
 	sr.progLast = sr.progStart
 }

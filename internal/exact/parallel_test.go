@@ -263,6 +263,7 @@ func TestPreCancelledSearchAlwaysCancels(t *testing.T) {
 // at several, and a cancellation that lands mid-search still ends the
 // search with ErrCancelled and a valid incumbent.
 func TestSearchLeavesNoGoroutine(t *testing.T) {
+	snapshotEveryCheckpoint(t)
 	rng := rand.New(rand.NewSource(55))
 	h := randomHyper(rng, 12, 4, 3, 3, 9)
 	hard := hardHyper()
@@ -295,7 +296,6 @@ func TestSearchLeavesNoGoroutine(t *testing.T) {
 					cancel()
 				}
 			},
-			ProgressInterval: time.Nanosecond,
 		})
 		cancel()
 		if !errors.Is(err, ErrCancelled) {
@@ -352,6 +352,7 @@ func TestParStatsPopulated(t *testing.T) {
 // barriers, a budget that runs out mid-search, and a cancellation that
 // lands mid-round.
 func TestParRaceStress(t *testing.T) {
+	snapshotEveryCheckpoint(t)
 	rng := rand.New(rand.NewSource(909))
 	h := randomHyper(rng, 18, 5, 3, 3, 12)
 	_, want, err := SolveMultiProc(context.Background(), h, Options{Workers: 1})
@@ -407,7 +408,6 @@ func TestParRaceStress(t *testing.T) {
 				cancel()
 			}
 		},
-		ProgressInterval: time.Nanosecond,
 	})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("cancelled after %d barriers: want ErrCancelled, got %v", barriers, err)

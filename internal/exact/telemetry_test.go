@@ -14,6 +14,7 @@ import (
 // instrumentation must preserve: sequential node counts are bit-identical
 // with and without a trace span and a progress hook attached.
 func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
+	snapshotEveryCheckpoint(t)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
 		g := randomWeightedGraph(rng, 14, 4, 4, 30)
@@ -24,11 +25,10 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 		}
 		tr := telemetry.StartSpan("solve")
 		_, mTraced, err := SolveSingleProc(context.Background(), g, Options{
-			Workers:          1,
-			Stats:            &traced,
-			Trace:            tr,
-			Progress:         func(telemetry.SearchProgress) {},
-			ProgressInterval: time.Nanosecond, // snapshot at every checkpoint
+			Workers:  1,
+			Stats:    &traced,
+			Trace:    tr,
+			Progress: func(telemetry.SearchProgress) {},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,11 +52,10 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, mTraced, err := SolveMultiProc(context.Background(), h, Options{
-			Workers:          1,
-			Stats:            &traced,
-			Trace:            telemetry.StartSpan("solve"),
-			Progress:         func(telemetry.SearchProgress) {},
-			ProgressInterval: time.Nanosecond,
+			Workers:  1,
+			Stats:    &traced,
+			Trace:    telemetry.StartSpan("solve"),
+			Progress: func(telemetry.SearchProgress) {},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -119,6 +118,7 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 // TestProgressSnapshots asserts the parallel engine delivers monotone,
 // well-formed snapshots, including the final one.
 func TestProgressSnapshots(t *testing.T) {
+	snapshotEveryCheckpoint(t)
 	rng := rand.New(rand.NewSource(10))
 	h := randomHyper(rng, 13, 4, 3, 3, 35)
 	var mu sync.Mutex
@@ -132,7 +132,6 @@ func TestProgressSnapshots(t *testing.T) {
 			snaps = append(snaps, p)
 			mu.Unlock()
 		},
-		ProgressInterval: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,4 +159,13 @@ func TestProgressSnapshots(t *testing.T) {
 			t.Fatalf("snapshot %d bound = %d, stats bound = %d", i, s.Bound, stats.Bound)
 		}
 	}
+}
+
+// snapshotEveryCheckpoint makes every checkpoint of the test's searches
+// deliver a progress snapshot.
+func snapshotEveryCheckpoint(t *testing.T) {
+	t.Helper()
+	old := progressEvery
+	progressEvery = time.Nanosecond
+	t.Cleanup(func() { progressEvery = old })
 }

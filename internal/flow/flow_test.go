@@ -82,7 +82,10 @@ func TestFlowMatchingEqualsHopcroftKarp(t *testing.T) {
 		g := b.MustBuild()
 		net, s, t2, _ := MatchingNetwork(g, 1)
 		flowCard := net.MaxFlow(s, t2)
-		m := matching.HopcroftKarpCap(matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj), 1)
+		m, err := matching.HopcroftKarpCap(context.Background(), matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return int(flowCard) == matching.Cardinality(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

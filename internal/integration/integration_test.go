@@ -219,7 +219,11 @@ func TestMatchingSubstrateAgreesAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := matching.Wrap(g.NLeft, g.NRight, g.Ptr, g.Adj)
-	hk := matching.Cardinality(matching.HopcroftKarpCap(w, 1))
+	m, err := matching.HopcroftKarpCap(context.Background(), w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hk := matching.Cardinality(m)
 	if pr := matching.Cardinality(matching.PushRelabel(w)); hk != pr {
 		t.Fatalf("cardinalities disagree: HK=%d PR=%d", hk, pr)
 	}

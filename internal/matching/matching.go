@@ -23,6 +23,8 @@
 // to left vertex u, or -1. Use Cardinality to count matched vertices.
 package matching
 
+import "context"
+
 const unmatched = int32(-1)
 
 // Unmatched is the sentinel used in matching arrays.
@@ -147,16 +149,19 @@ func KarpSipser(g Graph) []int32 {
 // Hopcroft–Karp, seeded with Karp–Sipser. The exact SINGLEPROC-UNIT algorithm asks: can all tasks be
 // matched when every processor has capacity D? This routine answers it
 // without materializing the D-fold replicated graph of the paper.
-func HopcroftKarpCap(g Graph, cap int) []int32 {
+//
+// ctx is checked before each phase; once it has ended, HopcroftKarpCap
+// returns nil and ctx.Err().
+func HopcroftKarpCap(ctx context.Context, g Graph, cap int) ([]int32, error) {
 	if cap < 1 {
 		panic("matching: capacity must be >= 1")
 	}
-	return hopcroftKarp(g, cap, cap == 1)
+	return hopcroftKarp(ctx, g, cap, cap == 1)
 }
 
 const inf = int32(1 << 30)
 
-func hopcroftKarp(g Graph, rcap int, seed bool) []int32 {
+func hopcroftKarp(ctx context.Context, g Graph, rcap int, seed bool) ([]int32, error) {
 	nL, nR := g.LeftCount(), g.RightCount()
 	matchL := make([]int32, nL)
 	for i := range matchL {
@@ -263,7 +268,13 @@ func hopcroftKarp(g Graph, rcap int, seed bool) []int32 {
 		return false
 	}
 
-	for bfs() {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if !bfs() {
+			break
+		}
 		progress := false
 		for u := int32(0); int(u) < nL; u++ {
 			if matchL[u] == unmatched && distL[u] == 0 {
@@ -276,7 +287,7 @@ func hopcroftKarp(g Graph, rcap int, seed bool) []int32 {
 			break
 		}
 	}
-	return matchL
+	return matchL, nil
 }
 
 // PushRelabel computes a maximum matching with a FIFO push-relabel

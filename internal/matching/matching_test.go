@@ -1,6 +1,8 @@
 package matching
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -257,13 +259,34 @@ func verifyCap(t *testing.T, g Graph, m []int32, c int) {
 	}
 }
 
+// capMatch runs HopcroftKarpCap to the end.
+func capMatch(tb testing.TB, g Graph, c int) []int32 {
+	tb.Helper()
+	m, err := HopcroftKarpCap(context.Background(), g, c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// TestCapStopsOnDoneContext: a context that has ended stops the matcher
+// before its next phase, with the context's error and no matching.
+func TestCapStopsOnDoneContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := benchGraph(2000, 125, 5, 1)
+	if m, err := HopcroftKarpCap(ctx, g, 16); m != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled matcher: %d-entry matching, err %v; want none and context.Canceled", len(m), err)
+	}
+}
+
 func TestCapEqualsReplication(t *testing.T) {
 	// cap=1 must agree with a plain maximum matcher.
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		g := randomAdj(rng, 1+rng.Intn(12), 1+rng.Intn(8), rng.Float64()*0.6)
 		m1 := Kuhn(g)
-		mc := HopcroftKarpCap(g, 1)
+		mc := capMatch(t, g, 1)
 		verifyCap(t, g, mc, 1)
 		if Cardinality(m1) != Cardinality(mc) {
 			t.Fatalf("trial %d: cap-1 %d != plain %d", trial, Cardinality(mc), Cardinality(m1))
@@ -278,7 +301,7 @@ func TestCapAgainstBruteForce(t *testing.T) {
 		nR := 1 + rng.Intn(5)
 		c := 1 + rng.Intn(3)
 		g := randomAdj(rng, nL, nR, rng.Float64())
-		m := HopcroftKarpCap(g, c)
+		m := capMatch(t, g, c)
 		verifyCap(t, g, m, c)
 		want := bruteMaxCap(g, c)
 		if got := Cardinality(m); got != want {
@@ -296,10 +319,10 @@ func TestCapSaturatesAllTasks(t *testing.T) {
 		a[u] = []int32{0}
 	}
 	g := fixedRight{a, 1}
-	if got := Cardinality(HopcroftKarpCap(g, n)); got != n {
+	if got := Cardinality(capMatch(t, g, n)); got != n {
 		t.Fatalf("cap=n: %d, want %d", got, n)
 	}
-	if got := Cardinality(HopcroftKarpCap(g, n-1)); got != n-1 {
+	if got := Cardinality(capMatch(t, g, n-1)); got != n-1 {
 		t.Fatalf("cap=n-1: %d, want %d", got, n-1)
 	}
 }
@@ -310,7 +333,7 @@ func TestCapPanicsOnZero(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	HopcroftKarpCap(fixedRight{adj{{0}}, 1}, 0)
+	HopcroftKarpCap(context.Background(), fixedRight{adj{{0}}, 1}, 0)
 }
 
 func TestWrap(t *testing.T) {
@@ -348,7 +371,7 @@ func TestPropertyCapMonotone(t *testing.T) {
 		g := randomAdj(rng, 1+rng.Intn(15), 1+rng.Intn(6), rng.Float64()*0.6)
 		prev := 0
 		for c := 1; c <= 4; c++ {
-			card := Cardinality(HopcroftKarpCap(g, c))
+			card := Cardinality(capMatch(t, g, c))
 			if card < prev {
 				return false
 			}
@@ -415,6 +438,6 @@ func BenchmarkHopcroftKarpCap16(b *testing.B) {
 	g := benchGraph(20000, 1250, 5, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HopcroftKarpCap(g, 16)
+		capMatch(b, g, 16)
 	}
 }

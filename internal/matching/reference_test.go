@@ -1,5 +1,7 @@
 package matching
 
+import "context"
+
 // Reference matchers that only the tests run: the capacitated
 // Hopcroft–Karp (HopcroftKarpCap) is the one the exact SINGLEPROC-UNIT
 // algorithm uses, and the tests hold it and push-relabel to these.
@@ -63,5 +65,6 @@ func Kuhn(g Graph) []int32 {
 // from free left vertices, DFS extracts a maximal set of vertex-disjoint
 // shortest augmenting paths, repeat. Seeded with Karp–Sipser.
 func HopcroftKarp(g Graph) []int32 {
-	return hopcroftKarp(g, 1, true)
+	m, _ := hopcroftKarp(context.Background(), g, 1, true)
+	return m
 }

@@ -83,7 +83,7 @@ func init() {
 	})
 	register(&Solver{
 		Name: "BnB-SP", Class: SingleProc, Kind: Exact, Cost: CostExponential,
-		Aliases: []string{"bnb"}, ParallelAlt: "BnB-SP-Par",
+		Aliases: []string{"bnb"},
 		Summary: "branch-and-bound for weighted SINGLEPROC (budgeted; returns incumbent on timeout)",
 		SolveSingle: func(ctx context.Context, g *bipartite.Graph, opts exact.Options) (core.Assignment, error) {
 			opts.Workers = 1
@@ -161,7 +161,7 @@ func init() {
 	})
 	register(&Solver{
 		Name: "BnB-MP", Class: MultiProc, Kind: Exact, Cost: CostExponential,
-		Aliases: []string{"bnb", "exact"}, ParallelAlt: "BnB-MP-Par",
+		Aliases: []string{"bnb", "exact"},
 		Summary: "branch-and-bound for MULTIPROC (budgeted; returns incumbent on timeout)",
 		SolveHyper: func(ctx context.Context, h *hypergraph.Hypergraph, opts exact.Options) (core.HyperAssignment, error) {
 			opts.Workers = 1

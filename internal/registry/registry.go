@@ -127,10 +127,6 @@ type Solver struct {
 	// Parallel marks solvers that scale with exact.Options.Workers
 	// (internal search workers).
 	Parallel bool
-	// ParallelAlt names this solver's parallel counterpart in the same
-	// class, when one is registered; policy layers use it via Preferred
-	// to upgrade dispatch onto all available cores.
-	ParallelAlt string
 	// Summary is a one-line description for listings.
 	Summary string
 
@@ -257,22 +253,6 @@ func ResolveClass(c Class, names []string) ([]string, []*Solver, error) {
 		solvers[i] = s
 	}
 	return Names(solvers), solvers, nil
-}
-
-// Preferred returns the solver a throughput-oriented policy layer should
-// dispatch to in s's stead: the registered parallel counterpart named by
-// s.ParallelAlt when there is one, otherwise s itself. The counterpart
-// solves the same problem exactly (the equivalence suite in
-// internal/exact asserts matching optima), so the upgrade is safe for
-// any caller that judges schedules rather than solver identity.
-func Preferred(s *Solver) *Solver {
-	if s == nil || s.ParallelAlt == "" {
-		return s
-	}
-	if alt, err := LookupClass(s.Class, s.ParallelAlt); err == nil {
-		return alt
-	}
-	return s
 }
 
 // IncumbentError reports whether err is a budget or cancellation error

@@ -135,34 +135,6 @@ func TestUnknownNameSuggests(t *testing.T) {
 	}
 }
 
-func TestPreferredUpgradesToParallel(t *testing.T) {
-	for _, tc := range []struct {
-		class     Class
-		seq, want string
-	}{
-		{SingleProc, "BnB-SP", "BnB-SP-Par"},
-		{MultiProc, "BnB-MP", "BnB-MP-Par"},
-	} {
-		seq, err := LookupClass(tc.class, tc.seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := Preferred(seq); got.Name != tc.want || !got.Parallel || got.Class != tc.class {
-			t.Fatalf("Preferred(%s) = %v, want %s", tc.seq, got.Name, tc.want)
-		}
-	}
-	sgh, err := LookupClass(MultiProc, "SGH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Preferred(sgh); got != sgh {
-		t.Fatalf("Preferred(SGH) should be identity, got %v", got.Name)
-	}
-	if got := Preferred(nil); got != nil {
-		t.Fatal("Preferred(nil) should be nil")
-	}
-}
-
 // TestEverySolverSolves wires each catalog entry to a tiny instance and
 // checks it produces a valid schedule.
 func TestEverySolverSolves(t *testing.T) {

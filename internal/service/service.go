@@ -49,14 +49,15 @@ import (
 	"semimatch/internal/telemetry"
 )
 
+// cacheShards is the memory cache's shard count; each shard has its own
+// lock.
+const cacheShards = 16
+
 // Defaults for the zero Options value.
 const (
 	// DefaultCacheEntries is the result-cache capacity when
 	// Options.CacheEntries is zero.
 	DefaultCacheEntries = 4096
-	// DefaultCacheShards is the cache shard count when Options.CacheShards
-	// is zero.
-	DefaultCacheShards = 16
 	// DefaultQueueDepth is the admission bound when Options.QueueDepth is
 	// zero: the maximum number of solves in flight before Solve starts
 	// failing fast with ErrOverloaded.
@@ -81,8 +82,6 @@ type Options struct {
 	// CacheEntries bounds the result cache; 0 means DefaultCacheEntries,
 	// negative disables caching entirely.
 	CacheEntries int
-	// CacheShards is the cache shard count; 0 means DefaultCacheShards.
-	CacheShards int
 	// QueueDepth bounds the solves in flight (queued or running); beyond
 	// it Solve fails fast with ErrOverloaded. 0 means DefaultQueueDepth.
 	QueueDepth int
@@ -132,13 +131,6 @@ func (o Options) cacheEntries() int {
 		return DefaultCacheEntries
 	}
 	return o.CacheEntries
-}
-
-func (o Options) cacheShards() int {
-	if o.CacheShards <= 0 {
-		return DefaultCacheShards
-	}
-	return o.CacheShards
 }
 
 func (o Options) queueDepth() int {
@@ -351,7 +343,7 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		opts:          opts,
-		cache:         newLRUCache(opts.cacheEntries(), opts.cacheShards()),
+		cache:         newLRUCache(opts.cacheEntries(), cacheShards),
 		queue:         make(chan struct{}, opts.queueDepth()),
 		workers:       make(chan struct{}, opts.workers()),
 		solverWorkers: solverWorkers,

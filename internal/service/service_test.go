@@ -387,7 +387,7 @@ func TestServiceDeadlineTruncation(t *testing.T) {
 // cache, single-flight, admission — from many goroutines over a few
 // instances. Run with -race in CI.
 func TestServiceConcurrentStress(t *testing.T) {
-	s := New(Options{CacheEntries: 8, CacheShards: 2, QueueDepth: 32})
+	s := New(Options{CacheEntries: 8, QueueDepth: 32})
 	instances := []*hypergraph.Hypergraph{testHyper(t), isomorphTestHyper(t)}
 	for seed := int64(0); seed < 3; seed++ {
 		h, err := gen.Hypergraph(gen.HyperParams{

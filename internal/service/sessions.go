@@ -16,6 +16,11 @@ import (
 // /metrics scrape and one ledger file cover both request traffic and
 // session traffic.
 
+// DefaultDeadline is Options.DefaultDeadline, the budget of a solve that
+// brings none of its own (0 = none). A session re-solve runs under it, so
+// it holds its solve slot no longer than such a /solve request.
+func (s *Service) DefaultDeadline() time.Duration { return s.opts.DefaultDeadline }
+
 // AcquireSolveSlot claims one admission slot and one run slot for a solve
 // the service does not dispatch itself — a dynamic session's per-event
 // re-solve. It fails fast with ErrOverloaded when the queue is full and

@@ -21,8 +21,7 @@ import (
 // the claim.
 var ErrVerifyFailed = errors.New("solve: certificate verification failed")
 
-// Defaults of the auto policy's exact-attempt stage (shared with the
-// batch runner, which routes through RunOptions).
+// Defaults of the auto policy's exact-attempt stage.
 const (
 	// DefaultExactTaskLimit is the largest instance (in tasks) that gets a
 	// branch-and-bound attempt when Options.ExactTaskLimit is zero.
@@ -131,8 +130,8 @@ func (r *Report) Optimal() bool { return r.Status == StatusOptimal }
 
 // Options is the resolved option set of one Run. Most callers use the
 // functional With* options; dispatch layers that need fine-grained control
-// (the batch runner, the service) fill the struct directly and call
-// RunOptions.
+// (the batch, the service, sessions) fill the struct directly, or resolve
+// the With* options with Apply, and call RunOptions.
 type Options struct {
 	// Algorithm names one registry solver to run (any name or alias, in
 	// the problem's class). Empty selects the auto policy: a heuristic
@@ -182,13 +181,10 @@ type Options struct {
 	// node, so tracing does not perturb the search.
 	Trace bool
 	// Progress receives periodic search-introspection snapshots (nodes,
-	// rate, incumbent/bound gap) from any exact stage that runs, rate-limited by ProgressInterval. Polled at the
-	// engines' existing checkpoints: node counts are identical with and
-	// without it.
+	// rate, incumbent/bound gap) from any exact stage that runs, at most
+	// one per telemetry.ProgressInterval. Polled at the engines' existing
+	// checkpoints: node counts are identical with and without it.
 	Progress telemetry.ProgressFunc
-	// ProgressInterval is the minimum wall time between Progress
-	// snapshots; 0 means telemetry.DefaultProgressInterval.
-	ProgressInterval time.Duration
 
 	// trace is the live root span when Trace is set; RunOptions owns it.
 	trace *telemetry.Span
@@ -274,13 +270,19 @@ func (o Options) exactNodes() int64 {
 // returns the heuristic-stage Report alongside the error, so callers that
 // degrade gracefully can keep the schedule.
 func Run(ctx context.Context, p Problem, opts ...Option) (*Report, error) {
+	return RunOptions(ctx, p, Apply(opts...))
+}
+
+// Apply returns the Options that opts set, applied in order to the zero
+// Options; nil options are skipped.
+func Apply(opts ...Option) Options {
 	var o Options
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)
 		}
 	}
-	return RunOptions(ctx, p, o)
+	return o
 }
 
 // RunOptions is Run with a resolved Options struct; see Run for the
@@ -405,9 +407,8 @@ func runNamed(ctx context.Context, p Problem, o Options, obs *obsState) (*Report
 		// The engine's phase spans (compile, greedy, search) attach
 		// directly under the solve root on the named path — there is no
 		// policy staging to group them under.
-		Trace:            o.trace,
-		Progress:         o.Progress,
-		ProgressInterval: o.ProgressInterval,
+		Trace:    o.trace,
+		Progress: o.Progress,
 	}
 	if obs.active() {
 		ropts.Observer = obs.exactFn(sol.Name)
@@ -436,24 +437,39 @@ func runAuto(ctx context.Context, p Problem, o Options, obs *obsState) (*Report,
 	if err != nil {
 		return nil, err
 	}
-	if ctx.Err() == nil {
+	if ctx.Err() == nil && !unitBoundMet(p, rep.stageMakespan) {
 		err = exactStage(ctx, p, o, obs, rep)
 	}
 	return rep, err
 }
 
+// unitBoundMet reports a unit SINGLEPROC problem whose staged makespan m
+// already equals the larger of its average-load and max-element bounds.
+// ExactUnit could then only prove m optimal again: cert.Issue takes
+// those bounds as the witness before it reads a solver's proof, and
+// mergeExact adopts only a strictly better schedule. The branch and
+// bound classes still search, since skipping would change Stats.Nodes.
+func unitBoundMet(p Problem, m int64) bool {
+	if p.g == nil || !p.g.Unit() {
+		return false
+	}
+	avg, maxElem, _ := cert.Bounds(p.g)
+	return m == max(avg, maxElem)
+}
+
 // The auto policy's solvers, resolved once since the catalog is fixed
 // after init: each class's default race lineup (indexed by class), the
 // polynomial ExactUnit for unit SINGLEPROC instances, and each class's
-// branch and bound through its registered parallel counterpart.
+// parallel branch and bound, which runs the sequential search at one
+// worker.
 var (
 	defaultLineup = [...][]*registry.Solver{
 		registry.SingleProc: registry.Heuristics(registry.SingleProc),
 		registry.MultiProc:  registry.Heuristics(registry.MultiProc),
 	}
 	exactUnit = mustLookup(registry.SingleProc, "ExactUnit")
-	exactSP   = registry.Preferred(mustLookup(registry.SingleProc, "BnB-SP"))
-	exactMP   = registry.Preferred(mustLookup(registry.MultiProc, "BnB-MP"))
+	exactSP   = mustLookup(registry.SingleProc, "BnB-SP-Par")
+	exactMP   = mustLookup(registry.MultiProc, "BnB-MP-Par")
 )
 
 // mustLookup resolves a name the catalog registers at init; a miss is a
@@ -520,7 +536,6 @@ func exactSearch(ctx context.Context, p Problem, o Options, obs *obsState, stats
 		Stats:            stats,
 		Trace:            span,
 		Progress:         o.Progress,
-		ProgressInterval: o.ProgressInterval,
 		Workers:          o.Workers,
 	}
 	if obs.active() {

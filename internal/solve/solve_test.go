@@ -2,6 +2,9 @@ package solve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"strings"
@@ -187,8 +190,9 @@ func TestRunAutoProvesOptimality(t *testing.T) {
 	}
 }
 
-// TestRunAutoUnitGraphUsesExactUnit: unit bipartite instances get the
-// polynomial proof regardless of size.
+// TestRunAutoUnitGraphUsesExactUnit: unit bipartite instances are proven
+// optimal at any size, with ExactUnit's optimum: by the ⌈n/p⌉ bound when
+// the race meets it, else by ExactUnit.
 func TestRunAutoUnitGraphUsesExactUnit(t *testing.T) {
 	g := unitGraph(t, 3)
 	rep, err := Run(context.Background(), Bipartite(g))
@@ -209,11 +213,11 @@ func TestRunAutoUnitGraphUsesExactUnit(t *testing.T) {
 }
 
 // TestExactUnitScales: a unit SINGLEPROC instance of 20,000 tasks on 10
-// processors, each task eligible on 1–3 of them, is proven optimal within
-// a 2 s deadline. ExactUnit bisects the deadline D, so it runs O(log n)
-// matchings where counting D up from 1 runs one per value below the
-// optimum (about 2,000 here). Under the race detector one matching can
-// outlast the deadline, so only the status is checked there.
+// processors, each task eligible on 1–3 of them, is proven optimal by
+// ExactUnit within a 2 s deadline. ExactUnit bisects the deadline D, so
+// it runs O(log n) matchings where counting D up from 1 runs one per
+// value below the optimum (about 2,000 here). The race detector slows
+// the matcher past the deadline, so only the status is checked there.
 func TestExactUnitScales(t *testing.T) {
 	g := weightedGraph(1, 20000, 10, 3, 1)
 	if !g.Unit() {
@@ -221,7 +225,9 @@ func TestExactUnitScales(t *testing.T) {
 	}
 	const deadline = 2 * time.Second
 	start := time.Now()
-	rep, err := RunOptions(context.Background(), Bipartite(g), Options{Deadline: deadline})
+	// The auto policy skips ExactUnit here, as the race already meets
+	// ⌈n/p⌉ (TestUnitBoundSkipsExactUnit), so the solver is named.
+	rep, err := RunOptions(context.Background(), Bipartite(g), Options{Algorithm: "ExactUnit", Deadline: deadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +237,56 @@ func TestExactUnitScales(t *testing.T) {
 	checkReport(t, Bipartite(g), rep)
 	if rep.Status != StatusOptimal {
 		t.Fatalf("status %v, want optimal", rep.Status)
+	}
+}
+
+// TestUnitBoundSkipsExactUnit: when the race already meets a unit
+// SINGLEPROC instance's ⌈n/p⌉ bound, the auto policy runs no exact stage
+// and answers as it did when ExactUnit ran after the race: the same
+// solver, makespan, witness and schedule. When the race misses the
+// bound, ExactUnit still runs.
+func TestUnitBoundSkipsExactUnit(t *testing.T) {
+	for _, tc := range []struct {
+		seed     int64
+		n, p     int
+		solver   string
+		makespan int64
+		digest   string // sha256 of the assignment, little-endian int32s
+	}{
+		{1, 20000, 10, "expected", 2000, "5a5c7821237cddf0"},
+		{2, 2000, 8, "expected", 250, "30053b0a37a758d6"},
+		{3, 300, 7, "sorted", 43, "dbd470f2c29edd5a"},
+	} {
+		g := weightedGraph(tc.seed, tc.n, tc.p, 3, 1)
+		rep, err := Run(context.Background(), Bipartite(g), WithTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		binary.Write(h, binary.LittleEndian, rep.Assignment)
+		digest := hex.EncodeToString(h.Sum(nil)[:8])
+		if rep.Solver != tc.solver || rep.Makespan != tc.makespan || digest != tc.digest ||
+			rep.Certificate.Witness.Kind != cert.WitnessAverageLoad {
+			t.Fatalf("seed %d: %s, makespan %d, witness %s, assignment %s; want %s, %d, average-load, %s",
+				tc.seed, rep.Solver, rep.Makespan, rep.Certificate.Witness.Kind, digest, tc.solver, tc.makespan, tc.digest)
+		}
+		if names := spanNames(rep.Trace.Children()); contains(names, "exact") {
+			t.Fatalf("seed %d: spans %v, want no exact stage", tc.seed, names)
+		}
+	}
+
+	// Three tasks eligible on processor 0 only: ⌈3/2⌉ = 2 but every
+	// schedule has makespan 3, so ExactUnit runs and proves it.
+	b := bipartite.NewBuilder(3, 2)
+	for task := 0; task < 3; task++ {
+		b.AddEdge(task, 0)
+	}
+	rep, err := Run(context.Background(), Bipartite(b.MustBuild()), WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := spanNames(rep.Trace.Children()); !contains(names, "exact") || rep.Status != StatusOptimal || rep.Makespan != 3 {
+		t.Fatalf("bound missed: spans %v, status %v, makespan %d; want an exact stage proving 3", names, rep.Status, rep.Makespan)
 	}
 }
 

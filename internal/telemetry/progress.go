@@ -33,6 +33,6 @@ type SearchProgress struct {
 // quickly; anything slow should hand off to its own goroutine.
 type ProgressFunc func(SearchProgress)
 
-// DefaultProgressInterval is the snapshot rate limit used when a
-// progress hook is installed without an explicit interval.
-const DefaultProgressInterval = 250 * time.Millisecond
+// ProgressInterval is the minimum wall time between two snapshots a
+// progress hook receives (the final snapshot excepted).
+const ProgressInterval = 250 * time.Millisecond

@@ -365,33 +365,35 @@ var ErrCancelled = exact.ErrCancelled
 
 // --- Batch solving ---
 
-// BatchOptions configures SolveProblems.
-type BatchOptions = batch.Options
-
 // BatchOutcome is the per-problem outcome of SolveProblems: the unified
 // Report, or that problem's failure.
 type BatchOutcome = batch.Outcome
 
-// BatchRunner is a reusable batch solver (SolveProblems creates one per
-// call).
-type BatchRunner = batch.Runner
-
-// NewBatchRunner returns a reusable batch solver.
-func NewBatchRunner(opts BatchOptions) *BatchRunner { return batch.New(opts) }
-
 // SolveProblems solves many Problems — SINGLEPROC and MULTIPROC freely
-// mixed — on a worker pool spanning GOMAXPROCS cores. Each problem runs
-// Run's auto policy: a heuristic race first, then — when the instance
-// allows it — an exact attempt (ExactUnit or parallel branch-and-bound),
-// falling back to the best schedule found so far on timeout. Failures are
+// mixed — running Run on each with the same options, on a pool spanning
+// GOMAXPROCS cores. Without WithAlgorithm each problem runs the auto
+// policy: a heuristic race first, then — when the instance allows it —
+// an exact attempt (ExactUnit or branch-and-bound), falling back to the
+// best schedule found so far on timeout. WithDeadline bounds each
+// problem's solve, not the batch; a warm start is ignored by every
+// problem it does not fit.
+//
+// WithWorkers sets each solve's worker count: without it each solve gets
+// one worker and GOMAXPROCS solves run at once; WithWorkers(w) gives
+// each solve w workers and runs max(1, GOMAXPROCS/w) at once. A
+// WithObserver or WithProgress hook is called from concurrent solves;
+// each solve's calls stay serialized.
+//
+// An algorithm name (WithAlgorithm or WithPortfolio) unknown in the
+// class of some problem fails the batch up front. Other failures are
 // isolated per problem (BatchOutcome.Err). At a fixed worker count the
 // schedules repeat from run to run. Across worker counts the makespans
 // agree only while no exact stage stops at its node budget, because one
 // worker per solve runs the sequential search and more run the parallel
 // rounds; co-optimal schedules may differ. Cancelling ctx stops the batch
 // promptly, returning partial results alongside the context's error.
-func SolveProblems(ctx context.Context, problems []Problem, opts BatchOptions) ([]BatchOutcome, error) {
-	return batch.New(opts).RunProblems(ctx, problems)
+func SolveProblems(ctx context.Context, problems []Problem, opts ...Option) ([]BatchOutcome, error) {
+	return batch.Solve(ctx, problems, solve.Apply(opts...))
 }
 
 // --- Generators (Sec. V-A) ---

@@ -262,7 +262,7 @@ func TestBatchAndContextFacade(t *testing.T) {
 		instances = append(instances, h)
 		problems = append(problems, semimatch.HypergraphProblem(h))
 	}
-	outcomes, err := semimatch.SolveProblems(context.Background(), problems, semimatch.BatchOptions{Refine: true})
+	outcomes, err := semimatch.SolveProblems(context.Background(), problems, semimatch.WithRefine())
 	if err != nil {
 		t.Fatal(err)
 	}
